@@ -36,6 +36,7 @@ from .errors import (
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 CACHE_HEADER = {"format": "karpa-embedding-cache", "version": 1}
+_HEADER_LINE = json.dumps(CACHE_HEADER, separators=(",", ":")) + "\n"
 
 
 def text_digest(text: str) -> str:
@@ -49,7 +50,7 @@ class EmbeddingVector:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise ContractError("embedding values must be finite")
 
     @property
@@ -63,19 +64,35 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     Raises ``ContractError`` on dimension mismatch and ``DomainError`` if
     either vector is all-zero.
     """
-    if a.dim != b.dim:
-        raise ContractError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dot = 0.0
-    na = 0.0
-    nb = 0.0
-    for x, y in zip(a.values, b.values):
-        dot += x * y
-        na += x * x
-        nb += y * y
-    if na == 0.0 or nb == 0.0:
-        raise DomainError("cosine undefined for all-zero vector")
-    value = dot / (math.sqrt(na) * math.sqrt(nb))
-    return max(-1.0, min(1.0, value))
+    return cosine_many(a, [b])[0]
+
+
+def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
+    """``cosine(query, v)`` for each ``v`` in order, with the query's norm taken once.
+
+    Results are bit-identical to the pairwise calls, and errors are raised
+    at the same vector with the same type: ``ContractError`` on a dimension
+    mismatch before ``DomainError`` for an all-zero vector on either side.
+    """
+    q = query.values
+    nq = 0.0
+    for x in q:
+        nq += x * x
+    root_nq = math.sqrt(nq)
+    out = []
+    for vec in vectors:
+        if vec.dim != query.dim:
+            raise ContractError(f"dimension mismatch: {query.dim} vs {vec.dim}")
+        dot = 0.0
+        nv = 0.0
+        for x, y in zip(q, vec.values):
+            dot += x * y
+            nv += y * y
+        if nq == 0.0 or nv == 0.0:
+            raise DomainError("cosine undefined for all-zero vector")
+        value = dot / (root_nq * math.sqrt(nv))
+        out.append(max(-1.0, min(1.0, value)))
+    return out
 
 
 def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
@@ -210,34 +227,51 @@ class EmbeddingCache:
 
     When backed by a file, records are line-JSON after a version header
     line; writes are atomic per key (guarded by a lock, flushed per line).
+    A load skips and counts lines that are not whole records, such as one
+    cut short by an interrupted write, and the next append starts on a new
+    line so that no later record is glued onto the cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
         self._memory: dict[tuple[str, str], EmbeddingVector] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
+        self.skipped = 0
+        # What the next append writes before its record, and whether it
+        # replaces the file: decided once here, so ``put`` adds no syscall.
+        self._lead = _HEADER_LINE
+        self._overwrite = False
         if self._path is not None and self._path.exists():
             self._load()
 
     def _load(self) -> None:
         assert self._path is not None
         with self._path.open("r", encoding="utf-8") as fp:
-            header_line = fp.readline().strip()
-            if header_line:
+            last = header_line = fp.readline()
+            if not header_line:
+                return  # empty file: the first append writes the header
+            try:
                 header = json.loads(header_line)
-                if header.get("format") != CACHE_HEADER["format"]:
-                    raise DataError(f"not an embedding cache file: {self._path}")
+            except json.JSONDecodeError:
+                if _HEADER_LINE.startswith(header_line):
+                    self._overwrite = True  # a header cut short: the file holds no records
+                    return
+                raise DataError(f"not an embedding cache file: {self._path}") from None
+            if not isinstance(header, dict) or header.get("format") != CACHE_HEADER["format"]:
+                raise DataError(f"not an embedding cache file: {self._path}")
             for line in fp:
-                line = line.strip()
-                if not line:
+                last = line
+                if not line.strip():
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # truncated trailing record from an interrupted write
-                self._memory[(obj["identity"], obj["text"])] = EmbeddingVector(
-                    tuple(float(v) for v in obj["values"])
-                )
+                    key = (obj["identity"], obj["text"])
+                    vector = EmbeddingVector(tuple(float(v) for v in obj["values"]))
+                except (ValueError, KeyError, TypeError, ContractError):
+                    self.skipped += 1
+                    continue
+                self._memory[key] = vector
+        self._lead = "" if last.endswith("\n") else "\n"
 
     def get(self, identity_digest: str, digest: str) -> EmbeddingVector | None:
         return self._memory.get((identity_digest, digest))
@@ -248,10 +282,10 @@ class EmbeddingCache:
                 return
             self._memory[(identity_digest, digest)] = vector
             if self._path is not None:
-                new_file = not self._path.exists()
-                with self._path.open("a", encoding="utf-8") as fp:
-                    if new_file:
-                        fp.write(json.dumps(CACHE_HEADER, separators=(",", ":")) + "\n")
+                with self._path.open("w" if self._overwrite else "a", encoding="utf-8") as fp:
+                    fp.write(self._lead)
+                    self._lead = ""
+                    self._overwrite = False
                     fp.write(
                         json.dumps(
                             {
@@ -270,6 +304,7 @@ class EmbeddingCache:
         size = self._path.stat().st_size if self._path is not None and self._path.exists() else 0
         return {
             "records": len(self._memory),
+            "skipped": self.skipped,
             "path": str(self._path) if self._path is not None else None,
             "bytes": size,
         }
@@ -279,6 +314,8 @@ class EmbeddingCache:
             self._memory.clear()
             if self._path is not None and self._path.exists():
                 self._path.unlink()
+            self._lead = _HEADER_LINE
+            self._overwrite = False
 
 
 class EmbeddingGateway:
@@ -302,11 +339,14 @@ class EmbeddingGateway:
         self._lock = threading.Lock()
 
     def _check_dim(self, vec: EmbeddingVector) -> None:
-        with self._lock:
-            if self._dim is None:
-                self._dim = vec.dim
-            elif vec.dim != self._dim:
-                raise ContractError(f"embedding dim drifted from {self._dim} to {vec.dim}")
+        dim = self._dim
+        if dim is None:
+            with self._lock:
+                if self._dim is None:
+                    self._dim = vec.dim
+                dim = self._dim
+        if vec.dim != dim:
+            raise ContractError(f"embedding dim drifted from {dim} to {vec.dim}")
 
     def _call_provider(self, texts: list[str]) -> list[EmbeddingVector]:
         delay = self._backoff
@@ -344,13 +384,13 @@ class EmbeddingGateway:
                 )
             for text, vec in zip(unique, vectors):
                 self._check_dim(vec)
-                self.cache.put(self._identity_digest, text_digest(text), vec)
-                for i in missing[text]:
+                positions = missing[text]
+                self.cache.put(self._identity_digest, digests[positions[0]], vec)
+                for i in positions:
                     out[i] = vec
-        result = [v for v in out if v is not None]
-        for vec in result:
+        for vec in out:
             self._check_dim(vec)
-        return result
+        return out
 
     def embed_one(self, text: str) -> EmbeddingVector:
         return self.embed([text])[0]

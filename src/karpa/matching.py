@@ -11,14 +11,16 @@ Three strategies, all scoring with embedding similarity:
 * ``heuristic_top_k`` — best-first search ranked by the similarity of the
   whole traversed label sequence to the whole candidate, which lets paths
   of *different* lengths compete (a one-hop "grandfather" edge versus a
-  two-hop "father, father" chain).
+  two-hop "father, father" chain). It scores all children of an expanded
+  prefix with one embedding request.
 
 ``brute_force_top_k`` enumerates everything and exists as the testing
 oracle for the other strategies.
 
-Returned paths are simple (no entity revisited) and ordering is always
-deterministic: score descending, then relation-label sequence, then
-entity-id sequence.
+All strategies extend a prefix only along edges to entities it has not
+visited (``_children``), so returned paths are simple from the first hop
+on. Ordering is always deterministic: score descending, then
+relation-label sequence, then entity-id sequence.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .embeddings import cosine
+from .embeddings import cosine, cosine_many
 from .errors import CapacityError, ContractError
 
 if TYPE_CHECKING:
@@ -137,6 +139,21 @@ def path_similarity(gateway: "EmbeddingGateway", labels_a: list[str], labels_b: 
     return cosine(vec_a, vec_b)
 
 
+def _children(
+    g: "KnowledgeGraph",
+    labels: tuple[str, ...],
+    entities: tuple[int, ...],
+    steps: tuple[tuple[int, int], ...],
+    direction: str,
+) -> list[tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """(labels, entity_ids, steps) of each one-hop extension that revisits no entity."""
+    return [
+        (labels + (g.relation_label(rid),), entities + (nid,), steps + ((rid, nid),))
+        for rid, nid in g.neighbors(entities[-1], direction)
+        if nid not in entities
+    ]
+
+
 def _sort_key(scored: ScoredPath) -> tuple:
     return (-scored.score, scored.relation_path.relations, scored.path.entities())
 
@@ -184,14 +201,11 @@ def beam_match(
     for cand_label in candidate.relations:
         expansions = []
         for total, labels, entities, steps in beam:
-            for rid, nid in g.neighbors(entities[-1], cfg.direction):
-                if nid in entities:
-                    continue
-                label = g.relation_label(rid)
-                cost = step_cost(gateway, label, cand_label)
-                expansions.append(
-                    (total + cost, labels + (label,), entities + (nid,), steps + ((rid, nid),))
-                )
+            for child_labels, child_entities, child_steps in _children(
+                g, labels, entities, steps, cfg.direction
+            ):
+                cost = step_cost(gateway, child_labels[-1], cand_label)
+                expansions.append((total + cost, child_labels, child_entities, child_steps))
         expansions.sort(key=lambda e: (e[0], e[1], e[2]))
         beam = expansions[: cfg.beam_width]
         if not beam:
@@ -243,15 +257,11 @@ def dijkstra_avg_match(
             results.append(_mean_cost_path(g, start, steps, labels, total))
             continue
         cand_label = candidate.relations[depth]
-        for rid, nid in g.neighbors(entities[-1], cfg.direction):
-            if nid in entities:
-                continue
-            label = g.relation_label(rid)
-            cost = step_cost(gateway, label, cand_label)
-            heapq.heappush(
-                frontier,
-                (total + cost, labels + (label,), entities + (nid,), steps + ((rid, nid),)),
-            )
+        for child_labels, child_entities, child_steps in _children(
+            g, labels, entities, steps, cfg.direction
+        ):
+            cost = step_cost(gateway, child_labels[-1], cand_label)
+            heapq.heappush(frontier, (total + cost, child_labels, child_entities, child_steps))
     return results
 
 
@@ -265,28 +275,35 @@ def heuristic_top_k(
     """Variable-length matching by whole-path similarity.
 
     Every simple path of length 1..max_len from the start is a candidate
-    result, scored by ``h = 1 - path_similarity(path labels, candidate)``.
-    Expansion is best-first on the prefix's h. The prefix value is a
-    priority, not an admissible bound, so the bounded search is
-    approximate by design: when the frontier (or the expansion budget)
+    result, scored by ``h = 1 - path_similarity(path labels, candidate)``;
+    a self-loop at the start is not one. Expansion is best-first on the
+    prefix's h. Each expansion, the first hop from the start included,
+    makes one ``gateway.embed`` request for the candidate and all the
+    prefix's children; a prefix with no children makes none. The prefix
+    value is a priority, not an admissible bound, so the bounded search
+    is approximate by design: when the frontier (or the expansion budget)
     exceeds ``frontier_cap`` the worst prefixes are dropped and results
     carry ``truncated=True``. ``exact_mode`` disables all pruning and
     enumerates exhaustively.
     """
     g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
-    cand_labels = list(candidate.relations)
-
-    def h_of(labels: tuple[str, ...]) -> float:
-        return 1.0 - path_similarity(gateway, list(labels), cand_labels)
+    cand_text = " ".join(candidate.relations)
 
     # heap entries: (h, labels, entity_ids, steps)
     frontier: list[tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
-    for rid, nid in g.neighbors(start, cfg.direction):
-        label = g.relation_label(rid)
-        labels = (label,)
-        heapq.heappush(frontier, (h_of(labels), labels, (start, nid), ((rid, nid),)))
 
+    def expand(labels, entities, steps) -> None:
+        children = _children(g, labels, entities, steps, cfg.direction)
+        if not children:
+            return
+        cand_vec, *child_vecs = gateway.embed([cand_text] + [" ".join(c[0]) for c in children])
+        for (child_labels, child_entities, child_steps), sim in zip(
+            children, cosine_many(cand_vec, child_vecs)
+        ):
+            heapq.heappush(frontier, (1.0 - sim, child_labels, child_entities, child_steps))
+
+    expand((), (start,), ())
     truncated = False
     budget = None if cfg.exact_mode else cfg.frontier_cap
     expansions = 0
@@ -300,15 +317,7 @@ def heuristic_top_k(
         completed.append(entry)
         h, labels, entities, steps = entry
         if len(steps) < max_len:
-            for rid, nid in g.neighbors(entities[-1], cfg.direction):
-                if nid in entities:
-                    continue
-                label = g.relation_label(rid)
-                child_labels = labels + (label,)
-                heapq.heappush(
-                    frontier,
-                    (h_of(child_labels), child_labels, entities + (nid,), steps + ((rid, nid),)),
-                )
+            expand(labels, entities, steps)
         if budget is not None and len(frontier) > cfg.frontier_cap:
             frontier = heapq.nsmallest(cfg.frontier_cap, frontier)
             heapq.heapify(frontier)
@@ -336,11 +345,7 @@ def _enumerate_simple_paths(
 
     def walk(labels, entities, steps):
         nonlocal count
-        for rid, nid in g.neighbors(entities[-1], direction):
-            if nid in entities:
-                continue
-            label = g.relation_label(rid)
-            path = (labels + (label,), entities + (nid,), steps + ((rid, nid),))
+        for path in _children(g, labels, entities, steps, direction):
             count += 1
             if count > _BRUTE_FORCE_PATH_LIMIT:
                 raise CapacityError(

@@ -82,6 +82,18 @@ class SpyEmbeddingProvider:
         return self.inner.embed_batch(texts)
 
 
+class SpyGateway(EmbeddingGateway):
+    """A mock-embedding gateway recording every ``embed`` request it serves."""
+
+    def __init__(self, dim: int = 64):
+        super().__init__(MockEmbeddingProvider(dim=dim))
+        self.requests: list[list[str]] = []
+
+    def embed(self, texts):
+        self.requests.append(list(texts))
+        return super().embed(texts)
+
+
 class FlakyEmbeddingProvider:
     """Fails with a transport error a fixed number of times, then succeeds."""
 

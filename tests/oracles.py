@@ -36,6 +36,24 @@ def ref_cosine(a: list[float], b: list[float]) -> float:
     return dot / (na * nb)
 
 
+def ref_pair_cosine(a, b) -> float:
+    """One pair's cosine of two ``EmbeddingVector``s, the arithmetic and the
+    errors of the package's ``cosine`` written as its own loop: the batch
+    form must equal this bit for bit."""
+    from karpa.errors import ContractError, DomainError
+
+    if a.dim != b.dim:
+        raise ContractError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    dot = na = nb = 0.0
+    for x, y in zip(a.values, b.values):
+        dot += x * y
+        na += x * x
+        nb += y * y
+    if na == 0.0 or nb == 0.0:
+        raise DomainError("cosine undefined for all-zero vector")
+    return max(-1.0, min(1.0, dot / (math.sqrt(na) * math.sqrt(nb))))
+
+
 def ref_mock_similarity(text_a: str, text_b: str, dim: int = 64) -> float:
     return ref_cosine(ref_mock_embedding(text_a, dim), ref_mock_embedding(text_b, dim))
 

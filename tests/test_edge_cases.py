@@ -134,6 +134,11 @@ def test_cache_tolerates_truncated_trailing_record(tmp_path):
         fp.write('{"identity": "x", "text": "y", "dim": 16, "values": [0.')  # interrupted write
     reopened = EmbeddingCache(path)
     assert reopened.stats()["records"] == 2
+    # Records appended after the cut one survive the next load.
+    EmbeddingGateway(MockEmbeddingProvider(16), reopened).embed(["gamma", "delta", "epsilon"])
+    again = EmbeddingCache(path)
+    assert again.stats()["records"] == 5
+    assert again.stats()["skipped"] == 1
 
 
 # -- unicode and report shapes ------------------------------------------------------

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from karpa.embeddings import (
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
     cosine,
+    cosine_many,
     mock_embed,
     text_digest,
     write_embedding_fixtures,
@@ -20,7 +23,7 @@ from karpa.embeddings import (
 from karpa.errors import ContractError, DomainError, MissingFixtureError, TransportError
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
-from oracles import ref_mock_embedding
+from oracles import ref_mock_embedding, ref_pair_cosine
 
 
 def vec(*values):
@@ -89,6 +92,32 @@ def test_cosine_symmetry_and_scale_invariance(a, b, scale):
     assert cosine(va, vb) == pytest.approx(cosine(vb, va), abs=1e-9)
     assert cosine(scaled, vb) == pytest.approx(cosine(va, vb), abs=1e-6)
     assert -1.0 <= cosine(va, vb) <= 1.0
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ContractError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+# Vectors of two dimensions, some all-zero, so mismatches and zero norms
+# turn up among ordinary values.
+_cosine_vectors = st.integers(2, 3).flatmap(
+    lambda dim: st.one_of(st.just((0.0,) * dim), st.tuples(*[finite_floats] * dim))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cosine_vectors, st.lists(_cosine_vectors, max_size=6))
+def test_cosine_many_is_pairwise_cosine_bit_for_bit(query, vectors):
+    q = EmbeddingVector(query)
+    vs = [EmbeddingVector(v) for v in vectors]
+    # Equal lists of floats with ==, or the same error type and message,
+    # which names the first offending vector's dimension.
+    batch = _outcome(lambda: cosine_many(q, vs))
+    assert batch == _outcome(lambda: [cosine(q, v) for v in vs])
+    assert batch == _outcome(lambda: [ref_pair_cosine(q, v) for v in vs])
 
 
 # -- mock embedding ---------------------------------------------------------
@@ -243,6 +272,38 @@ def test_cache_stats_and_clear(tmp_path):
     cache.clear()
     assert cache.stats()["records"] == 0
     assert not path.exists()
+
+
+_cache_texts = st.lists(
+    st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=2, max_size=4, unique=True
+)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_cache_texts, st.integers(1, 3))
+def test_cache_survives_truncation_at_every_offset(texts, split):
+    split = min(split, len(texts) - 1)
+    before, after = texts[:split], texts[split:]
+    provider = MockEmbeddingProvider(8)
+    identity = text_digest(provider.identity)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        EmbeddingGateway(provider, EmbeddingCache(path)).embed(before)
+        data = path.read_bytes()
+        newlines = [i for i, b in enumerate(data) if b == ord("\n")]
+        # (first byte, newline) of each record line after the header line
+        records = [(prev + 1, nl) for prev, nl in zip(newlines, newlines[1:])]
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            EmbeddingGateway(provider, EmbeddingCache(path)).embed(after)
+            reopened = EmbeddingCache(path)
+            # A record survives when the cut kept its closing brace.
+            expected = [t for t, (_, nl) in zip(before, records) if nl <= cut] + after
+            assert reopened.stats()["records"] == len(expected), cut
+            for text, vector in zip(expected, provider.embed_batch(expected)):
+                assert reopened.get(identity, text_digest(text)) == vector, cut
+            cut_inside_record = any(first < cut < nl for first, nl in records)
+            assert reopened.skipped == int(cut_inside_record), cut
 
 
 # -- top-k retrieval ---------------------------------------------------------

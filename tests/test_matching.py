@@ -18,7 +18,7 @@ from karpa.matching import (
     step_cost,
 )
 
-from helpers import TWELVE_ENTITY_TRIPLES, graph_from, random_graph
+from helpers import SpyGateway, TWELVE_ENTITY_TRIPLES, graph_from, mock_gateway, random_graph
 from oracles import enumerate_all_paths, exhaustive_fixed_length_best, ref_mock_similarity
 
 # Frozen before implementation from the independent reference embedding
@@ -388,6 +388,64 @@ def test_heuristic_exact_equals_brute_force_random(gateway):
         assert [(labels_of(p), p.path.entities(), p.score) for p in ours] == [
             (labels_of(p), p.path.entities(), p.score) for p in oracle
         ]
+
+
+@pytest.mark.parametrize("direction", ["forward", "both"])
+def test_heuristic_self_loop_at_start_is_not_a_path(gateway, direction):
+    g = graph_from([("A", "people.person.knows", "A"), ("A", "people.person.children", "B")])
+    a = g.entity_id("A")
+    candidate = RelationPath(("people.person.knows",))
+    cfg = MatchConfig(strategy="heuristic", top_k=16, exact_mode=True, max_len=2, direction=direction)
+    ours = heuristic_top_k(g, a, candidate, cfg, gateway)
+    oracle = brute_force_top_k(g, a, candidate, 16, 2, gateway, direction=direction)
+    assert [(labels_of(p), p.path.entities(), p.score) for p in ours] == [
+        (labels_of(p), p.path.entities(), p.score) for p in oracle
+    ]
+    assert [p.path.entities() for p in ours] == [(a, g.entity_id("B"))]
+
+
+def test_heuristic_exact_several_candidates_equal_brute_force(twelve_graph):
+    # One gateway serves every candidate, so each search starts with the
+    # cache the earlier ones filled.
+    g = twelve_graph
+    gateway = mock_gateway()
+    hub = g.entity_id("hub")
+    candidates = [
+        ("people.person.children",),
+        ("people.person.children", "people.person.spouse"),
+        ("people.person.spouse", "people.person.parents", "people.person.children"),
+        ("location.person.birthplace", "location.country.capital"),
+    ]
+    for direction in ("forward", "both"):
+        for labels in candidates:
+            candidate = RelationPath(labels)
+            cfg = MatchConfig(top_k=32, exact_mode=True, max_len=3, direction=direction)
+            ours = heuristic_top_k(g, hub, candidate, cfg, gateway)
+            oracle = brute_force_top_k(g, hub, candidate, 32, 3, gateway, direction=direction)
+            assert [(labels_of(p), p.path.entities(), p.score) for p in ours] == [
+                (labels_of(p), p.path.entities(), p.score) for p in oracle
+            ]
+
+
+def test_heuristic_makes_one_embed_request_per_expansion():
+    rng = random.Random(3030)
+    for _ in range(10):
+        g = random_graph(rng, n_entities=20, n_relations=10, max_out_degree=3)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 2)))
+        )
+        max_len = len(candidate) + 1
+        direction = rng.choice(["forward", "both"])
+        gateway = SpyGateway()
+        cfg = MatchConfig(top_k=4, exact_mode=True, max_len=max_len, direction=direction)
+        heuristic_top_k(g, 0, candidate, cfg, gateway)
+        paths = enumerate_all_paths(g, 0, max_len, direction)
+        # Exact mode expands the start and every path shorter than max_len;
+        # only those with a child that revisits no entity make a request.
+        expanded = {steps[:-1] for _, _, steps in paths}
+        assert len(gateway.requests) == len(expanded)
+        assert all(r[0] == " ".join(candidate.relations) for r in gateway.requests)
+        assert sum(len(r) - 1 for r in gateway.requests) == len(paths)
 
 
 def test_dijkstra_best_equals_brute_force_random(gateway):
