@@ -33,7 +33,6 @@ from .matching import (
     ReasoningPath,
     ScoredPath,
     beam_match,
-    brute_force_top_k,
     dijkstra_avg_match,
     heuristic_top_k,
     match_candidates,
@@ -81,7 +80,6 @@ __all__ = [
     "UsageLedger",
     "answer_question",
     "beam_match",
-    "brute_force_top_k",
     "build_initial_prompt",
     "build_replanning_prompt",
     "build_reasoning_prompt",

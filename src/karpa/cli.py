@@ -17,7 +17,7 @@ from .embeddings import EmbeddingCache
 from .errors import ConfigError, DataError, ProviderError
 from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv
 from .kg import load_triples_path
-from .matching import RelationPath, render_match_report
+from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
 from .pipeline import (
     Pipeline,
     build_chat_provider,
@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     match = sub.add_parser("match", help="run one matcher directly and print its report")
     match.add_argument("--topic", required=True)
     match.add_argument("--path", required=True, help="comma-separated candidate relation labels")
-    match.add_argument("--strategy", choices=["beam", "pathfind", "heuristic"],
+    match.add_argument("--strategy", choices=STRATEGIES,
                        help="override matcher.strategy from the config")
 
     cache = sub.add_parser("cache", help="inspect or clear the embedding cache")
@@ -138,8 +138,6 @@ def _cmd_eval(args, cfg) -> int:
 
 
 def _cmd_match(args, cfg) -> int:
-    from .matching import match_candidates
-
     if args.strategy:
         cfg.matcher.strategy = args.strategy
     g = load_graph(cfg)

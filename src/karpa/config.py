@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -181,46 +181,17 @@ def resolve_values(
 
 
 def build_config(values: dict[str, object]) -> PipelineConfig:
+    """A validated config from one value per ``KNOWN_KEYS`` entry.
+
+    ``matcher.direction`` is not a key: it follows ``kg.inverse_edges``.
+    """
+    sections: dict[str, dict[str, object]] = {f.name: {} for f in fields(PipelineConfig)}
+    for key in KNOWN_KEYS:
+        section, attr = key.split(".")
+        sections[section][attr] = values[key]
+    sections["matcher"]["direction"] = "both" if values["kg.inverse_edges"] else "forward"
     cfg = PipelineConfig(
-        kg=KgOptions(
-            path=values["kg.path"],
-            inverse_edges=values["kg.inverse_edges"],
-        ),
-        embedding=EmbeddingOptions(
-            kind=values["embedding.kind"],
-            endpoint=values["embedding.endpoint"],
-            model=values["embedding.model"],
-            dim=values["embedding.dim"],
-            fixtures=values["embedding.fixtures"],
-            cache_path=values["embedding.cache_path"],
-        ),
-        llm=LlmOptions(
-            kind=values["llm.kind"],
-            endpoint=values["llm.endpoint"],
-            model=values["llm.model"],
-            temperature=values["llm.temperature"],
-            max_output=values["llm.max_output"],
-            fixtures=values["llm.fixtures"],
-        ),
-        matcher=MatchConfig(
-            strategy=values["matcher.strategy"],
-            top_k=values["matcher.top_k"],
-            beam_width=values["matcher.beam_width"],
-            max_len=values["matcher.max_len"],
-            frontier_cap=values["matcher.frontier_cap"],
-            exact_mode=values["matcher.exact_mode"],
-            direction="both" if values["kg.inverse_edges"] else "forward",
-        ),
-        planner=PlannerOptions(
-            relation_cap=values["planner.relation_cap"],
-            per_relation_k=values["planner.per_relation_k"],
-        ),
-        reasoner=ReasonerOptions(batch_limit=values["reasoner.batch_limit"]),
-        eval=EvalOptions(
-            mode=values["eval.mode"],
-            concurrency=values["eval.concurrency"],
-            checkpoint_dir=values["eval.checkpoint_dir"],
-        ),
+        **{f.name: f.default_factory(**sections[f.name]) for f in fields(PipelineConfig)}
     )
     cfg.validate()
     return cfg
@@ -240,32 +211,8 @@ def load_config(path: str | Path | None = None, env: dict[str, str] | None = Non
 
 def config_digest(cfg: PipelineConfig) -> str:
     """Digest of the run semantics; execution-only keys are excluded."""
-    values = {
-        "kg.path": cfg.kg.path,
-        "kg.inverse_edges": cfg.kg.inverse_edges,
-        "embedding.kind": cfg.embedding.kind,
-        "embedding.endpoint": cfg.embedding.endpoint,
-        "embedding.model": cfg.embedding.model,
-        "embedding.dim": cfg.embedding.dim,
-        "embedding.fixtures": cfg.embedding.fixtures,
-        "embedding.cache_path": cfg.embedding.cache_path,
-        "llm.kind": cfg.llm.kind,
-        "llm.endpoint": cfg.llm.endpoint,
-        "llm.model": cfg.llm.model,
-        "llm.temperature": cfg.llm.temperature,
-        "llm.max_output": cfg.llm.max_output,
-        "llm.fixtures": cfg.llm.fixtures,
-        "matcher.strategy": cfg.matcher.strategy,
-        "matcher.top_k": cfg.matcher.top_k,
-        "matcher.beam_width": cfg.matcher.beam_width,
-        "matcher.max_len": cfg.matcher.max_len,
-        "matcher.frontier_cap": cfg.matcher.frontier_cap,
-        "matcher.exact_mode": cfg.matcher.exact_mode,
-        "planner.relation_cap": cfg.planner.relation_cap,
-        "planner.per_relation_k": cfg.planner.per_relation_k,
-        "reasoner.batch_limit": cfg.reasoner.batch_limit,
-        "eval.mode": cfg.eval.mode,
-    }
-    assert not set(values) & _EXECUTION_ONLY_KEYS
-    canonical = "\n".join(f"{key}={values[key]}" for key in sorted(values))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    lines = []
+    for key in sorted(set(KNOWN_KEYS) - _EXECUTION_ONLY_KEYS):
+        section, attr = key.split(".")
+        lines.append(f"{key}={getattr(getattr(cfg, section), attr)}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

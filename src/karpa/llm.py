@@ -216,9 +216,10 @@ class HttpChatProvider:
     """Client for a generic HTTP chat-completion service.
 
     Request: ``POST {"model", "messages": [{"role", "content"}...],
-    "temperature"}``. Response: ``{"choices": [{"message": {"content"}}],
-    "usage": {"prompt_tokens", "completion_tokens"}}``. The API key is
-    read from ``KARPA_LLM_API_KEY`` and sent as a bearer token.
+    "temperature", "max_tokens"}``, where ``max_tokens`` is ``llm.max_output``.
+    Response: ``{"choices": [{"message": {"content"}}], "usage":
+    {"prompt_tokens", "completion_tokens"}}``. The API key is read from
+    ``KARPA_LLM_API_KEY`` and sent as a bearer token.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
@@ -237,6 +238,7 @@ class HttpChatProvider:
             "model": params.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": params.temperature,
+            "max_tokens": params.max_output,
         }
         try:
             resp = requests.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)

@@ -2,25 +2,26 @@
 
 Three strategies, all scoring with embedding similarity:
 
-* ``beam_match`` — stepwise beam search, position-aligned against the
-  candidate relations; fast but greedy, so it can miss globally better
-  paths behind a locally weak first hop.
+* ``beam_match`` — beam search, position-aligned against the candidate
+  relations: at each depth only the ``beam_width`` cheapest prefixes are
+  extended. Fast but greedy, so it can miss globally better paths behind
+  a locally weak first hop.
 * ``dijkstra_avg_match`` — uniform-cost search whose path cost is the
   *mean* step cost, so paths of the candidate's length compete fairly; a
   strict superset of what the beam can find.
 * ``heuristic_top_k`` — best-first search ranked by the similarity of the
   whole traversed label sequence to the whole candidate, which lets paths
   of *different* lengths compete (a one-hop "grandfather" edge versus a
-  two-hop "father, father" chain). It scores all children of an expanded
-  prefix with one embedding request.
+  two-hop "father, father" chain).
 
-``brute_force_top_k`` enumerates everything and exists as the testing
-oracle for the other strategies.
-
-All strategies extend a prefix only along edges to entities it has not
-visited (``_children``), so returned paths are simple from the first hop
-on. Ordering is always deterministic: score descending, then
-relation-label sequence, then entity-id sequence.
+Beam and pathfind are one best-first loop over summed step costs
+(``_fixed_length_match``); they differ only in what its pop cap counts.
+Every strategy expands a prefix through ``_scored_children``, which makes
+one embedding request for the query text and all of the prefix's
+children, and extends only along edges to entities the prefix has not
+visited, so returned paths are simple from the first hop on. Ordering is
+always deterministic: score descending, then relation-label sequence,
+then entity-id sequence.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .embeddings import cosine, cosine_many
-from .errors import CapacityError, ContractError
+from .errors import ContractError
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingGateway
@@ -39,8 +41,8 @@ if TYPE_CHECKING:
 
 STRATEGIES = ("beam", "pathfind", "heuristic")
 
-_BRUTE_FORCE_PATH_LIMIT = 10_000_000
-_TOL = 1e-9
+# A search prefix: (cost, labels, entity_ids, steps). Heaps order on it as is.
+_Prefix = tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -81,13 +83,23 @@ class ReasoningPath:
 class ScoredPath:
     path: ReasoningPath
     relation_path: RelationPath
-    score: float
     cost: float
     truncated: bool = False
 
-    def __post_init__(self):
-        if abs(self.cost + self.score - 1.0) > _TOL:
-            raise ContractError(f"cost {self.cost} and score {self.score} must sum to 1")
+    @property
+    def score(self) -> float:
+        """``1 - cost``; higher is better."""
+        return 1.0 - self.cost
+
+    def as_dict(self, g: "KnowledgeGraph") -> dict:
+        """JSON-ready fields, entities by label."""
+        return {
+            "score": self.score,
+            "cost": self.cost,
+            "relations": list(self.relation_path.relations),
+            "entities": [g.entity_label(e) for e in self.path.entities()],
+            "truncated": self.truncated,
+        }
 
 
 @dataclass
@@ -123,7 +135,10 @@ class MatchConfig:
 
 
 def step_cost(gateway: "EmbeddingGateway", kg_label: str, candidate_label: str) -> float:
-    """1 - cosine similarity between the two relation labels; in [0, 2]."""
+    """1 - cosine similarity between the two relation labels; in [0, 2].
+
+    The fixed-length matchers compute the same value in batches.
+    """
     return 1.0 - gateway.similarity(kg_label, candidate_label)
 
 
@@ -139,41 +154,84 @@ def path_similarity(gateway: "EmbeddingGateway", labels_a: list[str], labels_b: 
     return cosine(vec_a, vec_b)
 
 
-def _children(
+def _scored_children(
     g: "KnowledgeGraph",
-    labels: tuple[str, ...],
-    entities: tuple[int, ...],
-    steps: tuple[tuple[int, int], ...],
+    prefix: _Prefix,
+    query_text: str,
+    child_text: Callable[[tuple[str, ...]], str],
+    gateway: "EmbeddingGateway",
     direction: str,
-) -> list[tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """(labels, entity_ids, steps) of each one-hop extension that revisits no entity."""
-    return [
+) -> list[_Prefix]:
+    """Each one-hop extension of ``prefix`` that revisits no entity, costed ``1 - sim``.
+
+    ``sim`` is the cosine of ``child_text(child labels)`` against
+    ``query_text``. The query and every child text go to the gateway in one
+    ``embed`` request; a prefix with no children makes none. ``cosine`` is
+    symmetric bit for bit, so the cost equals ``step_cost`` and
+    ``1 - path_similarity`` exactly.
+    """
+    _, labels, entities, steps = prefix
+    children = [
         (labels + (g.relation_label(rid),), entities + (nid,), steps + ((rid, nid),))
         for rid, nid in g.neighbors(entities[-1], direction)
         if nid not in entities
     ]
+    if not children:
+        return []
+    query_vec, *child_vecs = gateway.embed([query_text] + [child_text(c[0]) for c in children])
+    return [(1.0 - sim, *child) for child, sim in zip(children, cosine_many(query_vec, child_vecs))]
 
 
 def _sort_key(scored: ScoredPath) -> tuple:
     return (-scored.score, scored.relation_path.relations, scored.path.entities())
 
 
-def _mean_cost_path(
+def _fixed_length_match(
     g: "KnowledgeGraph",
     start: int,
-    steps: tuple[tuple[int, int], ...],
-    labels: tuple[str, ...],
-    total_cost: float,
-    truncated: bool = False,
-) -> ScoredPath:
-    mean = total_cost / len(steps)
-    return ScoredPath(
-        path=ReasoningPath(start, steps),
-        relation_path=RelationPath(labels),
-        score=1.0 - mean,
-        cost=mean,
-        truncated=truncated,
-    )
+    candidate: RelationPath,
+    cfg: MatchConfig,
+    gateway: "EmbeddingGateway",
+    slot: Callable[[int, int], object],
+    cap: int,
+) -> list[ScoredPath]:
+    """Best-first search for the candidate-length paths of least summed step cost.
+
+    The step cost at depth j is ``1 - cosine`` of the edge label against the
+    candidate's j-th relation, which lies in [0, 2]; so a child's heap key
+    ``(total, labels, entities, steps)`` is greater than its parent's, and
+    prefixes pop in increasing key order. A prefix is dropped once ``cap``
+    prefixes with the same ``slot(entity, depth)`` have been popped, and the
+    search stops after ``cap`` complete paths. All complete paths have the
+    candidate's length, so the least sum is the least mean; results are
+    scored by 1 - mean step cost. An empty list means no path of the
+    candidate's length was reachable; that is not an error.
+    """
+    max_len = cfg.resolve_max_len([candidate])
+    if len(candidate) > max_len:
+        raise ContractError(f"candidate length {len(candidate)} exceeds max_len {max_len}")
+    g.entity_label(start)  # raises NotFoundError on a bad id
+    frontier: list[_Prefix] = [(0.0, (), (start,), ())]
+    pops: dict[object, int] = {}
+    results: list[ScoredPath] = []
+    while frontier and len(results) < cap:
+        prefix = heapq.heappop(frontier)
+        total, labels, entities, steps = prefix
+        depth = len(steps)
+        key = slot(entities[-1], depth)
+        seen = pops.get(key, 0)
+        if seen >= cap:
+            continue
+        pops[key] = seen + 1
+        if depth == len(candidate):
+            results.append(ScoredPath(ReasoningPath(start, steps), RelationPath(labels), total / depth))
+            continue
+        for cost, *child in _scored_children(
+            g, prefix, candidate.relations[depth], itemgetter(-1), gateway, cfg.direction
+        ):
+            heapq.heappush(frontier, (total + cost, *child))
+    results.sort(key=_sort_key)
+    return results[: cfg.top_k]
 
 
 def beam_match(
@@ -185,37 +243,14 @@ def beam_match(
 ) -> list[ScoredPath]:
     """Fixed-length beam search aligned step-by-step with the candidate.
 
-    At step j only the ``beam_width`` partial paths with the lowest summed
-    step cost against the candidate's j-th relation survive. Final paths
-    are scored by 1 - mean step cost. An empty list means no path of the
-    candidate's length was reachable inside the beam; that is not an error.
+    At each depth only the ``beam_width`` prefixes with the lowest summed
+    step cost survive: because prefixes pop in key order, the first
+    ``beam_width`` pops at a depth are exactly a level-by-level beam's
+    survivors. Final paths are scored by 1 - mean step cost.
     """
-    max_len = cfg.resolve_max_len([candidate])
-    if len(candidate) > max_len:
-        raise ContractError(f"candidate length {len(candidate)} exceeds max_len {max_len}")
-    g.entity_label(start)  # raises NotFoundError on a bad id
-    # beam entries: (total_cost, labels, entity_ids, steps)
-    beam: list[tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = [
-        (0.0, (), (start,), ())
-    ]
-    for cand_label in candidate.relations:
-        expansions = []
-        for total, labels, entities, steps in beam:
-            for child_labels, child_entities, child_steps in _children(
-                g, labels, entities, steps, cfg.direction
-            ):
-                cost = step_cost(gateway, child_labels[-1], cand_label)
-                expansions.append((total + cost, child_labels, child_entities, child_steps))
-        expansions.sort(key=lambda e: (e[0], e[1], e[2]))
-        beam = expansions[: cfg.beam_width]
-        if not beam:
-            return []
-    results = [
-        _mean_cost_path(g, start, steps, labels, total)
-        for total, labels, entities, steps in beam
-    ]
-    results.sort(key=_sort_key)
-    return results[: cfg.top_k]
+    return _fixed_length_match(
+        g, start, candidate, cfg, gateway, lambda entity, depth: depth, cfg.beam_width
+    )
 
 
 def dijkstra_avg_match(
@@ -227,42 +262,13 @@ def dijkstra_avg_match(
 ) -> list[ScoredPath]:
     """Uniform-cost search for the candidate-length paths of lowest mean cost.
 
-    States are (entity, depth); the edge cost at depth j is the step cost
-    of the edge label against the candidate's j-th relation. All complete
-    paths share the candidate's length, so ordering by accumulated sum is
-    ordering by mean, and the first ``top_k`` complete paths popped from
-    the frontier are the global best. Expansion per (entity, depth) state
-    is capped at ``top_k`` to keep dense graphs tractable.
+    The first ``top_k`` complete paths popped are the global best, except
+    that expansion per (entity, depth) state is capped at ``top_k`` pops to
+    keep dense graphs tractable.
     """
-    max_len = cfg.resolve_max_len([candidate])
-    if len(candidate) > max_len:
-        raise ContractError(f"candidate length {len(candidate)} exceeds max_len {max_len}")
-    g.entity_label(start)
-    target_depth = len(candidate)
-    # heap entries: (total_cost, labels, entity_ids, steps)
-    frontier: list[tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = [
-        (0.0, (), (start,), ())
-    ]
-    pops: dict[tuple[int, int], int] = {}
-    results: list[ScoredPath] = []
-    while frontier and len(results) < cfg.top_k:
-        total, labels, entities, steps = heapq.heappop(frontier)
-        depth = len(steps)
-        state = (entities[-1], depth)
-        seen = pops.get(state, 0)
-        if seen >= cfg.top_k:
-            continue
-        pops[state] = seen + 1
-        if depth == target_depth:
-            results.append(_mean_cost_path(g, start, steps, labels, total))
-            continue
-        cand_label = candidate.relations[depth]
-        for child_labels, child_entities, child_steps in _children(
-            g, labels, entities, steps, cfg.direction
-        ):
-            cost = step_cost(gateway, child_labels[-1], cand_label)
-            heapq.heappush(frontier, (total + cost, child_labels, child_entities, child_steps))
-    return results
+    return _fixed_length_match(
+        g, start, candidate, cfg, gateway, lambda entity, depth: (entity, depth), cfg.top_k
+    )
 
 
 def heuristic_top_k(
@@ -277,37 +283,28 @@ def heuristic_top_k(
     Every simple path of length 1..max_len from the start is a candidate
     result, scored by ``h = 1 - path_similarity(path labels, candidate)``;
     a self-loop at the start is not one. Expansion is best-first on the
-    prefix's h. Each expansion, the first hop from the start included,
-    makes one ``gateway.embed`` request for the candidate and all the
-    prefix's children; a prefix with no children makes none. The prefix
-    value is a priority, not an admissible bound, so the bounded search
-    is approximate by design: when the frontier (or the expansion budget)
-    exceeds ``frontier_cap`` the worst prefixes are dropped and results
-    carry ``truncated=True``. ``exact_mode`` disables all pruning and
-    enumerates exhaustively.
+    prefix's h; each expansion, the first hop from the start included,
+    scores all the prefix's children with one ``gateway.embed`` request.
+    The prefix value is a priority, not an admissible bound, so the bounded
+    search is approximate by design: when the frontier (or the expansion
+    budget) exceeds ``frontier_cap`` the worst prefixes are dropped and
+    results carry ``truncated=True``. ``exact_mode`` disables all pruning
+    and enumerates exhaustively.
     """
     g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
     cand_text = " ".join(candidate.relations)
+    frontier: list[_Prefix] = []
 
-    # heap entries: (h, labels, entity_ids, steps)
-    frontier: list[tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    def expand(prefix: _Prefix) -> None:
+        for child in _scored_children(g, prefix, cand_text, " ".join, gateway, cfg.direction):
+            heapq.heappush(frontier, child)
 
-    def expand(labels, entities, steps) -> None:
-        children = _children(g, labels, entities, steps, cfg.direction)
-        if not children:
-            return
-        cand_vec, *child_vecs = gateway.embed([cand_text] + [" ".join(c[0]) for c in children])
-        for (child_labels, child_entities, child_steps), sim in zip(
-            children, cosine_many(cand_vec, child_vecs)
-        ):
-            heapq.heappush(frontier, (1.0 - sim, child_labels, child_entities, child_steps))
-
-    expand((), (start,), ())
+    expand((0.0, (), (start,), ()))
     truncated = False
     budget = None if cfg.exact_mode else cfg.frontier_cap
     expansions = 0
-    completed: list[tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = []
+    completed: list[_Prefix] = []
     while frontier:
         if budget is not None and expansions >= budget:
             truncated = True
@@ -315,93 +312,30 @@ def heuristic_top_k(
         entry = heapq.heappop(frontier)
         expansions += 1
         completed.append(entry)
-        h, labels, entities, steps = entry
-        if len(steps) < max_len:
-            expand(labels, entities, steps)
+        if len(entry[3]) < max_len:
+            expand(entry)
         if budget is not None and len(frontier) > cfg.frontier_cap:
             frontier = heapq.nsmallest(cfg.frontier_cap, frontier)
             heapq.heapify(frontier)
             truncated = True
 
     results = [
-        ScoredPath(
-            path=ReasoningPath(entities[0], steps),
-            relation_path=RelationPath(labels),
-            score=1.0 - h,
-            cost=h,
-            truncated=truncated,
-        )
+        ScoredPath(ReasoningPath(entities[0], steps), RelationPath(labels), h, truncated)
         for h, labels, entities, steps in completed
     ]
     results.sort(key=_sort_key)
     return results[: cfg.top_k]
 
 
-def _enumerate_simple_paths(
-    g: "KnowledgeGraph", start: int, max_len: int, direction: str
-):
-    """Yield (labels, entity_ids, steps) for every simple path of length 1..max_len."""
-    count = 0
-
-    def walk(labels, entities, steps):
-        nonlocal count
-        for path in _children(g, labels, entities, steps, direction):
-            count += 1
-            if count > _BRUTE_FORCE_PATH_LIMIT:
-                raise CapacityError(
-                    f"path enumeration exceeded {_BRUTE_FORCE_PATH_LIMIT} paths"
-                )
-            yield path
-            if len(path[2]) < max_len:
-                yield from walk(*path)
-
-    yield from walk((), (start,), ())
-
-
-def brute_force_top_k(
-    g: "KnowledgeGraph",
-    start: int,
-    candidate: RelationPath,
-    k: int,
-    max_len: int,
-    gateway: "EmbeddingGateway",
-    scoring: str = "path_similarity",
-    direction: str = "forward",
-) -> list[ScoredPath]:
-    """Exhaustive oracle: enumerate all simple paths and rank them.
-
-    ``path_similarity`` mode scores every path of length 1..max_len by
-    whole-path similarity (the oracle for ``heuristic_top_k``);
-    ``mean_step_cost`` mode scores only candidate-length paths by mean
-    step cost (the oracle for ``dijkstra_avg_match``). Intended for small
-    graphs; refuses to enumerate more than 10^7 paths.
-    """
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if scoring not in ("path_similarity", "mean_step_cost"):
-        raise ContractError(f"unknown scoring {scoring!r}")
-    g.entity_label(start)
-    results: list[ScoredPath] = []
-    for labels, entities, steps in _enumerate_simple_paths(g, start, max_len, direction):
-        if scoring == "path_similarity":
-            h = 1.0 - path_similarity(gateway, list(labels), list(candidate.relations))
-            results.append(
-                ScoredPath(
-                    path=ReasoningPath(entities[0], steps),
-                    relation_path=RelationPath(labels),
-                    score=1.0 - h,
-                    cost=h,
-                )
-            )
-        else:
-            if len(steps) != len(candidate):
-                continue
-            total = 0.0
-            for label, cand_label in zip(labels, candidate.relations):
-                total += step_cost(gateway, label, cand_label)
-            results.append(_mean_cost_path(g, entities[0], steps, labels, total))
-    results.sort(key=_sort_key)
-    return results[:k]
+def union_top_k(paths: Iterable[ScoredPath], top_k: int) -> list[ScoredPath]:
+    """Keep each grounded path once with its best score, rank, truncate to top_k."""
+    best: dict[tuple[int, tuple[tuple[int, int], ...]], ScoredPath] = {}
+    for scored in paths:
+        key = (scored.path.start, scored.path.steps)
+        current = best.get(key)
+        if current is None or scored.score > current.score:
+            best[key] = scored
+    return sorted(best.values(), key=_sort_key)[:top_k]
 
 
 def match_candidates(
@@ -426,33 +360,16 @@ def match_candidates(
         "heuristic": heuristic_top_k,
     }
     matcher = matchers[cfg.strategy]
-    best: dict[tuple[int, tuple[tuple[int, int], ...]], ScoredPath] = {}
-    for candidate in candidates:
-        for scored in matcher(g, start, candidate, cfg, gateway):
-            key = (scored.path.start, scored.path.steps)
-            current = best.get(key)
-            if current is None or scored.score > current.score:
-                best[key] = scored
-    merged = sorted(best.values(), key=_sort_key)
-    return merged[: cfg.top_k]
+    return union_top_k(
+        (scored for candidate in candidates for scored in matcher(g, start, candidate, cfg, gateway)),
+        cfg.top_k,
+    )
 
 
 def render_match_report(g: "KnowledgeGraph", paths: list[ScoredPath]) -> str:
     """Line-JSON debug report, one object per returned path."""
-    lines = []
-    for rank, scored in enumerate(paths, start=1):
-        lines.append(
-            json.dumps(
-                {
-                    "rank": rank,
-                    "score": scored.score,
-                    "cost": scored.cost,
-                    "relations": list(scored.relation_path.relations),
-                    "entities": [g.entity_label(e) for e in scored.path.entities()],
-                    "truncated": scored.truncated,
-                },
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        )
+    lines = [
+        json.dumps({"rank": rank, **scored.as_dict(g)}, ensure_ascii=False, sort_keys=True)
+        for rank, scored in enumerate(paths, start=1)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

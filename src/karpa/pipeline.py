@@ -8,6 +8,7 @@ concurrent evaluation needs no shared mutable state.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .config import PipelineConfig
@@ -30,7 +31,7 @@ from .llm import (
     UsageLedger,
     digest_messages,
 )
-from .matching import RelationPath, ScoredPath, match_candidates
+from .matching import RelationPath, ScoredPath, match_candidates, union_top_k
 from .planner import (
     CandidatePathSet,
     Query,
@@ -148,7 +149,7 @@ class Pipeline:
             {
                 "event": "selected",
                 "count": len(selected),
-                "paths": [self._path_dict(p) for p in selected],
+                "paths": [p.as_dict(self.g) for p in selected],
             }
         )
 
@@ -226,7 +227,7 @@ class Pipeline:
     def _match(self, topic_ids, candidates, trace) -> list[ScoredPath]:
         if not candidates:
             return []
-        best: dict[tuple[int, tuple], ScoredPath] = {}
+        matched_all: list[ScoredPath] = []
         for topic_id in topic_ids:
             matched = match_candidates(self.g, topic_id, candidates, self.cfg.matcher, self.embedder)
             trace.append(
@@ -238,34 +239,16 @@ class Pipeline:
                     "truncated": any(p.truncated for p in matched),
                 }
             )
-            for scored in matched:
-                key = (scored.path.start, scored.path.steps)
-                current = best.get(key)
-                if current is None or scored.score > current.score:
-                    best[key] = scored
-        merged = sorted(
-            best.values(),
-            key=lambda sp: (-sp.score, sp.relation_path.relations, sp.path.entities()),
-        )
-        return merged[: self.cfg.matcher.top_k]
+            matched_all.extend(matched)
+        return union_top_k(matched_all, self.cfg.matcher.top_k)
 
     def _reason(self, query, selected, llm, trace) -> AnswerSet:
         limit = self.cfg.reasoner.batch_limit
-        batches = [selected[i : i + limit] for i in range(0, len(selected), limit)]
         answers = answer_question(
             query, selected, self.g, llm, self.params, batch_limit=limit, trace=trace
         )
-        trace.append({"event": "reasoning", "batches": len(batches)})
+        trace.append({"event": "reasoning", "batches": math.ceil(len(selected) / limit)})
         return answers
-
-    def _path_dict(self, scored: ScoredPath) -> dict:
-        return {
-            "score": scored.score,
-            "cost": scored.cost,
-            "relations": list(scored.relation_path.relations),
-            "entities": [self.g.entity_label(e) for e in scored.path.entities()],
-            "truncated": scored.truncated,
-        }
 
 
 def run_pipeline(query: Query, cfg: PipelineConfig) -> PipelineResult:

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written through a different code path than
 the package: dict-based feature accumulation instead of list buckets, an
-iterative path enumerator instead of the recursive one, plain-loop cosine.
-Production must agree with these, not the other way around.
+iterative path enumerator instead of the matchers' shared expansion,
+plain-loop cosine, pairwise step costs instead of batched ones, a
+level-by-level beam instead of a best-first one. Production must agree
+with these, not the other way around.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ import math
 import re
 import zlib
 
+from karpa.errors import CapacityError, ContractError
+from karpa.matching import ReasoningPath, RelationPath, ScoredPath, path_similarity, step_cost
+
 _SPLIT = re.compile(r"[^0-9a-z]+")
+
+BRUTE_FORCE_PATH_LIMIT = 10_000_000
 
 
 def ref_mock_embedding(text: str, dim: int) -> list[float]:
@@ -58,10 +65,11 @@ def ref_mock_similarity(text_a: str, text_b: str, dim: int = 64) -> float:
     return ref_cosine(ref_mock_embedding(text_a, dim), ref_mock_embedding(text_b, dim))
 
 
-def enumerate_all_paths(g, start: int, max_len: int, direction: str = "forward"):
+def enumerate_all_paths(g, start: int, max_len: int, direction: str = "forward", limit=None):
     """All simple paths of length 1..max_len as (labels, entities, steps) tuples.
 
-    Iterative DFS, independent of the package's recursive enumerator.
+    Iterative DFS, independent of the package's search expansion. Raises
+    ``CapacityError`` once more than ``limit`` paths are found.
     """
     results = []
     stack = [((), (start,), ())]
@@ -75,8 +83,83 @@ def enumerate_all_paths(g, start: int, max_len: int, direction: str = "forward")
             label = g.relation_label(rid)
             node = (labels + (label,), entities + (nid,), steps + ((rid, nid),))
             results.append(node)
+            if limit is not None and len(results) > limit:
+                raise CapacityError(f"path enumeration exceeded {limit} paths")
             stack.append(node)
     return results
+
+
+def _rank(paths, k):
+    return sorted(paths, key=lambda p: (-p.score, p.relation_path.relations, p.path.entities()))[:k]
+
+
+def brute_force_top_k(
+    g,
+    start: int,
+    candidate,
+    k: int,
+    max_len: int,
+    gateway,
+    scoring: str = "path_similarity",
+    direction: str = "forward",
+):
+    """Exhaustive oracle: enumerate all simple paths and rank them.
+
+    ``path_similarity`` mode scores every path of length 1..max_len by
+    whole-path similarity (the oracle for ``heuristic_top_k``);
+    ``mean_step_cost`` mode scores only candidate-length paths by mean
+    step cost (the oracle for ``dijkstra_avg_match``). Intended for small
+    graphs; refuses to enumerate more than ``BRUTE_FORCE_PATH_LIMIT`` paths.
+    """
+    if k < 1:
+        raise ContractError(f"k must be >= 1, got {k}")
+    if scoring not in ("path_similarity", "mean_step_cost"):
+        raise ContractError(f"unknown scoring {scoring!r}")
+    g.entity_label(start)
+    results = []
+    for labels, entities, steps in enumerate_all_paths(
+        g, start, max_len, direction, limit=BRUTE_FORCE_PATH_LIMIT
+    ):
+        if scoring == "path_similarity":
+            cost = 1.0 - path_similarity(gateway, list(labels), list(candidate.relations))
+        elif len(steps) == len(candidate):
+            total = 0.0
+            for label, cand_label in zip(labels, candidate.relations):
+                total += step_cost(gateway, label, cand_label)
+            cost = total / len(steps)
+        else:
+            continue
+        results.append(ScoredPath(ReasoningPath(start, steps), RelationPath(labels), cost))
+    return _rank(results, k)
+
+
+def ref_beam(g, start: int, candidate, cfg, gateway):
+    """Level-by-level beam search, the reference for ``beam_match``.
+
+    At each depth every survivor is extended along edges to unvisited
+    entities, each child costed pairwise by ``step_cost``; all children are
+    sorted by (summed cost, labels, entities) and the first ``beam_width``
+    survive. Final paths are scored by 1 - mean step cost.
+    """
+    beam = [(0.0, (), (start,), ())]
+    for cand_label in candidate.relations:
+        expansions = []
+        for total, labels, entities, steps in beam:
+            for rid, nid in g.neighbors(entities[-1], cfg.direction):
+                if nid in entities:
+                    continue
+                label = g.relation_label(rid)
+                cost = step_cost(gateway, label, cand_label)
+                expansions.append(
+                    (total + cost, labels + (label,), entities + (nid,), steps + ((rid, nid),))
+                )
+        expansions.sort(key=lambda e: (e[0], e[1], e[2]))
+        beam = expansions[: cfg.beam_width]
+    results = [
+        ScoredPath(ReasoningPath(start, steps), RelationPath(labels), total / len(steps))
+        for total, labels, _, steps in beam
+    ]
+    return _rank(results, cfg.top_k)
 
 
 def exhaustive_fixed_length_best(g, gateway, start, candidate_labels, direction="forward"):

@@ -19,7 +19,6 @@ from karpa.matching import (
     MatchConfig,
     RelationPath,
     beam_match,
-    brute_force_top_k,
     dijkstra_avg_match,
     heuristic_top_k,
     step_cost,
@@ -28,6 +27,7 @@ from karpa.planner import parse_path_sets
 from karpa.reasoner import AnswerSet, parse_answers
 
 from helpers import graph_from, random_graph
+from oracles import brute_force_top_k
 
 DATA = Path(__file__).parent / "data" / "fixture20"
 

@@ -89,6 +89,29 @@ def test_config_digest_covers_every_semantic_key(config_file):
     assert config_digest(cfg) != base
 
 
+def test_config_digest_values_are_pinned():
+    # Digests written into checkpoints and report headers must not move.
+    assert config_digest(load_config(env={})) == (
+        "fec114775b3aa9b0e43101ea9944426b90a37d83753299564a4dc17719398305"
+    )
+    env = {
+        "KARPA_KG_PATH": "graph.tsv",
+        "KARPA_KG_INVERSE_EDGES": "true",
+        "KARPA_EMBEDDING_DIM": "32",
+        "KARPA_LLM_TEMPERATURE": "0.5",
+        "KARPA_LLM_MAX_OUTPUT": "256",
+        "KARPA_MATCHER_STRATEGY": "beam",
+        "KARPA_MATCHER_MAX_LEN": "4",
+        "KARPA_MATCHER_EXACT_MODE": "true",
+        "KARPA_PLANNER_PER_RELATION_K": "3",
+        "KARPA_EVAL_MODE": "lenient",
+        "KARPA_EVAL_CONCURRENCY": "4",
+    }
+    assert config_digest(load_config(env=env)) == (
+        "19df7d8a94383262dd268f4216d01c47a06794ab3949a508074b5095c7e06553"
+    )
+
+
 # -- subcommands -----------------------------------------------------------------
 
 

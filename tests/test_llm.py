@@ -243,7 +243,7 @@ def test_http_chat_wire_format(http_server):
     from karpa.llm import HttpChatProvider
 
     def handler(body):
-        assert set(body) == {"model", "messages", "temperature"}
+        assert set(body) == {"model", "messages", "temperature", "max_tokens"}
         return 200, {
             "choices": [{"message": {"content": "hello {world}"}}],
             "usage": {"prompt_tokens": 11, "completion_tokens": 4},
@@ -259,7 +259,31 @@ def test_http_chat_wire_format(http_server):
     sent = http_server["requests"][0]
     assert sent["body"]["model"] == "test-model"
     assert sent["body"]["messages"] == [{"role": "user", "content": "hi"}]
+    assert sent["body"]["max_tokens"] == 1024
     assert sent["headers"]["Authorization"] == "Bearer sekrit"
+
+
+def test_http_chat_sends_max_output_as_max_tokens(monkeypatch):
+    import requests
+
+    from karpa.llm import HttpChatProvider
+
+    bodies = []
+
+    class FakeResponse:
+        status_code = 200
+        text = ""
+
+        def json(self):
+            return {"choices": [{"message": {"content": "ok {x}"}}]}
+
+    def fake_post(url, json, headers, timeout):
+        bodies.append(json)
+        return FakeResponse()
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    HttpChatProvider("http://chat.invalid/v1").complete([user("hi")], LlmParams(max_output=77))
+    assert [body["max_tokens"] for body in bodies] == [77]
 
 
 def test_http_chat_retries_on_5xx(http_server):

@@ -4,12 +4,11 @@ import pytest
 
 from karpa.errors import CapacityError, ContractError, NotFoundError
 from karpa.matching import (
+    STRATEGIES,
     MatchConfig,
     RelationPath,
-    ReasoningPath,
     ScoredPath,
     beam_match,
-    brute_force_top_k,
     dijkstra_avg_match,
     heuristic_top_k,
     match_candidates,
@@ -19,7 +18,13 @@ from karpa.matching import (
 )
 
 from helpers import SpyGateway, TWELVE_ENTITY_TRIPLES, graph_from, mock_gateway, random_graph
-from oracles import enumerate_all_paths, exhaustive_fixed_length_best, ref_mock_similarity
+from oracles import (
+    brute_force_top_k,
+    enumerate_all_paths,
+    exhaustive_fixed_length_best,
+    ref_beam,
+    ref_mock_similarity,
+)
 
 # Frozen before implementation from the independent reference embedding
 # (tests/oracles.py) at dim=64.
@@ -62,12 +67,6 @@ def tail_label(g, scored: ScoredPath) -> str:
 def test_relation_path_rejects_empty():
     with pytest.raises(ContractError):
         RelationPath(())
-
-
-def test_scored_path_duality_enforced():
-    path = ReasoningPath(0, ((0, 1),))
-    with pytest.raises(ContractError):
-        ScoredPath(path, RelationPath(("r",)), score=0.7, cost=0.5)
 
 
 def test_match_config_rejects_zero_top_k():
@@ -363,9 +362,7 @@ def test_brute_force_single_edge(gateway):
 
 
 def test_brute_force_capacity_guard(gateway, monkeypatch):
-    import karpa.matching as matching
-
-    monkeypatch.setattr(matching, "_BRUTE_FORCE_PATH_LIMIT", 10)
+    monkeypatch.setattr("oracles.BRUTE_FORCE_PATH_LIMIT", 10)
     nodes = [f"v{i}" for i in range(6)]
     g = graph_from(
         [(h, "link.any.edge", t) for h in nodes for t in nodes if h != t]
@@ -427,7 +424,11 @@ def test_heuristic_exact_several_candidates_equal_brute_force(twelve_graph):
             ]
 
 
-def test_heuristic_makes_one_embed_request_per_expansion():
+_MATCHERS = {"beam": beam_match, "pathfind": dijkstra_avg_match, "heuristic": heuristic_top_k}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_every_strategy_makes_one_embed_request_per_expansion(strategy):
     rng = random.Random(3030)
     for _ in range(10):
         g = random_graph(rng, n_entities=20, n_relations=10, max_out_degree=3)
@@ -437,15 +438,49 @@ def test_heuristic_makes_one_embed_request_per_expansion():
         max_len = len(candidate) + 1
         direction = rng.choice(["forward", "both"])
         gateway = SpyGateway()
-        cfg = MatchConfig(top_k=4, exact_mode=True, max_len=max_len, direction=direction)
-        heuristic_top_k(g, 0, candidate, cfg, gateway)
-        paths = enumerate_all_paths(g, 0, max_len, direction)
-        # Exact mode expands the start and every path shorter than max_len;
-        # only those with a child that revisits no entity make a request.
+        # Wide enough that no search drops a prefix: each expands the start
+        # and every path shorter than its deepest length.
+        cfg = MatchConfig(
+            strategy=strategy,
+            top_k=10_000,
+            beam_width=10_000,
+            exact_mode=True,
+            max_len=max_len,
+            direction=direction,
+        )
+        _MATCHERS[strategy](g, 0, candidate, cfg, gateway)
+        depth = max_len if strategy == "heuristic" else len(candidate)
+        paths = enumerate_all_paths(g, 0, depth, direction)
+        # Only prefixes with a child that revisits no entity make a request.
         expanded = {steps[:-1] for _, _, steps in paths}
         assert len(gateway.requests) == len(expanded)
-        assert all(r[0] == " ".join(candidate.relations) for r in gateway.requests)
         assert sum(len(r) - 1 for r in gateway.requests) == len(paths)
+        if strategy == "heuristic":
+            queries = [" ".join(candidate.relations)] * len(expanded)
+        else:
+            queries = [candidate.relations[len(prefix)] for prefix in expanded]
+        assert sorted(r[0] for r in gateway.requests) == sorted(queries)
+
+
+@pytest.mark.parametrize("direction", ["forward", "both"])
+def test_beam_equals_level_by_level_reference(gateway, direction):
+    # Few relation labels, so equal step costs, and so ties at the beam's
+    # cut, are common.
+    rng = random.Random(5150)
+    for _ in range(60):
+        g = random_graph(rng, n_entities=rng.randint(6, 30), n_relations=rng.randint(2, 4),
+                         max_out_degree=4)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 3)))
+        )
+        cfg = MatchConfig(
+            strategy="beam", beam_width=rng.randint(1, 8), top_k=rng.randint(1, 16), direction=direction
+        )
+        ours = beam_match(g, 0, candidate, cfg, gateway)
+        ref = ref_beam(g, 0, candidate, cfg, gateway)
+        assert [(labels_of(p), p.path.entities(), p.score, p.cost) for p in ours] == [
+            (labels_of(p), p.path.entities(), p.score, p.cost) for p in ref
+        ]
 
 
 def test_dijkstra_best_equals_brute_force_random(gateway):
