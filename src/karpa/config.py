@@ -23,36 +23,6 @@ from .matching import MatchConfig
 
 PROVIDER_KINDS = ("http", "scripted", "mock")
 
-# key -> (type tag, default)
-KNOWN_KEYS: dict[str, tuple[str, object]] = {
-    "kg.path": ("str", ""),
-    "kg.inverse_edges": ("bool", False),
-    "embedding.kind": ("str", "mock"),
-    "embedding.endpoint": ("str", ""),
-    "embedding.model": ("str", ""),
-    "embedding.dim": ("int", 64),
-    "embedding.fixtures": ("str", ""),
-    "embedding.cache_path": ("str", ""),
-    "llm.kind": ("str", "mock"),
-    "llm.endpoint": ("str", ""),
-    "llm.model": ("str", ""),
-    "llm.temperature": ("float", 0.0),
-    "llm.max_output": ("int", 1024),
-    "llm.fixtures": ("str", ""),
-    "matcher.strategy": ("str", "heuristic"),
-    "matcher.top_k": ("int", 16),
-    "matcher.beam_width": ("int", 8),
-    "matcher.max_len": ("opt_int", None),
-    "matcher.frontier_cap": ("int", 5000),
-    "matcher.exact_mode": ("bool", False),
-    "planner.relation_cap": ("int", 30),
-    "planner.per_relation_k": ("opt_int", None),
-    "reasoner.batch_limit": ("int", 8),
-    "eval.mode": ("str", "strict"),
-    "eval.concurrency": ("int", 1),
-    "eval.checkpoint_dir": ("str", ""),
-}
-
 _EXECUTION_ONLY_KEYS = {"eval.concurrency", "eval.checkpoint_dir"}
 
 
@@ -125,13 +95,23 @@ class PipelineConfig:
             raise ConfigError("reasoner.batch_limit must be >= 1")
 
 
+# "section.field" -> (annotation string, default), in declaration order.
+# ``matcher.direction`` is not a key: it follows ``kg.inverse_edges``.
+KNOWN_KEYS: dict[str, tuple[str, object]] = {
+    f"{section.name}.{opt.name}": (opt.type, opt.default)
+    for section in fields(PipelineConfig)
+    for opt in fields(section.default_factory)
+    if (section.name, opt.name) != ("matcher", "direction")
+}
+
+
 def _coerce(key: str, raw: str) -> object:
     tag, _ = KNOWN_KEYS[key]
     raw = raw.strip()
     try:
         if tag == "int":
             return int(raw)
-        if tag == "opt_int":
+        if tag == "int | None":
             return int(raw) if raw else None
         if tag == "float":
             return float(raw)

@@ -6,7 +6,9 @@ The gateway is provider-agnostic. Three providers ship here:
   character trigrams into a fixed number of buckets; shared tokens between
   two texts raise their cosine similarity. Used throughout the test suite.
 * ``ScriptedEmbeddingProvider`` — replays vectors recorded per text digest.
-* ``HttpEmbeddingProvider`` — generic HTTP embedding service client.
+* ``HttpEmbeddingProvider`` — generic HTTP embedding service client. The
+  HTTP call, its error mapping, the gateway's retry loop and the fixture
+  reader live in ``transport``.
 
 Vocabulary retrieval is an exhaustive cosine scan; vocabulary sizes here
 do not warrant an ANN index.
@@ -25,13 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
-from .errors import (
-    ContractError,
-    DataError,
-    DomainError,
-    MissingFixtureError,
-    TransportError,
-)
+from .errors import ContractError, DataError, DomainError, MissingFixtureError, ProviderError
+from .transport import post_json, read_jsonl, with_retries
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -144,18 +141,11 @@ class ScriptedEmbeddingProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedEmbeddingProvider":
-        records: dict[str, EmbeddingVector] = {}
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"scripted embedding fixture not found: {p}")
-        with p.open("r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                records[obj["digest"]] = EmbeddingVector(tuple(float(v) for v in obj["values"]))
-        return cls(records, identity=f"scripted-embed:{p.name}")
+        records = {
+            obj["digest"]: EmbeddingVector(tuple(float(v) for v in obj["values"]))
+            for _, obj in read_jsonl(path, "scripted embedding fixture")
+        }
+        return cls(records, identity=f"scripted-embed:{Path(path).name}")
 
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
         out = []
@@ -187,6 +177,8 @@ class HttpEmbeddingProvider:
     Response: ``{"data": [{"index": <int>, "embedding": [<float>...]}...]}``,
     index-aligned to the input. The API key (if any) is read from the
     ``KARPA_EMBED_API_KEY`` environment variable and sent as a bearer token.
+    A reply without ``data`` rows of ``index`` and finite ``embedding``
+    numbers, one per input, is a ``ProviderError``.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None, timeout: float = 30.0):
@@ -197,29 +189,17 @@ class HttpEmbeddingProvider:
         self.identity = f"http:{endpoint}:{model}"
 
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        body = post_json(
+            self.endpoint, {"model": self.model, "input": texts}, self.api_key, self.timeout, "embedding"
+        )
         try:
-            resp = requests.post(
-                self.endpoint,
-                json={"model": self.model, "input": texts},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(f"embedding request failed: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"embedding service returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise DataError(f"embedding service returned {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
-        rows = sorted(body["data"], key=lambda r: r["index"])
-        if len(rows) != len(texts):
-            raise ContractError(f"embedding service returned {len(rows)} vectors for {len(texts)} inputs")
-        return [EmbeddingVector(tuple(float(v) for v in row["embedding"])) for row in rows]
+            rows = sorted(body["data"], key=lambda r: r["index"])
+            vectors = [EmbeddingVector(tuple(float(v) for v in row["embedding"])) for row in rows]
+        except (LookupError, TypeError, ValueError, ContractError) as exc:
+            raise ProviderError(f"malformed embedding reply ({type(exc).__name__}: {exc})") from None
+        if len(vectors) != len(texts):
+            raise ProviderError(f"embedding service returned {len(vectors)} vectors for {len(texts)} inputs")
+        return vectors
 
 
 class EmbeddingCache:
@@ -325,15 +305,11 @@ class EmbeddingGateway:
         self,
         provider: EmbeddingProvider,
         cache: EmbeddingCache | None = None,
-        retries: int = 3,
-        backoff: float = 0.25,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.provider = provider
         self.cache = cache if cache is not None else EmbeddingCache()
         self._identity_digest = text_digest(provider.identity)
-        self._retries = retries
-        self._backoff = backoff
         self._sleep = sleep
         self._dim: int | None = None
         self._lock = threading.Lock()
@@ -347,18 +323,6 @@ class EmbeddingGateway:
                 dim = self._dim
         if vec.dim != dim:
             raise ContractError(f"embedding dim drifted from {dim} to {vec.dim}")
-
-    def _call_provider(self, texts: list[str]) -> list[EmbeddingVector]:
-        delay = self._backoff
-        for attempt in range(self._retries):
-            try:
-                return self.provider.embed_batch(texts)
-            except TransportError:
-                if attempt == self._retries - 1:
-                    raise
-                self._sleep(delay)
-                delay *= 2
-        raise AssertionError("unreachable")
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider."""
@@ -377,7 +341,7 @@ class EmbeddingGateway:
                 missing.setdefault(text, []).append(i)
         if missing:
             unique = list(missing)
-            vectors = self._call_provider(unique)
+            vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
             if len(vectors) != len(unique):
                 raise ContractError(
                     f"provider returned {len(vectors)} vectors for {len(unique)} texts"

@@ -23,6 +23,7 @@ from typing import Callable
 from .errors import DataError
 from .llm import UsageLedger
 from .reasoner import AnswerSet, normalize_answer
+from .transport import read_jsonl
 
 _FORMATS = ("simple", "webqsp", "cwq")
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]+")
@@ -133,15 +134,8 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
     p = Path(path)
     if not p.exists():
         raise DataError(f"dataset not found: {p}")
-    samples: list[QASample] = []
     if format == "simple":
-        with p.open("r", encoding="utf-8") as fp:
-            for index, line in enumerate(fp):
-                line = line.strip()
-                if not line:
-                    continue
-                samples.append(_sample_from_simple(json.loads(line), index))
-        return samples
+        return [_sample_from_simple(obj, index) for index, obj in read_jsonl(p, "dataset")]
     payload = json.loads(p.read_text(encoding="utf-8"))
     if format == "webqsp":
         records = payload["Questions"] if isinstance(payload, dict) else payload

@@ -4,7 +4,10 @@ Providers are pluggable: a generic HTTP chat service client, a scripted
 replay provider keyed by the digest of the full message list (the
 workhorse of the offline test suite), and a trivial canned provider.
 Every completion is tallied in a ``UsageLedger`` under a phase name so
-call counts and token totals per question can be reported.
+call counts and token totals per question can be reported. The HTTP call,
+its error mapping, the retry loop and the fixture reader live in
+``transport``; the HTTP client here only builds its request body and reads
+the fields it needs from the reply.
 """
 
 from __future__ import annotations
@@ -18,13 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .errors import (
-    ContractError,
-    DataError,
-    EmptyCompletionError,
-    MissingFixtureError,
-    TransportError,
-)
+from .errors import ContractError, EmptyCompletionError, MissingFixtureError, ProviderError
+from .transport import post_json, read_jsonl, with_retries
 
 _ROLES = ("system", "user", "assistant")
 
@@ -164,18 +162,11 @@ class ScriptedChatProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatProvider":
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"scripted chat fixture not found: {p}")
-        fixtures: dict[str, str] = {}
-        with p.open("r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                fixtures[obj["digest"]] = obj["response_text"]
-        return cls(fixtures, identity=f"scripted:{p.name}")
+        fixtures = {
+            obj["digest"]: obj["response_text"]
+            for _, obj in read_jsonl(path, "scripted chat fixture")
+        }
+        return cls(fixtures, identity=f"scripted:{Path(path).name}")
 
     def add(self, messages: list[ChatMessage], response_text: str) -> str:
         digest = digest_messages(messages)
@@ -219,7 +210,9 @@ class HttpChatProvider:
     "temperature", "max_tokens"}``, where ``max_tokens`` is ``llm.max_output``.
     Response: ``{"choices": [{"message": {"content"}}], "usage":
     {"prompt_tokens", "completion_tokens"}}``. The API key is read from
-    ``KARPA_LLM_API_KEY`` and sent as a bearer token.
+    ``KARPA_LLM_API_KEY`` and sent as a bearer token. A reply whose content
+    is missing or not a string, or whose usage counts are not numbers, is a
+    ``ProviderError``.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
@@ -229,34 +222,26 @@ class HttpChatProvider:
         self.identity = f"http:{endpoint}"
 
     def complete(self, messages: list[ChatMessage], params: LlmParams) -> CompletionResult:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         body = {
             "model": params.model,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
             "temperature": params.temperature,
             "max_tokens": params.max_output,
         }
+        payload = post_json(self.endpoint, body, self.api_key, self.timeout, "chat")
         try:
-            resp = requests.post(self.endpoint, json=body, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise TransportError(f"chat request failed: {exc}") from exc
-        if resp.status_code >= 500:
-            raise TransportError(f"chat service returned {resp.status_code}")
-        if resp.status_code != 200:
-            raise DataError(f"chat service returned {resp.status_code}: {resp.text[:200]}")
-        payload = resp.json()
-        text = payload["choices"][0]["message"]["content"]
-        usage = payload.get("usage")
-        if usage is not None:
-            return CompletionResult(
-                text,
-                int(usage.get("prompt_tokens", 0)),
-                int(usage.get("completion_tokens", 0)),
-            )
+            text = payload["choices"][0]["message"]["content"]
+            if not isinstance(text, str):
+                raise TypeError(f"content is {type(text).__name__}, not str")
+            usage = payload.get("usage")
+            if usage is not None:
+                return CompletionResult(
+                    text,
+                    int(usage.get("prompt_tokens", 0)),
+                    int(usage.get("completion_tokens", 0)),
+                )
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise ProviderError(f"malformed chat reply ({type(exc).__name__}: {exc})") from None
         prompt_tokens, completion_tokens = _estimated_usage(messages, text)
         return CompletionResult(text, prompt_tokens, completion_tokens, estimated=True)
 
@@ -268,14 +253,10 @@ class LlmGateway:
         self,
         provider,
         ledger: UsageLedger | None = None,
-        retries: int = 3,
-        backoff: float = 0.25,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.provider = provider
         self.ledger = ledger if ledger is not None else UsageLedger()
-        self._retries = retries
-        self._backoff = backoff
         self._sleep = sleep
 
     def complete(
@@ -285,18 +266,7 @@ class LlmGateway:
             raise ContractError("complete requires at least one message")
         if messages[-1].role != "user":
             raise ContractError("message list must end with a user message")
-        delay = self._backoff
-        result: CompletionResult | None = None
-        for attempt in range(self._retries):
-            try:
-                result = self.provider.complete(messages, params)
-                break
-            except TransportError:
-                if attempt == self._retries - 1:
-                    raise
-                self._sleep(delay)
-                delay *= 2
-        assert result is not None
+        result = with_retries(lambda: self.provider.complete(messages, params), self._sleep)
         if not result.text.strip():
             raise EmptyCompletionError("provider returned empty completion text")
         self.ledger.record(phase, result)

@@ -302,3 +302,30 @@ def test_eval_subcommand_end_to_end(tmp_path, kg_file, capsys):
     text = report_path.read_text(encoding="utf-8")
     assert text.startswith("karpa evaluation report")
     assert "hit1\t" in tsv_path.read_text(encoding="utf-8")
+
+
+def test_eval_non_json_dataset_line_is_data_error(tmp_path, kg_file, capsys):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [["C"]]}) + "\n{oops\n",
+        encoding="utf-8",
+    )
+    conf = tmp_path / "ev.conf"
+    conf.write_text(f"kg.path = {kg_file}\nllm.kind = mock\n", encoding="utf-8")
+    code = main(["--config", str(conf), "eval", "--dataset", str(dataset)])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and f"{dataset}: line 2 is not JSON" in err
+
+
+def test_ask_non_json_chat_fixture_line_is_data_error(tmp_path, kg_file, capsys):
+    fixtures = tmp_path / "llm.jsonl"
+    fixtures.write_text("not json\n", encoding="utf-8")
+    conf = tmp_path / "ask.conf"
+    conf.write_text(
+        f"kg.path = {kg_file}\nllm.kind = scripted\nllm.fixtures = {fixtures}\n", encoding="utf-8"
+    )
+    code = main(["--config", str(conf), "ask", "--question", "Q?", "--topic", "A"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and f"{fixtures}: line 1 is not JSON" in err

@@ -5,8 +5,10 @@ import pytest
 
 from karpa.errors import (
     ContractError,
+    DataError,
     EmptyCompletionError,
     MissingFixtureError,
+    ProviderError,
     TransportError,
 )
 from karpa.llm import (
@@ -210,7 +212,11 @@ class _Handlerless:
 
 @pytest.fixture()
 def http_server():
-    """Tiny local HTTP server; each test registers a handler function."""
+    """Tiny local HTTP server; each test registers a handler function.
+
+    A handler returns ``(status, payload)``: a ``bytes`` payload is sent as it
+    is, anything else as JSON.
+    """
     import http.server
 
     state = {"handler": None, "requests": []}
@@ -221,7 +227,7 @@ def http_server():
             body = json.loads(self.rfile.read(length))
             state["requests"].append({"path": self.path, "body": body, "headers": dict(self.headers)})
             status, payload = state["handler"](body)
-            data = json.dumps(payload).encode("utf-8")
+            data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(data)))
@@ -232,7 +238,7 @@ def http_server():
             pass
 
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     state["url"] = f"http://127.0.0.1:{server.server_address[1]}"
     yield state
@@ -344,3 +350,138 @@ def test_http_embedding_retries_on_5xx(http_server):
     gw = EmbeddingGateway(HttpEmbeddingProvider(http_server["url"], "m"), sleep=lambda _: None)
     assert gw.embed(["x"])[0].values == (1.0, 2.0)
     assert calls["n"] == 3
+
+
+# -- malformed replies and retryable statuses ----------------------------------------
+
+_GOOD_CHAT = {"choices": [{"message": {"content": "ok {x}"}}]}
+_GOOD_EMBEDDING = {"data": [{"index": 0, "embedding": [1.0, 2.0]}]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"not json",
+        {},
+        {"choices": []},
+        {"choices": [{}]},
+        {"choices": [{"message": {"content": None}}]},
+        {"choices": [{"message": {"content": "ok {x}"}}], "usage": "many"},
+        [],
+    ],
+    ids=["not-json", "no-choices", "empty-choices", "no-message", "null-content", "bad-usage", "list"],
+)
+def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
+    from karpa.llm import HttpChatProvider
+
+    http_server["handler"] = lambda body: (200, payload)
+    naps = []
+    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=naps.append)
+    with pytest.raises(ProviderError) as exc:
+        gw.complete([user("hi")], LlmParams())
+    assert not isinstance(exc.value, TransportError)
+    assert len(http_server["requests"]) == 1 and naps == []
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"not json",
+        {},
+        {"data": [{"index": 0}]},
+        {"data": [{"embedding": [1.0, 2.0]}]},
+        {"data": [{"index": 0, "embedding": ["x"]}]},
+        {"data": "rows"},
+        {"data": []},
+    ],
+    ids=["not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few"],
+)
+def test_http_embedding_malformed_reply_is_provider_error(http_server, payload):
+    from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
+
+    http_server["handler"] = lambda body: (200, payload)
+    naps = []
+    gw = EmbeddingGateway(HttpEmbeddingProvider(http_server["url"], "m"), sleep=naps.append)
+    with pytest.raises(ProviderError) as exc:
+        gw.embed(["x"])
+    assert not isinstance(exc.value, TransportError)
+    assert len(http_server["requests"]) == 1 and naps == []
+
+
+def _chat_call(url, sleep):
+    from karpa.llm import HttpChatProvider
+
+    return LlmGateway(HttpChatProvider(url), sleep=sleep).complete([user("hi")], LlmParams()).text
+
+
+def _embedding_call(url, sleep):
+    from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
+
+    return EmbeddingGateway(HttpEmbeddingProvider(url, "m"), sleep=sleep).embed(["x"])[0].values
+
+
+@pytest.mark.parametrize(
+    "call,good,expected",
+    [(_chat_call, _GOOD_CHAT, "ok {x}"), (_embedding_call, _GOOD_EMBEDDING, (1.0, 2.0))],
+    ids=["chat", "embedding"],
+)
+def test_http_429_is_retried(http_server, call, good, expected):
+    replies = [(429, {"error": "slow down"}), (200, good)]
+    http_server["handler"] = lambda body: replies.pop(0)
+    naps = []
+    assert call(http_server["url"], naps.append) == expected
+    assert naps == [0.25]
+    assert len(http_server["requests"]) == 2
+
+
+@pytest.mark.parametrize("call", [_chat_call, _embedding_call], ids=["chat", "embedding"])
+def test_http_4xx_is_data_error_without_retry(http_server, call):
+    http_server["handler"] = lambda body: (401, {"error": "bad key"})
+    naps = []
+    with pytest.raises(DataError):
+        call(http_server["url"], naps.append)
+    assert naps == [] and len(http_server["requests"]) == 1
+
+
+def test_http_malformed_reasoning_reply_is_a_failed_batch(http_server, gateway):
+    from karpa.llm import HttpChatProvider
+    from karpa.matching import MatchConfig, RelationPath, heuristic_top_k
+    from karpa.planner import Query
+    from karpa.reasoner import answer_question
+
+    from helpers import graph_from
+
+    g = graph_from([("hub", "film.director.films_directed", f"tail{i:02d}") for i in range(10)])
+    cfg = MatchConfig(strategy="heuristic", top_k=10, max_len=1)
+    paths = heuristic_top_k(
+        g, g.entity_id("hub"), RelationPath(("film.director.films_directed",)), cfg, gateway
+    )
+    query = Query(id="q", question="Which films did hub direct?", topic_entities=("hub",))
+
+    def handler(body):
+        prompt = body["messages"][-1]["content"]
+        return 200, ({} if "tail00" in prompt else {"choices": [{"message": {"content": "{tail08}"}}]})
+
+    http_server["handler"] = handler
+    trace = []
+    llm = LlmGateway(HttpChatProvider(http_server["url"]), sleep=lambda _: None)
+    answers = answer_question(query, paths, g, llm, LlmParams(), batch_limit=8, trace=trace)
+    assert answers.answers == ["tail08"]
+    assert [event.get("failed", "").split(":")[0] for event in trace] == ["ProviderError", ""]
+
+
+@pytest.mark.parametrize("payload", [b"not json", {}, {"choices": []}], ids=["not-json", "no-choices", "empty-choices"])
+def test_cli_ask_malformed_chat_reply_exits_4(http_server, tmp_path, capsys, payload):
+    from karpa.cli import EXIT_PROVIDER, main
+
+    http_server["handler"] = lambda body: (200, payload)
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("A\tperson.family.father\tB\n", encoding="utf-8")
+    conf = tmp_path / "ask.conf"
+    conf.write_text(
+        f"kg.path = {kg}\nllm.kind = http\nllm.endpoint = {http_server['url']}\n", encoding="utf-8"
+    )
+    code = main(["--config", str(conf), "ask", "--question", "Q?", "--topic", "A"])
+    err = capsys.readouterr().err
+    assert code == EXIT_PROVIDER
+    assert err.startswith("provider error: ") and "Traceback" not in err
