@@ -3,8 +3,9 @@
 The gateway is provider-agnostic. Three providers ship here:
 
 * ``MockEmbeddingProvider`` — deterministic offline hashing of tokens and
-  character trigrams into a fixed number of buckets; shared tokens between
-  two texts raise their cosine similarity. Used throughout the test suite.
+  character trigrams into a fixed number of buckets, memoized per word;
+  shared tokens between two texts raise their cosine similarity. Used
+  throughout the test suite.
 * ``ScriptedEmbeddingProvider`` — replays vectors recorded per text digest.
 * ``HttpEmbeddingProvider`` — generic HTTP embedding service client. The
   HTTP call, its error mapping, the gateway's retry loop and the fixture
@@ -16,6 +17,7 @@ do not warrant an ANN index.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -28,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
 from .errors import ContractError, DataError, DomainError, MissingFixtureError, ProviderError
-from .transport import post_json, read_jsonl, with_retries
+from .transport import post_json, read_records, with_retries
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -92,6 +94,25 @@ def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> l
     return out
 
 
+# Distinct (word, dim) pairs whose bucket counts ``mock_embed`` remembers.
+# Relation vocabularies are far smaller; an entry for a three-part label at
+# dim 64 takes about 1.2 kB, so a full memo holds about 10 MB.
+MOCK_WORD_MEMO = 8192
+
+
+@functools.lru_cache(maxsize=MOCK_WORD_MEMO)
+def _word_buckets(word: str, dim: int) -> tuple[tuple[int, int], ...]:
+    """``(bucket, count)`` for every token and token trigram of one space-free word."""
+    counts: dict[int, int] = {}
+    for token in _TOKEN_SPLIT.split(word.lower()):
+        if not token:
+            continue
+        for feature in [token] + [token[i : i + 3] for i in range(len(token) - 2)]:
+            bucket = zlib.crc32(feature.encode("utf-8")) % dim
+            counts[bucket] = counts.get(bucket, 0) + 1
+    return tuple(counts.items())
+
+
 def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
     """Deterministic bag-of-features embedding for offline use.
 
@@ -100,19 +121,27 @@ def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
     token into one of ``dim`` buckets, accumulating counts. The result is
     L2-normalized, so identical texts give identical unit vectors and
     texts sharing tokens score higher cosine.
+
+    A space is one of the separators, so the text is split on spaces first
+    and each word's bucket counts come from a memo (``MOCK_WORD_MEMO``
+    words): label sequences repeat the words of a small vocabulary. Every
+    count and every squared count is a small integer, exact in any order of
+    addition, so the vector equals the one from hashing each feature
+    afresh bit for bit.
     """
     if dim < 8:
         raise ContractError(f"mock embedding dim must be >= 8, got {dim}")
-    tokens = [t for t in _TOKEN_SPLIT.split(text.lower()) if t]
-    if not tokens:
+    counts: dict[int, int] = {}
+    for word in text.split(" "):
+        for bucket, count in _word_buckets(word, dim):
+            counts[bucket] = counts.get(bucket, 0) + count
+    if not counts:
         raise DomainError(f"text has no tokens to embed: {text!r}")
-    weights = [0.0] * dim
-    for token in tokens:
-        weights[zlib.crc32(token.encode("utf-8")) % dim] += 1.0
-        for i in range(len(token) - 2):
-            weights[zlib.crc32(token[i : i + 3].encode("utf-8")) % dim] += 1.0
-    norm = math.sqrt(sum(w * w for w in weights))
-    return EmbeddingVector(tuple(w / norm for w in weights))
+    norm = math.sqrt(sum([c * c for c in counts.values()]))
+    values = [0.0] * dim
+    for bucket, count in counts.items():
+        values[bucket] = count / norm
+    return EmbeddingVector(tuple(values))
 
 
 class EmbeddingProvider(Protocol):
@@ -132,6 +161,13 @@ class MockEmbeddingProvider:
         return [mock_embed(t, self.dim) for t in texts]
 
 
+def _embedding_fixture_record(obj) -> tuple[str, EmbeddingVector]:
+    digest = obj["digest"]
+    if not isinstance(digest, str):
+        raise TypeError("digest must be a string")
+    return digest, EmbeddingVector(tuple(float(v) for v in obj["values"]))
+
+
 class ScriptedEmbeddingProvider:
     """Replays vectors from line-JSON records ``{"digest", "dim", "values"}``."""
 
@@ -141,10 +177,7 @@ class ScriptedEmbeddingProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedEmbeddingProvider":
-        records = {
-            obj["digest"]: EmbeddingVector(tuple(float(v) for v in obj["values"]))
-            for _, obj in read_jsonl(path, "scripted embedding fixture")
-        }
+        records = dict(read_records(path, "scripted embedding fixture", _embedding_fixture_record))
         return cls(records, identity=f"scripted-embed:{Path(path).name}")
 
     def embed_batch(self, texts: list[str]) -> list[EmbeddingVector]:

@@ -14,13 +14,15 @@ the headline metric name alone does not pin down a formula.
 from __future__ import annotations
 
 import json
+import os
 import re
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TextIO
 
-from .errors import DataError
+from .errors import DataError, ParseError
 from .llm import UsageLedger
 from .reasoner import AnswerSet, normalize_answer
 from .transport import read_jsonl
@@ -136,12 +138,19 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
         raise DataError(f"dataset not found: {p}")
     if format == "simple":
         return [_sample_from_simple(obj, index) for index, obj in read_jsonl(p, "dataset")]
-    payload = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{p}: not a JSON {format} dataset ({exc})", line=exc.lineno) from None
     if format == "webqsp":
-        records = payload["Questions"] if isinstance(payload, dict) else payload
-        return [_sample_from_webqsp(obj, i) for i, obj in enumerate(records)]
-    records = payload if isinstance(payload, list) else payload.get("data", [])
-    return [_sample_from_cwq(obj, i) for i, obj in enumerate(records)]
+        records = payload.get("Questions") if isinstance(payload, dict) else payload
+        parse = _sample_from_webqsp
+    else:
+        records = payload.get("data", []) if isinstance(payload, dict) else payload
+        parse = _sample_from_cwq
+    if not isinstance(records, list):
+        raise DataError(f"{p}: no {format} question list")
+    return [parse(obj, i) for i, obj in enumerate(records)]
 
 
 # -- scoring --------------------------------------------------------------
@@ -205,13 +214,34 @@ def _checkpoint_name(sample_id: str) -> str:
     return f"{safe}-{suffix}"
 
 
+def _replace_file(path: Path, write: Callable[[TextIO], None]) -> None:
+    """Write ``path`` through ``write`` into a temp file beside it, then rename it over ``path``.
+
+    A reader sees the old file or the whole new one, never a part; a write
+    that fails removes the temp file and leaves ``path`` as it was.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fp:
+            write(fp)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def _write_checkpoint(directory: Path, sample_id: str, payload: dict, trace: list[dict]) -> None:
     base = directory / _checkpoint_name(sample_id)
-    with (base.parent / (base.name + ".trace.jsonl")).open("w", encoding="utf-8") as fp:
-        for event in trace:
-            fp.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
-    with (base.parent / (base.name + ".json")).open("w", encoding="utf-8") as fp:
-        json.dump(payload, fp, ensure_ascii=False, sort_keys=True)
+    _replace_file(
+        base.parent / (base.name + ".trace.jsonl"),
+        lambda fp: fp.writelines(
+            json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n" for event in trace
+        ),
+    )
+    _replace_file(
+        base.parent / (base.name + ".json"),
+        lambda fp: json.dump(payload, fp, ensure_ascii=False, sort_keys=True),
+    )
 
 
 def _read_checkpoint(directory: Path, sample_id: str, config_digest: str) -> dict | None:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ContractError, EmptyCompletionError, MissingFixtureError, ProviderError
-from .transport import post_json, read_jsonl, with_retries
+from .transport import post_json, read_records, with_retries
 
 _ROLES = ("system", "user", "assistant")
 
@@ -148,6 +148,13 @@ def _estimated_usage(messages: list[ChatMessage], text: str) -> tuple[int, int]:
     return prompt, estimate_tokens(text)
 
 
+def _chat_fixture_record(obj) -> tuple[str, str]:
+    digest, text = obj["digest"], obj["response_text"]
+    if not isinstance(digest, str) or not isinstance(text, str):
+        raise TypeError("digest and response_text must be strings")
+    return digest, text
+
+
 class ScriptedChatProvider:
     """Replays fixture text keyed by the digest of the message list.
 
@@ -162,10 +169,7 @@ class ScriptedChatProvider:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedChatProvider":
-        fixtures = {
-            obj["digest"]: obj["response_text"]
-            for _, obj in read_jsonl(path, "scripted chat fixture")
-        }
+        fixtures = dict(read_records(path, "scripted chat fixture", _chat_fixture_record))
         return cls(fixtures, identity=f"scripted:{Path(path).name}")
 
     def add(self, messages: list[ChatMessage], response_text: str) -> str:

@@ -182,8 +182,17 @@ def _scored_children(
     return [(1.0 - sim, *child) for child, sim in zip(children, cosine_many(query_vec, child_vecs))]
 
 
+def _rank_key(cost: float, labels: tuple[str, ...], entities: tuple[int, ...]) -> tuple:
+    """Score descending, then labels, then entities.
+
+    The score ``1 - cost``, not the cost: two distinct costs can round to
+    the same score, and then the labels decide.
+    """
+    return (-(1.0 - cost), labels, entities)
+
+
 def _sort_key(scored: ScoredPath) -> tuple:
-    return (-scored.score, scored.relation_path.relations, scored.path.entities())
+    return _rank_key(scored.cost, scored.relation_path.relations, scored.path.entities())
 
 
 def _fixed_length_match(
@@ -319,12 +328,11 @@ def heuristic_top_k(
             heapq.heapify(frontier)
             truncated = True
 
-    results = [
-        ScoredPath(ReasoningPath(entities[0], steps), RelationPath(labels), h, truncated)
-        for h, labels, entities, steps in completed
+    best = heapq.nsmallest(cfg.top_k, completed, key=lambda entry: _rank_key(*entry[:3]))
+    return [
+        ScoredPath(ReasoningPath(start, steps), RelationPath(labels), h, truncated)
+        for h, labels, _, steps in best
     ]
-    results.sort(key=_sort_key)
-    return results[: cfg.top_k]
 
 
 def union_top_k(paths: Iterable[ScoredPath], top_k: int) -> list[ScoredPath]:

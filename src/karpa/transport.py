@@ -17,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
-from .errors import DataError, ParseError, ProviderError, TransportError
+from .errors import ContractError, DataError, ParseError, ProviderError, TransportError
 
 T = TypeVar("T")
 
@@ -81,3 +81,21 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{p}: line {index + 1} is not JSON ({exc})", line=index + 1) from None
             yield index, obj
+
+
+def read_records(path: str | Path, what: str, parse: Callable[[object], T]) -> Iterator[T]:
+    """``parse(obj)`` for each object of ``read_jsonl(path, what)``.
+
+    A line whose object ``parse`` rejects (a missing key, a value of the
+    wrong type or a non-finite vector) is a ``ParseError`` naming the file
+    and the line's 1-based number, like a line that is not JSON.
+    """
+    for index, obj in read_jsonl(path, what):
+        try:
+            record = parse(obj)
+        except (LookupError, TypeError, ValueError, ContractError) as exc:
+            raise ParseError(
+                f"{path}: line {index + 1} is not a {what} record ({type(exc).__name__}: {exc})",
+                line=index + 1,
+            ) from None
+        yield record

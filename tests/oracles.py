@@ -36,6 +36,27 @@ def ref_mock_embedding(text: str, dim: int) -> list[float]:
     return [counts.get(i, 0.0) / norm for i in range(dim)]
 
 
+def ref_mock_embed_loop(text: str, dim: int = 64):
+    """``mock_embed`` as it was before its per-word memo: every token and
+    trigram hashed afresh, counted in float buckets. The memoized version
+    must equal this with ``==``, errors included."""
+    from karpa.embeddings import EmbeddingVector
+    from karpa.errors import DomainError
+
+    if dim < 8:
+        raise ContractError(f"mock embedding dim must be >= 8, got {dim}")
+    tokens = [t for t in _SPLIT.split(text.lower()) if t]
+    if not tokens:
+        raise DomainError(f"text has no tokens to embed: {text!r}")
+    weights = [0.0] * dim
+    for token in tokens:
+        weights[zlib.crc32(token.encode("utf-8")) % dim] += 1.0
+        for i in range(len(token) - 2):
+            weights[zlib.crc32(token[i : i + 3].encode("utf-8")) % dim] += 1.0
+    norm = math.sqrt(sum(w * w for w in weights))
+    return EmbeddingVector(tuple(w / norm for w in weights))
+
+
 def ref_cosine(a: list[float], b: list[float]) -> float:
     dot = sum(x * y for x, y in zip(a, b))
     na = math.sqrt(sum(x * x for x in a))

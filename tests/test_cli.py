@@ -329,3 +329,55 @@ def test_ask_non_json_chat_fixture_line_is_data_error(tmp_path, kg_file, capsys)
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith("data error: ") and f"{fixtures}: line 1 is not JSON" in err
+
+
+@pytest.mark.parametrize(
+    "kind, line",
+    [
+        ("llm", "{}"),
+        ("llm", '{"digest": "d2"}'),
+        ("llm", '{"digest": "d2", "response_text": 3}'),
+        ("llm", "[1, 2]"),
+        ("embedding", "{}"),
+        ("embedding", '{"digest": "d2", "dim": 1, "values": ["x"]}'),
+        ("embedding", '{"digest": "d2", "dim": 1, "values": [1e999]}'),
+    ],
+)
+def test_ask_fixture_line_that_is_not_a_record_is_data_error(tmp_path, kg_file, capsys, kind, line):
+    first = {
+        "llm": '{"digest": "d1", "response_text": "t"}',
+        "embedding": '{"digest": "d1", "values": [1.0]}',
+    }
+    fixtures = tmp_path / "fixtures.jsonl"
+    fixtures.write_text(f"{first[kind]}\n{line}\n", encoding="utf-8")
+    conf = tmp_path / "ask.conf"
+    conf.write_text(
+        f"kg.path = {kg_file}\n{kind}.kind = scripted\n{kind}.fixtures = {fixtures}\n", encoding="utf-8"
+    )
+    code = main(["--config", str(conf), "ask", "--question", "Q?", "--topic", "A"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and f"{fixtures}: line 2 is not a scripted" in err
+
+
+@pytest.mark.parametrize("format", ["webqsp", "cwq"])
+def test_eval_dataset_that_is_not_json_is_data_error(tmp_path, kg_file, capsys, format):
+    dataset = tmp_path / "data.json"
+    dataset.write_text("not json\n", encoding="utf-8")
+    conf = tmp_path / "ev.conf"
+    conf.write_text(f"kg.path = {kg_file}\nllm.kind = mock\n", encoding="utf-8")
+    code = main(["--config", str(conf), "eval", "--dataset", str(dataset), "--format", format])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and f"{dataset}: not a JSON {format} dataset" in err
+
+
+def test_eval_webqsp_object_without_questions_is_data_error(tmp_path, kg_file, capsys):
+    dataset = tmp_path / "data.json"
+    dataset.write_text(json.dumps({"Version": "1.0"}), encoding="utf-8")
+    conf = tmp_path / "ev.conf"
+    conf.write_text(f"kg.path = {kg_file}\nllm.kind = mock\n", encoding="utf-8")
+    code = main(["--config", str(conf), "eval", "--dataset", str(dataset), "--format", "webqsp"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("data error: ") and f"{dataset}: no webqsp question list" in err

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from karpa.embeddings import (
@@ -23,7 +23,7 @@ from karpa.embeddings import (
 from karpa.errors import ContractError, DomainError, MissingFixtureError, TransportError
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
-from oracles import ref_mock_embedding, ref_pair_cosine
+from oracles import ref_mock_embed_loop, ref_mock_embedding, ref_pair_cosine
 
 
 def vec(*values):
@@ -137,6 +137,31 @@ def test_mock_embed_matches_reference_oracle():
         ours = mock_embed(text, 64).values
         ref = ref_mock_embedding(text, 64)
         assert list(ours) == pytest.approx(ref, abs=1e-12)
+
+
+def _embed_outcome(embed, text, dim):
+    try:
+        return embed(text, dim)
+    except (ContractError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+# Letters in both cases, digits, every kind of separator, and characters
+# whose lowercase form is longer (İ), context-dependent (Σ) or unchanged (ß).
+_mock_texts = st.text(alphabet=st.sampled_from(list("abcxyzABZ019 .\t\n_-İΣß")), max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_mock_texts, st.text(max_size=20)), st.sampled_from([8, 64, 97]))
+@example("", 64)
+@example("   ", 8)
+@example("\t\n", 97)
+@example("a b", 64)
+@example("  People.Person.Father  people_person  ", 64)
+@example("İstanbul ΣΑΣ straße", 97)
+@example("ab ab  ab", 8)
+def test_mock_embed_equals_the_unmemoized_loop(text, dim):
+    assert _embed_outcome(mock_embed, text, dim) == _embed_outcome(ref_mock_embed_loop, text, dim)
 
 
 def test_mock_embed_shared_tokens_raise_similarity():

@@ -267,6 +267,28 @@ def test_checkpoint_writes_trace_file(tmp_path):
     assert event["event"] == "t"
 
 
+def test_checkpoint_write_that_fails_midway_keeps_the_previous_one(tmp_path, monkeypatch):
+    samples = [sample(3, [["a"]])]
+    first = evaluate(samples, lambda s: outcome(answer_set("a")), checkpoint_dir=tmp_path, config_digest="d1")
+    names = sorted(p.name for p in tmp_path.iterdir())
+
+    def dump_then_fail(obj, fp, **kwargs):
+        fp.write('{"config_digest": "d2", "answ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        evaluate(samples, lambda s: outcome(answer_set("z")), checkpoint_dir=tmp_path, config_digest="d2")
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+    def must_not_run(s):
+        raise AssertionError("the previous checkpoint was not readable")
+
+    resumed = evaluate(samples, must_not_run, checkpoint_dir=tmp_path, config_digest="d1")
+    assert render_report(resumed) == render_report(first)
+
+
 def test_concurrent_equals_sequential():
     samples = [sample(i, [["a"]]) for i in range(8)]
 

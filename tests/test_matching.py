@@ -1,11 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from karpa.errors import CapacityError, ContractError, NotFoundError
 from karpa.matching import (
     STRATEGIES,
+    _rank_key,
+    _sort_key,
     MatchConfig,
+    ReasoningPath,
     RelationPath,
     ScoredPath,
     beam_match,
@@ -348,6 +352,39 @@ def test_heuristic_truncation_flag(gateway):
         gateway,
     )
     assert all(not p.truncated for p in exact)
+
+
+def _ranked(paths):
+    return [(labels_of(p), p.path.entities(), repr(p.cost), p.truncated) for p in paths]
+
+
+@pytest.mark.parametrize("exact_mode", [True, False])
+def test_heuristic_top_k_is_a_prefix_of_the_full_ranking(gateway, exact_mode):
+    rng = random.Random(2024)
+    truncated = 0
+    for _ in range(12):
+        g = random_graph(rng, n_entities=25, n_relations=12, max_out_degree=3)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 3)))
+        )
+        cfg = MatchConfig(strategy="heuristic", max_len=3, exact_mode=exact_mode, frontier_cap=6)
+        full = heuristic_top_k(g, 0, candidate, replace(cfg, top_k=100_000), gateway)
+        assert len(full) < 100_000
+        truncated += full[0].truncated
+        for k in (1, 2, 5, 16):
+            assert _ranked(heuristic_top_k(g, 0, candidate, replace(cfg, top_k=k), gateway)) == (
+                _ranked(full[:k])
+            )
+    assert (truncated == 0) if exact_mode else (truncated >= 6)
+
+
+def test_rank_key_ranks_equal_scores_by_labels_not_cost():
+    assert 1.0 - 0.0 == 1.0 - 1e-17
+    low_cost = ScoredPath(ReasoningPath(0, ((0, 1),)), RelationPath(("b.b.b",)), 0.0)
+    high_cost = ScoredPath(ReasoningPath(0, ((1, 2),)), RelationPath(("a.a.a",)), 1e-17)
+    assert _rank_key(1e-17, ("a.a.a",), (0, 2)) < _rank_key(0.0, ("b.b.b",), (0, 1))
+    assert _sort_key(high_cost) == _rank_key(1e-17, ("a.a.a",), (0, 2))
+    assert sorted([low_cost, high_cost], key=_sort_key) == [high_cost, low_cost]
 
 
 # -- brute force -----------------------------------------------------------------
