@@ -18,13 +18,7 @@ from .errors import ConfigError, DataError, ProviderError
 from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv
 from .kg import load_triples_path
 from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
-from .pipeline import (
-    Pipeline,
-    build_chat_provider,
-    build_embedding_gateway,
-    load_graph,
-    make_sample_runner,
-)
+from .pipeline import build_embedding_gateway, build_pipeline, load_graph, make_sample_runner
 from .planner import Query
 
 EXIT_OK = 0
@@ -86,15 +80,8 @@ def _cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _make_pipeline(cfg) -> Pipeline:
-    g = load_graph(cfg)
-    embedder = build_embedding_gateway(cfg)
-    provider = build_chat_provider(cfg)
-    return Pipeline(cfg, g, embedder, provider)
-
-
 def _cmd_ask(args, cfg) -> int:
-    pipeline = _make_pipeline(cfg)
+    pipeline = build_pipeline(cfg)
     query = Query(id=args.id, question=args.question, topic_entities=tuple(args.topic))
     result = pipeline.run(query)
     if args.trace:
@@ -118,7 +105,7 @@ def _cmd_ask(args, cfg) -> int:
 
 def _cmd_eval(args, cfg) -> int:
     samples = load_dataset(args.dataset, format=args.format)
-    pipeline = _make_pipeline(cfg)
+    pipeline = build_pipeline(cfg)
     report = evaluate(
         samples,
         make_sample_runner(pipeline),

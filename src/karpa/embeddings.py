@@ -389,9 +389,6 @@ class EmbeddingGateway:
             self._check_dim(vec)
         return out
 
-    def embed_one(self, text: str) -> EmbeddingVector:
-        return self.embed([text])[0]
-
     def similarity(self, text_a: str, text_b: str) -> float:
         vec_a, vec_b = self.embed([text_a, text_b])
         return cosine(vec_a, vec_b)

@@ -20,7 +20,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .errors import DataError, ParseError
 from .llm import UsageLedger
@@ -74,54 +74,56 @@ class EvalReport:
 # -- dataset loading ------------------------------------------------------
 
 
-def _sample_from_simple(obj: dict, index: int) -> QASample:
-    try:
-        return QASample(
-            id=str(obj["id"]),
-            question=obj["question"],
-            topic_entities=[str(t) for t in obj["topics"]],
-            gold_answers=[[str(a) for a in aliases] for aliases in obj["answers"]],
-        )
-    except KeyError as exc:
-        raise DataError(f"record {index}: missing field {exc}") from exc
+def _sample_from_simple(obj: dict) -> QASample:
+    return QASample(
+        id=str(obj["id"]),
+        question=obj["question"],
+        topic_entities=[str(t) for t in obj["topics"]],
+        gold_answers=[[str(a) for a in aliases] for aliases in obj["answers"]],
+    )
 
 
-def _sample_from_webqsp(obj: dict, index: int) -> QASample:
-    try:
-        question = obj.get("ProcessedQuestion") or obj["RawQuestion"]
-        sample_id = str(obj["QuestionId"])
-        topics: list[str] = []
-        answers: dict[str, list[str]] = {}
-        for parse in obj["Parses"]:
-            name = parse.get("TopicEntityName")
-            if name and name not in topics:
-                topics.append(name)
-            for ans in parse.get("Answers", []):
-                label = ans.get("EntityName") or ans.get("AnswerArgument")
-                if label and label not in answers:
-                    answers[label] = [label]
-        return QASample(sample_id, question, topics, list(answers.values()))
-    except KeyError as exc:
-        raise DataError(f"record {index}: missing field {exc}") from exc
+def _sample_from_webqsp(obj: dict) -> QASample:
+    question = obj.get("ProcessedQuestion") or obj["RawQuestion"]
+    sample_id = str(obj["QuestionId"])
+    topics: list[str] = []
+    answers: dict[str, list[str]] = {}
+    for parse in obj["Parses"]:
+        name = parse.get("TopicEntityName")
+        if name and name not in topics:
+            topics.append(name)
+        for ans in parse.get("Answers", []):
+            label = ans.get("EntityName") or ans.get("AnswerArgument")
+            if label and label not in answers:
+                answers[label] = [label]
+    return QASample(sample_id, question, topics, list(answers.values()))
 
 
-def _sample_from_cwq(obj: dict, index: int) -> QASample:
-    try:
-        sample_id = str(obj["ID"])
-        question = obj["question"]
-        if "topic_entity" in obj and isinstance(obj["topic_entity"], dict):
-            topics = list(obj["topic_entity"].values())
-        elif "topic_entity_name" in obj:
-            topics = [obj["topic_entity_name"]]
-        else:
-            raise DataError(f"record {index}: no topic entity field")
-        answers = []
-        for ans in obj["answers"]:
-            aliases = [ans["answer"]] + [a for a in ans.get("aliases", [])]
-            answers.append(aliases)
-        return QASample(sample_id, question, topics, answers)
-    except KeyError as exc:
-        raise DataError(f"record {index}: missing field {exc}") from exc
+def _sample_from_cwq(obj: dict) -> QASample:
+    sample_id = str(obj["ID"])
+    question = obj["question"]
+    if isinstance(obj.get("topic_entity"), dict):
+        topics = list(obj["topic_entity"].values())
+    elif "topic_entity_name" in obj:
+        topics = [obj["topic_entity_name"]]
+    else:
+        raise KeyError("topic_entity")
+    answers = [[ans["answer"]] + list(ans.get("aliases", [])) for ans in obj["answers"]]
+    return QASample(sample_id, question, topics, answers)
+
+
+def _parse_records(parse: Callable[[dict], QASample], records: Iterable[tuple[int, dict]]) -> list[QASample]:
+    """``parse`` each ``(index, record)``; a record of the wrong shape is a
+    ``DataError`` naming its 0-based index."""
+    samples = []
+    for index, obj in records:
+        try:
+            samples.append(parse(obj))
+        except KeyError as exc:
+            raise DataError(f"record {index}: missing field {exc}") from exc
+        except (AttributeError, TypeError) as exc:
+            raise DataError(f"record {index}: wrong shape ({exc})") from exc
+    return samples
 
 
 def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
@@ -137,7 +139,7 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
     if not p.exists():
         raise DataError(f"dataset not found: {p}")
     if format == "simple":
-        return [_sample_from_simple(obj, index) for index, obj in read_jsonl(p, "dataset")]
+        return _parse_records(_sample_from_simple, read_jsonl(p, "dataset"))
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -150,7 +152,7 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
         parse = _sample_from_cwq
     if not isinstance(records, list):
         raise DataError(f"{p}: no {format} question list")
-    return [parse(obj, i) for i, obj in enumerate(records)]
+    return _parse_records(parse, enumerate(records))
 
 
 # -- scoring --------------------------------------------------------------

@@ -1,48 +1,31 @@
-"""Immutable triple store with interned labels and adjacency indexes.
+"""Immutable triple store: interned labels and one sorted adjacency per direction.
 
 Triples are read from UTF-8 TSV (``head<TAB>relation<TAB>tail``, ``#``
-comments allowed), deduplicated, and indexed in both directions. Ids are
-dense integers assigned in first-appearance order so that fixtures load
-reproducibly. Inverse traversal presents the relation label suffixed with
-the reserved marker ``~inv``; inverse relation ids are offset by the size
-of the relation table and never appear in the vocabulary.
+comments allowed) and deduplicated. Entity and relation labels are plain
+strings in lists indexed by id; ids are dense integers assigned in
+first-appearance order (head, relation, tail within a line) so that
+fixtures load reproducibly. Each triple is stored once per direction: as
+``(relation_id, tail_id)`` under its head in ``out_index`` and as
+``(relation_id, head_id)`` under its tail in ``in_index``, both sorted.
+Inverse traversal presents the relation label suffixed with the reserved
+marker ``~inv``; inverse relation ids are offset by the size of the
+relation table and never appear in the vocabulary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ContractError, NotFoundError, ParseError
 
 INVERSE_MARKER = "~inv"
-
-Direction = str  # "forward" | "inverse" | "both"
-_DIRECTIONS = ("forward", "inverse", "both")
-
-
-@dataclass(frozen=True)
-class EntityHandle:
-    id: int
-    label: str
-
-
-@dataclass(frozen=True)
-class RelationHandle:
-    id: int
-    label: str
-
-
-@dataclass(frozen=True)
-class Triple:
-    head: int
-    relation: int
-    tail: int
+DIRECTIONS = ("forward", "inverse", "both")
 
 
 class KnowledgeGraph:
-    """Entity/relation tables plus a deduplicated, doubly-indexed triple set.
+    """Entity/relation tables plus the triple set as sorted adjacency lists.
 
     Instances are immutable after construction and safe for concurrent
     reads. Build them through :func:`load_triples` rather than directly.
@@ -50,31 +33,30 @@ class KnowledgeGraph:
 
     def __init__(
         self,
-        entities: list[EntityHandle],
-        relations: list[RelationHandle],
-        triples: list[Triple],
+        entity_ids: dict[str, int],
+        relation_ids: dict[str, int],
+        adjacency: dict[int, set[tuple[int, int]]],
     ):
-        self.entities = entities
-        self.relations = relations
-        self.triples = triples
-        self._entity_ids = {e.label: e.id for e in entities}
-        self._relation_ids = {r.label: r.id for r in relations}
-        out: dict[int, list[tuple[int, int]]] = {}
-        inc: dict[int, list[tuple[int, int]]] = {}
-        for t in triples:
-            out.setdefault(t.head, []).append((t.relation, t.tail))
-            inc.setdefault(t.tail, []).append((t.relation, t.head))
-        for adj in out.values():
-            adj.sort()
+        """``entity_ids`` and ``relation_ids`` map labels to ids and iterate in
+        id order; ``adjacency`` maps a head id to its distinct
+        ``(relation_id, tail_id)`` pairs."""
+        self.entities = list(entity_ids)
+        self.relations = list(relation_ids)
+        self._entity_ids = entity_ids
+        self._relation_ids = relation_ids
+        self.out_index = {head: sorted(edges) for head, edges in adjacency.items()}
+        inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        for head, edges in self.out_index.items():
+            for rid, tail in edges:
+                inc[tail].append((rid, head))
         for adj in inc.values():
             adj.sort()
-        self.out_index = out
-        self.in_index = inc
+        self.in_index = dict(inc)
 
     # -- lookups ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(map(len, self.out_index.values()))
 
     @property
     def num_entities(self) -> int:
@@ -90,7 +72,7 @@ class KnowledgeGraph:
     def entity_label(self, entity_id: int) -> str:
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
-        return self.entities[entity_id].label
+        return self.entities[entity_id]
 
     def relation_id(self, label: str) -> int | None:
         return self._relation_ids.get(label)
@@ -99,30 +81,22 @@ class KnowledgeGraph:
         """Label for a relation id; inverse-offset ids get the ~inv suffix."""
         n = len(self.relations)
         if 0 <= relation_id < n:
-            return self.relations[relation_id].label
+            return self.relations[relation_id]
         if n <= relation_id < 2 * n:
-            return self.relations[relation_id - n].label + INVERSE_MARKER
+            return self.relations[relation_id - n] + INVERSE_MARKER
         raise NotFoundError(f"unknown relation id {relation_id}")
-
-    def inverse_relation_id(self, relation_id: int) -> int:
-        if not 0 <= relation_id < len(self.relations):
-            raise NotFoundError(f"unknown relation id {relation_id}")
-        return relation_id + len(self.relations)
-
-    def is_inverse(self, relation_id: int) -> bool:
-        return relation_id >= len(self.relations)
 
     # -- queries ---------------------------------------------------------
 
-    def neighbors(self, entity_id: int, direction: Direction = "forward") -> list[tuple[int, int]]:
+    def neighbors(self, entity_id: int, direction: str = "forward") -> list[tuple[int, int]]:
         """Adjacent ``(relation_id, entity_id)`` pairs in deterministic order.
 
         ``forward`` follows stored triples head-to-tail; ``inverse`` walks
         them backwards, reporting the relation under its inverse-offset id;
         ``both`` concatenates forward then inverse.
         """
-        if direction not in _DIRECTIONS:
-            raise ContractError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+        if direction not in DIRECTIONS:
+            raise ContractError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
         result: list[tuple[int, int]] = []
@@ -135,7 +109,7 @@ class KnowledgeGraph:
 
     def relation_vocabulary(self) -> list[str]:
         """All distinct relation labels, sorted; inverse synthetics excluded."""
-        return sorted(r.label for r in self.relations)
+        return sorted(self.relations)
 
     # -- serialization ---------------------------------------------------
 
@@ -148,13 +122,11 @@ class KnowledgeGraph:
         an entity first seen as a tail gets an earlier id on reload, which
         reorders head blocks.)
         """
+        entities, relations = self.entities, self.relations
         rows = sorted(
-            (
-                self.entities[t.head].label,
-                self.relations[t.relation].label,
-                self.entities[t.tail].label,
-            )
-            for t in self.triples
+            (entities[head], relations[rid], entities[tail])
+            for head, edges in self.out_index.items()
+            for rid, tail in edges
         )
         return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows)
 
@@ -162,19 +134,20 @@ class KnowledgeGraph:
         Path(path).write_text(self.dumps(), encoding="utf-8")
 
 
-def _iter_fields(lines: Iterable[str]) -> Iterator[tuple[int, str, str, str]]:
+def _iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
+    """``[head, relation, tail]`` per data line; blank and ``#`` lines skipped."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) != 3 or any(not f for f in fields):
+        if len(fields) != 3 or "" in fields:
             raise ParseError(
                 f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}",
                 line=lineno,
                 raw=line,
             )
-        yield lineno, fields[0], fields[1], fields[2]
+        yield fields
 
 
 def load_triples(lines: Iterable[str]) -> KnowledgeGraph:
@@ -184,36 +157,14 @@ def load_triples(lines: Iterable[str]) -> KnowledgeGraph:
     first-appearance order (head, then relation, then tail within a line).
     An empty stream yields a valid empty graph.
     """
-    entities: list[EntityHandle] = []
-    relations: list[RelationHandle] = []
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    triples: list[Triple] = []
-    seen: set[tuple[int, int, int]] = set()
-
-    def intern_entity(label: str) -> int:
-        eid = entity_ids.get(label)
-        if eid is None:
-            eid = len(entities)
-            entity_ids[label] = eid
-            entities.append(EntityHandle(eid, label))
-        return eid
-
-    def intern_relation(label: str) -> int:
-        rid = relation_ids.get(label)
-        if rid is None:
-            rid = len(relations)
-            relation_ids[label] = rid
-            relations.append(RelationHandle(rid, label))
-        return rid
-
-    for _, head, rel, tail in _iter_fields(lines):
-        key = (intern_entity(head), intern_relation(rel), intern_entity(tail))
-        if key in seen:
-            continue
-        seen.add(key)
-        triples.append(Triple(*key))
-    return KnowledgeGraph(entities, relations, triples)
+    adjacency: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    for head, rel, tail in _iter_fields(lines):
+        h = entity_ids.setdefault(head, len(entity_ids))
+        r = relation_ids.setdefault(rel, len(relation_ids))
+        adjacency[h].add((r, entity_ids.setdefault(tail, len(entity_ids))))
+    return KnowledgeGraph(entity_ids, relation_ids, adjacency)
 
 
 def load_triples_path(path: str | Path) -> KnowledgeGraph:

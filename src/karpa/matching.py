@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .embeddings import cosine, cosine_many
+from .embeddings import cosine_many
 from .errors import ContractError
+from .kg import DIRECTIONS
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingGateway
@@ -123,7 +124,7 @@ class MatchConfig:
             raise ContractError(f"max_len must be >= 1, got {self.max_len}")
         if self.frontier_cap < 1:
             raise ContractError(f"frontier_cap must be >= 1, got {self.frontier_cap}")
-        if self.direction not in ("forward", "inverse", "both"):
+        if self.direction not in DIRECTIONS:
             raise ContractError(f"direction must be forward, inverse, or both, got {self.direction!r}")
 
     def resolve_max_len(self, candidates: list[RelationPath]) -> int:
@@ -132,26 +133,6 @@ class MatchConfig:
         if not candidates:
             return 1
         return max(len(c) for c in candidates) + 1
-
-
-def step_cost(gateway: "EmbeddingGateway", kg_label: str, candidate_label: str) -> float:
-    """1 - cosine similarity between the two relation labels; in [0, 2].
-
-    The fixed-length matchers compute the same value in batches.
-    """
-    return 1.0 - gateway.similarity(kg_label, candidate_label)
-
-
-def path_similarity(gateway: "EmbeddingGateway", labels_a: list[str], labels_b: list[str]) -> float:
-    """Similarity of two label sequences joined into single sentences.
-
-    The sequences may have different lengths; each is space-joined and
-    embedded as one text.
-    """
-    if not labels_a or not labels_b:
-        raise ContractError("path similarity requires non-empty label sequences")
-    vec_a, vec_b = gateway.embed([" ".join(labels_a), " ".join(labels_b)])
-    return cosine(vec_a, vec_b)
 
 
 def _scored_children(
@@ -167,8 +148,9 @@ def _scored_children(
     ``sim`` is the cosine of ``child_text(child labels)`` against
     ``query_text``. The query and every child text go to the gateway in one
     ``embed`` request; a prefix with no children makes none. ``cosine`` is
-    symmetric bit for bit, so the cost equals ``step_cost`` and
-    ``1 - path_similarity`` exactly.
+    symmetric bit for bit, so the cost equals the pairwise reference costs
+    (``step_cost`` and ``1 - path_similarity`` in ``tests/oracles.py``)
+    exactly.
     """
     _, labels, entities, steps = prefix
     children = [
@@ -290,8 +272,8 @@ def heuristic_top_k(
     """Variable-length matching by whole-path similarity.
 
     Every simple path of length 1..max_len from the start is a candidate
-    result, scored by ``h = 1 - path_similarity(path labels, candidate)``;
-    a self-loop at the start is not one. Expansion is best-first on the
+    result, scored by ``h = 1 - cosine`` of its space-joined labels against
+    the space-joined candidate; a self-loop at the start is not one. Expansion is best-first on the
     prefix's h; each expansion, the first hop from the start included,
     scores all the prefix's children with one ``gateway.embed`` request.
     The prefix value is a priority, not an admissible bound, so the bounded

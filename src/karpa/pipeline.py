@@ -251,12 +251,9 @@ class Pipeline:
         return answers
 
 
-def run_pipeline(query: Query, cfg: PipelineConfig) -> PipelineResult:
-    """Convenience single-question entry point: builds everything from config."""
-    g = load_graph(cfg)
-    embedder = build_embedding_gateway(cfg)
-    provider = build_chat_provider(cfg)
-    return Pipeline(cfg, g, embedder, provider).run(query)
+def build_pipeline(cfg: PipelineConfig) -> Pipeline:
+    """A pipeline over the configured graph, embedding gateway and chat provider."""
+    return Pipeline(cfg, load_graph(cfg), build_embedding_gateway(cfg), build_chat_provider(cfg))
 
 
 def make_sample_runner(pipeline: Pipeline):

@@ -14,12 +14,33 @@ import math
 import re
 import zlib
 
+from karpa.embeddings import cosine
 from karpa.errors import CapacityError, ContractError
-from karpa.matching import ReasoningPath, RelationPath, ScoredPath, path_similarity, step_cost
+from karpa.matching import ReasoningPath, RelationPath, ScoredPath
 
 _SPLIT = re.compile(r"[^0-9a-z]+")
 
 BRUTE_FORCE_PATH_LIMIT = 10_000_000
+
+
+def step_cost(gateway, kg_label: str, candidate_label: str) -> float:
+    """1 - cosine similarity between the two relation labels; in [0, 2].
+
+    The fixed-length matchers compute the same value in batches.
+    """
+    return 1.0 - gateway.similarity(kg_label, candidate_label)
+
+
+def path_similarity(gateway, labels_a: list[str], labels_b: list[str]) -> float:
+    """Similarity of two label sequences joined into single sentences.
+
+    The sequences may have different lengths; each is space-joined and
+    embedded as one text.
+    """
+    if not labels_a or not labels_b:
+        raise ContractError("path similarity requires non-empty label sequences")
+    vec_a, vec_b = gateway.embed([" ".join(labels_a), " ".join(labels_b)])
+    return cosine(vec_a, vec_b)
 
 
 def ref_mock_embedding(text: str, dim: int) -> list[float]:
@@ -199,3 +220,39 @@ def exhaustive_fixed_length_best(g, gateway, start, candidate_labels, direction=
         if best is None or key < best[0]:
             best = (key, labels, entities, steps, mean)
     return best
+
+
+def ref_graph(label_triples) -> dict:
+    """What ``load_triples`` must build from ``(head, relation, tail)`` label
+    triples, computed naively: one list scan per label and per triple.
+
+    Returns ``entities`` and ``relations`` (labels in first-appearance order:
+    head, relation, tail within a triple), ``neighbors[direction]`` (one
+    sorted list per entity id, inverse relations offset by the relation
+    count), ``len`` (distinct triples) and ``dumps`` (rows sorted by label).
+    """
+    entities: list[str] = []
+    relations: list[str] = []
+    triples: list[tuple[int, int, int]] = []
+    for head, rel, tail in label_triples:
+        for label, table in ((head, entities), (rel, relations), (tail, entities)):
+            if label not in table:
+                table.append(label)
+        key = (entities.index(head), relations.index(rel), entities.index(tail))
+        if key not in triples:
+            triples.append(key)
+    n = len(relations)
+    forward = [sorted((r, t) for h, r, t in triples if h == e) for e in range(len(entities))]
+    inverse = [sorted((r + n, h) for h, r, t in triples if t == e) for e in range(len(entities))]
+    rows = sorted((entities[h], relations[r], entities[t]) for h, r, t in triples)
+    return {
+        "entities": entities,
+        "relations": relations,
+        "neighbors": {
+            "forward": forward,
+            "inverse": inverse,
+            "both": [f + i for f, i in zip(forward, inverse)],
+        },
+        "len": len(triples),
+        "dumps": "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows),
+    }

@@ -21,13 +21,12 @@ from karpa.matching import (
     beam_match,
     dijkstra_avg_match,
     heuristic_top_k,
-    step_cost,
 )
 from karpa.planner import parse_path_sets
 from karpa.reasoner import AnswerSet, parse_answers
 
 from helpers import graph_from, random_graph
-from oracles import brute_force_top_k
+from oracles import brute_force_top_k, step_cost
 
 DATA = Path(__file__).parent / "data" / "fixture20"
 

@@ -381,3 +381,27 @@ def test_eval_webqsp_object_without_questions_is_data_error(tmp_path, kg_file, c
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith("data error: ") and f"{dataset}: no webqsp question list" in err
+
+
+_GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers": [["B"]]})
+
+
+@pytest.mark.parametrize(
+    "format, text, index",
+    [
+        ("simple", f"{_GOOD_SIMPLE}\n[1, 2]\n", 1),
+        ("webqsp", json.dumps(["oops"]), 0),
+        ("webqsp", json.dumps({"Questions": [{"QuestionId": "x", "RawQuestion": "q?", "Parses": "oops"}]}), 0),
+        ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity_name": "A", "answers": ["x"]}]), 0),
+    ],
+    ids=["simple-list-record", "webqsp-string-record", "webqsp-string-parses", "cwq-string-answer"],
+)
+def test_eval_dataset_record_of_wrong_shape_is_data_error(tmp_path, kg_file, capsys, format, text, index):
+    dataset = tmp_path / "data.json"
+    dataset.write_text(text, encoding="utf-8")
+    conf = tmp_path / "ev.conf"
+    conf.write_text(f"kg.path = {kg_file}\nllm.kind = mock\n", encoding="utf-8")
+    code = main(["--config", str(conf), "eval", "--dataset", str(dataset), "--format", format])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith(f"data error: record {index}: ")

@@ -352,9 +352,9 @@ def test_top_k_matches_exhaustive_ranking(gateway):
     query = "people.person.children"
     ranked = gateway.top_k_similar_relations(query, vocab, 5)
 
-    qv = gateway.embed_one(query)
+    qv = gateway.embed([query])[0]
     full = sorted(
-        ((label, cosine(qv, gateway.embed_one(label))) for label in vocab),
+        ((label, cosine(qv, gateway.embed([label])[0])) for label in vocab),
         key=lambda pair: (-pair[1], pair[0]),
     )
     assert ranked == full[:5]

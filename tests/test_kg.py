@@ -2,13 +2,14 @@ import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from karpa.errors import ContractError, NotFoundError, ParseError
 from karpa.kg import INVERSE_MARKER, load_triples, load_triples_path
 
 from helpers import graph_from
+from oracles import ref_graph
 
 
 def test_load_counts_distinct_entities():
@@ -101,10 +102,13 @@ def test_vocabulary_excludes_inverse_synthetics():
 
 
 def test_index_contains_each_triple_exactly_once():
-    g = graph_from([("a", "r", "b"), ("a", "s", "b"), ("b", "r", "a"), ("a", "r", "c")])
-    for t in g.triples:
-        assert g.out_index[t.head].count((t.relation, t.tail)) == 1
-        assert g.in_index[t.tail].count((t.relation, t.head)) == 1
+    triples = [("a", "r", "b"), ("a", "s", "b"), ("b", "r", "a"), ("a", "r", "c"), ("a", "r", "b")]
+    g = graph_from(triples)
+    for h, r, t in triples:
+        head, rid, tail = g.entity_id(h), g.relation_id(r), g.entity_id(t)
+        assert g.out_index[head].count((rid, tail)) == 1
+        assert g.in_index[tail].count((rid, head)) == 1
+    assert len(g) == len(set(triples))
     assert sum(len(v) for v in g.out_index.values()) == len(g)
     assert sum(len(v) for v in g.in_index.values()) == len(g)
 
@@ -177,3 +181,39 @@ def test_load_triples_path_roundtrip(tmp_path):
 def test_empty_label_rejected():
     with pytest.raises(ParseError):
         load_triples(io.StringIO("a\t\tb\n"))
+
+
+_ENTITY_LABELS = ["a", "b", "c", "d", "é", "a b", "A"]
+_RELATION_LABELS = ["r", "s", "r.x", "R", "r s"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_ENTITY_LABELS),
+            st.sampled_from(_RELATION_LABELS),
+            st.sampled_from(_ENTITY_LABELS),
+        ),
+        max_size=40,
+    )
+)
+@example([])
+@example([("a", "r", "a"), ("a", "r", "a"), ("b", "s", "a"), ("a", "r", "b"), ("b", "s", "a")])
+def test_load_triples_equals_reference_graph(label_triples):
+    g = graph_from(label_triples)
+    ref = ref_graph(label_triples)
+    assert g.num_entities == len(ref["entities"])
+    assert g.num_relations == len(ref["relations"])
+    for eid, label in enumerate(ref["entities"]):
+        assert g.entity_id(label) == eid
+        assert g.entity_label(eid) == label
+    n = len(ref["relations"])
+    for rid, label in enumerate(ref["relations"]):
+        assert g.relation_id(label) == rid
+        assert g.relation_label(rid) == label
+        assert g.relation_label(rid + n) == label + INVERSE_MARKER
+    for direction, expected in ref["neighbors"].items():
+        assert [g.neighbors(eid, direction) for eid in range(g.num_entities)] == expected
+    assert len(g) == ref["len"]
+    assert g.dumps() == ref["dumps"]

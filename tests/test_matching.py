@@ -16,9 +16,7 @@ from karpa.matching import (
     dijkstra_avg_match,
     heuristic_top_k,
     match_candidates,
-    path_similarity,
     render_match_report,
-    step_cost,
 )
 
 from helpers import SpyGateway, TWELVE_ENTITY_TRIPLES, graph_from, mock_gateway, random_graph
@@ -26,8 +24,10 @@ from oracles import (
     brute_force_top_k,
     enumerate_all_paths,
     exhaustive_fixed_length_best,
+    path_similarity,
     ref_beam,
     ref_mock_similarity,
+    step_cost,
 )
 
 # Frozen before implementation from the independent reference embedding

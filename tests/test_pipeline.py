@@ -266,14 +266,14 @@ def test_config_digest_ignores_execution_knobs():
 
 def test_run_pipeline_from_config(tmp_path):
     from karpa.embeddings import mock_embed, write_embedding_fixtures
-    from karpa.pipeline import run_pipeline
+    from karpa.pipeline import build_pipeline
 
     kg_path = tmp_path / "kg.tsv"
     kg_path.write_text("A\tr.s.t\tB\n", encoding="utf-8")
     cfg = PipelineConfig()
     cfg.kg.path = str(kg_path)
     cfg.llm.kind = "mock"  # canned "{}" response: explicit empty answers
-    result = run_pipeline(Query("q", "What is linked to A?", ("A",)), cfg)
+    result = build_pipeline(cfg).run(Query("q", "What is linked to A?", ("A",)))
     assert result.answers.is_empty()
     assert result.usage_snapshot["calls"] >= 1
 
