@@ -11,8 +11,11 @@ The gateway is provider-agnostic. Three providers ship here:
   HTTP call, its error mapping, the gateway's retry loop and the fixture
   reader live in ``transport``.
 
-Vocabulary retrieval is an exhaustive cosine scan; vocabulary sizes here
-do not warrant an ANN index.
+Each vector stores its squared norm, taken once when it is made, and
+``cosine_many`` multiplies through the query's nonzero components only; both
+give the same bits as the plain pairwise loop. Vocabulary retrieval is an
+exhaustive cosine scan against vocabulary vectors that each gateway embeds
+once; vocabulary sizes here do not warrant an ANN index.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import re
 import threading
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
@@ -44,13 +47,25 @@ def text_digest(text: str) -> str:
 
 @dataclass(frozen=True)
 class EmbeddingVector:
-    """Fixed-length real vector; all values finite."""
+    """Fixed-length real vector; all values finite.
+
+    ``norm_sq`` is the sum of squared values, added in index order when the
+    vector is made. It takes no part in equality, hashing or ``repr``.
+    """
 
     values: tuple[float, ...]
+    norm_sq: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.values)):
+        nv = 0.0
+        for y in self.values:
+            nv += y * y
+        # A NaN or infinite value makes the norm NaN or infinite, so a finite
+        # norm proves the values finite. Huge finite values overflow it too,
+        # so an infinite norm alone proves nothing: then check each value.
+        if not math.isfinite(nv) and not all(map(math.isfinite, self.values)):
             raise ContractError("embedding values must be finite")
+        object.__setattr__(self, "norm_sq", nv)
 
     @property
     def dim(self) -> int:
@@ -67,28 +82,32 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 
 def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
-    """``cosine(query, v)`` for each ``v`` in order, with the query's norm taken once.
+    """``cosine(query, v)`` for each ``v`` in order, from the stored norms.
 
-    Results are bit-identical to the pairwise calls, and errors are raised
-    at the same vector with the same type: ``ContractError`` on a dimension
-    mismatch before ``DomainError`` for an all-zero vector on either side.
+    The dot product runs over the query's nonzero components only. It starts
+    at ``+0.0`` and so never becomes ``-0.0``; a skipped term is ``±0.0`` and
+    cannot change it. Results are therefore bit-identical to the pairwise
+    loop over every component, and errors are raised at the same vector with
+    the same type: ``ContractError`` on a dimension mismatch before
+    ``DomainError`` for an all-zero vector on either side. The sum is an
+    explicit loop because ``sum()`` of floats is compensated from Python 3.12.
     """
     q = query.values
-    nq = 0.0
-    for x in q:
-        nq += x * x
+    dim = len(q)
+    nq = query.norm_sq
     root_nq = math.sqrt(nq)
+    nonzero = [(i, x) for i, x in enumerate(q) if x]
     out = []
     for vec in vectors:
-        if vec.dim != query.dim:
-            raise ContractError(f"dimension mismatch: {query.dim} vs {vec.dim}")
-        dot = 0.0
-        nv = 0.0
-        for x, y in zip(q, vec.values):
-            dot += x * y
-            nv += y * y
+        v = vec.values
+        if len(v) != dim:
+            raise ContractError(f"dimension mismatch: {dim} vs {len(v)}")
+        nv = vec.norm_sq
         if nq == 0.0 or nv == 0.0:
             raise DomainError("cosine undefined for all-zero vector")
+        dot = 0.0
+        for i, x in nonzero:
+            dot += x * v[i]
         value = dot / (root_nq * math.sqrt(nv))
         out.append(max(-1.0, min(1.0, value)))
     return out
@@ -346,6 +365,9 @@ class EmbeddingGateway:
         self._sleep = sleep
         self._dim: int | None = None
         self._lock = threading.Lock()
+        # (vocabulary, its vectors) from the last ``top_k_similar_relations``
+        # miss. Two threads that miss together each embed it once.
+        self._vocab_memo: tuple[tuple[str, ...], list[EmbeddingVector]] | None = None
 
     def _check_dim(self, vec: EmbeddingVector) -> None:
         dim = self._dim
@@ -369,6 +391,7 @@ class EmbeddingGateway:
         for i, (text, digest) in enumerate(zip(texts, digests)):
             hit = self.cache.get(self._identity_digest, digest)
             if hit is not None:
+                self._check_dim(hit)
                 out[i] = hit
             else:
                 missing.setdefault(text, []).append(i)
@@ -385,8 +408,6 @@ class EmbeddingGateway:
                 self.cache.put(self._identity_digest, digests[positions[0]], vec)
                 for i in positions:
                     out[i] = vec
-        for vec in out:
-            self._check_dim(vec)
         return out
 
     def similarity(self, text_a: str, text_b: str) -> float:
@@ -400,13 +421,23 @@ class EmbeddingGateway:
 
         Descending score, ties broken lexicographically by label. Asking
         for more than the vocabulary holds returns the whole ranking.
+
+        The gateway keeps the vectors of the last vocabulary it embedded.
+        A call with an equal vocabulary embeds only the query; any other
+        embeds the query and the vocabulary in one request.
         """
         if not vocab:
             raise ContractError("vocabulary must be non-empty")
         if k < 1:
             raise ContractError(f"k must be positive, got {k}")
-        vectors = self.embed([query_text] + list(vocab))
-        query_vec = vectors[0]
-        scored = [(label, cosine(query_vec, vec)) for label, vec in zip(vocab, vectors[1:])]
+        key = tuple(vocab)
+        memo = self._vocab_memo
+        if memo is not None and memo[0] == key:
+            query_vec = self.embed([query_text])[0]
+            vocab_vecs = memo[1]
+        else:
+            query_vec, *vocab_vecs = self.embed([query_text, *key])
+            self._vocab_memo = (key, vocab_vecs)
+        scored = list(zip(key, cosine_many(query_vec, vocab_vecs)))
         scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[: min(k, len(vocab))]
+        return scored[: min(k, len(key))]

@@ -74,12 +74,22 @@ class EvalReport:
 # -- dataset loading ------------------------------------------------------
 
 
+def _as_list(value, name: str) -> list:
+    """``value`` if it is a list; a string would otherwise be taken as its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _sample_from_simple(obj: dict) -> QASample:
     return QASample(
         id=str(obj["id"]),
         question=obj["question"],
-        topic_entities=[str(t) for t in obj["topics"]],
-        gold_answers=[[str(a) for a in aliases] for aliases in obj["answers"]],
+        topic_entities=[str(t) for t in _as_list(obj["topics"], "topics")],
+        gold_answers=[
+            [str(a) for a in _as_list(aliases, "answers entry")]
+            for aliases in _as_list(obj["answers"], "answers")
+        ],
     )
 
 
@@ -108,7 +118,7 @@ def _sample_from_cwq(obj: dict) -> QASample:
         topics = [obj["topic_entity_name"]]
     else:
         raise KeyError("topic_entity")
-    answers = [[ans["answer"]] + list(ans.get("aliases", [])) for ans in obj["answers"]]
+    answers = [[ans["answer"]] + _as_list(ans.get("aliases", []), "aliases") for ans in obj["answers"]]
     return QASample(sample_id, question, topics, answers)
 
 
@@ -226,6 +236,10 @@ def _replace_file(path: Path, write: Callable[[TextIO], None]) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
             write(fp)
+            # On disk before the rename, so a power loss leaves the old file
+            # or the whole new one, not an empty one under the new name.
+            fp.flush()
+            os.fsync(fp.fileno())
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -393,8 +393,28 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
         ("webqsp", json.dumps(["oops"]), 0),
         ("webqsp", json.dumps({"Questions": [{"QuestionId": "x", "RawQuestion": "q?", "Parses": "oops"}]}), 0),
         ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity_name": "A", "answers": ["x"]}]), 0),
+        # A string where a list belongs would be taken as its characters.
+        ("simple", json.dumps({"id": "q", "question": "?", "topics": "Topic", "answers": [["B"]]}), 0),
+        ("simple", f'{_GOOD_SIMPLE}\n{json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers": "abc"})}', 1),
+        ("simple", json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers": [["B"], "abc"]}), 0),
+        (
+            "cwq",
+            json.dumps(
+                [{"ID": "1", "question": "q?", "topic_entity_name": "A", "answers": [{"answer": "x", "aliases": "xy"}]}]
+            ),
+            0,
+        ),
     ],
-    ids=["simple-list-record", "webqsp-string-record", "webqsp-string-parses", "cwq-string-answer"],
+    ids=[
+        "simple-list-record",
+        "webqsp-string-record",
+        "webqsp-string-parses",
+        "cwq-string-answer",
+        "simple-string-topics",
+        "simple-string-answers",
+        "simple-string-answers-entry",
+        "cwq-string-aliases",
+    ],
 )
 def test_eval_dataset_record_of_wrong_shape_is_data_error(tmp_path, kg_file, capsys, format, text, index):
     dataset = tmp_path / "data.json"

@@ -120,6 +120,68 @@ def test_cosine_many_is_pairwise_cosine_bit_for_bit(query, vectors):
     assert batch == _outcome(lambda: [ref_pair_cosine(q, v) for v in vs])
 
 
+# Components mostly ±0.0, as in bag-of-features vectors, plus extremes whose
+# squares overflow or underflow: the sparse dot and the stored norms must
+# give the same bits and errors as the full loop.
+_sparse_component = st.one_of(
+    st.just(0.0),
+    st.just(-0.0),
+    st.just(0.0),
+    st.just(-0.0),
+    finite_floats,
+    st.sampled_from([1e300, -1e300, 5e-324, -5e-324]),
+)
+
+
+def _sparse_vector(dim):
+    return st.one_of(st.just((0.0,) * dim), st.just((-0.0,) * dim), st.tuples(*[_sparse_component] * dim))
+
+
+# A query and vectors of its dim, now and then one a component longer.
+_sparse_cases = st.integers(1, 64).flatmap(
+    lambda dim: st.tuples(
+        _sparse_vector(dim),
+        st.lists(st.sampled_from([dim, dim, dim, dim + 1]).flatmap(_sparse_vector), max_size=6),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_cases)
+@example(((0.0, -0.0, 0.0), [(1.0, 0.0, 2.0)]))
+@example(((0.0, 1.0, 0.0), [(0.0, 1.0, 0.0), (-0.0, -0.0, -0.0)]))
+@example(((0.0, 1.0), [(0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 0.0)]))
+def test_cosine_many_with_sparse_vectors_equals_the_pairwise_loop(case):
+    query, vectors = case
+    q = EmbeddingVector(query)
+    vs = [EmbeddingVector(v) for v in vectors]
+    assert _outcome(lambda: cosine_many(q, vs)) == _outcome(lambda: [ref_pair_cosine(q, v) for v in vs])
+
+
+def _loop_norm_sq(values):
+    nv = 0.0
+    for y in values:
+        nv += y * y
+    return nv
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sparse_component, min_size=1, max_size=64))
+def test_stored_norm_is_the_loop_sum_and_stays_out_of_equality(values):
+    a, b = EmbeddingVector(tuple(values)), EmbeddingVector(tuple(list(values)))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.norm_sq == _loop_norm_sq(values)
+    assert repr(a) == f"EmbeddingVector(values={tuple(values)!r})"
+
+
+def test_huge_values_are_finite_though_their_norm_is_not():
+    v = vec(1e200, 1e200)
+    assert v.norm_sq == math.inf
+    with pytest.raises(ContractError):
+        vec(1e200, float("inf"))
+
+
 # -- mock embedding ---------------------------------------------------------
 
 
@@ -371,6 +433,53 @@ def test_top_k_is_prefix_of_full_ranking(gateway):
 def test_top_k_rejects_empty_vocab(gateway):
     with pytest.raises(ContractError):
         gateway.top_k_similar_relations("x", [], 3)
+
+
+def _record_requests(gateway):
+    """The texts of every ``embed`` request ``gateway`` serves from now on."""
+    requests = []
+    embed = gateway.embed
+
+    def recording(texts):
+        requests.append(list(texts))
+        return embed(texts)
+
+    gateway.embed = recording
+    return requests
+
+
+def test_top_k_embeds_a_vocabulary_once_per_gateway():
+    vocab = relation_label_pool(random.Random(5), 30)
+    other = relation_label_pool(random.Random(6), 30)
+    gw = EmbeddingGateway(MockEmbeddingProvider(64))
+    requests = _record_requests(gw)
+    gw.top_k_similar_relations("people person", vocab, 3)
+    gw.top_k_similar_relations("film director", list(vocab), 3)
+    assert requests == [["people person", *vocab], ["film director"]]
+    gw.top_k_similar_relations("film director", other, 3)
+    gw.top_k_similar_relations("music album", other, 3)
+    assert requests[2:] == [["film director", *other], ["music album"]]
+
+
+def test_top_k_over_a_query_sequence_ranks_as_a_fresh_gateway_does():
+    vocabs = [relation_label_pool(random.Random(seed), 40) for seed in (8, 9)]
+    queries = ["people.person.children", "film movie", "people.person.children", "location capital"]
+    gw = EmbeddingGateway(MockEmbeddingProvider(64))
+    for i, query in enumerate(queries * 2):
+        vocab = vocabs[i % 3 == 0]
+        fresh = EmbeddingGateway(MockEmbeddingProvider(64))
+        for k in (1, 7, len(vocab)):
+            assert gw.top_k_similar_relations(query, vocab, k) == fresh.top_k_similar_relations(query, vocab, k)
+
+
+def test_top_k_call_whose_provider_fails_leaves_no_vocabulary_behind():
+    vocab = ["a.b.c", "d.e.f", "g.h.i"]
+    gw = EmbeddingGateway(FlakyEmbeddingProvider(MockEmbeddingProvider(64), failures=3), sleep=lambda _: None)
+    requests = _record_requests(gw)
+    with pytest.raises(TransportError):
+        gw.top_k_similar_relations("a b", vocab, 2)
+    gw.top_k_similar_relations("a b", vocab, 2)
+    assert requests == [["a b", *vocab], ["a b", *vocab]]
 
 
 # -- scripted provider --------------------------------------------------------

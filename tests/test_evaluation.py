@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from types import SimpleNamespace
 
@@ -287,6 +288,31 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_one(tmp_path, mon
 
     resumed = evaluate(samples, must_not_run, checkpoint_dir=tmp_path, config_digest="d1")
     assert render_report(resumed) == render_report(first)
+
+
+def test_checkpoint_files_are_synced_before_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        st = os.stat(src)
+        events.append(("replace", st.st_ino, st.st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    evaluate([sample(5, [["a"]])], lambda s: outcome(answer_set("a")), checkpoint_dir=tmp_path, config_digest="d")
+    # Two files (record and trace), each fsynced whole through the temp
+    # file's own descriptor right before it is renamed.
+    assert [kind for kind, _, _ in events] == ["fsync", "replace"] * 2
+    for (_, synced, synced_size), (_, renamed, renamed_size) in zip(events[::2], events[1::2]):
+        assert synced == renamed
+        assert synced_size == renamed_size > 0
 
 
 def test_concurrent_equals_sequential():
