@@ -308,10 +308,16 @@ class EmbeddingCache:
     def get(self, identity_digest: str, digest: str) -> EmbeddingVector | None:
         return self._memory.get((identity_digest, digest))
 
-    def put(self, identity_digest: str, digest: str, vector: EmbeddingVector) -> None:
+    def put(self, identity_digest: str, digest: str, vector: EmbeddingVector) -> EmbeddingVector:
+        """Store ``vector`` unless the key is held already; return the held vector.
+
+        Callers keep the returned vector, so two threads that embedded the
+        same text keep one object between them.
+        """
         with self._lock:
-            if (identity_digest, digest) in self._memory:
-                return
+            stored = self._memory.get((identity_digest, digest))
+            if stored is not None:
+                return stored
             self._memory[(identity_digest, digest)] = vector
             if self._path is not None:
                 with self._path.open("w" if self._overwrite else "a", encoding="utf-8") as fp:
@@ -331,6 +337,7 @@ class EmbeddingCache:
                         + "\n"
                     )
                     fp.flush()
+        return vector
 
     def stats(self) -> dict:
         size = self._path.stat().st_size if self._path is not None and self._path.exists() else 0
@@ -405,7 +412,7 @@ class EmbeddingGateway:
             for text, vec in zip(unique, vectors):
                 self._check_dim(vec)
                 positions = missing[text]
-                self.cache.put(self._identity_digest, digests[positions[0]], vec)
+                vec = self.cache.put(self._identity_digest, digests[positions[0]], vec)
                 for i in positions:
                     out[i] = vec
         return out

@@ -168,7 +168,7 @@ def _loop_norm_sq(values):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_sparse_component, min_size=1, max_size=64))
 def test_stored_norm_is_the_loop_sum_and_stays_out_of_equality(values):
-    a, b = EmbeddingVector(tuple(values)), EmbeddingVector(tuple(list(values)))
+    a, b = EmbeddingVector(tuple(values)), EmbeddingVector(tuple(values))
     assert a == b
     assert hash(a) == hash(b)
     assert a.norm_sq == _loop_norm_sq(values)
@@ -312,6 +312,26 @@ def test_dim_drift_is_contract_error():
     gw.embed(["first"])
     with pytest.raises(ContractError):
         gw.embed(["second"])
+
+
+def test_embed_keeps_the_vector_another_thread_cached_first():
+    cache = EmbeddingCache()
+    provider = MockEmbeddingProvider(64)
+    identity = text_digest(provider.identity)
+    held = provider.embed_batch(["raced text"])[0]
+
+    class Racing:
+        """Another worker caches the text while this provider call runs."""
+
+        identity = provider.identity
+
+        def embed_batch(self, texts):
+            cache.put(identity, text_digest("raced text"), held)
+            return provider.embed_batch(texts)
+
+    (vec,) = EmbeddingGateway(Racing(), cache).embed(["raced text"])
+    assert vec is held
+    assert cache.put(identity, text_digest("raced text"), mock_embed("raced text", 64)) is held
 
 
 def test_cache_roundtrip_equals_uncached():
@@ -462,11 +482,12 @@ def test_top_k_embeds_a_vocabulary_once_per_gateway():
 
 
 def test_top_k_over_a_query_sequence_ranks_as_a_fresh_gateway_does():
-    vocabs = [relation_label_pool(random.Random(seed), 40) for seed in (8, 9)]
+    a, b = (relation_label_pool(random.Random(seed), 40) for seed in (8, 9))
     queries = ["people.person.children", "film movie", "people.person.children", "location capital"]
     gw = EmbeddingGateway(MockEmbeddingProvider(64))
-    for i, query in enumerate(queries * 2):
-        vocab = vocabs[i % 3 == 0]
+    # The vocabulary switches now and then, so the kept vectors are both
+    # reused and replaced.
+    for query, vocab in zip(queries * 2, [b, a, a, b, a, a, b, a]):
         fresh = EmbeddingGateway(MockEmbeddingProvider(64))
         for k in (1, 7, len(vocab)):
             assert gw.top_k_similar_relations(query, vocab, k) == fresh.top_k_similar_relations(query, vocab, k)
