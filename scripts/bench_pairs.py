@@ -16,7 +16,7 @@ and per workload every run's last stdout line. Per metric it gives each
 side's median, quartiles and IQR, and for the end-to-end metrics that the
 change's ``BENCHMARK.json`` lists, how many pairs each side won in the
 metric's better direction. The file is rewritten after every run, so an
-interrupted session keeps the runs made so far. The worktrees are removed
+interrupted run keeps the pairs made so far. The worktrees are removed
 on exit.
 
 Exit status 1 if any run failed, printed no result, reported
