@@ -10,14 +10,14 @@ directory, so each side runs ``python3 perfbench/run.py --trace 0`` on its
 own sources. Pair ``i`` runs the base first when ``i`` is even and the change
 first when it is odd, so a drift in host speed falls on both sides alike.
 
-``BENCH_<tag>.json`` (in ``--out``, default the repository root) records the
-commits, the seed, ``--seconds``, the host's CPU count and Python version,
-and per workload every run's last stdout line. Per metric it gives each
-side's median, quartiles and IQR, and for the end-to-end metrics that the
-change's ``BENCHMARK.json`` lists, how many pairs each side won in the
-metric's better direction. The file is rewritten after every run, so an
-interrupted run keeps the pairs made so far. The worktrees are removed
-on exit.
+``BENCH_<tag>.json``, written to the root of the repository that holds this
+script, records the commits, the seed, ``--seconds``, the host's CPU count
+and Python version, and per workload every run's last stdout line. Per
+metric it gives each side's median, quartiles and IQR, and for the
+end-to-end metrics that the change's ``BENCHMARK.json`` lists, how many
+pairs each side won in the metric's better direction. The file is
+rewritten after every run, so an interrupted run keeps the pairs made so
+far. The worktrees are removed on exit.
 
 Exit status 1 if any run failed, printed no result, reported
 ``"correct": false`` or failed an operation.
@@ -138,7 +138,7 @@ def nproc() -> int:
     return os.cpu_count() or 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent revision")
     parser.add_argument("--change", required=True, help="revision under test")
@@ -147,12 +147,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--tag", required=True, help="the output is BENCH_<tag>.json")
-    parser.add_argument("--out", type=Path, default=None, help="output directory (default: the repository root)")
-    parser.add_argument("--repo", type=Path, default=REPO, help="git repository (default: this checkout)")
-    args = parser.parse_args(argv)
+    args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be positive")
-    out = (args.out or args.repo) / f"BENCH_{args.tag}.json"
+    out = REPO / f"BENCH_{args.tag}.json"
 
     revisions = {side: getattr(args, side) for side in SIDES}
     record = {
@@ -161,10 +159,10 @@ def main(argv: list[str] | None = None) -> int:
         "revisions": {
             side: {
                 "rev": rev,
-                "commit": git(args.repo, "rev-parse", f"{rev}^{{commit}}"),
+                "commit": git(REPO, "rev-parse", f"{rev}^{{commit}}"),
                 # Equal tree hashes mean equal files, across amended or rebased commits.
-                "src_tree": tree_hash(args.repo, rev, "src"),
-                "perfbench_tree": tree_hash(args.repo, rev, "perfbench"),
+                "src_tree": tree_hash(REPO, rev, "src"),
+                "perfbench_tree": tree_hash(REPO, rev, "perfbench"),
             }
             for side, rev in revisions.items()
         },
@@ -185,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             for side in SIDES:
                 trees[side] = Path(tmp) / side
-                git(args.repo, "worktree", "add", "--detach", str(trees[side]), record["revisions"][side]["commit"])
+                git(REPO, "worktree", "add", "--detach", str(trees[side]), record["revisions"][side]["commit"])
             better = better_directions(trees["change"])
             for workload in args.workload:
                 runs: list[dict] = []
@@ -203,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"{workload} pair {pair} {side}: ok={run_ok(run)} questions_per_s={qps}", file=sys.stderr)
         finally:
             for path in trees.values():
-                subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=args.repo,
+                subprocess.run(["git", "worktree", "remove", "--force", str(path)], cwd=REPO,
                                capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=args.repo, capture_output=True)
+            subprocess.run(["git", "worktree", "prune"], cwd=REPO, capture_output=True)
 
     for workload, entry in record["workloads"].items():
         for name, stats in entry["summary"].items():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +36,9 @@ def two_revisions(tmp_path):
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(_FAKE_RUN, encoding="utf-8")
+    # The script works on the repository it sits in, and writes its record there.
+    (repo / "scripts").mkdir()
+    shutil.copy(_SCRIPT, repo / "scripts" / "bench_pairs.py")
     (repo / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": [
             {"name": "questions_per_s", "better": "higher"},
@@ -52,16 +56,19 @@ def two_revisions(tmp_path):
     return repo
 
 
-def test_pairs_alternate_and_record_every_run(two_revisions, tmp_path):
+def _bench_pairs(repo, *args):
+    return subprocess.run(
+        [sys.executable, "scripts/bench_pairs.py", "--base", "HEAD~1", "--change", "HEAD", "--workload", "w",
+         "--seconds", "1", "--tag", "t", *args],
+        cwd=repo, capture_output=True, text=True,
+    )
+
+
+def test_pairs_alternate_and_record_every_run(two_revisions):
     repo = two_revisions
-    out = tmp_path / "out"
-    out.mkdir()
-    code = bench_pairs.main([
-        "--repo", str(repo), "--base", "HEAD~1", "--change", "HEAD", "--workload", "w",
-        "--seed", "3", "--seconds", "1", "--pairs", "3", "--tag", "t", "--out", str(out),
-    ])
-    assert code == 0
-    record = json.loads((out / "BENCH_t.json").read_text(encoding="utf-8"))
+    proc = _bench_pairs(repo, "--seed", "3", "--pairs", "3")
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))
     assert record["revisions"]["change"]["commit"] == _git(repo, "rev-parse", "HEAD")
     assert record["revisions"]["base"]["commit"] == _git(repo, "rev-parse", "HEAD~1")
     assert (record["seed"], record["seconds"], record["pairs"]) == (3, 1.0, 3)
@@ -92,15 +99,12 @@ def test_summary_quartiles_and_lower_is_better():
     assert summary["pairs_won"] == {"change": 2, "base": 1, "tie": 1}
 
 
-def test_a_run_without_a_result_line_fails_the_script(two_revisions, tmp_path):
+def test_a_run_without_a_result_line_fails_the_script(two_revisions):
     repo = two_revisions
     (repo / "perfbench" / "run.py").write_text("import sys; sys.exit(2)\n", encoding="utf-8")
     _git(repo, "commit", "-q", "-am", "broken")
-    code = bench_pairs.main([
-        "--repo", str(repo), "--base", "HEAD~1", "--change", "HEAD", "--workload", "w",
-        "--seed", "1", "--seconds", "1", "--pairs", "1", "--tag", "t", "--out", str(tmp_path),
-    ])
-    assert code == 1
-    runs = json.loads((tmp_path / "BENCH_t.json").read_text(encoding="utf-8"))["workloads"]["w"]["runs"]
+    proc = _bench_pairs(repo, "--seed", "1", "--pairs", "1")
+    assert proc.returncode == 1
+    runs = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))["workloads"]["w"]["runs"]
     broken = next(r for r in runs if r["side"] == "change")
     assert broken["result"] is None and broken["returncode"] == 2
