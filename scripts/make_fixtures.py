@@ -16,21 +16,28 @@ Outputs under tests/data/fixture20/:
     questions.jsonl      all 20 questions (simple dataset format)
     questions5.jsonl     the 5-question subset used by the small fixture
     llm_fixtures.jsonl   scripted chat responses keyed by prompt digest
+    golden/              the CLI's outputs on these fixtures (see golden_outputs)
 
 The script verifies the generated corpus end-to-end (Hit@1 = 1.0, call
-counts match 2 + ceil(selected/8)) before writing anything.
+counts match 2 + ceil(selected/8)) before writing the golden outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from karpa.cli import main as karpa_main  # noqa: E402
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider  # noqa: E402
 from karpa.evaluation import evaluate, load_dataset  # noqa: E402
 from karpa.kg import load_triples  # noqa: E402
@@ -48,6 +55,7 @@ from karpa.planner import (  # noqa: E402
 from karpa.reasoner import build_reasoning_prompt  # noqa: E402
 
 OUT_DIR = REPO / "tests" / "data" / "fixture20"
+GOLDEN_DIR = OUT_DIR / "golden"
 
 REL_MAIN_COUNTRY = "language.human_language.main_country"
 REL_OFFICE_HOLDER = "government.government_position_held.office_holder"
@@ -239,6 +247,58 @@ def verify(out_dir: Path, selected_counts: dict[str, int]) -> None:
     print(f"verified: hit1=1.0 f1=1.0 calls/question={mean_calls}")
 
 
+def golden_outputs() -> dict[str, bytes]:
+    """What the CLI writes for the shipped fixtures, by golden file name.
+
+    ``eval`` over all 20 questions (report and summary TSV), the trace of one
+    ``ask``, and ``match`` with each strategy, forward and with inverse
+    edges. The config names the fixtures by repo-relative paths and the runs
+    start in the repository root with no ``KARPA_*`` variable set, so the
+    reports' ``config_digest`` does not depend on where the repository lives.
+    """
+    first = build_questions()[0]
+    topic = first["topics"][0]
+    path = ",".join(first["plan"][2])
+    config = (
+        "kg.path = tests/data/fixture20/kg.tsv\n"
+        "llm.kind = scripted\n"
+        "llm.fixtures = tests/data/fixture20/llm_fixtures.jsonl\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KARPA_")}
+    outputs: dict[str, bytes] = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, env, clear=True):
+        work = Path(tmp)
+        forward, inverse = work / "forward.conf", work / "inverse.conf"
+        forward.write_text(config, encoding="utf-8")
+        inverse.write_text(config + "kg.inverse_edges = true\n", encoding="utf-8")
+
+        def run(conf: Path, *argv: str) -> bytes:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = karpa_main(["--config", str(conf), *argv])
+            if code != 0:
+                raise RuntimeError(f"karpa {' '.join(argv)} exited {code}")
+            return stdout.getvalue().encode("utf-8")
+
+        os.chdir(REPO)
+        try:
+            run(forward, "eval", "--dataset", "tests/data/fixture20/questions.jsonl",
+                "--report", str(work / "eval_report.txt"), "--tsv", str(work / "eval_summary.tsv"))
+            run(forward, "ask", "--question", first["question"], "--topic", topic,
+                "--id", first["id"], "--trace", str(work / "ask_trace.jsonl"))
+            for name in ("eval_report.txt", "eval_summary.tsv", "ask_trace.jsonl"):
+                outputs[name] = (work / name).read_bytes()
+            for strategy in ("beam", "pathfind", "heuristic"):
+                for direction, conf in (("forward", forward), ("inverse", inverse)):
+                    outputs[f"match_{strategy}_{direction}.txt"] = run(
+                        conf, "match", "--topic", topic, "--path", path, "--strategy", strategy
+                    )
+        finally:
+            os.chdir(cwd)
+    return outputs
+
+
 def main() -> None:
     OUT_DIR.mkdir(parents=True, exist_ok=True)
     triples = build_triples()
@@ -271,6 +331,11 @@ def main() -> None:
 
     print(f"wrote {len(triples)} triples, {len(questions)} questions, {len(fixtures)} chat fixtures")
     verify(OUT_DIR, selected_counts)
+
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, data in golden_outputs().items():
+        (GOLDEN_DIR / name).write_bytes(data)
+    print(f"wrote golden outputs to {GOLDEN_DIR.relative_to(REPO)}")
 
 
 if __name__ == "__main__":
