@@ -6,6 +6,10 @@ variable named ``KARPA_<SECTION>_<KEY>`` (dots to underscores, upper
 case), e.g. ``KARPA_MATCHER_TOP_K=8``. API keys are never part of the
 config file: ``KARPA_LLM_API_KEY`` and ``KARPA_EMBED_API_KEY``.
 
+Each section is a dataclass whose fields are its keys. Two sections are the
+types their modules take: ``matcher`` is ``matching.MatchConfig`` and
+``llm`` is ``llm.LlmParams``.
+
 The config digest identifies the *semantics* of a run; execution-only
 knobs (eval concurrency, checkpoint directory) are excluded so the same
 evaluation is byte-identical no matter how it was scheduled.
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError
+from .llm import LlmParams
 from .matching import MatchConfig
 
 PROVIDER_KINDS = ("http", "scripted", "mock")
@@ -34,16 +39,6 @@ class EmbeddingOptions:
     dim: int = 64
     fixtures: str = ""
     cache_path: str = ""
-
-
-@dataclass
-class LlmOptions:
-    kind: str = "mock"
-    endpoint: str = ""
-    model: str = ""
-    temperature: float = 0.0
-    max_output: int = 1024
-    fixtures: str = ""
 
 
 @dataclass
@@ -74,7 +69,7 @@ class EvalOptions:
 class PipelineConfig:
     kg: KgOptions = field(default_factory=KgOptions)
     embedding: EmbeddingOptions = field(default_factory=EmbeddingOptions)
-    llm: LlmOptions = field(default_factory=LlmOptions)
+    llm: LlmParams = field(default_factory=LlmParams)
     matcher: MatchConfig = field(default_factory=MatchConfig)
     planner: PlannerOptions = field(default_factory=PlannerOptions)
     reasoner: ReasonerOptions = field(default_factory=ReasonerOptions)

@@ -4,7 +4,9 @@ Providers are pluggable: a generic HTTP chat service client, a scripted
 replay provider keyed by the digest of the full message list (the
 workhorse of the offline test suite), and a trivial canned provider.
 Every completion is tallied in a ``UsageLedger`` under a phase name so
-call counts and token totals per question can be reported. The HTTP call,
+call counts and token totals per question can be reported. ``LlmParams`` is
+the ``llm`` config section: the provider kind and its endpoint or fixtures,
+and the model settings sent with every completion. The HTTP call,
 its error mapping, the retry loop and the fixture reader live in
 ``transport``; the HTTP client here only builds its request body and reads
 the fields it needs from the reply.
@@ -27,6 +29,9 @@ from .transport import post_json, read_records, with_retries
 _ROLES = ("system", "user", "assistant")
 
 PHASES = ("initial_planning", "replanning", "reasoning")
+
+# What a ``UsageLedger`` counts, per phase and in total.
+COUNTERS = ("calls", "prompt_tokens", "completion_tokens", "estimated_calls")
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,14 @@ class CompletionResult:
 
 @dataclass
 class LlmParams:
+    """The ``llm`` config section; providers read the model settings from it."""
+
+    kind: str = "mock"
+    endpoint: str = ""
     model: str = ""
     temperature: float = 0.0
     max_output: int = 1024
+    fixtures: str = ""
 
 
 def estimate_tokens(text: str) -> int:
@@ -68,79 +78,46 @@ def digest_messages(messages: list[ChatMessage]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class PhaseUsage:
-    calls: int = 0
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
-    estimated_calls: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-            "estimated_calls": self.estimated_calls,
-        }
-
-
 class UsageLedger:
     """Thread-safe, monotonically growing per-phase usage counters.
 
-    Totals are derived from the phases, so the phase breakdown always sums
-    to the totals regardless of call interleaving.
+    Each phase holds one count per name in ``COUNTERS``. Totals are derived
+    from the phases, so the phase breakdown always sums to the totals
+    regardless of call interleaving.
     """
 
     def __init__(self):
-        self._phases: dict[str, PhaseUsage] = {}
+        self._phases: dict[str, list[int]] = {}
         self._lock = threading.Lock()
+
+    def _add(self, phase: str, counts: Iterable[int]) -> None:
+        """Add ``counts``, in ``COUNTERS`` order, to a phase; the caller holds the lock."""
+        totals = self._phases.setdefault(phase, [0] * len(COUNTERS))
+        for i, count in enumerate(counts):
+            totals[i] += count
 
     def record(self, phase: str, result: CompletionResult) -> None:
         with self._lock:
-            usage = self._phases.setdefault(phase, PhaseUsage())
-            usage.calls += 1
-            usage.prompt_tokens += result.prompt_tokens
-            usage.completion_tokens += result.completion_tokens
-            if result.estimated:
-                usage.estimated_calls += 1
+            self._add(phase, (1, result.prompt_tokens, result.completion_tokens, int(result.estimated)))
 
     @property
     def calls(self) -> int:
         with self._lock:
-            return sum(u.calls for u in self._phases.values())
-
-    @property
-    def prompt_tokens(self) -> int:
-        with self._lock:
-            return sum(u.prompt_tokens for u in self._phases.values())
-
-    @property
-    def completion_tokens(self) -> int:
-        with self._lock:
-            return sum(u.completion_tokens for u in self._phases.values())
+            return sum(counts[0] for counts in self._phases.values())
 
     def snapshot(self) -> dict:
         with self._lock:
-            phases = {name: PhaseUsage(**u.as_dict().copy()) for name, u in self._phases.items()}
+            phases = {name: dict(zip(COUNTERS, counts)) for name, counts in self._phases.items()}
         for name in PHASES:
-            phases.setdefault(name, PhaseUsage())
-        ordered = dict(sorted(phases.items()))
-        return {
-            "calls": sum(u.calls for u in ordered.values()),
-            "prompt_tokens": sum(u.prompt_tokens for u in ordered.values()),
-            "completion_tokens": sum(u.completion_tokens for u in ordered.values()),
-            "estimated_calls": sum(u.estimated_calls for u in ordered.values()),
-            "phases": {name: u.as_dict() for name, u in ordered.items()},
-        }
+            phases.setdefault(name, dict.fromkeys(COUNTERS, 0))
+        phases = dict(sorted(phases.items()))
+        totals = {key: sum(usage[key] for usage in phases.values()) for key in COUNTERS}
+        return {**totals, "phases": phases}
 
     def merge_snapshot(self, snapshot: dict) -> None:
         with self._lock:
-            for name, values in snapshot["phases"].items():
-                usage = self._phases.setdefault(name, PhaseUsage())
-                usage.calls += values["calls"]
-                usage.prompt_tokens += values["prompt_tokens"]
-                usage.completion_tokens += values["completion_tokens"]
-                usage.estimated_calls += values["estimated_calls"]
+            for name, usage in snapshot["phases"].items():
+                self._add(name, (usage[key] for key in COUNTERS))
 
 
 def _estimated_usage(messages: list[ChatMessage], text: str) -> tuple[int, int]:

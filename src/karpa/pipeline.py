@@ -26,7 +26,6 @@ from .llm import (
     CannedChatProvider,
     HttpChatProvider,
     LlmGateway,
-    LlmParams,
     ScriptedChatProvider,
     UsageLedger,
     digest_messages,
@@ -112,11 +111,7 @@ class Pipeline:
         self.embedder = embedder
         self.chat_provider = chat_provider
         self.vocab = g.relation_vocabulary()
-        self.params = LlmParams(
-            model=cfg.llm.model,
-            temperature=cfg.llm.temperature,
-            max_output=cfg.llm.max_output,
-        )
+        self.params = cfg.llm
 
     def run(self, query: Query) -> PipelineResult:
         ledger = UsageLedger()

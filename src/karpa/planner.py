@@ -17,7 +17,8 @@ from .llm import ChatMessage, LlmGateway, LlmParams
 from .matching import RelationPath
 
 _PLACEHOLDER = re.compile(r"\{\{(question|topic_entities|relations|reasoning_paths)\}\}")
-_BRACE_GROUP = re.compile(r"\{([^{}]*)\}")
+# The group, holding no brace, that planning and reasoning replies write their items in.
+BRACE_GROUP = re.compile(r"\{([^{}]*)\}")
 _LENGTH_HEADER = re.compile(r"Length\s+(\d+)\s+reasoning\s+path", re.IGNORECASE)
 
 PATH_LENGTHS = (1, 2, 3)
@@ -96,6 +97,11 @@ def render_template(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER.sub(sub, template)
 
 
+def comma_items(content: str) -> list[str]:
+    """The comma-separated items of a brace group's content, trimmed, empty ones dropped."""
+    return [part.strip() for part in content.split(",") if part.strip()]
+
+
 def build_initial_prompt(query: Query) -> list[ChatMessage]:
     text = render_template(
         load_template("initial_planning.txt"),
@@ -118,14 +124,13 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
     found_any = False
     for idx, (start, length) in enumerate(headers):
         end = headers[idx + 1][0] if idx + 1 < len(headers) else len(llm_text)
-        groups = _BRACE_GROUP.findall(llm_text[start:end])
+        groups = BRACE_GROUP.findall(llm_text[start:end])
         if not groups:
             continue
         found_any = True
-        content = groups[-1].strip()
-        if not content or content.lower() == "none":
+        if groups[-1].strip().lower() == "none":
             continue
-        labels = tuple(part.strip() for part in content.split(",") if part.strip())
+        labels = tuple(comma_items(groups[-1]))
         if not labels:
             continue
         path = RelationPath(labels)

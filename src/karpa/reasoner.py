@@ -9,19 +9,16 @@ or leniently.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ContractError, ProviderError
-from .llm import ChatMessage, LlmGateway, LlmParams
-from .planner import Query, load_template, render_template
+from .llm import ChatMessage, LlmGateway, LlmParams, digest_messages
+from .planner import BRACE_GROUP, Query, comma_items, load_template, render_template
 
 if TYPE_CHECKING:
     from .kg import KnowledgeGraph
     from .matching import ScoredPath
-
-_BRACE_GROUP = re.compile(r"\{([^{}]*)\}")
 
 DEFAULT_BATCH_LIMIT = 8
 
@@ -108,17 +105,13 @@ def parse_answers(llm_text: str, batch: int = 0) -> AnswerSet:
     Empty braces mean an explicit empty answer; no braces at all sets the
     abstention marker instead of raising.
     """
-    groups = _BRACE_GROUP.findall(llm_text)
+    groups = BRACE_GROUP.findall(llm_text)
     answers = AnswerSet()
     if not groups:
         answers.no_answer_marker = True
         return answers
-    content = groups[-1].strip()
-    if content:
-        for part in content.split(","):
-            part = part.strip()
-            if part:
-                answers.add(part, batch)
+    for part in comma_items(groups[-1]):
+        answers.add(part, batch)
     return answers
 
 
@@ -139,8 +132,6 @@ def answer_question(
     trace list is given, one event per batch is appended to it (prompt
     digest, raw completion or failure, parsed answers).
     """
-    from .llm import digest_messages
-
     if batch_limit < 1:
         raise ContractError(f"batch_limit must be >= 1, got {batch_limit}")
     if not matched:
