@@ -6,9 +6,8 @@ variable named ``KARPA_<SECTION>_<KEY>`` (dots to underscores, upper
 case), e.g. ``KARPA_MATCHER_TOP_K=8``. API keys are never part of the
 config file: ``KARPA_LLM_API_KEY`` and ``KARPA_EMBED_API_KEY``.
 
-Each section is a dataclass whose fields are its keys. Two sections are the
-types their modules take: ``matcher`` is ``matching.MatchConfig`` and
-``llm`` is ``llm.LlmParams``.
+Each section is a dataclass whose fields are its keys; ``matcher`` is
+``matching.MatchConfig`` and ``llm`` is ``llm.LlmParams``.
 
 The config digest identifies the *semantics* of a run; execution-only
 knobs (eval concurrency, checkpoint directory) are excluded so the same

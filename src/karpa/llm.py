@@ -30,7 +30,6 @@ _ROLES = ("system", "user", "assistant")
 
 PHASES = ("initial_planning", "replanning", "reasoning")
 
-# What a ``UsageLedger`` counts, per phase and in total.
 COUNTERS = ("calls", "prompt_tokens", "completion_tokens", "estimated_calls")
 
 
@@ -102,8 +101,7 @@ class UsageLedger:
 
     @property
     def calls(self) -> int:
-        with self._lock:
-            return sum(counts[0] for counts in self._phases.values())
+        return self.snapshot()["calls"]
 
     def snapshot(self) -> dict:
         with self._lock:
@@ -159,8 +157,7 @@ class ScriptedChatProvider:
         if digest not in self._fixtures:
             raise MissingFixtureError(digest)
         text = self._fixtures[digest]
-        prompt_tokens, completion_tokens = _estimated_usage(messages, text)
-        return CompletionResult(text, prompt_tokens, completion_tokens, estimated=True)
+        return CompletionResult(text, *_estimated_usage(messages, text), estimated=True)
 
 
 def write_chat_fixtures(path: str | Path, records: Iterable[tuple[str, str]]) -> None:
@@ -180,8 +177,7 @@ class CannedChatProvider:
         self.identity = "canned"
 
     def complete(self, messages: list[ChatMessage], params: LlmParams) -> CompletionResult:
-        prompt_tokens, completion_tokens = _estimated_usage(messages, self.text)
-        return CompletionResult(self.text, prompt_tokens, completion_tokens, estimated=True)
+        return CompletionResult(self.text, *_estimated_usage(messages, self.text), estimated=True)
 
 
 class HttpChatProvider:
@@ -223,8 +219,7 @@ class HttpChatProvider:
                 )
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ProviderError(f"malformed chat reply ({type(exc).__name__}: {exc})") from None
-        prompt_tokens, completion_tokens = _estimated_usage(messages, text)
-        return CompletionResult(text, prompt_tokens, completion_tokens, estimated=True)
+        return CompletionResult(text, *_estimated_usage(messages, text), estimated=True)
 
 
 class LlmGateway:

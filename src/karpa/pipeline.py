@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 from .config import PipelineConfig
@@ -55,8 +56,6 @@ class PipelineResult:
 
 
 def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
-    import os
-
     opts = cfg.embedding
     if opts.kind == "mock":
         provider = MockEmbeddingProvider(dim=opts.dim)
@@ -75,8 +74,6 @@ def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
 
 
 def build_chat_provider(cfg: PipelineConfig):
-    import os
-
     opts = cfg.llm
     if opts.kind == "mock":
         return CannedChatProvider()

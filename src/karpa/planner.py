@@ -128,10 +128,8 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
         if not groups:
             continue
         found_any = True
-        if groups[-1].strip().lower() == "none":
-            continue
         labels = tuple(comma_items(groups[-1]))
-        if not labels:
+        if not labels or groups[-1].strip().lower() == "none":
             continue
         path = RelationPath(labels)
         if len(labels) != length:

@@ -144,7 +144,6 @@ def answer_question(
     batches = [matched[i : i + batch_limit] for i in range(0, len(matched), batch_limit)]
     failures = 0
     abstained = 0
-    succeeded = 0
     for index, batch in enumerate(batches):
         messages = build_reasoning_prompt(query, batch, g)
         event = {
@@ -158,22 +157,19 @@ def answer_question(
         except ProviderError as exc:
             failures += 1
             event["failed"] = f"{type(exc).__name__}: {exc}"
-            if trace is not None:
-                trace.append(event)
-            continue
-        succeeded += 1
-        parsed = parse_answers(result.text, batch=index)
-        if parsed.no_answer_marker:
-            abstained += 1
-        for surface in parsed.answers:
-            merged.add(surface, index)
-        event["raw"] = result.text
-        event["parsed"] = list(parsed.answers)
+        else:
+            parsed = parse_answers(result.text, batch=index)
+            if parsed.no_answer_marker:
+                abstained += 1
+            for surface in parsed.answers:
+                merged.add(surface, index)
+            event["raw"] = result.text
+            event["parsed"] = list(parsed.answers)
         if trace is not None:
             trace.append(event)
     if failures == len(batches):
         raise ProviderError(f"all {len(batches)} reasoning batches failed")
-    merged.no_answer_marker = succeeded > 0 and abstained == succeeded
+    merged.no_answer_marker = abstained == len(batches) - failures
 
     tails = {normalize_answer(g.entity_label(p.path.tail)) for p in matched}
     merged.ungrounded = {norm for norm in merged.normalized() if norm not in tails}
