@@ -1,7 +1,8 @@
 """Command-line surface: ingest, ask, eval, match, cache.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 provider
-error.
+error. Text outside an operation's domain, such as a graph label with no
+letter or digit to embed, is a data error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .config import config_digest, load_config
 from .embeddings import EmbeddingCache
-from .errors import ConfigError, DataError, ProviderError
+from .errors import ConfigError, DataError, DomainError, ProviderError
 from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv
 from .kg import load_triples_path
 from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
@@ -175,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, DomainError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ProviderError as exc:

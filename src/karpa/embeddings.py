@@ -234,7 +234,8 @@ class HttpEmbeddingProvider:
     index-aligned to the input. The API key (if any) is read from the
     ``KARPA_EMBED_API_KEY`` environment variable and sent as a bearer token.
     A reply without ``data`` rows of ``index`` and finite ``embedding``
-    numbers, one per input, is a ``ProviderError``.
+    numbers, one per input, or with an all-zero vector, which no cosine is
+    defined for, is a ``ProviderError``.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None, timeout: float = 30.0):
@@ -255,6 +256,8 @@ class HttpEmbeddingProvider:
             raise ProviderError(f"malformed embedding reply ({type(exc).__name__}: {exc})") from None
         if len(vectors) != len(texts):
             raise ProviderError(f"embedding service returned {len(vectors)} vectors for {len(texts)} inputs")
+        if any(vector.norm_sq == 0.0 for vector in vectors):
+            raise ProviderError("embedding service returned an all-zero vector")
         return vectors
 
 
@@ -263,9 +266,12 @@ class EmbeddingCache:
 
     When backed by a file, records are line-JSON after a version header
     line; writes are atomic per key (guarded by a lock, flushed per line).
-    A load skips and counts lines that are not whole records, such as one
-    cut short by an interrupted write, and the next append starts on a new
-    line so that no later record is glued onto the cut one.
+    Only the cache that creates the file writes the header: it creates the
+    file exclusively (``O_EXCL``), and a cache that finds the file made by
+    another since it looked appends its record without one. A load skips
+    and counts lines that are not whole records, such as one cut short by
+    an interrupted write, and the next append starts on a new line so that
+    no later record is glued onto the cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -273,15 +279,17 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self.skipped = 0
-        # What the next append writes before its record, and whether it
-        # replaces the file: decided once here, so ``put`` adds no syscall.
+        # What the next append writes before its record, and the mode it
+        # opens the file in ("x" creates it, "a" appends, "w" replaces a cut
+        # header): decided once here, so ``put`` adds no syscall.
         self._lead = _HEADER_LINE
-        self._overwrite = False
+        self._mode = "x"
         if self._path is not None and self._path.exists():
             self._load()
 
     def _load(self) -> None:
         assert self._path is not None
+        self._mode = "a"
         with self._path.open("r", encoding="utf-8") as fp:
             last = header_line = fp.readline()
             if not header_line:
@@ -290,7 +298,7 @@ class EmbeddingCache:
                 header = json.loads(header_line)
             except json.JSONDecodeError:
                 if _HEADER_LINE.startswith(header_line):
-                    self._overwrite = True  # a header cut short: the file holds no records
+                    self._mode = "w"  # a header cut short: the file holds no records
                     return
                 raise DataError(f"not an embedding cache file: {self._path}") from None
             if not isinstance(header, dict) or header.get("format") != CACHE_HEADER["format"]:
@@ -324,10 +332,13 @@ class EmbeddingCache:
                 return stored
             self._memory[(identity_digest, digest)] = vector
             if self._path is not None:
-                with self._path.open("w" if self._overwrite else "a", encoding="utf-8") as fp:
+                try:
+                    fp = self._path.open(self._mode, encoding="utf-8")
+                except FileExistsError:  # another cache created the file and its header
+                    fp, self._lead = self._path.open("a", encoding="utf-8"), ""
+                with fp:
                     fp.write(self._lead)
-                    self._lead = ""
-                    self._overwrite = False
+                    self._lead, self._mode = "", "a"
                     fp.write(
                         json.dumps(
                             {
@@ -358,7 +369,7 @@ class EmbeddingCache:
             if self._path is not None and self._path.exists():
                 self._path.unlink()
             self._lead = _HEADER_LINE
-            self._overwrite = False
+            self._mode = "x"
 
 
 class EmbeddingGateway:

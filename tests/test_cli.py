@@ -189,6 +189,17 @@ def test_match_unknown_topic_is_data_error(config_file, capsys):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("strategy", ["beam", "pathfind", "heuristic"])
+def test_match_over_a_label_with_no_tokens_is_data_error(tmp_path, capsys, strategy):
+    kg = tmp_path / "kg.tsv"
+    kg.write_text("a\t---\tb\n", encoding="utf-8")
+    config = tmp_path / "karpa.conf"
+    config.write_text(f"kg.path = {kg}\n", encoding="utf-8")
+    code = main(["--config", str(config), "match", "--topic", "a", "--path", "r.x", "--strategy", strategy])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "data error: text has no tokens to embed: '---'\n"
+
+
 def test_ask_with_scripted_provider(tmp_path, kg_file, capsys):
     fixtures = tmp_path / "llm.jsonl"
     query = Query(id="q0", question="Who is the spouse of A's father?", topic_entities=("A",))

@@ -381,6 +381,18 @@ def test_cache_stats_and_clear(tmp_path):
     assert not path.exists()
 
 
+def test_two_caches_on_one_new_file_write_one_header(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    first, second = EmbeddingCache(path), EmbeddingCache(path)
+    alpha, beta = mock_embed("alpha"), mock_embed("beta")
+    first.put("identity", "alpha", alpha)
+    second.put("identity", "beta", beta)
+    reloaded = EmbeddingCache(path)
+    assert reloaded.skipped == 0
+    assert reloaded.get("identity", "alpha") == alpha
+    assert reloaded.get("identity", "beta") == beta
+
+
 _cache_texts = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=2, max_size=4, unique=True
 )

@@ -393,8 +393,9 @@ def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
         {"data": [{"index": 0, "embedding": ["x"]}]},
         {"data": "rows"},
         {"data": []},
+        {"data": [{"index": 0, "embedding": [0.0, 0.0]}]},
     ],
-    ids=["not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few"],
+    ids=["not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few", "all-zero"],
 )
 def test_http_embedding_malformed_reply_is_provider_error(http_server, payload):
     from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
@@ -406,6 +407,7 @@ def test_http_embedding_malformed_reply_is_provider_error(http_server, payload):
         gw.embed(["x"])
     assert not isinstance(exc.value, TransportError)
     assert len(http_server["requests"]) == 1 and naps == []
+    assert gw.cache.stats()["records"] == 0
 
 
 def _chat_call(url, sleep):
