@@ -243,6 +243,7 @@ def http_server():
     state["url"] = f"http://127.0.0.1:{server.server_address[1]}"
     yield state
     server.shutdown()
+    server.server_close()
 
 
 def test_http_chat_wire_format(http_server):
