@@ -17,6 +17,7 @@ evaluation is byte-identical no matter how it was scheduled.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -79,6 +80,8 @@ class PipelineConfig:
             raise ConfigError(f"embedding.kind must be one of {PROVIDER_KINDS}")
         if self.llm.kind not in PROVIDER_KINDS:
             raise ConfigError(f"llm.kind must be one of {PROVIDER_KINDS}")
+        if not math.isfinite(self.llm.temperature):
+            raise ConfigError("llm.temperature must be a finite number")
         if self.eval.mode not in ("strict", "lenient"):
             raise ConfigError("eval.mode must be strict or lenient")
         if self.eval.concurrency < 1:

@@ -1,14 +1,25 @@
 """Provider I/O shared by every provider: one HTTP call, one retry loop, one line-JSON reader.
 
+``post_json`` sends its request with the standard library's
+``urllib.request.urlopen``; karpa has no runtime dependency. Proxies come
+from ``http_proxy``, ``https_proxy`` and ``no_proxy``; HTTPS is verified
+against the system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` are
+honoured). Each call opens a fresh connection.
+
 An HTTP provider failure takes one of three types, so that only what can
 succeed on a retry is retried:
 
-* no connection, a 5xx status or a 429 is ``TransportError``, which
-  ``with_retries`` retries;
+* no connection (``OSError``, which covers ``URLError``, a refused
+  connection and a timeout), a reply cut short (``http.client.HTTPException``),
+  a 5xx status or a 429 is ``TransportError``, which ``with_retries``
+  retries;
 * any other non-200 status is ``DataError``: the request itself was refused;
 * a 200 whose body is unusable is ``ProviderError``. ``post_json`` raises
   it for a body that is not JSON, each provider for a field it needs that
   is missing.
+
+A request body that cannot be encoded as JSON (a non-finite number, say)
+is a ``ContractError``, raised before any connection and never retried.
 """
 
 from __future__ import annotations
@@ -30,23 +41,41 @@ def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, se
 
     ``service`` names the provider in error messages.
     """
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
+    try:
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"{service} request body is not JSON: {exc}") from None
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    request = urllib.request.Request(endpoint, data=data, headers=headers, method="POST")
     try:
-        resp = requests.post(endpoint, json=body, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, payload = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:  # before OSError, which it subclasses
+        status = exc.code
+        try:
+            payload = exc.read()
+        except (OSError, http.client.HTTPException) as read_exc:
+            raise TransportError(f"{service} service returned {status}, body unreadable: {read_exc}") from None
+        finally:
+            exc.close()
+    except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"{service} request failed: {exc}") from exc
-    if resp.status_code >= 500 or resp.status_code == 429:
-        raise TransportError(f"{service} service returned {resp.status_code}")
-    if resp.status_code != 200:
-        raise DataError(f"{service} service returned {resp.status_code}: {resp.text[:200]}")
+    if status >= 500 or status == 429:
+        raise TransportError(f"{service} service returned {status}")
+    if status != 200:
+        text = payload.decode("utf-8", errors="replace")
+        raise DataError(f"{service} service returned {status}: {text[:200]}")
     try:
-        return resp.json()
+        return json.loads(payload)
     except ValueError:
-        raise ProviderError(f"{service} service returned a body that is not JSON: {resp.text[:200]!r}") from None
+        text = payload.decode("utf-8", errors="replace")
+        raise ProviderError(f"{service} service returned a body that is not JSON: {text[:200]!r}") from None
 
 
 def with_retries(call: Callable[[], T], sleep: Callable[[float], None]) -> T:

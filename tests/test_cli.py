@@ -77,6 +77,29 @@ def test_bad_provider_kind_is_config_error():
         build_config(resolve_values({"llm.kind": "telepathy"}, env={}))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_temperature_is_config_error(value):
+    with pytest.raises(ConfigError, match="llm.temperature must be a finite number"):
+        build_config(resolve_values({"llm.temperature": value}, env={}))
+
+
+def test_ask_with_non_finite_temperature_exits_config_error(config_file, monkeypatch, capsys):
+    monkeypatch.setenv("KARPA_LLM_TEMPERATURE", "nan")
+    code = main(["--config", str(config_file), "ask", "--question", "Q?", "--topic", "A"])
+    assert code == EXIT_CONFIG
+    assert "llm.temperature must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["llm", "embedding"])
+@pytest.mark.parametrize("endpoint", ["", "127.0.0.1:9/v1", "localhost:9/v1", "file:///etc/hosts"])
+def test_http_endpoint_that_is_not_an_http_url_is_config_error(config_file, monkeypatch, capsys, section, endpoint):
+    monkeypatch.setenv(env_name(f"{section}.kind"), "http")
+    monkeypatch.setenv(env_name(f"{section}.endpoint"), endpoint)
+    code = main(["--config", str(config_file), "ask", "--question", "Q?", "--topic", "A"])
+    assert code == EXIT_CONFIG
+    assert f"{section}.endpoint must be an http:// or https:// URL" in capsys.readouterr().err
+
+
 def test_inverse_edges_flag_sets_matcher_direction():
     cfg = build_config(resolve_values({"kg.inverse_edges": "true"}, env={}))
     assert cfg.matcher.direction == "both"

@@ -270,27 +270,12 @@ def test_http_chat_wire_format(http_server):
     assert sent["headers"]["Authorization"] == "Bearer sekrit"
 
 
-def test_http_chat_sends_max_output_as_max_tokens(monkeypatch):
-    import requests
-
+def test_http_chat_sends_max_output_as_max_tokens(http_server):
     from karpa.llm import HttpChatProvider
 
-    bodies = []
-
-    class FakeResponse:
-        status_code = 200
-        text = ""
-
-        def json(self):
-            return {"choices": [{"message": {"content": "ok {x}"}}]}
-
-    def fake_post(url, json, headers, timeout):
-        bodies.append(json)
-        return FakeResponse()
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    HttpChatProvider("http://chat.invalid/v1").complete([user("hi")], LlmParams(max_output=77))
-    assert [body["max_tokens"] for body in bodies] == [77]
+    http_server["handler"] = lambda body: (200, {"choices": [{"message": {"content": "ok {x}"}}]})
+    HttpChatProvider(http_server["url"] + "/v1").complete([user("hi")], LlmParams(max_output=77))
+    assert [sent["body"]["max_tokens"] for sent in http_server["requests"]] == [77]
 
 
 def test_http_chat_retries_on_5xx(http_server):
@@ -444,6 +429,138 @@ def test_http_4xx_is_data_error_without_retry(http_server, call):
     with pytest.raises(DataError):
         call(http_server["url"], naps.append)
     assert naps == [] and len(http_server["requests"]) == 1
+
+
+@pytest.mark.parametrize("call", [_chat_call, _embedding_call], ids=["chat", "embedding"])
+def test_http_4xx_body_that_is_not_utf8_is_data_error_without_retry(http_server, call):
+    http_server["handler"] = lambda body: (400, b"bad \xff\xfe request")
+    naps = []
+    with pytest.raises(DataError) as exc:
+        call(http_server["url"], naps.append)
+    assert not isinstance(exc.value, ProviderError)
+    assert "400: bad \ufffd\ufffd request" in str(exc.value)
+    assert naps == [] and len(http_server["requests"]) == 1
+
+
+# -- transport failures --------------------------------------------------------------
+
+
+def _read_request(conn):
+    """Read one HTTP request (head and ``Content-Length`` body) from ``conn``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        data += conn.recv(65536)
+    head, _, body = data.partition(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1]) for line in head.split(b"\r\n") if line.lower().startswith(b"content-length:")
+    )
+    while len(body) < length:
+        body += conn.recv(65536)
+
+
+@pytest.fixture()
+def raw_server():
+    """A loopback listener that hands each accepted connection to ``state["reply"]``.
+
+    Connections stay open until the test ends unless the reply closes them;
+    ``state["connections"]`` counts them.
+    """
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    state = {"url": f"http://127.0.0.1:{listener.getsockname()[1]}", "reply": None, "connections": 0}
+    held = []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            state["connections"] += 1
+            held.append(conn)
+            state["reply"](conn)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield state
+    stop.set()
+    thread.join()
+    for conn in held:
+        conn.close()
+    listener.close()
+
+
+def _never_reply(conn):
+    pass
+
+
+def _close_without_reply(conn):
+    _read_request(conn)
+    conn.close()
+
+
+def _close_mid_body(conn):
+    _read_request(conn)
+    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"cho")
+    conn.close()
+
+
+def _chat_gateway(url, sleep, timeout):
+    from karpa.llm import HttpChatProvider
+
+    gw = LlmGateway(HttpChatProvider(url, timeout=timeout), sleep=sleep)
+    return lambda: gw.complete([user("hi")], LlmParams())
+
+
+def _embedding_gateway(url, sleep, timeout):
+    from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
+
+    gw = EmbeddingGateway(HttpEmbeddingProvider(url, "m", timeout=timeout), sleep=sleep)
+    return lambda: gw.embed(["x"])
+
+
+_GATEWAYS = pytest.mark.parametrize("gateway_call", [_chat_gateway, _embedding_gateway], ids=["chat", "embedding"])
+
+
+@_GATEWAYS
+def test_http_refused_connection_is_transport_error_after_three_attempts(gateway_call):
+    import socket
+
+    with socket.create_server(("127.0.0.1", 0)) as sock:
+        port = sock.getsockname()[1]
+    naps = []
+    call = gateway_call(f"http://127.0.0.1:{port}", naps.append, timeout=5.0)
+    with pytest.raises(TransportError, match="request failed"):
+        call()
+    assert naps == [0.25, 0.5]
+
+
+@_GATEWAYS
+@pytest.mark.parametrize(
+    "reply", [_never_reply, _close_without_reply, _close_mid_body], ids=["no-reply", "closed", "cut-body"]
+)
+def test_http_broken_reply_is_transport_error_after_three_attempts(raw_server, gateway_call, reply):
+    raw_server["reply"] = reply
+    naps = []
+    call = gateway_call(raw_server["url"], naps.append, timeout=0.2)
+    with pytest.raises(TransportError, match="request failed"):
+        call()
+    assert naps == [0.25, 0.5]
+    assert raw_server["connections"] == 3
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_http_body_that_is_not_json_is_contract_error_before_any_connection(http_server, temperature):
+    from karpa.llm import HttpChatProvider
+
+    naps = []
+    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=naps.append)
+    with pytest.raises(ContractError, match="chat request body is not JSON"):
+        gw.complete([user("hi")], LlmParams(temperature=temperature))
+    assert naps == [] and http_server["requests"] == []
 
 
 def test_http_malformed_reasoning_reply_is_a_failed_batch(http_server, gateway):
