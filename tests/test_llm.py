@@ -508,6 +508,12 @@ def _close_mid_body(conn):
     conn.close()
 
 
+def _close_mid_error_body(conn):
+    _read_request(conn)
+    conn.sendall(b"HTTP/1.1 400 Bad Request\r\nContent-Length: 100\r\n\r\nbad")
+    conn.close()
+
+
 def _chat_gateway(url, sleep, timeout):
     from karpa.llm import HttpChatProvider
 
@@ -540,13 +546,20 @@ def test_http_refused_connection_is_transport_error_after_three_attempts(gateway
 
 @_GATEWAYS
 @pytest.mark.parametrize(
-    "reply", [_never_reply, _close_without_reply, _close_mid_body], ids=["no-reply", "closed", "cut-body"]
+    "reply,message",
+    [
+        (_never_reply, "request failed"),
+        (_close_without_reply, "request failed"),
+        (_close_mid_body, "request failed"),
+        (_close_mid_error_body, "returned 400, body unreadable"),
+    ],
+    ids=["no-reply", "closed", "cut-body", "cut-error-body"],
 )
-def test_http_broken_reply_is_transport_error_after_three_attempts(raw_server, gateway_call, reply):
+def test_http_broken_reply_is_transport_error_after_three_attempts(raw_server, gateway_call, reply, message):
     raw_server["reply"] = reply
     naps = []
     call = gateway_call(raw_server["url"], naps.append, timeout=0.2)
-    with pytest.raises(TransportError, match="request failed"):
+    with pytest.raises(TransportError, match=message):
         call()
     assert naps == [0.25, 0.5]
     assert raw_server["connections"] == 3
