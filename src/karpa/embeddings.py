@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
 from .errors import ContractError, DataError, DomainError, MissingFixtureError, ProviderError
-from .transport import post_json, read_records, with_retries
+from .transport import check_endpoint, post_json, read_records, with_retries
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
@@ -239,6 +239,7 @@ class HttpEmbeddingProvider:
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None, timeout: float = 30.0):
+        check_endpoint("embedding.endpoint", endpoint)
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .errors import ContractError, EmptyCompletionError, MissingFixtureError, ProviderError
-from .transport import post_json, read_records, with_retries
+from .transport import check_endpoint, post_json, read_records, with_retries
 
 _ROLES = ("system", "user", "assistant")
 
@@ -193,6 +193,7 @@ class HttpChatProvider:
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
+        check_endpoint("llm.endpoint", endpoint)
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout

@@ -11,7 +11,6 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 from .config import PipelineConfig
 from .embeddings import (
@@ -56,12 +55,6 @@ class PipelineResult:
     selected: list[ScoredPath] = field(default_factory=list)
 
 
-def _check_endpoint(key: str, endpoint: str) -> None:
-    """A ``ConfigError`` unless ``endpoint`` is an http:// or https:// URL."""
-    if urlsplit(endpoint).scheme not in ("http", "https"):
-        raise ConfigError(f"{key} must be an http:// or https:// URL, got {endpoint!r}")
-
-
 def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
     opts = cfg.embedding
     if opts.kind == "mock":
@@ -71,7 +64,6 @@ def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
             raise ConfigError("embedding.fixtures is required for scripted embeddings")
         provider = ScriptedEmbeddingProvider.from_file(opts.fixtures)
     else:
-        _check_endpoint("embedding.endpoint", opts.endpoint)
         provider = HttpEmbeddingProvider(
             opts.endpoint, opts.model, api_key=os.environ.get("KARPA_EMBED_API_KEY")
         )
@@ -87,7 +79,6 @@ def build_chat_provider(cfg: PipelineConfig):
         if not opts.fixtures:
             raise ConfigError("llm.fixtures is required for scripted chat")
         return ScriptedChatProvider.from_file(opts.fixtures)
-    _check_endpoint("llm.endpoint", opts.endpoint)
     return HttpChatProvider(opts.endpoint, api_key=os.environ.get("KARPA_LLM_API_KEY"))
 
 

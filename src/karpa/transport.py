@@ -1,10 +1,14 @@
 """Provider I/O shared by every provider: one HTTP call, one retry loop, one line-JSON reader.
 
 ``post_json`` sends its request with the standard library's
-``urllib.request.urlopen``; karpa has no runtime dependency. Proxies come
+``urllib.request``; karpa has no runtime dependency. Proxies come
 from ``http_proxy``, ``https_proxy`` and ``no_proxy``; HTTPS is verified
 against the system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` are
-honoured). Each call opens a fresh connection.
+honoured). Each call opens a fresh connection. Redirects are not
+followed: a 3xx status is a ``DataError`` like any other refused request,
+so the bearer token is never sent to a host the endpoint did not name.
+``check_endpoint`` admits only an ``http://`` or ``https://`` URL with a
+host; each HTTP provider checks its endpoint when it is built.
 
 An HTTP provider failure takes one of three types, so that only what can
 succeed on a retry is retried:
@@ -24,16 +28,41 @@ is a ``ContractError``, raised before any connection and never retried.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 from typing import Callable, Iterator, TypeVar
+from urllib.parse import urlsplit
 
-from .errors import ContractError, DataError, ParseError, ProviderError, TransportError
+from .errors import ConfigError, ContractError, DataError, ParseError, ProviderError, TransportError
 
 T = TypeVar("T")
 
 ATTEMPTS = 3
 FIRST_DELAY = 0.25  # seconds; doubled after each failed attempt
+
+
+def check_endpoint(key: str, endpoint: str) -> None:
+    """A ``ConfigError`` naming ``key`` unless ``endpoint`` is an http:// or https:// URL with a host."""
+    parts = urlsplit(endpoint)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"{key} must be an http:// or https:// URL, got {endpoint!r}")
+
+
+@functools.cache
+def _opener():
+    """``urllib``'s default opener, except that it follows no redirect.
+
+    Built once, like the one ``urlopen`` keeps, so proxies are read from the
+    environment at the first request.
+    """
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None  # the 3xx reaches post_json as an HTTPError
+
+    return urllib.request.build_opener(NoRedirect)
 
 
 def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, service: str):
@@ -54,7 +83,7 @@ def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, se
         headers["Authorization"] = f"Bearer {api_key}"
     request = urllib.request.Request(endpoint, data=data, headers=headers, method="POST")
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
+        with _opener().open(request, timeout=timeout) as resp:
             status, payload = resp.status, resp.read()
     except urllib.error.HTTPError as exc:  # before OSError, which it subclasses
         status = exc.code

@@ -91,7 +91,7 @@ def test_ask_with_non_finite_temperature_exits_config_error(config_file, monkeyp
 
 
 @pytest.mark.parametrize("section", ["llm", "embedding"])
-@pytest.mark.parametrize("endpoint", ["", "127.0.0.1:9/v1", "localhost:9/v1", "file:///etc/hosts"])
+@pytest.mark.parametrize("endpoint", ["", "127.0.0.1:9/v1", "localhost:9/v1", "file:///etc/hosts", "http://", "https:///v1", "http:"])
 def test_http_endpoint_that_is_not_an_http_url_is_config_error(config_file, monkeypatch, capsys, section, endpoint):
     monkeypatch.setenv(env_name(f"{section}.kind"), "http")
     monkeypatch.setenv(env_name(f"{section}.endpoint"), endpoint)

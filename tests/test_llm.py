@@ -4,6 +4,7 @@ import threading
 import pytest
 
 from karpa.errors import (
+    ConfigError,
     ContractError,
     DataError,
     EmptyCompletionError,
@@ -563,6 +564,44 @@ def test_http_broken_reply_is_transport_error_after_three_attempts(raw_server, g
         call()
     assert naps == [0.25, 0.5]
     assert raw_server["connections"] == 3
+
+
+@pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+@pytest.mark.parametrize("service", ["chat", "embedding"])
+def test_http_redirect_is_data_error_and_not_followed(raw_server, http_server, service, code):
+    from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
+    from karpa.llm import HttpChatProvider
+
+    def redirect(conn):
+        _read_request(conn)
+        location = f"{http_server['url']}/elsewhere"
+        conn.sendall(f"HTTP/1.1 {code} Moved\r\nLocation: {location}\r\nContent-Length: 0\r\n\r\n".encode())
+        conn.close()
+
+    raw_server["reply"] = redirect
+    http_server["handler"] = lambda body: (200, _GOOD_CHAT if service == "chat" else _GOOD_EMBEDDING)
+    naps = []
+    if service == "chat":
+        gw = LlmGateway(HttpChatProvider(raw_server["url"], api_key="sekrit"), sleep=naps.append)
+        call = lambda: gw.complete([user("hi")], LlmParams())
+    else:
+        gw = EmbeddingGateway(HttpEmbeddingProvider(raw_server["url"], "m", api_key="sekrit"), sleep=naps.append)
+        call = lambda: gw.embed(["x"])
+    with pytest.raises(DataError, match=f"{service} service returned {code}"):
+        call()
+    assert naps == [] and raw_server["connections"] == 1
+    assert http_server["requests"] == []
+
+
+@pytest.mark.parametrize("endpoint", ["", "127.0.0.1:9/v1", "file:///etc/hosts", "ftp://host/v1", "http://", "https:///v1"])
+def test_http_provider_endpoint_must_be_an_http_url_with_a_host(endpoint):
+    from karpa.embeddings import HttpEmbeddingProvider
+    from karpa.llm import HttpChatProvider
+
+    with pytest.raises(ConfigError, match="llm.endpoint must be an http:// or https:// URL"):
+        HttpChatProvider(endpoint)
+    with pytest.raises(ConfigError, match="embedding.endpoint must be an http:// or https:// URL"):
+        HttpEmbeddingProvider(endpoint, "m")
 
 
 @pytest.mark.parametrize("temperature", [float("nan"), float("inf")], ids=["nan", "inf"])
