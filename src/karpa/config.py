@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .embeddings import MOCK_MIN_DIM
+from .errors import ConfigError, ContractError
 from .llm import LlmParams
 from .matching import MatchConfig
 
@@ -88,17 +89,19 @@ class PipelineConfig:
             raise ConfigError("eval.concurrency must be >= 1")
         if self.planner.relation_cap < 1:
             raise ConfigError("planner.relation_cap must be >= 1")
+        if self.planner.per_relation_k is not None and self.planner.per_relation_k < 1:
+            raise ConfigError("planner.per_relation_k must be empty or >= 1")
+        if self.embedding.kind == "mock" and self.embedding.dim < MOCK_MIN_DIM:
+            raise ConfigError(f"embedding.dim must be >= {MOCK_MIN_DIM} for mock embeddings")
         if self.reasoner.batch_limit < 1:
             raise ConfigError("reasoner.batch_limit must be >= 1")
 
 
 # "section.field" -> (annotation string, default), in declaration order.
-# ``matcher.direction`` is not a key: it follows ``kg.inverse_edges``.
 KNOWN_KEYS: dict[str, tuple[str, object]] = {
     f"{section.name}.{opt.name}": (opt.type, opt.default)
     for section in fields(PipelineConfig)
     for opt in fields(section.default_factory)
-    if (section.name, opt.name) != ("matcher", "direction")
 }
 
 
@@ -158,18 +161,18 @@ def resolve_values(
 
 
 def build_config(values: dict[str, object]) -> PipelineConfig:
-    """A validated config from one value per ``KNOWN_KEYS`` entry.
-
-    ``matcher.direction`` is not a key: it follows ``kg.inverse_edges``.
-    """
+    """A validated config from one value per ``KNOWN_KEYS`` entry."""
     sections: dict[str, dict[str, object]] = {f.name: {} for f in fields(PipelineConfig)}
     for key in KNOWN_KEYS:
         section, attr = key.split(".")
         sections[section][attr] = values[key]
-    sections["matcher"]["direction"] = "both" if values["kg.inverse_edges"] else "forward"
-    cfg = PipelineConfig(
-        **{f.name: f.default_factory(**sections[f.name]) for f in fields(PipelineConfig)}
-    )
+    built = {}
+    for f in fields(PipelineConfig):
+        try:
+            built[f.name] = f.default_factory(**sections[f.name])
+        except ContractError as exc:
+            raise ConfigError(f"{f.name}: {exc}") from exc
+    cfg = PipelineConfig(**built)
     cfg.validate()
     return cfg
 

@@ -117,6 +117,8 @@ def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> l
     return out
 
 
+MOCK_MIN_DIM = 8
+
 # Distinct (word, dim) pairs whose bucket counts ``mock_embed`` remembers.
 # Relation vocabularies are far smaller; an entry for a three-part label at
 # dim 64 takes about 1.2 kB, so a full memo holds about 10 MB.
@@ -152,8 +154,8 @@ def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
     addition, so the vector equals the one from hashing each feature
     afresh bit for bit.
     """
-    if dim < 8:
-        raise ContractError(f"mock embedding dim must be >= 8, got {dim}")
+    if dim < MOCK_MIN_DIM:
+        raise ContractError(f"mock embedding dim must be >= {MOCK_MIN_DIM}, got {dim}")
     counts: dict[int, int] = {}
     for word in text.split(" "):
         for bucket, count in _word_buckets(word, dim):
@@ -175,8 +177,8 @@ class EmbeddingProvider(Protocol):
 
 class MockEmbeddingProvider:
     def __init__(self, dim: int = 64):
-        if dim < 8:
-            raise ContractError(f"mock embedding dim must be >= 8, got {dim}")
+        if dim < MOCK_MIN_DIM:
+            raise ContractError(f"mock embedding dim must be >= {MOCK_MIN_DIM}, got {dim}")
         self.dim = dim
         self.identity = f"mock:dim={dim}"
 

@@ -40,10 +40,6 @@ class DomainError(KarpaError):
     """Input outside the mathematical domain of an operation."""
 
 
-class CapacityError(KarpaError):
-    """A resource guard refused to run an unbounded computation."""
-
-
 class ProviderError(KarpaError):
     """A remote or scripted provider failed."""
 

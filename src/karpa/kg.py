@@ -1,15 +1,16 @@
-"""Immutable triple store: interned labels and one sorted adjacency per direction.
+"""Immutable triple store: interned labels and sorted adjacency lists.
 
 Triples are read from UTF-8 TSV (``head<TAB>relation<TAB>tail``, ``#``
 comments allowed) and deduplicated. Entity and relation labels are plain
 strings in lists indexed by id; ids are dense integers assigned in
 first-appearance order (head, relation, tail within a line) so that
-fixtures load reproducibly. Each triple is stored once per direction: as
-``(relation_id, tail_id)`` under its head in ``out_index`` and as
-``(relation_id, head_id)`` under its tail in ``in_index``, both sorted.
-Inverse traversal presents the relation label suffixed with the reserved
-marker ``~inv``; inverse relation ids are offset by the size of the
-relation table and never appear in the vocabulary.
+fixtures load reproducibly. Each triple is stored as ``(relation_id,
+tail_id)`` under its head in ``out_index``. Whether searches also walk
+edges backwards is fixed at load: only a graph loaded with
+``inverse_edges`` stores ``(relation_id, head_id)`` under each tail in
+``in_index``. Inverse traversal presents the relation label suffixed with
+the reserved marker ``~inv``; inverse relation ids are offset by the size
+of the relation table and never appear in the vocabulary.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import ContractError, NotFoundError, ParseError
+from .errors import NotFoundError, ParseError
 
 INVERSE_MARKER = "~inv"
-DIRECTIONS = ("forward", "inverse", "both")
 
 
 class KnowledgeGraph:
@@ -36,21 +36,23 @@ class KnowledgeGraph:
         entity_ids: dict[str, int],
         relation_ids: dict[str, int],
         adjacency: dict[int, set[tuple[int, int]]],
+        inverse_edges: bool = False,
     ):
         """``entity_ids`` and ``relation_ids`` map labels to ids and iterate in
         id order; ``adjacency`` maps a head id to its distinct
-        ``(relation_id, tail_id)`` pairs."""
+        ``(relation_id, tail_id)`` pairs; ``inverse_edges`` fills ``in_index``."""
         self.entities = list(entity_ids)
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
         self._relation_ids = relation_ids
         self.out_index = {head: sorted(edges) for head, edges in adjacency.items()}
         inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for head, edges in self.out_index.items():
-            for rid, tail in edges:
-                inc[tail].append((rid, head))
-        for adj in inc.values():
-            adj.sort()
+        if inverse_edges:
+            for head, edges in self.out_index.items():
+                for rid, tail in edges:
+                    inc[tail].append((rid, head))
+            for adj in inc.values():
+                adj.sort()
         self.in_index = dict(inc)
 
     # -- lookups ---------------------------------------------------------
@@ -88,24 +90,19 @@ class KnowledgeGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def neighbors(self, entity_id: int, direction: str = "forward") -> list[tuple[int, int]]:
+    def neighbors(self, entity_id: int) -> list[tuple[int, int]]:
         """Adjacent ``(relation_id, entity_id)`` pairs in deterministic order.
 
-        ``forward`` follows stored triples head-to-tail; ``inverse`` walks
-        them backwards, reporting the relation under its inverse-offset id;
-        ``both`` concatenates forward then inverse.
+        The stored triples head-to-tail, then, on a graph loaded with
+        ``inverse_edges``, those ending here walked backwards, each relation
+        under its inverse-offset id.
         """
-        if direction not in DIRECTIONS:
-            raise ContractError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
-        result: list[tuple[int, int]] = []
-        if direction in ("forward", "both"):
-            result.extend(self.out_index.get(entity_id, []))
-        if direction in ("inverse", "both"):
-            offset = len(self.relations)
-            result.extend((rid + offset, head) for rid, head in self.in_index.get(entity_id, []))
-        return result
+        offset = len(self.relations)
+        return self.out_index.get(entity_id, []) + [
+            (rid + offset, head) for rid, head in self.in_index.get(entity_id, [])
+        ]
 
     def relation_vocabulary(self) -> list[str]:
         """All distinct relation labels, sorted; inverse synthetics excluded."""
@@ -150,12 +147,13 @@ def _iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
         yield fields
 
 
-def load_triples(lines: Iterable[str]) -> KnowledgeGraph:
+def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> KnowledgeGraph:
     """Build a graph from an iterable of TSV lines.
 
     Duplicate triples are silently dropped; ids are assigned in
     first-appearance order (head, then relation, then tail within a line).
-    An empty stream yields a valid empty graph.
+    An empty stream yields a valid empty graph. ``inverse_edges`` lets the
+    graph's ``neighbors`` walk edges backwards too.
     """
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
@@ -164,12 +162,12 @@ def load_triples(lines: Iterable[str]) -> KnowledgeGraph:
         h = entity_ids.setdefault(head, len(entity_ids))
         r = relation_ids.setdefault(rel, len(relation_ids))
         adjacency[h].add((r, entity_ids.setdefault(tail, len(entity_ids))))
-    return KnowledgeGraph(entity_ids, relation_ids, adjacency)
+    return KnowledgeGraph(entity_ids, relation_ids, adjacency, inverse_edges)
 
 
-def load_triples_path(path: str | Path) -> KnowledgeGraph:
+def load_triples_path(path: str | Path, inverse_edges: bool = False) -> KnowledgeGraph:
     p = Path(path)
     if not p.exists():
         raise NotFoundError(f"triple file not found: {p}")
     with p.open("r", encoding="utf-8") as fp:
-        return load_triples(fp)
+        return load_triples(fp, inverse_edges)

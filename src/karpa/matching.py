@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .embeddings import cosine_many
 from .errors import ContractError
-from .kg import DIRECTIONS
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingGateway
@@ -111,7 +110,6 @@ class MatchConfig:
     max_len: int | None = None  # None: max candidate length + 1
     frontier_cap: int = 5000
     exact_mode: bool = False
-    direction: str = "forward"
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -124,8 +122,6 @@ class MatchConfig:
             raise ContractError(f"max_len must be >= 1, got {self.max_len}")
         if self.frontier_cap < 1:
             raise ContractError(f"frontier_cap must be >= 1, got {self.frontier_cap}")
-        if self.direction not in DIRECTIONS:
-            raise ContractError(f"direction must be forward, inverse, or both, got {self.direction!r}")
 
     def resolve_max_len(self, candidates: list[RelationPath]) -> int:
         if self.max_len is not None:
@@ -141,7 +137,6 @@ def _scored_children(
     query_text: str,
     child_text: Callable[[tuple[str, ...]], str],
     gateway: "EmbeddingGateway",
-    direction: str,
 ) -> list[_Prefix]:
     """Each one-hop extension of ``prefix`` that revisits no entity, costed ``1 - sim``.
 
@@ -155,7 +150,7 @@ def _scored_children(
     _, labels, entities, steps = prefix
     children = [
         (labels + (g.relation_label(rid),), entities + (nid,), steps + ((rid, nid),))
-        for rid, nid in g.neighbors(entities[-1], direction)
+        for rid, nid in g.neighbors(entities[-1])
         if nid not in entities
     ]
     if not children:
@@ -218,7 +213,7 @@ def _fixed_length_match(
             results.append(ScoredPath(ReasoningPath(start, steps), RelationPath(labels), total / depth))
             continue
         for cost, *child in _scored_children(
-            g, prefix, candidate.relations[depth], itemgetter(-1), gateway, cfg.direction
+            g, prefix, candidate.relations[depth], itemgetter(-1), gateway
         ):
             heapq.heappush(frontier, (total + cost, *child))
     results.sort(key=_sort_key)
@@ -288,7 +283,7 @@ def heuristic_top_k(
     frontier: list[_Prefix] = []
 
     def expand(prefix: _Prefix) -> None:
-        for child in _scored_children(g, prefix, cand_text, " ".join, gateway, cfg.direction):
+        for child in _scored_children(g, prefix, cand_text, " ".join, gateway):
             heapq.heappush(frontier, child)
 
     expand((0.0, (), (start,), ()))

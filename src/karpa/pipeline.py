@@ -11,6 +11,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .config import PipelineConfig
 from .embeddings import (
@@ -67,6 +68,8 @@ def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
         provider = HttpEmbeddingProvider(
             opts.endpoint, opts.model, api_key=os.environ.get("KARPA_EMBED_API_KEY")
         )
+    if opts.cache_path and not Path(opts.cache_path).parent.is_dir():
+        raise ConfigError(f"embedding.cache_path is in a missing directory: {opts.cache_path}")
     cache = EmbeddingCache(opts.cache_path or None)
     return EmbeddingGateway(provider, cache)
 
@@ -85,7 +88,7 @@ def build_chat_provider(cfg: PipelineConfig):
 def load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
     if not cfg.kg.path:
         raise ConfigError("kg.path is not configured")
-    g = load_triples_path(cfg.kg.path)
+    g = load_triples_path(cfg.kg.path, cfg.kg.inverse_edges)
     logger.info(
         "loaded graph: %d entities, %d relations, %d triples",
         g.num_entities,
@@ -131,7 +134,7 @@ class Pipeline:
             return PipelineResult(AnswerSet(), trace, ledger.snapshot(), flags)
 
         initial = self._initial_plan(query, llm, trace, flags)
-        candidates, pool_list = self._replan(query, initial, llm, trace, flags)
+        candidates = self._replan(query, initial, llm, trace, flags)
         selected = self._match(topic_ids, candidates, trace)
         trace.append(
             {
@@ -178,7 +181,7 @@ class Pipeline:
         )
         return initial
 
-    def _replan(self, query, initial, llm, trace, flags) -> tuple[list[RelationPath], list[str]]:
+    def _replan(self, query, initial, llm, trace, flags) -> list[RelationPath]:
         pool = extract_relation_pool(
             initial,
             self.vocab,
@@ -189,7 +192,7 @@ class Pipeline:
         trace.append({"event": "relation_pool", "pool": list(pool.pool)})
         if not pool.pool:
             flags.append("fallback_initial")
-            return initial.all_paths(), pool.pool
+            return initial.all_paths()
         candidate_set = replan(query, pool, llm, self.params, self.embedder, self.vocab)
         trace.append(
             {
@@ -209,8 +212,8 @@ class Pipeline:
             flags.append("replan_inconsistent")
         if candidate_set.is_empty():
             flags.append("fallback_initial")
-            return initial.all_paths(), pool.pool
-        return candidate_set.all_paths(), pool.pool
+            return initial.all_paths()
+        return candidate_set.all_paths()
 
     def _match(self, topic_ids, candidates, trace) -> list[ScoredPath]:
         if not candidates:

@@ -25,8 +25,8 @@ _PROPS = [
 ]
 
 
-def graph_from(triples: list[tuple[str, str, str]]) -> KnowledgeGraph:
-    return load_triples(f"{h}\t{r}\t{t}\n" for h, r, t in triples)
+def graph_from(triples: list[tuple[str, str, str]], inverse_edges: bool = False) -> KnowledgeGraph:
+    return load_triples((f"{h}\t{r}\t{t}\n" for h, r, t in triples), inverse_edges)
 
 
 def mock_gateway(dim: int = 64) -> EmbeddingGateway:
@@ -47,6 +47,7 @@ def random_graph(
     n_entities: int,
     n_relations: int,
     max_out_degree: int = 3,
+    inverse_edges: bool = False,
 ) -> KnowledgeGraph:
     """Random directed multigraph with Freebase-flavoured relation labels.
 
@@ -62,7 +63,7 @@ def random_graph(
             if tail == head:
                 tail = (tail + 1) % n_entities
             triples.append((f"e{head}", rng.choice(relations), f"e{tail}"))
-    return graph_from(triples)
+    return graph_from(triples, inverse_edges)
 
 
 class SpyEmbeddingProvider:

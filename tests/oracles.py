@@ -15,12 +15,16 @@ import re
 import zlib
 
 from karpa.embeddings import cosine
-from karpa.errors import CapacityError, ContractError
+from karpa.errors import ContractError, KarpaError
 from karpa.matching import ReasoningPath, RelationPath, ScoredPath
 
 _SPLIT = re.compile(r"[^0-9a-z]+")
 
 BRUTE_FORCE_PATH_LIMIT = 10_000_000
+
+
+class CapacityError(KarpaError):
+    """A resource guard refused to run an unbounded computation."""
 
 
 def step_cost(gateway, kg_label: str, candidate_label: str) -> float:
@@ -107,10 +111,11 @@ def ref_mock_similarity(text_a: str, text_b: str, dim: int = 64) -> float:
     return ref_cosine(ref_mock_embedding(text_a, dim), ref_mock_embedding(text_b, dim))
 
 
-def enumerate_all_paths(g, start: int, max_len: int, direction: str = "forward", limit=None):
+def enumerate_all_paths(g, start: int, max_len: int, limit=None):
     """All simple paths of length 1..max_len as (labels, entities, steps) tuples.
 
-    Iterative DFS, independent of the package's search expansion. Raises
+    Iterative DFS over ``g.neighbors``, independent of the package's search
+    expansion. Raises
     ``CapacityError`` once more than ``limit`` paths are found.
     """
     results = []
@@ -119,7 +124,7 @@ def enumerate_all_paths(g, start: int, max_len: int, direction: str = "forward",
         labels, entities, steps = stack.pop()
         if len(steps) >= max_len:
             continue
-        for rid, nid in g.neighbors(entities[-1], direction):
+        for rid, nid in g.neighbors(entities[-1]):
             if nid in entities:
                 continue
             label = g.relation_label(rid)
@@ -143,7 +148,6 @@ def brute_force_top_k(
     max_len: int,
     gateway,
     scoring: str = "path_similarity",
-    direction: str = "forward",
 ):
     """Exhaustive oracle: enumerate all simple paths and rank them.
 
@@ -160,7 +164,7 @@ def brute_force_top_k(
     g.entity_label(start)
     results = []
     for labels, entities, steps in enumerate_all_paths(
-        g, start, max_len, direction, limit=BRUTE_FORCE_PATH_LIMIT
+        g, start, max_len, limit=BRUTE_FORCE_PATH_LIMIT
     ):
         if scoring == "path_similarity":
             cost = 1.0 - path_similarity(gateway, list(labels), list(candidate.relations))
@@ -187,7 +191,7 @@ def ref_beam(g, start: int, candidate, cfg, gateway):
     for cand_label in candidate.relations:
         expansions = []
         for total, labels, entities, steps in beam:
-            for rid, nid in g.neighbors(entities[-1], cfg.direction):
+            for rid, nid in g.neighbors(entities[-1]):
                 if nid in entities:
                     continue
                 label = g.relation_label(rid)
@@ -204,12 +208,12 @@ def ref_beam(g, start: int, candidate, cfg, gateway):
     return _rank(results, cfg.top_k)
 
 
-def exhaustive_fixed_length_best(g, gateway, start, candidate_labels, direction="forward"):
+def exhaustive_fixed_length_best(g, gateway, start, candidate_labels):
     """Minimum mean-step-cost path of exactly len(candidate_labels) hops, with ties
     broken like the package: (cost, labels, entities)."""
     n = len(candidate_labels)
     best = None
-    for labels, entities, steps in enumerate_all_paths(g, start, n, direction):
+    for labels, entities, steps in enumerate_all_paths(g, start, n):
         if len(steps) != n:
             continue
         total = 0.0

@@ -6,6 +6,7 @@ from karpa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from karpa.config import config_digest, env_name, load_config, parse_config_text, resolve_values, build_config
 from karpa.errors import ConfigError
 from karpa.llm import write_chat_fixtures, digest_messages
+from karpa.pipeline import load_graph
 from karpa.planner import Query, build_initial_prompt
 
 
@@ -100,9 +101,65 @@ def test_http_endpoint_that_is_not_an_http_url_is_config_error(config_file, monk
     assert f"{section}.endpoint must be an http:// or https:// URL" in capsys.readouterr().err
 
 
-def test_inverse_edges_flag_sets_matcher_direction():
-    cfg = build_config(resolve_values({"kg.inverse_edges": "true"}, env={}))
-    assert cfg.matcher.direction == "both"
+@pytest.mark.parametrize(
+    "flag, walked",
+    [
+        ("false", [("person.family.spouse", "C")]),
+        ("true", [("person.family.spouse", "C"), ("person.family.father~inv", "A")]),
+    ],
+)
+def test_inverse_edges_flag_makes_load_graph_walk_backwards(kg_file, flag, walked):
+    cfg = build_config(resolve_values({"kg.path": str(kg_file), "kg.inverse_edges": flag}, env={}))
+    g = load_graph(cfg)
+    b = g.entity_id("B")
+    assert [(g.relation_label(rid), g.entity_label(nid)) for rid, nid in g.neighbors(b)] == walked
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("matcher.top_k", "0"),
+        ("matcher.max_len", "0"),
+        ("matcher.strategy", "bogus"),
+        ("embedding.dim", "4"),
+        ("planner.per_relation_k", "0"),
+        ("planner.per_relation_k", "-1"),
+    ],
+)
+def test_out_of_range_value_is_config_error_before_the_graph_loads(
+    config_file, tmp_path, monkeypatch, capsys, key, value
+):
+    # The graph file is absent: loading it first would be a data error.
+    monkeypatch.setenv("KARPA_KG_PATH", str(tmp_path / "absent.tsv"))
+    monkeypatch.setenv(env_name(key), value)
+    code = main(["--config", str(config_file), "ask", "--question", "Q?", "--topic", "A"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    section, attr = key.split(".")
+    assert err.startswith("config error: ")
+    assert section in err and attr in err
+
+
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_cache_path_in_a_missing_directory_is_config_error(
+    config_file, tmp_path, monkeypatch, capsys, command
+):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [["C"]]}) + "\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("KARPA_EMBEDDING_CACHE_PATH", str(tmp_path / "no" / "such" / "c.jsonl"))
+    args = {
+        "ask": ["ask", "--question", "Q?", "--topic", "A"],
+        "eval": ["eval", "--dataset", str(dataset), "--report", str(tmp_path / "report.txt")],
+    }[command]
+    assert main(["--config", str(config_file), *args]) == EXIT_CONFIG
+    assert "config error: embedding.cache_path" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+    # Inspecting the cache is not running questions: stats reads no file.
+    assert main(["--config", str(config_file), "cache", "stats"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["records"] == 0
 
 
 def test_config_digest_covers_every_semantic_key(config_file):

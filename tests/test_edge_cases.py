@@ -28,14 +28,15 @@ from helpers import graph_from
 
 def test_inverse_edges_answer_reverse_question():
     # "Pakistan" -> language is only reachable against the stored direction
-    g = graph_from([("Brahui Language", "language.human_language.main_country", "Pakistan")])
+    g = graph_from(
+        [("Brahui Language", "language.human_language.main_country", "Pakistan")], inverse_edges=True
+    )
     embedder = EmbeddingGateway(MockEmbeddingProvider(64))
     provider = ScriptedChatProvider()
     cfg = PipelineConfig()
     cfg.kg.path = "kg.tsv"
     cfg.llm.kind = "scripted"
     cfg.kg.inverse_edges = True
-    cfg.matcher = MatchConfig(direction="both")
 
     query = Query("rev", "Which language is mainly spoken in Pakistan?", ("Pakistan",))
     plan = (

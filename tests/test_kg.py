@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from karpa.errors import ContractError, NotFoundError, ParseError
+from karpa.errors import NotFoundError, ParseError
 from karpa.kg import INVERSE_MARKER, load_triples, load_triples_path
 
 from helpers import graph_from
@@ -51,38 +51,33 @@ def test_ids_assigned_first_appearance_order():
 
 def test_neighbors_forward_empty_for_sink():
     g = graph_from([("a", "r", "b")])
-    assert g.neighbors(g.entity_id("b"), "forward") == []
+    assert g.neighbors(g.entity_id("b")) == []
 
 
 def test_neighbors_forward_single_edge():
     g = graph_from([("A", "r", "B")])
-    assert g.neighbors(g.entity_id("A"), "forward") == [(0, g.entity_id("B"))]
+    assert g.neighbors(g.entity_id("A")) == [(0, g.entity_id("B"))]
 
 
 def test_neighbors_inverse_uses_marker():
-    g = graph_from([("A", "r", "B")])
-    (rid, nid), = g.neighbors(g.entity_id("B"), "inverse")
+    g = graph_from([("A", "r", "B")], inverse_edges=True)
+    (rid, nid), = g.neighbors(g.entity_id("B"))
     assert nid == g.entity_id("A")
     assert g.relation_label(rid) == "r" + INVERSE_MARKER
 
 
 def test_neighbors_both_concatenates():
-    g = graph_from([("A", "r", "B"), ("C", "s", "A")])
+    triples = [("A", "r", "B"), ("C", "s", "A")]
+    g = graph_from(triples, inverse_edges=True)
     a = g.entity_id("A")
-    both = g.neighbors(a, "both")
-    assert both == g.neighbors(a, "forward") + g.neighbors(a, "inverse")
+    inverse = [(g.relation_id("s") + g.num_relations, g.entity_id("C"))]
+    assert g.neighbors(a) == graph_from(triples).neighbors(a) + inverse
 
 
 def test_neighbors_invalid_id():
     g = graph_from([("a", "r", "b")])
     with pytest.raises(NotFoundError):
         g.neighbors(99)
-
-
-def test_neighbors_bad_direction():
-    g = graph_from([("a", "r", "b")])
-    with pytest.raises(ContractError):
-        g.neighbors(0, "sideways")
 
 
 def test_vocabulary_sorted_and_deduped():
@@ -96,14 +91,14 @@ def test_vocabulary_size_equals_relation_table():
 
 
 def test_vocabulary_excludes_inverse_synthetics():
-    g = graph_from([("a", "r", "b")])
-    g.neighbors(g.entity_id("b"), "inverse")
+    g = graph_from([("a", "r", "b")], inverse_edges=True)
+    g.neighbors(g.entity_id("b"))
     assert g.relation_vocabulary() == ["r"]
 
 
 def test_index_contains_each_triple_exactly_once():
     triples = [("a", "r", "b"), ("a", "s", "b"), ("b", "r", "a"), ("a", "r", "c"), ("a", "r", "b")]
-    g = graph_from(triples)
+    g = graph_from(triples, inverse_edges=True)
     for h, r, t in triples:
         head, rid, tail = g.entity_id(h), g.relation_id(r), g.entity_id(t)
         assert g.out_index[head].count((rid, tail)) == 1
@@ -155,14 +150,6 @@ def test_dump_independent_of_ingestion_order():
     assert g1.dumps() == g2.dumps()
 
 
-def test_both_length_is_sum_of_directions():
-    g = graph_from([("a", "r", "b"), ("c", "r", "a"), ("a", "s", "c"), ("b", "s", "a")])
-    for eid in range(g.num_entities):
-        fwd = len(g.neighbors(eid, "forward"))
-        inv = len(g.neighbors(eid, "inverse"))
-        assert len(g.neighbors(eid, "both")) == fwd + inv
-
-
 def test_load_triples_path_missing_file(tmp_path):
     with pytest.raises(NotFoundError):
         load_triples_path(tmp_path / "absent.tsv")
@@ -201,19 +188,21 @@ _RELATION_LABELS = ["r", "s", "r.x", "R", "r s"]
 @example([])
 @example([("a", "r", "a"), ("a", "r", "a"), ("b", "s", "a"), ("a", "r", "b"), ("b", "s", "a")])
 def test_load_triples_equals_reference_graph(label_triples):
-    g = graph_from(label_triples)
     ref = ref_graph(label_triples)
-    assert g.num_entities == len(ref["entities"])
-    assert g.num_relations == len(ref["relations"])
-    for eid, label in enumerate(ref["entities"]):
-        assert g.entity_id(label) == eid
-        assert g.entity_label(eid) == label
-    n = len(ref["relations"])
-    for rid, label in enumerate(ref["relations"]):
-        assert g.relation_id(label) == rid
-        assert g.relation_label(rid) == label
-        assert g.relation_label(rid + n) == label + INVERSE_MARKER
-    for direction, expected in ref["neighbors"].items():
-        assert [g.neighbors(eid, direction) for eid in range(g.num_entities)] == expected
-    assert len(g) == ref["len"]
-    assert g.dumps() == ref["dumps"]
+    for inverse_edges, walk in ((False, "forward"), (True, "both")):
+        g = graph_from(label_triples, inverse_edges)
+        assert g.num_entities == len(ref["entities"])
+        assert g.num_relations == len(ref["relations"])
+        for eid, label in enumerate(ref["entities"]):
+            assert g.entity_id(label) == eid
+            assert g.entity_label(eid) == label
+        n = len(ref["relations"])
+        for rid, label in enumerate(ref["relations"]):
+            assert g.relation_id(label) == rid
+            assert g.relation_label(rid) == label
+            assert g.relation_label(rid + n) == label + INVERSE_MARKER
+        assert [g.neighbors(eid) for eid in range(g.num_entities)] == ref["neighbors"][walk]
+        assert len(g) == ref["len"]
+        assert g.dumps() == ref["dumps"]
+        if not inverse_edges:
+            assert g.in_index == {}

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from karpa.errors import CapacityError, ContractError, NotFoundError
+from karpa.errors import ContractError, NotFoundError
 from karpa.matching import (
     STRATEGIES,
     _rank_key,
@@ -21,6 +21,7 @@ from karpa.matching import (
 
 from helpers import SpyGateway, TWELVE_ENTITY_TRIPLES, graph_from, mock_gateway, random_graph
 from oracles import (
+    CapacityError,
     brute_force_top_k,
     enumerate_all_paths,
     exhaustive_fixed_length_best,
@@ -424,14 +425,16 @@ def test_heuristic_exact_equals_brute_force_random(gateway):
         ]
 
 
-@pytest.mark.parametrize("direction", ["forward", "both"])
-def test_heuristic_self_loop_at_start_is_not_a_path(gateway, direction):
-    g = graph_from([("A", "people.person.knows", "A"), ("A", "people.person.children", "B")])
+@pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])
+def test_heuristic_self_loop_at_start_is_not_a_path(gateway, inverse_edges):
+    g = graph_from(
+        [("A", "people.person.knows", "A"), ("A", "people.person.children", "B")], inverse_edges
+    )
     a = g.entity_id("A")
     candidate = RelationPath(("people.person.knows",))
-    cfg = MatchConfig(strategy="heuristic", top_k=16, exact_mode=True, max_len=2, direction=direction)
+    cfg = MatchConfig(strategy="heuristic", top_k=16, exact_mode=True, max_len=2)
     ours = heuristic_top_k(g, a, candidate, cfg, gateway)
-    oracle = brute_force_top_k(g, a, candidate, 16, 2, gateway, direction=direction)
+    oracle = brute_force_top_k(g, a, candidate, 16, 2, gateway)
     assert [(labels_of(p), p.path.entities(), p.score) for p in ours] == [
         (labels_of(p), p.path.entities(), p.score) for p in oracle
     ]
@@ -441,21 +444,20 @@ def test_heuristic_self_loop_at_start_is_not_a_path(gateway, direction):
 def test_heuristic_exact_several_candidates_equal_brute_force(twelve_graph):
     # One gateway serves every candidate, so each search starts with the
     # cache the earlier ones filled.
-    g = twelve_graph
     gateway = mock_gateway()
-    hub = g.entity_id("hub")
     candidates = [
         ("people.person.children",),
         ("people.person.children", "people.person.spouse"),
         ("people.person.spouse", "people.person.parents", "people.person.children"),
         ("location.person.birthplace", "location.country.capital"),
     ]
-    for direction in ("forward", "both"):
+    for g in (twelve_graph, graph_from(TWELVE_ENTITY_TRIPLES, inverse_edges=True)):
+        hub = g.entity_id("hub")
         for labels in candidates:
             candidate = RelationPath(labels)
-            cfg = MatchConfig(top_k=32, exact_mode=True, max_len=3, direction=direction)
+            cfg = MatchConfig(top_k=32, exact_mode=True, max_len=3)
             ours = heuristic_top_k(g, hub, candidate, cfg, gateway)
-            oracle = brute_force_top_k(g, hub, candidate, 32, 3, gateway, direction=direction)
+            oracle = brute_force_top_k(g, hub, candidate, 32, 3, gateway)
             assert [(labels_of(p), p.path.entities(), p.score) for p in ours] == [
                 (labels_of(p), p.path.entities(), p.score) for p in oracle
             ]
@@ -468,12 +470,15 @@ _MATCHERS = {"beam": beam_match, "pathfind": dijkstra_avg_match, "heuristic": he
 def test_every_strategy_makes_one_embed_request_per_expansion(strategy):
     rng = random.Random(3030)
     for _ in range(10):
+        replay = random.Random()
+        replay.setstate(rng.getstate())
         g = random_graph(rng, n_entities=20, n_relations=10, max_out_degree=3)
         candidate = RelationPath(
             tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 2)))
         )
         max_len = len(candidate) + 1
-        direction = rng.choice(["forward", "both"])
+        if rng.choice([False, True]):  # the same graph, loaded with inverse edges
+            g = random_graph(replay, n_entities=20, n_relations=10, max_out_degree=3, inverse_edges=True)
         gateway = SpyGateway()
         # Wide enough that no search drops a prefix: each expands the start
         # and every path shorter than its deepest length.
@@ -483,11 +488,10 @@ def test_every_strategy_makes_one_embed_request_per_expansion(strategy):
             beam_width=10_000,
             exact_mode=True,
             max_len=max_len,
-            direction=direction,
         )
         _MATCHERS[strategy](g, 0, candidate, cfg, gateway)
         depth = max_len if strategy == "heuristic" else len(candidate)
-        paths = enumerate_all_paths(g, 0, depth, direction)
+        paths = enumerate_all_paths(g, 0, depth)
         # Only prefixes with a child that revisits no entity make a request.
         expanded = {steps[:-1] for _, _, steps in paths}
         assert len(gateway.requests) == len(expanded)
@@ -499,20 +503,18 @@ def test_every_strategy_makes_one_embed_request_per_expansion(strategy):
         assert sorted(r[0] for r in gateway.requests) == sorted(queries)
 
 
-@pytest.mark.parametrize("direction", ["forward", "both"])
-def test_beam_equals_level_by_level_reference(gateway, direction):
+@pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])
+def test_beam_equals_level_by_level_reference(gateway, inverse_edges):
     # Few relation labels, so equal step costs, and so ties at the beam's
     # cut, are common.
     rng = random.Random(5150)
     for _ in range(60):
         g = random_graph(rng, n_entities=rng.randint(6, 30), n_relations=rng.randint(2, 4),
-                         max_out_degree=4)
+                         max_out_degree=4, inverse_edges=inverse_edges)
         candidate = RelationPath(
             tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 3)))
         )
-        cfg = MatchConfig(
-            strategy="beam", beam_width=rng.randint(1, 8), top_k=rng.randint(1, 16), direction=direction
-        )
+        cfg = MatchConfig(strategy="beam", beam_width=rng.randint(1, 8), top_k=rng.randint(1, 16))
         ours = beam_match(g, 0, candidate, cfg, gateway)
         ref = ref_beam(g, 0, candidate, cfg, gateway)
         assert [(labels_of(p), p.path.entities(), p.score, p.cost) for p in ours] == [
@@ -572,7 +574,7 @@ def test_returned_paths_are_edge_valid_and_simple(gateway):
                 assert len(set(entities)) == len(entities)
                 current = scored.path.start
                 for rid, nid in scored.path.steps:
-                    assert (rid, nid) in g.neighbors(current, "both")
+                    assert (rid, nid) in g.neighbors(current)
                     current = nid
 
 
@@ -607,19 +609,12 @@ def test_match_candidates_empty_input(gateway, twelve_graph):
 
 def test_inverse_direction_reaches_backwards(gateway):
     # B is only reachable from C against the edge direction
-    g = graph_from([("B", "people.person.children", "C")])
-    c = g.entity_id("C")
-    forward_only = heuristic_top_k(
-        g, c, RelationPath(("people.person.children",)), MatchConfig(top_k=4), gateway
-    )
-    assert forward_only == []
-    both = heuristic_top_k(
-        g,
-        c,
-        RelationPath(("people.person.children",)),
-        MatchConfig(top_k=4, direction="both"),
-        gateway,
-    )
+    triples = [("B", "people.person.children", "C")]
+    candidate = RelationPath(("people.person.children",))
+    g = graph_from(triples)
+    assert heuristic_top_k(g, g.entity_id("C"), candidate, MatchConfig(top_k=4), gateway) == []
+    g = graph_from(triples, inverse_edges=True)
+    both = heuristic_top_k(g, g.entity_id("C"), candidate, MatchConfig(top_k=4), gateway)
     assert len(both) == 1
     assert both[0].relation_path.relations == ("people.person.children~inv",)
     assert both[0].path.tail == g.entity_id("B")
