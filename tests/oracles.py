@@ -115,8 +115,8 @@ def enumerate_all_paths(g, start: int, max_len: int, limit=None):
     """All simple paths of length 1..max_len as (labels, entities, steps) tuples.
 
     Iterative DFS over ``g.neighbors``, independent of the package's search
-    expansion. Raises
-    ``CapacityError`` once more than ``limit`` paths are found.
+    expansion. Raises ``CapacityError`` once more than ``limit`` paths are
+    found.
     """
     results = []
     stack = [((), (start,), ())]

@@ -107,6 +107,7 @@ def test_http_endpoint_that_is_not_an_http_url_is_config_error(config_file, monk
         ("false", [("person.family.spouse", "C")]),
         ("true", [("person.family.spouse", "C"), ("person.family.father~inv", "A")]),
     ],
+    ids=["false", "true"],
 )
 def test_inverse_edges_flag_makes_load_graph_walk_backwards(kg_file, flag, walked):
     cfg = build_config(resolve_values({"kg.path": str(kg_file), "kg.inverse_edges": flag}, env={}))

@@ -59,6 +59,13 @@ def test_neighbors_forward_single_edge():
     assert g.neighbors(g.entity_id("A")) == [(0, g.entity_id("B"))]
 
 
+def test_neighbors_returns_a_fresh_list():
+    g = graph_from([("A", "r", "B")], inverse_edges=True)
+    for eid in (g.entity_id("A"), g.entity_id("B")):
+        g.neighbors(eid).clear()
+        assert len(g.neighbors(eid)) == 1
+
+
 def test_neighbors_inverse_uses_marker():
     g = graph_from([("A", "r", "B")], inverse_edges=True)
     (rid, nid), = g.neighbors(g.entity_id("B"))
