@@ -14,12 +14,17 @@ import sys
 from pathlib import Path
 
 from .config import config_digest, load_config
-from .embeddings import EmbeddingCache
 from .errors import ConfigError, DataError, DomainError, ProviderError
 from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv
 from .kg import load_triples_path
 from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
-from .pipeline import build_embedding_gateway, build_pipeline, load_graph, make_sample_runner
+from .pipeline import (
+    build_embedding_gateway,
+    build_pipeline,
+    load_graph,
+    make_sample_runner,
+    open_embedding_cache,
+)
 from .planner import Query
 
 EXIT_OK = 0
@@ -144,7 +149,7 @@ def _cmd_match(args, cfg) -> int:
 def _cmd_cache(args, cfg) -> int:
     if not cfg.embedding.cache_path:
         raise ConfigError("embedding.cache_path is not configured")
-    cache = EmbeddingCache(cfg.embedding.cache_path)
+    cache = open_embedding_cache(cfg.embedding.cache_path)
     if args.action == "stats":
         print(json.dumps(cache.stats(), sort_keys=True))
     else:

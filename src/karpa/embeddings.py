@@ -11,9 +11,14 @@ The gateway is provider-agnostic. Three providers ship here:
   HTTP call, its error mapping, the gateway's retry loop and the fixture
   reader live in ``transport``.
 
-Each vector stores its squared norm, taken once when it is made, and
-``cosine_many`` multiplies through the query's nonzero components only; both
-give the same bits as the plain pairwise loop. Vocabulary retrieval is an
+Each vector holds its values in one ``array('d')`` (8 bytes a component,
+where a tuple of floats holds a pointer to a boxed float per component) and
+stores its squared norm, taken once when it is made; ``cosine_many``
+multiplies through the query's nonzero components only. Both give the same
+bits as the plain pairwise loop. The cache keeps vectors in memory under the
+raw 32-byte SHA-256 digests of the provider identity and of the text; the hex
+forms of those digests appear only in cache-file records, whose format is
+unchanged, and in scripted-fixture lookups. Vocabulary retrieval is an
 exhaustive cosine scan against vocabulary vectors that each gateway embeds
 once; vocabulary sizes here do not warrant an ANN index.
 """
@@ -28,6 +33,7 @@ import re
 import threading
 import time
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
@@ -42,30 +48,46 @@ _HEADER_LINE = json.dumps(CACHE_HEADER, separators=(",", ":")) + "\n"
 
 
 def text_digest(text: str) -> str:
+    """Hex SHA-256 of ``text``: the key of cache-file records and scripted fixtures."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddingVector:
     """Fixed-length real vector; all values finite.
 
-    ``norm_sq`` is the sum of squared values, added in index order when the
-    vector is made. It takes no part in equality, hashing or ``repr``.
+    ``values`` is one ``array('d')``: any other iterable of numbers is copied
+    into one when the vector is made, and an ``array('d')`` is kept as given,
+    so the maker must not change it afterwards. Equality is elementwise (so
+    ``0.0 == -0.0``), the hash is that of the values as a tuple, and ``repr``
+    shows them as a tuple. ``norm_sq`` is the sum of squared values, added in
+    index order when the vector is made. It takes no part in equality,
+    hashing or ``repr``.
     """
 
-    values: tuple[float, ...]
+    values: array
     norm_sq: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        values = self.values
+        if type(values) is not array or values.typecode != "d":
+            values = array("d", values)
+            object.__setattr__(self, "values", values)
         nv = 0.0
-        for y in self.values:
+        for y in values:
             nv += y * y
         # A NaN or infinite value makes the norm NaN or infinite, so a finite
         # norm proves the values finite. Huge finite values overflow it too,
         # so an infinite norm alone proves nothing: then check each value.
-        if not math.isfinite(nv) and not all(map(math.isfinite, self.values)):
+        if not math.isfinite(nv) and not all(map(math.isfinite, values)):
             raise ContractError("embedding values must be finite")
         object.__setattr__(self, "norm_sq", nv)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.values))
+
+    def __repr__(self) -> str:
+        return f"EmbeddingVector(values={tuple(self.values)!r})"
 
     @property
     def dim(self) -> int:
@@ -93,7 +115,7 @@ def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> l
     explicit loop because ``sum()`` of floats is compensated from Python 3.12.
 
     On dense vectors, with no zero to skip, the loop over the prebuilt pairs
-    still beats a ``zip`` over both tuples once a call scores a few vectors;
+    still beats a ``zip`` over both value arrays once a call scores a few vectors;
     a call that scores one vector pays an extra pass to build the pairs.
     """
     q = query.values
@@ -163,10 +185,10 @@ def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
     if not counts:
         raise DomainError(f"text has no tokens to embed: {text!r}")
     norm = math.sqrt(sum([c * c for c in counts.values()]))
-    values = [0.0] * dim
+    values = array("d", bytes(8 * dim))
     for bucket, count in counts.items():
         values[bucket] = count / norm
-    return EmbeddingVector(tuple(values))
+    return EmbeddingVector(values)
 
 
 class EmbeddingProvider(Protocol):
@@ -190,7 +212,7 @@ def _embedding_fixture_record(obj) -> tuple[str, EmbeddingVector]:
     digest = obj["digest"]
     if not isinstance(digest, str):
         raise TypeError("digest must be a string")
-    return digest, EmbeddingVector(tuple(float(v) for v in obj["values"]))
+    return digest, EmbeddingVector(array("d", map(float, obj["values"])))
 
 
 class ScriptedEmbeddingProvider:
@@ -254,7 +276,7 @@ class HttpEmbeddingProvider:
         )
         try:
             rows = sorted(body["data"], key=lambda r: r["index"])
-            vectors = [EmbeddingVector(tuple(float(v) for v in row["embedding"])) for row in rows]
+            vectors = [EmbeddingVector(array("d", map(float, row["embedding"]))) for row in rows]
         except (LookupError, TypeError, ValueError, ContractError) as exc:
             raise ProviderError(f"malformed embedding reply ({type(exc).__name__}: {exc})") from None
         if len(vectors) != len(texts):
@@ -267,8 +289,10 @@ class HttpEmbeddingProvider:
 class EmbeddingCache:
     """Append-only embedding cache keyed by (provider identity digest, text digest).
 
-    When backed by a file, records are line-JSON after a version header
-    line; writes are atomic per key (guarded by a lock, flushed per line).
+    Both keys are raw 32-byte SHA-256 digests: vectors are held per identity
+    in a dict keyed by the text's digest. When backed by a file, records are
+    line-JSON after a version header line and name both digests in hex;
+    writes are atomic per key (guarded by a lock, flushed per line).
     Only the cache that creates the file writes the header: it creates the
     file exclusively (``O_EXCL``), and a cache that finds the file made by
     another since it looked appends its record without one. A load skips
@@ -278,7 +302,7 @@ class EmbeddingCache:
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._memory: dict[tuple[str, str], EmbeddingVector] = {}
+        self._memory: dict[bytes, dict[bytes, EmbeddingVector]] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self.skipped = 0
@@ -312,28 +336,30 @@ class EmbeddingCache:
                     continue
                 try:
                     obj = json.loads(line)
-                    key = (obj["identity"], obj["text"])
-                    vector = EmbeddingVector(tuple(float(v) for v in obj["values"]))
+                    identity, digest = bytes.fromhex(obj["identity"]), bytes.fromhex(obj["text"])
+                    vector = EmbeddingVector(array("d", map(float, obj["values"])))
                 except (ValueError, KeyError, TypeError, ContractError):
                     self.skipped += 1
                     continue
-                self._memory[key] = vector
+                self._memory.setdefault(identity, {})[digest] = vector
         self._lead = "" if last.endswith("\n") else "\n"
 
-    def get(self, identity_digest: str, digest: str) -> EmbeddingVector | None:
-        return self._memory.get((identity_digest, digest))
+    def get(self, identity_digest: bytes, digest: bytes) -> EmbeddingVector | None:
+        vectors = self._memory.get(identity_digest)
+        return vectors.get(digest) if vectors is not None else None
 
-    def put(self, identity_digest: str, digest: str, vector: EmbeddingVector) -> EmbeddingVector:
+    def put(self, identity_digest: bytes, digest: bytes, vector: EmbeddingVector) -> EmbeddingVector:
         """Store ``vector`` unless the key is held already; return the held vector.
 
         Callers keep the returned vector, so two threads that embedded the
         same text keep one object between them.
         """
         with self._lock:
-            stored = self._memory.get((identity_digest, digest))
+            vectors = self._memory.setdefault(identity_digest, {})
+            stored = vectors.get(digest)
             if stored is not None:
                 return stored
-            self._memory[(identity_digest, digest)] = vector
+            vectors[digest] = vector
             if self._path is not None:
                 try:
                     fp = self._path.open(self._mode, encoding="utf-8")
@@ -345,10 +371,10 @@ class EmbeddingCache:
                     fp.write(
                         json.dumps(
                             {
-                                "identity": identity_digest,
-                                "text": digest,
+                                "identity": identity_digest.hex(),
+                                "text": digest.hex(),
                                 "dim": vector.dim,
-                                "values": list(vector.values),
+                                "values": vector.values.tolist(),
                             },
                             separators=(",", ":"),
                         )
@@ -360,7 +386,7 @@ class EmbeddingCache:
     def stats(self) -> dict:
         size = self._path.stat().st_size if self._path is not None and self._path.exists() else 0
         return {
-            "records": len(self._memory),
+            "records": sum(map(len, self._memory.values())),
             "skipped": self.skipped,
             "path": str(self._path) if self._path is not None else None,
             "bytes": size,
@@ -386,7 +412,7 @@ class EmbeddingGateway:
     ):
         self.provider = provider
         self.cache = cache if cache is not None else EmbeddingCache()
-        self._identity_digest = text_digest(provider.identity)
+        self._identity_digest = hashlib.sha256(provider.identity.encode("utf-8")).digest()
         self._sleep = sleep
         self._dim: int | None = None
         self._lock = threading.Lock()
@@ -394,32 +420,46 @@ class EmbeddingGateway:
         # miss. Two threads that miss together each embed it once.
         self._vocab_memo: tuple[tuple[str, ...], list[EmbeddingVector]] | None = None
 
-    def _check_dim(self, vec: EmbeddingVector) -> None:
+    def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
+        """Hold a batch of vectors to the dim of the first vector this gateway saw."""
         dim = self._dim
         if dim is None:
             with self._lock:
                 if self._dim is None:
-                    self._dim = vec.dim
+                    self._dim = len(vectors[0].values)
                 dim = self._dim
-        if vec.dim != dim:
-            raise ContractError(f"embedding dim drifted from {dim} to {vec.dim}")
+        for vec in vectors:
+            if len(vec.values) != dim:
+                raise ContractError(f"embedding dim drifted from {dim} to {len(vec.values)}")
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
-        """Embed each text, serving cache hits without touching the provider."""
+        """Embed each text, serving cache hits without touching the provider.
+
+        Each text is hashed once; its digest keys both the lookup and, on a
+        miss, the store. Dims are checked once for the hits and once for the
+        provider's reply, before any vector is stored.
+        """
         if not texts:
             raise ContractError("embed requires at least one text")
         if any(not t for t in texts):
             raise ContractError("embed texts must be non-empty")
-        digests = [text_digest(t) for t in texts]
+        identity = self._identity_digest
+        cache = self.cache
+        sha256 = hashlib.sha256
         out: list[EmbeddingVector | None] = [None] * len(texts)
-        missing: dict[str, list[int]] = {}
-        for i, (text, digest) in enumerate(zip(texts, digests)):
-            hit = self.cache.get(self._identity_digest, digest)
+        hits: list[EmbeddingVector] = []
+        # text -> (its digest, its positions in ``texts``)
+        missing: dict[str, tuple[bytes, list[int]]] = {}
+        for i, text in enumerate(texts):
+            digest = sha256(text.encode("utf-8")).digest()
+            hit = cache.get(identity, digest)
             if hit is not None:
-                self._check_dim(hit)
+                hits.append(hit)
                 out[i] = hit
             else:
-                missing.setdefault(text, []).append(i)
+                missing.setdefault(text, (digest, []))[1].append(i)
+        if hits:
+            self._check_dim(hits)
         if missing:
             unique = list(missing)
             vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
@@ -427,10 +467,9 @@ class EmbeddingGateway:
                 raise ContractError(
                     f"provider returned {len(vectors)} vectors for {len(unique)} texts"
                 )
-            for text, vec in zip(unique, vectors):
-                self._check_dim(vec)
-                positions = missing[text]
-                vec = self.cache.put(self._identity_digest, digests[positions[0]], vec)
+            self._check_dim(vectors)
+            for (digest, positions), vec in zip(missing.values(), vectors):
+                vec = cache.put(identity, digest, vec)
                 for i in positions:
                     out[i] = vec
         return out

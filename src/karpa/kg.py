@@ -1,7 +1,8 @@
 """Immutable triple store: interned labels and sorted adjacency lists.
 
 Triples are read from UTF-8 TSV (``head<TAB>relation<TAB>tail``, ``#``
-comments allowed) and deduplicated. Entity and relation labels are plain
+comments allowed, but not ``#`` lines that hold three non-empty fields) and
+deduplicated. Entity and relation labels are plain
 strings in lists indexed by id; ids are dense integers assigned in
 first-appearance order (head, relation, tail within a line) so that
 fixtures load reproducibly. Each triple is stored as ``(relation_id,
@@ -132,13 +133,27 @@ class KnowledgeGraph:
 
 
 def _iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
-    """``[head, relation, tail]`` per data line; blank and ``#`` lines skipped."""
+    """``[head, relation, tail]`` per data line; blank and ``#`` lines skipped.
+
+    A ``#`` line that holds three non-empty tab-separated fields reads as a
+    triple whose head label starts with ``#``, which a comment would drop
+    without a word, so it is a ``ParseError`` instead.
+    """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != 3 or "" in fields:
+        triple = len(fields) == 3 and "" not in fields
+        if line.lstrip().startswith("#"):
+            if not triple:
+                continue
+            raise ParseError(
+                f"line {lineno}: a head label may not start with '#', got {line!r}",
+                line=lineno,
+                raw=line,
+            )
+        if not triple:
             raise ParseError(
                 f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}",
                 line=lineno,

@@ -70,8 +70,14 @@ def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
         )
     if opts.cache_path and not Path(opts.cache_path).parent.is_dir():
         raise ConfigError(f"embedding.cache_path is in a missing directory: {opts.cache_path}")
-    cache = EmbeddingCache(opts.cache_path or None)
-    return EmbeddingGateway(provider, cache)
+    return EmbeddingGateway(provider, open_embedding_cache(opts.cache_path))
+
+
+def open_embedding_cache(cache_path: str) -> EmbeddingCache:
+    """The cache at ``cache_path``, in memory only when it is empty; a directory is a config error."""
+    if cache_path and Path(cache_path).is_dir():
+        raise ConfigError(f"embedding.cache_path is a directory: {cache_path}")
+    return EmbeddingCache(cache_path or None)
 
 
 def build_chat_provider(cfg: PipelineConfig):

@@ -163,6 +163,30 @@ def test_cache_path_in_a_missing_directory_is_config_error(
     assert json.loads(capsys.readouterr().out)["records"] == 0
 
 
+@pytest.mark.parametrize("command", ["ask", "eval", "cache stats", "cache clear"])
+def test_cache_path_naming_a_directory_is_config_error(
+    config_file, tmp_path, monkeypatch, capsys, command
+):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [["C"]]}) + "\n",
+        encoding="utf-8",
+    )
+    directory = tmp_path / "cache.d"
+    directory.mkdir()
+    monkeypatch.setenv("KARPA_EMBEDDING_CACHE_PATH", str(directory))
+    args = {
+        "ask": ["ask", "--question", "Q?", "--topic", "A"],
+        "eval": ["eval", "--dataset", str(dataset), "--report", str(tmp_path / "report.txt")],
+        "cache stats": ["cache", "stats"],
+        "cache clear": ["cache", "clear"],
+    }[command]
+    assert main(["--config", str(config_file), *args]) == EXIT_CONFIG
+    assert f"config error: embedding.cache_path is a directory: {directory}" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+    assert directory.is_dir()
+
+
 def test_config_digest_covers_every_semantic_key(config_file):
     cfg = load_config(config_file, env={})
     base = config_digest(cfg)

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -317,7 +319,7 @@ def test_dim_drift_is_contract_error():
 def test_embed_keeps_the_vector_another_thread_cached_first():
     cache = EmbeddingCache()
     provider = MockEmbeddingProvider(64)
-    identity = text_digest(provider.identity)
+    identity = bytes.fromhex(text_digest(provider.identity))
     held = provider.embed_batch(["raced text"])[0]
 
     class Racing:
@@ -326,12 +328,12 @@ def test_embed_keeps_the_vector_another_thread_cached_first():
         identity = provider.identity
 
         def embed_batch(self, texts):
-            cache.put(identity, text_digest("raced text"), held)
+            cache.put(identity, bytes.fromhex(text_digest("raced text")), held)
             return provider.embed_batch(texts)
 
     (vec,) = EmbeddingGateway(Racing(), cache).embed(["raced text"])
     assert vec is held
-    assert cache.put(identity, text_digest("raced text"), mock_embed("raced text", 64)) is held
+    assert cache.put(identity, bytes.fromhex(text_digest("raced text")), mock_embed("raced text", 64)) is held
 
 
 def test_cache_roundtrip_equals_uncached():
@@ -385,12 +387,12 @@ def test_two_caches_on_one_new_file_write_one_header(tmp_path):
     path = tmp_path / "cache.jsonl"
     first, second = EmbeddingCache(path), EmbeddingCache(path)
     alpha, beta = mock_embed("alpha"), mock_embed("beta")
-    first.put("identity", "alpha", alpha)
-    second.put("identity", "beta", beta)
+    first.put(b"identity", b"alpha", alpha)
+    second.put(b"identity", b"beta", beta)
     reloaded = EmbeddingCache(path)
     assert reloaded.skipped == 0
-    assert reloaded.get("identity", "alpha") == alpha
-    assert reloaded.get("identity", "beta") == beta
+    assert reloaded.get(b"identity", b"alpha") == alpha
+    assert reloaded.get(b"identity", b"beta") == beta
 
 
 _cache_texts = st.lists(
@@ -404,7 +406,7 @@ def test_cache_survives_truncation_at_every_offset(texts, split):
     split = min(split, len(texts) - 1)
     before, after = texts[:split], texts[split:]
     provider = MockEmbeddingProvider(8)
-    identity = text_digest(provider.identity)
+    identity = bytes.fromhex(text_digest(provider.identity))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
         EmbeddingGateway(provider, EmbeddingCache(path)).embed(before)
@@ -420,9 +422,63 @@ def test_cache_survives_truncation_at_every_offset(texts, split):
             expected = [t for t, (_, nl) in zip(before, records) if nl <= cut] + after
             assert reopened.stats()["records"] == len(expected), cut
             for text, vector in zip(expected, provider.embed_batch(expected)):
-                assert reopened.get(identity, text_digest(text)) == vector, cut
+                assert reopened.get(identity, bytes.fromhex(text_digest(text))) == vector, cut
             cut_inside_record = any(first < cut < nl for first, nl in records)
             assert reopened.skipped == int(cut_inside_record), cut
+
+
+# A cache file written when vectors held tuples of floats (karpa 2c1c261): mock
+# vectors of ``_V1_TEXTS`` at dims 8 and 16, and one vector of extremes.
+_V1_CACHE = Path(__file__).parent / "data" / "embedding_cache_v1.jsonl"
+_V1_TEXTS = ["people.person.children", "film.movie.director", "father mother child"]
+
+
+def test_cache_file_written_with_tuple_payloads_loads_and_rewrites_the_same_bytes(tmp_path):
+    data = _V1_CACHE.read_bytes()
+    path = tmp_path / "v1.jsonl"
+    path.write_bytes(data)
+    cache = EmbeddingCache(path)
+    records = [json.loads(line) for line in data.decode("utf-8").splitlines()[1:]]
+    assert cache.skipped == 0 and cache.stats()["records"] == len(records) == 5
+
+    # Today's gateway finds every mock text under the keys the old writer chose.
+    spy = SpyEmbeddingProvider(MockEmbeddingProvider(8))
+    assert EmbeddingGateway(spy, cache).embed(_V1_TEXTS) == MockEmbeddingProvider(8).embed_batch(_V1_TEXTS)
+    assert spy.calls == 0
+
+    rewritten = EmbeddingCache(tmp_path / "rewritten.jsonl")
+    for record in records:
+        identity, digest = bytes.fromhex(record["identity"]), bytes.fromhex(record["text"])
+        vector = cache.get(identity, digest)
+        assert vector == EmbeddingVector(tuple(record["values"]))
+        assert rewritten.put(identity, digest, vector) is vector
+    assert (tmp_path / "rewritten.jsonl").read_bytes() == data
+    assert path.read_bytes() == data
+
+
+# Bytes a cache entry (dim 64, ~22 nonzero components) retains: about 1,400
+# when vectors held tuples of floats under hex-digest keys, about 810 with
+# ``array('d')`` payloads under raw digests.
+CACHE_ENTRY_BYTES_BOUND = 1100
+
+
+def test_cache_entries_stay_small():
+    labels = relation_label_pool(random.Random(0), 150)
+    texts = [f"{a} {b}" for a in labels for b in labels if a != b][:20_000]
+    gateway = EmbeddingGateway(MockEmbeddingProvider(64))
+    gateway.embed(labels)  # memoizes every word's buckets before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(0, len(texts), 20):
+            gateway.embed(texts[i : i + 20])
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert gateway.cache.stats()["records"] == len(labels) + len(texts)
+    assert retained / len(texts) < CACHE_ENTRY_BYTES_BOUND
 
 
 # -- top-k retrieval ---------------------------------------------------------

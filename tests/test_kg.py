@@ -35,6 +35,20 @@ def test_comments_and_blank_lines_skipped():
     assert len(g) == 1
 
 
+def test_hash_line_with_three_fields_is_parse_error_naming_its_line():
+    with pytest.raises(ParseError) as exc:
+        load_triples(io.StringIO("a\tr\t#tag\n#tag\tr\tb\n"))
+    assert exc.value.line == 2
+    assert "line 2" in str(exc.value)
+
+
+def test_hash_lines_without_three_fields_stay_comments():
+    text = "#\n# head\trelation\n# a\t\tb\n  # x\ty\tz\t!\na\tr\t#tag\n"
+    g = load_triples(io.StringIO(text))
+    assert len(g) == 1 and g.entities == ["a", "#tag"]
+    assert load_triples(io.StringIO(g.dumps())).dumps() == g.dumps()
+
+
 def test_empty_stream_is_valid_empty_graph():
     g = load_triples(io.StringIO(""))
     assert len(g) == 0

@@ -315,8 +315,8 @@ def test_http_embedding_wire_format(http_server):
     provider = HttpEmbeddingProvider(http_server["url"], model="embedder", api_key="k2")
     gw = EmbeddingGateway(provider)
     a, b = gw.embed(["first", "second"])
-    assert a.values == (1.0, 0.0)
-    assert b.values == (0.0, 1.0)
+    assert tuple(a.values) == (1.0, 0.0)
+    assert tuple(b.values) == (0.0, 1.0)
     sent = http_server["requests"][0]
     assert sent["body"] == {"model": "embedder", "input": ["first", "second"]}
     assert sent["headers"]["Authorization"] == "Bearer k2"
@@ -335,7 +335,7 @@ def test_http_embedding_retries_on_5xx(http_server):
 
     http_server["handler"] = handler
     gw = EmbeddingGateway(HttpEmbeddingProvider(http_server["url"], "m"), sleep=lambda _: None)
-    assert gw.embed(["x"])[0].values == (1.0, 2.0)
+    assert tuple(gw.embed(["x"])[0].values) == (1.0, 2.0)
     assert calls["n"] == 3
 
 
@@ -406,7 +406,7 @@ def _chat_call(url, sleep):
 def _embedding_call(url, sleep):
     from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
 
-    return EmbeddingGateway(HttpEmbeddingProvider(url, "m"), sleep=sleep).embed(["x"])[0].values
+    return tuple(EmbeddingGateway(HttpEmbeddingProvider(url, "m"), sleep=sleep).embed(["x"])[0].values)
 
 
 @pytest.mark.parametrize(
