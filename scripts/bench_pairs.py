@@ -15,7 +15,10 @@ script, records the commits, the seed, ``--seconds``, the host's CPU count
 and Python version, and per workload every run's last stdout line. Per
 metric it gives each side's median, quartiles and IQR, and for the
 end-to-end metrics that the change's ``BENCHMARK.json`` lists, how many
-pairs each side won in the metric's better direction. The file is
+pairs each side won in the metric's better direction and whether the claim
+rule is met: the change wins at least nine tenths of all pairs, ties
+counting for neither, and its median beats the base's by more than the
+base's IQR. The file is
 rewritten after every run, so an interrupted run keeps the pairs made so
 far. The worktrees are removed on exit.
 
@@ -79,9 +82,28 @@ def run_ok(run: dict) -> bool:
     )
 
 
+def claim(wins: dict[str, int], entry: dict, sign: int) -> dict:
+    """The claim rule for one metric, from the pairs each side won and the
+    sides' summaries; ``sign`` is 1 where higher is better, -1 where lower is.
+
+    ``median_gap`` is the change's median less the base's, in the better
+    direction. ``met`` needs the change to win at least 9 of every 10 pairs,
+    ties counting for neither side, and ``median_gap`` above the base's IQR.
+    """
+    pairs = sum(wins.values())
+    if "base" in entry and "change" in entry:
+        gap = sign * (entry["change"]["median"] - entry["base"]["median"])
+        iqr = entry["base"]["iqr"]
+    else:
+        gap = iqr = None
+    met = pairs > 0 and 10 * wins["change"] >= 9 * pairs and gap is not None and gap > iqr
+    return {"wins": wins["change"], "pairs": pairs, "median_gap": gap, "base_iqr": iqr, "met": met}
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median, quartiles and IQR; for metrics in
-    ``better`` (name -> "higher" or "lower"), the pairs each side won."""
+    ``better`` (name -> "higher" or "lower"), the pairs each side won and
+    the claim rule's figures (``claim``)."""
     names: list[str] = []
     for run in runs:
         for name in (run["result"] or {}).get("metrics", {}):
@@ -119,6 +141,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                     wins["change" if diff > 0 else "base" if diff < 0 else "tie"] += 1
             entry["better"] = better[name]
             entry["pairs_won"] = wins
+            entry["claim"] = claim(wins, entry, sign)
         summary[name] = entry
     return summary
 
@@ -212,7 +235,7 @@ def main() -> int:
             base, change = stats.get("base", {}), stats.get("change", {})
             print(
                 f"{workload:16} {name:26} base {base.get('median')!s:>22} (IQR {base.get('iqr')!s:>22})"
-                f"  change {change.get('median')!s:>22}  won {stats['pairs_won']}"
+                f"  change {change.get('median')!s:>22}  won {stats['pairs_won']}  met {stats['claim']['met']}"
             )
     print(f"wrote {out}")
     return 0 if all_ok else 1

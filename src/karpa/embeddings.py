@@ -15,11 +15,14 @@ Each vector holds its values in one ``array('d')`` (8 bytes a component,
 where a tuple of floats holds a pointer to a boxed float per component) and
 stores its squared norm, taken once when it is made; ``cosine_many``
 multiplies through the query's nonzero components only. Both give the same
-bits as the plain pairwise loop. The cache keeps vectors in memory under the
-raw 32-byte SHA-256 digests of the provider identity and of the text; the hex
-forms of those digests appear only in cache-file records, whose format is
-unchanged, and in scripted-fixture lookups. Vocabulary retrieval is an
-exhaustive cosine scan against vocabulary vectors that each gateway embeds
+bits as the plain pairwise loop. The cache keeps each vector in memory as one
+``bytes`` payload, its values' bytes then those of its squared norm, under
+the raw 32-byte SHA-256 digests of the provider identity and of the text.
+Bytes and dicts of bytes are not tracked by the cyclic garbage collector, so
+a full cache adds nothing to its collections; a lookup rebuilds a vector
+with the same bits. The hex forms of the digests appear only in cache-file
+records, whose format is unchanged, and in scripted-fixture lookups.
+Vocabulary retrieval is an exhaustive cosine scan against vocabulary vectors that each gateway embeds
 once; vocabulary sizes here do not warrant an ANN index.
 """
 
@@ -30,6 +33,7 @@ import hashlib
 import json
 import math
 import re
+import struct
 import threading
 import time
 import zlib
@@ -92,6 +96,32 @@ class EmbeddingVector:
     @property
     def dim(self) -> int:
         return len(self.values)
+
+
+# The slots' own setters: a frozen dataclass refuses plain assignment, and
+# ``object.__setattr__`` takes about a third longer on the cache-hit path.
+_set_values = EmbeddingVector.values.__set__
+_set_norm_sq = EmbeddingVector.norm_sq.__set__
+
+
+def _payload(vector: EmbeddingVector) -> bytes:
+    """``vector``'s values then its ``norm_sq``, as native doubles."""
+    return vector.values.tobytes() + struct.pack("d", vector.norm_sq)
+
+
+def _restore(payload: bytes) -> EmbeddingVector:
+    """The vector ``_payload`` was taken from, bit for bit.
+
+    A payload only ever comes from a vector that was made, so validated,
+    already: its values are finite and its norm is theirs, and neither is
+    checked or added up again.
+    """
+    values = array("d", payload)
+    norm_sq = values.pop()
+    vector = object.__new__(EmbeddingVector)
+    _set_values(vector, values)
+    _set_norm_sq(vector, norm_sq)
+    return vector
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
@@ -290,10 +320,14 @@ class EmbeddingCache:
     """Append-only embedding cache keyed by (provider identity digest, text digest).
 
     Both keys are raw 32-byte SHA-256 digests: vectors are held per identity
-    in a dict keyed by the text's digest. When backed by a file, records are
-    line-JSON after a version header line and name both digests in hex;
-    writes are atomic per key (guarded by a lock, flushed per line).
-    Only the cache that creates the file writes the header: it creates the
+    in a dict keyed by the text's digest, each as one ``bytes`` payload (its
+    values' bytes, then its ``norm_sq``'s 8 bytes), so that no held entry is
+    an object the cyclic garbage collector must walk. ``get`` returns a new
+    vector with the held bits each time, and ``put`` returns a vector equal
+    bit for bit to the held one, not the held object. When backed by a
+    file, records are line-JSON after a version header line and name both
+    digests in hex; writes are atomic per key (guarded by a lock, flushed
+    per line). Only the cache that creates the file writes the header: it creates the
     file exclusively (``O_EXCL``), and a cache that finds the file made by
     another since it looked appends its record without one. A load skips
     and counts lines that are not whole records, such as one cut short by
@@ -302,7 +336,7 @@ class EmbeddingCache:
     """
 
     def __init__(self, path: str | Path | None = None):
-        self._memory: dict[bytes, dict[bytes, EmbeddingVector]] = {}
+        self._memory: dict[bytes, dict[bytes, bytes]] = {}
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self.skipped = 0
@@ -341,25 +375,29 @@ class EmbeddingCache:
                 except (ValueError, KeyError, TypeError, ContractError):
                     self.skipped += 1
                     continue
-                self._memory.setdefault(identity, {})[digest] = vector
+                self._memory.setdefault(identity, {})[digest] = _payload(vector)
         self._lead = "" if last.endswith("\n") else "\n"
 
     def get(self, identity_digest: bytes, digest: bytes) -> EmbeddingVector | None:
         vectors = self._memory.get(identity_digest)
-        return vectors.get(digest) if vectors is not None else None
+        payload = vectors.get(digest) if vectors is not None else None
+        return _restore(payload) if payload is not None else None
 
     def put(self, identity_digest: bytes, digest: bytes, vector: EmbeddingVector) -> EmbeddingVector:
-        """Store ``vector`` unless the key is held already; return the held vector.
+        """Store ``vector`` unless the key is held already; return a vector equal
+        bit for bit to the held one.
 
-        Callers keep the returned vector, so two threads that embedded the
-        same text keep one object between them.
+        That is ``vector`` itself when this call stored it. Callers keep the
+        returned vector, so two threads that embedded the same text keep the
+        same bits between them: those of the first to store it.
         """
+        payload = _payload(vector)
         with self._lock:
             vectors = self._memory.setdefault(identity_digest, {})
             stored = vectors.get(digest)
             if stored is not None:
-                return stored
-            vectors[digest] = vector
+                return _restore(stored)
+            vectors[digest] = payload
             if self._path is not None:
                 try:
                     fp = self._path.open(self._mode, encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Immutable triple store: interned labels and sorted adjacency lists.
+"""Immutable triple store: interned labels and sorted adjacency tuples.
 
 Triples are read from UTF-8 TSV (``head<TAB>relation<TAB>tail``, ``#``
 comments allowed, but not ``#`` lines that hold three non-empty fields) and
@@ -12,6 +12,12 @@ edges backwards is fixed at load: only a graph loaded with
 ``in_index``. Inverse traversal presents the relation label suffixed with
 the reserved marker ``~inv``; inverse relation ids are offset by the size
 of the relation table and never appear in the vocabulary.
+
+Each entity's edges are one sorted tuple of ``(relation_id, entity_id)``
+pairs. The cyclic garbage collector stops tracking a tuple once a pass finds
+all its items untracked: each pair at the first pass over it, the tuple that
+holds them at the same pass or the next. So a loaded graph adds almost
+nothing to later collections, where one list per entity would stay tracked.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ INVERSE_MARKER = "~inv"
 
 
 class KnowledgeGraph:
-    """Entity/relation tables plus the triple set as sorted adjacency lists.
+    """Entity/relation tables plus the triple set as sorted adjacency tuples.
 
     Instances are immutable after construction and safe for concurrent
     reads. Build them through :func:`load_triples` rather than directly.
@@ -46,15 +52,13 @@ class KnowledgeGraph:
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
         self._relation_ids = relation_ids
-        self.out_index = {head: sorted(edges) for head, edges in adjacency.items()}
+        self.out_index = {head: tuple(sorted(edges)) for head, edges in adjacency.items()}
         inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
         if inverse_edges:
             for head, edges in self.out_index.items():
                 for rid, tail in edges:
                     inc[tail].append((rid, head))
-            for adj in inc.values():
-                adj.sort()
-        self.in_index = dict(inc)
+        self.in_index = {tail: tuple(sorted(adj)) for tail, adj in inc.items()}
 
     # -- lookups ---------------------------------------------------------
 
@@ -92,7 +96,7 @@ class KnowledgeGraph:
     # -- queries ---------------------------------------------------------
 
     def neighbors(self, entity_id: int) -> list[tuple[int, int]]:
-        """Adjacent ``(relation_id, entity_id)`` pairs in deterministic order.
+        """Adjacent ``(relation_id, entity_id)`` pairs in deterministic order, in a new list.
 
         The stored triples head-to-tail, then, on a graph loaded with
         ``inverse_edges``, those ending here walked backwards, each relation
@@ -101,9 +105,9 @@ class KnowledgeGraph:
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
         offset = len(self.relations)
-        return self.out_index.get(entity_id, []) + [
-            (rid + offset, head) for rid, head in self.in_index.get(entity_id, [])
-        ]
+        edges = list(self.out_index.get(entity_id, ()))
+        edges += [(rid + offset, head) for rid, head in self.in_index.get(entity_id, ())]
+        return edges
 
     def relation_vocabulary(self) -> list[str]:
         """All distinct relation labels, sorted; inverse synthetics excluded."""

@@ -148,15 +148,15 @@ def _scored_children(
     exactly.
     """
     _, labels, entities, steps = prefix
-    children = [
-        (labels + (g.relation_label(rid),), entities + (nid,), steps + ((rid, nid),))
-        for rid, nid in g.neighbors(entities[-1])
-        if nid not in entities
-    ]
-    if not children:
+    edges = [edge for edge in g.neighbors(entities[-1]) if edge[1] not in entities]
+    if not edges:
         return []
-    query_vec, *child_vecs = gateway.embed([query_text] + [child_text(c[0]) for c in children])
-    return [(1.0 - sim, *child) for child, sim in zip(children, cosine_many(query_vec, child_vecs))]
+    child_labels = [labels + (g.relation_label(rid),) for rid, _ in edges]
+    query_vec, *child_vecs = gateway.embed([query_text, *map(child_text, child_labels)])
+    return [
+        (1.0 - sim, child, entities + (edge[1],), steps + (edge,))
+        for edge, child, sim in zip(edges, child_labels, cosine_many(query_vec, child_vecs))
+    ]
 
 
 def _rank_key(cost: float, labels: tuple[str, ...], entities: tuple[int, ...]) -> tuple:
@@ -212,10 +212,10 @@ def _fixed_length_match(
         if depth == len(candidate):
             results.append(ScoredPath(ReasoningPath(start, steps), RelationPath(labels), total / depth))
             continue
-        for cost, *child in _scored_children(
+        for cost, child_labels, child_entities, child_steps in _scored_children(
             g, prefix, candidate.relations[depth], itemgetter(-1), gateway
         ):
-            heapq.heappush(frontier, (total + cost, *child))
+            heapq.heappush(frontier, (total + cost, child_labels, child_entities, child_steps))
     results.sort(key=_sort_key)
     return results[: cfg.top_k]
 

@@ -13,11 +13,16 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 # A stand-in benchmark: prints a progress line, then the result line with
-# the speed its revision's speed.txt names.
+# the speed its revision's speed.txt names; a file of several speeds gives
+# its n-th run the n-th speed (the runs are counted in runs.log).
 _FAKE_RUN = """\
 import json, sys
 from pathlib import Path
-speed = float(Path("speed.txt").read_text())
+speeds = Path("speed.txt").read_text().split()
+log = Path("runs.log")
+run = len(log.read_text().splitlines()) if log.exists() else 0
+log.write_text("run\\n" * (run + 1))
+speed = float(speeds[run % len(speeds)])
 print("progress")
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
     "questions_per_s": {"value": speed, "unit": "1/s"},
@@ -31,8 +36,7 @@ def _git(repo, *args):
     return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
 
 
-@pytest.fixture()
-def two_revisions(tmp_path):
+def _make_repo(tmp_path, base_speeds, change_speeds):
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(_FAKE_RUN, encoding="utf-8")
@@ -49,11 +53,16 @@ def two_revisions(tmp_path):
     _git(repo, "init", "-q")
     _git(repo, "config", "user.email", "bench@example.invalid")
     _git(repo, "config", "user.name", "bench")
-    for speed in ("4.0", "5.0"):
-        (repo / "speed.txt").write_text(speed, encoding="utf-8")
+    for speeds in (base_speeds, change_speeds):
+        (repo / "speed.txt").write_text(speeds, encoding="utf-8")
         _git(repo, "add", "-A")
-        _git(repo, "commit", "-q", "-m", f"speed {speed}")
+        _git(repo, "commit", "-q", "-m", f"speeds {speeds}")
     return repo
+
+
+@pytest.fixture()
+def two_revisions(tmp_path):
+    return _make_repo(tmp_path, "4.0", "5.0")
 
 
 def _bench_pairs(repo, *args):
@@ -83,6 +92,12 @@ def test_pairs_alternate_and_record_every_run(two_revisions):
     assert summary["questions_per_s"]["change"]["median"] == 5.0
     assert summary["questions_per_s"]["pairs_won"] == {"change": 3, "base": 0, "tie": 0}
     assert summary["peak_rss_mb"]["pairs_won"] == {"change": 0, "base": 0, "tie": 3}
+    assert summary["questions_per_s"]["claim"] == {
+        "wins": 3, "pairs": 3, "median_gap": 1.0, "base_iqr": 0.0, "met": True,
+    }
+    assert summary["peak_rss_mb"]["claim"]["met"] is False
+    assert "claim" not in summary["host_only"]
+    assert "met True" in proc.stdout
     assert "pairs_won" not in summary["host_only"]
     # The worktrees are gone again.
     assert len(_git(repo, "worktree", "list").splitlines()) == 1
@@ -108,3 +123,16 @@ def test_a_run_without_a_result_line_fails_the_script(two_revisions):
     runs = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))["workloads"]["w"]["runs"]
     broken = next(r for r in runs if r["side"] == "change")
     assert broken["result"] is None and broken["returncode"] == 2
+
+
+def test_eight_wins_in_ten_pairs_do_not_meet_the_claim_rule(tmp_path):
+    # The change wins pairs 0-7 by 1.0 and loses pairs 8 and 9.
+    repo = _make_repo(tmp_path, "4.0", "5.0 " * 8 + "3.0 3.0")
+    proc = _bench_pairs(repo, "--seed", "1", "--pairs", "10")
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((repo / "BENCH_t.json").read_text(encoding="utf-8"))["workloads"]["w"]["summary"]
+    assert summary["questions_per_s"]["pairs_won"] == {"change": 8, "base": 2, "tie": 0}
+    assert summary["questions_per_s"]["claim"] == {
+        "wins": 8, "pairs": 10, "median_gap": 1.0, "base_iqr": 0.0, "met": False,
+    }
+    assert "met True" not in proc.stdout

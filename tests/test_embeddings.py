@@ -316,11 +316,14 @@ def test_dim_drift_is_contract_error():
         gw.embed(["second"])
 
 
-def test_embed_keeps_the_vector_another_thread_cached_first():
-    cache = EmbeddingCache()
+def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = EmbeddingCache(path)
     provider = MockEmbeddingProvider(64)
     identity = bytes.fromhex(text_digest(provider.identity))
-    held = provider.embed_batch(["raced text"])[0]
+    digest = bytes.fromhex(text_digest("raced text"))
+    # Not the provider's vector for the text, so that the test sees whose bits are kept.
+    held = mock_embed("another worker's text", 64)
 
     class Racing:
         """Another worker caches the text while this provider call runs."""
@@ -328,12 +331,16 @@ def test_embed_keeps_the_vector_another_thread_cached_first():
         identity = provider.identity
 
         def embed_batch(self, texts):
-            cache.put(identity, bytes.fromhex(text_digest("raced text")), held)
+            cache.put(identity, digest, held)
             return provider.embed_batch(texts)
 
     (vec,) = EmbeddingGateway(Racing(), cache).embed(["raced text"])
-    assert vec is held
-    assert cache.put(identity, bytes.fromhex(text_digest("raced text")), mock_embed("raced text", 64)) is held
+    again = cache.put(identity, digest, mock_embed("raced text", 64))
+    for kept in (vec, again, cache.get(identity, digest)):
+        assert kept.values.tobytes() == held.values.tobytes()
+        assert kept.norm_sq.hex() == held.norm_sq.hex()
+    assert cache.stats()["records"] == 1
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 2  # the header and one record
 
 
 def test_cache_roundtrip_equals_uncached():
@@ -381,6 +388,30 @@ def test_cache_stats_and_clear(tmp_path):
     cache.clear()
     assert cache.stats()["records"] == 0
     assert not path.exists()
+
+
+# Signed zeros, the least subnormal and a value whose square overflows, so
+# that the norm is 0.0, subnormal-fed or infinite.
+_EXTREME_VECTORS = [
+    (0.0, -0.0, 5e-324, 1.0),
+    (1e300, -0.0, -1e300, 0.5),
+    (5e-324, -5e-324, -0.0, 0.0),
+]
+
+
+def test_payload_round_trip_keeps_values_and_norm_bit_for_bit(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = EmbeddingCache(path)
+    vectors = [EmbeddingVector(values) for values in _EXTREME_VECTORS]
+    for i, vector in enumerate(vectors):
+        cache.put(b"identity", bytes([i]), vector)
+    reloaded = EmbeddingCache(path)
+    assert reloaded.skipped == 0
+    for i, vector in enumerate(vectors):
+        for held in (cache.get(b"identity", bytes([i])), reloaded.get(b"identity", bytes([i]))):
+            assert held.values.tobytes() == vector.values.tobytes()
+            assert held.norm_sq.hex() == vector.norm_sq.hex()
+    assert [v.norm_sq for v in vectors][1:] == [math.inf, 0.0]
 
 
 def test_two_caches_on_one_new_file_write_one_header(tmp_path):
@@ -456,17 +487,24 @@ def test_cache_file_written_with_tuple_payloads_loads_and_rewrites_the_same_byte
     assert path.read_bytes() == data
 
 
-# Bytes a cache entry (dim 64, ~22 nonzero components) retains: about 1,400
-# when vectors held tuples of floats under hex-digest keys, about 810 with
-# ``array('d')`` payloads under raw digests.
-CACHE_ENTRY_BYTES_BOUND = 1100
-
-
-def test_cache_entries_stay_small():
+def _two_label_texts_and_a_warm_gateway() -> tuple[list[str], EmbeddingGateway]:
+    """20k distinct two-label mock texts, and a gateway that memoized every word in them."""
     labels = relation_label_pool(random.Random(0), 150)
     texts = [f"{a} {b}" for a in labels for b in labels if a != b][:20_000]
     gateway = EmbeddingGateway(MockEmbeddingProvider(64))
-    gateway.embed(labels)  # memoizes every word's buckets before measuring
+    gateway.embed(labels)
+    return texts, gateway
+
+
+# Bytes a cache entry (dim 64, ~22 nonzero components) retains: about 1,400
+# when vectors held tuples of floats under hex-digest keys, about 815 with
+# ``array('d')`` payloads in slotted vectors, about 650 with one ``bytes``
+# payload per entry.
+CACHE_ENTRY_BYTES_BOUND = 750
+
+
+def test_cache_entries_stay_small():
+    texts, gateway = _two_label_texts_and_a_warm_gateway()
     gc.collect()
     tracemalloc.start()
     try:
@@ -477,8 +515,19 @@ def test_cache_entries_stay_small():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert gateway.cache.stats()["records"] == len(labels) + len(texts)
+    assert gateway.cache.stats()["records"] == 150 + len(texts)
     assert retained / len(texts) < CACHE_ENTRY_BYTES_BOUND
+
+
+def test_cache_entries_add_no_objects_for_the_cyclic_collector():
+    texts, gateway = _two_label_texts_and_a_warm_gateway()
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(0, len(texts), 20):
+        gateway.embed(texts[i : i + 20])
+    gc.collect()
+    assert gateway.cache.stats()["records"] == 150 + len(texts)
+    assert len(gc.get_objects()) - before < 100
 
 
 # -- top-k retrieval ---------------------------------------------------------

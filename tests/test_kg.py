@@ -1,3 +1,4 @@
+import gc
 import io
 import random
 
@@ -131,8 +132,22 @@ def test_index_contains_each_triple_exactly_once():
 
 def test_indexes_sorted():
     g = graph_from([("a", "z", "b"), ("a", "r", "c"), ("a", "r", "b")])
-    adj = g.out_index[g.entity_id("a")]
+    adj = list(g.out_index[g.entity_id("a")])
     assert adj == sorted(adj)
+
+
+def test_adjacency_is_untracked_by_the_cyclic_collector():
+    rng = random.Random(0)
+    triples = [(f"e{rng.randrange(300)}", f"r{rng.randrange(12)}", f"e{rng.randrange(300)}") for _ in range(3000)]
+    g = graph_from(triples, inverse_edges=True)
+    # A collection untracks a tuple only if its items are untracked already:
+    # the first untracks any pair built since the last one, the second the
+    # tuples that hold them.
+    gc.collect()
+    gc.collect()
+    assert g.out_index and g.in_index
+    assert not any(map(gc.is_tracked, g.out_index.values()))
+    assert not any(map(gc.is_tracked, g.in_index.values()))
 
 
 def test_dump_load_dump_byte_identical_small():
