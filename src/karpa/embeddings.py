@@ -22,8 +22,9 @@ Bytes and dicts of bytes are not tracked by the cyclic garbage collector, so
 a full cache adds nothing to its collections; a lookup rebuilds a vector
 with the same bits. The hex forms of the digests appear only in cache-file
 records, whose format is unchanged, and in scripted-fixture lookups.
-Vocabulary retrieval is an exhaustive cosine scan against vocabulary vectors that each gateway embeds
-once; vocabulary sizes here do not warrant an ANN index.
+Vocabulary retrieval is an exhaustive cosine scan against vocabulary vectors
+that each gateway embeds once; vocabulary sizes here do not warrant an ANN
+index.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class EmbeddingVector:
 
 
 # The slots' own setters: a frozen dataclass refuses plain assignment, and
-# ``object.__setattr__`` takes about a third longer on the cache-hit path.
+# ``object.__setattr__`` is slower on the cache-hit path.
 _set_values = EmbeddingVector.values.__set__
 _set_norm_sq = EmbeddingVector.norm_sq.__set__
 
@@ -327,12 +328,12 @@ class EmbeddingCache:
     bit for bit to the held one, not the held object. When backed by a
     file, records are line-JSON after a version header line and name both
     digests in hex; writes are atomic per key (guarded by a lock, flushed
-    per line). Only the cache that creates the file writes the header: it creates the
-    file exclusively (``O_EXCL``), and a cache that finds the file made by
-    another since it looked appends its record without one. A load skips
-    and counts lines that are not whole records, such as one cut short by
-    an interrupted write, and the next append starts on a new line so that
-    no later record is glued onto the cut one.
+    per line). Only the cache that creates the file writes the header: it
+    creates the file exclusively (``O_EXCL``), and a cache that finds the
+    file made by another since it looked appends its record without one. A
+    load skips and counts lines that are not whole records, such as one cut
+    short by an interrupted write, and the next append starts on a new line
+    so that no later record is glued onto the cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
