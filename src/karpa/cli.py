@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import config_digest, load_config
 from .errors import ConfigError, DataError, DomainError, ProviderError
-from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv
+from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv, render_trace
 from .kg import load_triples_path
 from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
 from .pipeline import (
@@ -91,9 +91,7 @@ def _cmd_ask(args, cfg) -> int:
     query = Query(id=args.id, question=args.question, topic_entities=tuple(args.topic))
     result = pipeline.run(query)
     if args.trace:
-        with Path(args.trace).open("w", encoding="utf-8") as fp:
-            for event in result.trace:
-                fp.write(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n")
+        Path(args.trace).write_text(render_trace(result.trace), encoding="utf-8")
     print(
         json.dumps(
             {
@@ -133,8 +131,8 @@ def _cmd_eval(args, cfg) -> int:
 def _cmd_match(args, cfg) -> int:
     if args.strategy:
         cfg.matcher.strategy = args.strategy
-    g = load_graph(cfg)
     embedder = build_embedding_gateway(cfg)
+    g = load_graph(cfg)
     topic_id = g.entity_id(args.topic)
     if topic_id is None:
         raise DataError(f"topic entity not in graph: {args.topic!r}")

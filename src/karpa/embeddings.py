@@ -289,8 +289,8 @@ class HttpEmbeddingProvider:
     index-aligned to the input. The API key (if any) is read from the
     ``KARPA_EMBED_API_KEY`` environment variable and sent as a bearer token.
     A reply without ``data`` rows of ``index`` and finite ``embedding``
-    numbers, one per input, or with an all-zero vector, which no cosine is
-    defined for, is a ``ProviderError``.
+    numbers, one per input with the indices 0..n-1, or with an all-zero
+    vector, which no cosine is defined for, is a ``ProviderError``.
     """
 
     def __init__(self, endpoint: str, model: str, api_key: str | None = None, timeout: float = 30.0):
@@ -310,8 +310,11 @@ class HttpEmbeddingProvider:
             vectors = [EmbeddingVector(array("d", map(float, row["embedding"]))) for row in rows]
         except (LookupError, TypeError, ValueError, ContractError) as exc:
             raise ProviderError(f"malformed embedding reply ({type(exc).__name__}: {exc})") from None
-        if len(vectors) != len(texts):
-            raise ProviderError(f"embedding service returned {len(vectors)} vectors for {len(texts)} inputs")
+        indices = [row["index"] for row in rows]
+        if indices != list(range(len(texts))):
+            raise ProviderError(
+                f"embedding service returned vectors indexed {indices} for {len(texts)} inputs"
+            )
         if any(vector.norm_sq == 0.0 for vector in vectors):
             raise ProviderError("embedding service returned an all-zero vector")
         return vectors

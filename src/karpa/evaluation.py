@@ -246,14 +246,14 @@ def _replace_file(path: Path, write: Callable[[TextIO], None]) -> None:
         raise
 
 
+def render_trace(trace: list[dict]) -> str:
+    """A run trace as line-JSON, one event per line."""
+    return "".join(json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n" for event in trace)
+
+
 def _write_checkpoint(directory: Path, sample_id: str, payload: dict, trace: list[dict]) -> None:
     base = directory / _checkpoint_name(sample_id)
-    _replace_file(
-        base.parent / (base.name + ".trace.jsonl"),
-        lambda fp: fp.writelines(
-            json.dumps(event, ensure_ascii=False, sort_keys=True) + "\n" for event in trace
-        ),
-    )
+    _replace_file(base.parent / (base.name + ".trace.jsonl"), lambda fp: fp.write(render_trace(trace)))
     _replace_file(
         base.parent / (base.name + ".json"),
         lambda fp: json.dump(payload, fp, ensure_ascii=False, sort_keys=True),
@@ -289,8 +289,14 @@ def evaluate(
     (list of str). Per-sample failures become zero-score records with an
     error annotation; the run continues. With a checkpoint directory the
     run is resumable: samples whose checkpoint matches the config digest
-    are not re-run.
+    are not re-run. Sample ids name checkpoints, so a repeated id is a
+    ``DataError``, raised before any sample runs.
     """
+    seen: set[str] = set()
+    for sample in samples:
+        if sample.id in seen:
+            raise DataError(f"duplicate sample id {sample.id!r}")
+        seen.add(sample.id)
     directory = Path(checkpoint_dir) if checkpoint_dir else None
     if directory is not None:
         directory.mkdir(parents=True, exist_ok=True)
@@ -300,26 +306,23 @@ def evaluate(
             cached = _read_checkpoint(directory, sample.id, config_digest)
             if cached is not None:
                 return cached
-        payload: dict
+        error = None
         try:
             outcome = runner(sample)
-            payload = {
-                "config_digest": config_digest,
-                "answers": outcome.answers.as_dict(),
-                "usage": outcome.usage_snapshot,
-                "flags": list(outcome.flags),
-                "error": None,
-            }
-            trace = outcome.trace
+            answers, usage, flags, trace = (
+                outcome.answers, outcome.usage_snapshot, list(outcome.flags), outcome.trace
+            )
         except Exception as exc:  # per-sample isolation is the contract here
-            payload = {
-                "config_digest": config_digest,
-                "answers": AnswerSet().as_dict(),
-                "usage": UsageLedger().snapshot(),
-                "flags": [],
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            trace = [{"event": "error", "detail": payload["error"]}]
+            error = f"{type(exc).__name__}: {exc}"
+            answers, usage, flags = AnswerSet(), UsageLedger().snapshot(), []
+            trace = [{"event": "error", "detail": error}]
+        payload = {
+            "config_digest": config_digest,
+            "answers": answers.as_dict(),
+            "usage": usage,
+            "flags": flags,
+            "error": error,
+        }
         if directory is not None:
             _write_checkpoint(directory, sample.id, payload, trace)
         return payload

@@ -34,6 +34,7 @@ from .llm import (
 )
 from .matching import RelationPath, ScoredPath, match_candidates, union_top_k
 from .planner import (
+    PATH_LENGTHS,
     CandidatePathSet,
     Query,
     build_initial_prompt,
@@ -120,15 +121,21 @@ class Pipeline:
         llm = LlmGateway(self.chat_provider, ledger)
         trace: list[dict] = []
         flags: list[str] = []
+        selected = self._select(query, llm, trace, flags)
+        answers = AnswerSet()
+        if selected:
+            answers = self._reason(query, selected, llm, trace)
+            trace.append({"event": "answers", **answers.as_dict()})
+        trace.append({"event": "flags", "flags": flags})
+        return PipelineResult(answers, trace, ledger.snapshot(), flags, selected)
 
-        topic_ids = []
-        unresolved = []
-        for label in query.topic_entities:
-            eid = self.g.entity_id(label)
-            if eid is None:
-                unresolved.append(label)
-            else:
-                topic_ids.append(eid)
+    # -- phases ----------------------------------------------------------
+
+    def _select(self, query, llm, trace, flags) -> list[ScoredPath]:
+        """The paths to reason over; none when no topic resolves or no path matches."""
+        resolved = [(label, self.g.entity_id(label)) for label in query.topic_entities]
+        topic_ids = [eid for _, eid in resolved if eid is not None]
+        unresolved = [label for label, eid in resolved if eid is None]
         trace.append(
             {"event": "resolve", "topics": list(query.topic_entities), "unresolved": unresolved}
         )
@@ -136,8 +143,7 @@ class Pipeline:
             flags.append("unresolved_topics")
         if not topic_ids:
             flags.append("no_resolvable_topic")
-            trace.append({"event": "flags", "flags": flags})
-            return PipelineResult(AnswerSet(), trace, ledger.snapshot(), flags)
+            return []
 
         initial = self._initial_plan(query, llm, trace, flags)
         candidates = self._replan(query, initial, llm, trace, flags)
@@ -149,18 +155,9 @@ class Pipeline:
                 "paths": [p.as_dict(self.g) for p in selected],
             }
         )
-
         if not selected:
             flags.append("no_paths_matched")
-            trace.append({"event": "flags", "flags": flags})
-            return PipelineResult(AnswerSet(), trace, ledger.snapshot(), flags)
-
-        answers = self._reason(query, selected, llm, trace)
-        trace.append({"event": "answers", **answers.as_dict()})
-        trace.append({"event": "flags", "flags": flags})
-        return PipelineResult(answers, trace, ledger.snapshot(), flags, selected)
-
-    # -- phases ----------------------------------------------------------
+        return selected
 
     def _initial_plan(self, query, llm, trace, flags) -> CandidatePathSet:
         messages = build_initial_prompt(query)
@@ -176,15 +173,10 @@ class Pipeline:
             initial = parse_path_sets(result.text)
         except ParseError:
             flags.append("initial_parse_error")
-            initial = CandidatePathSet(by_length={n: [] for n in (1, 2, 3)}, raw_llm_text=result.text)
+            initial = CandidatePathSet(by_length={n: [] for n in PATH_LENGTHS}, raw_llm_text=result.text)
         if initial.inconsistent:
             flags.append("initial_inconsistent")
-        trace.append(
-            {
-                "event": "initial_paths",
-                "paths": {str(k): [list(p.relations) for p in v] for k, v in initial.by_length.items()},
-            }
-        )
+        trace.append({"event": "initial_paths", "paths": initial.trace_paths()})
         return initial
 
     def _replan(self, query, initial, llm, trace, flags) -> list[RelationPath]:
@@ -196,30 +188,26 @@ class Pipeline:
             cap=self.cfg.planner.relation_cap,
         )
         trace.append({"event": "relation_pool", "pool": list(pool.pool)})
-        if not pool.pool:
-            flags.append("fallback_initial")
-            return initial.all_paths()
-        candidate_set = replan(query, pool, llm, self.params, self.embedder, self.vocab)
-        trace.append(
-            {
-                "event": "replanning",
-                "prompt_digest": digest_messages(build_replanning_prompt(query, pool)),
-                "raw": candidate_set.raw_llm_text,
-                "paths": {
-                    str(k): [list(p.relations) for p in v]
-                    for k, v in candidate_set.by_length.items()
-                },
-                "snaps": [list(s) for s in candidate_set.snaps],
-            }
-        )
-        if candidate_set.snaps:
-            flags.append("snapped_relations")
-        if candidate_set.inconsistent:
-            flags.append("replan_inconsistent")
-        if candidate_set.is_empty():
-            flags.append("fallback_initial")
-            return initial.all_paths()
-        return candidate_set.all_paths()
+        if pool.pool:
+            messages = build_replanning_prompt(query, pool)
+            candidate_set = replan(messages, llm, self.params, self.embedder, self.vocab)
+            trace.append(
+                {
+                    "event": "replanning",
+                    "prompt_digest": digest_messages(messages),
+                    "raw": candidate_set.raw_llm_text,
+                    "paths": candidate_set.trace_paths(),
+                    "snaps": [list(s) for s in candidate_set.snaps],
+                }
+            )
+            if candidate_set.snaps:
+                flags.append("snapped_relations")
+            if candidate_set.inconsistent:
+                flags.append("replan_inconsistent")
+            if not candidate_set.is_empty():
+                return candidate_set.all_paths()
+        flags.append("fallback_initial")
+        return initial.all_paths()
 
     def _match(self, topic_ids, candidates, trace) -> list[ScoredPath]:
         if not candidates:
@@ -250,7 +238,9 @@ class Pipeline:
 
 def build_pipeline(cfg: PipelineConfig) -> Pipeline:
     """A pipeline over the configured graph, embedding gateway and chat provider."""
-    return Pipeline(cfg, load_graph(cfg), build_embedding_gateway(cfg), build_chat_provider(cfg))
+    # The providers first, so their configuration errors come before a graph load.
+    embedder, chat_provider = build_embedding_gateway(cfg), build_chat_provider(cfg)
+    return Pipeline(cfg, load_graph(cfg), embedder, chat_provider)
 
 
 def make_sample_runner(pipeline: Pipeline):

@@ -1,15 +1,20 @@
 """Pre-planning: propose relation paths, pool similar relations, re-plan.
 
-The two prompt templates ship as package data and are rendered byte-stably
-with a single-pass placeholder substitution, so identical inputs always
-produce identical prompts (scripted providers key on prompt digests).
+The prompt templates ship as package data, are read once per process and
+are rendered byte-stably with a single-pass placeholder substitution, so
+identical inputs always produce identical prompts (scripted providers key
+on prompt digests). The caller renders the re-planning prompt once and
+hands the messages to ``replan``, so the messages sent and the messages
+digested into a trace are the same object.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import islice
 
 from .embeddings import EmbeddingGateway
 from .errors import ContractError, ParseError
@@ -59,13 +64,14 @@ class CandidatePathSet:
     snaps: list[tuple[str, str]] = field(default_factory=list)
 
     def all_paths(self) -> list[RelationPath]:
-        paths = []
-        for length in sorted(self.by_length):
-            paths.extend(self.by_length[length])
-        return paths
+        return [path for length in sorted(self.by_length) for path in self.by_length[length]]
 
     def is_empty(self) -> bool:
         return not any(self.by_length.values())
+
+    def trace_paths(self) -> dict[str, list[list[str]]]:
+        """The paths as a trace records them: ``{str(length): [[label, ...], ...]}``."""
+        return {str(k): [list(p.relations) for p in v] for k, v in self.by_length.items()}
 
 
 @dataclass
@@ -77,7 +83,9 @@ class RelationPool:
     cap: int
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """The text of the packaged prompt template ``name``, read once per process."""
     return resources.files("karpa.prompts").joinpath(name).read_text(encoding="utf-8")
 
 
@@ -102,12 +110,14 @@ def comma_items(content: str) -> list[str]:
     return [part.strip() for part in content.split(",") if part.strip()]
 
 
+def render_prompt(name: str, query: Query, **values: str) -> list[ChatMessage]:
+    """The one user message of template ``name``, with ``query``'s question and topic entities."""
+    values = {"question": query.question, "topic_entities": ", ".join(query.topic_entities), **values}
+    return [ChatMessage("user", render_template(load_template(name), values))]
+
+
 def build_initial_prompt(query: Query) -> list[ChatMessage]:
-    text = render_template(
-        load_template("initial_planning.txt"),
-        {"question": query.question, "topic_entities": ", ".join(query.topic_entities)},
-    )
-    return [ChatMessage("user", text)]
+    return render_prompt("initial_planning.txt", query)
 
 
 def parse_path_sets(llm_text: str) -> CandidatePathSet:
@@ -131,14 +141,9 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
         labels = tuple(comma_items(groups[-1]))
         if not labels or groups[-1].strip().lower() == "none":
             continue
-        path = RelationPath(labels)
-        if len(labels) != length:
+        if len(labels) != length or length not in PATH_LENGTHS:
             inconsistent = True
-        if length in by_length:
-            by_length[length].append(path)
-        else:
-            by_length[length] = [path]
-            inconsistent = True
+        by_length.setdefault(length, []).append(RelationPath(labels))
     if not found_any:
         raise ParseError("no per-length brace groups found in planning output", raw=llm_text)
     return CandidatePathSet(by_length=by_length, raw_llm_text=llm_text, inconsistent=inconsistent)
@@ -160,11 +165,7 @@ def extract_relation_pool(
     """
     if not vocab:
         raise ContractError("vocabulary must be non-empty")
-    sources: list[str] = []
-    for path in initial.all_paths():
-        for label in path.relations:
-            if label not in sources:
-                sources.append(label)
+    sources = list(dict.fromkeys(label for path in initial.all_paths() for label in path.relations))
     if not sources:
         return RelationPool(rankings=[], pool=[], cap=cap)
     if per_relation_k is None:
@@ -173,33 +174,16 @@ def extract_relation_pool(
         (source, gateway.top_k_similar_relations(source, vocab, per_relation_k))
         for source in sources
     ]
-    pool: list[str] = []
-    for rank in range(per_relation_k):
-        for _, ranked in rankings:
-            if rank >= len(ranked):
-                continue
-            label = ranked[rank][0]
-            if label not in pool:
-                pool.append(label)
-            if len(pool) >= cap:
-                break
-        if len(pool) >= cap:
-            break
-    return RelationPool(rankings=rankings, pool=pool[:cap], cap=cap)
+    rank_major = (
+        ranked[rank][0] for rank in range(per_relation_k) for _, ranked in rankings if rank < len(ranked)
+    )
+    return RelationPool(rankings=rankings, pool=list(islice(dict.fromkeys(rank_major), cap)), cap=cap)
 
 
 def build_replanning_prompt(query: Query, pool: RelationPool) -> list[ChatMessage]:
     if not pool.pool:
         raise ContractError("relation pool must be non-empty")
-    text = render_template(
-        load_template("replanning.txt"),
-        {
-            "question": query.question,
-            "topic_entities": ", ".join(query.topic_entities),
-            "relations": "; ".join(pool.pool),
-        },
-    )
-    return [ChatMessage("user", text)]
+    return render_prompt("replanning.txt", query, relations="; ".join(pool.pool))
 
 
 def _snap_to_vocabulary(
@@ -209,44 +193,37 @@ def _snap_to_vocabulary(
 ) -> CandidatePathSet:
     vocab_set = set(vocab)
     snaps: list[tuple[str, str]] = []
-    snapped: dict[int, list[RelationPath]] = {}
-    for length, paths in candidate_set.by_length.items():
-        new_paths = []
-        for path in paths:
-            labels = []
-            for label in path.relations:
-                if label in vocab_set:
-                    labels.append(label)
-                else:
-                    nearest = gateway.top_k_similar_relations(label, vocab, 1)[0][0]
-                    snaps.append((label, nearest))
-                    labels.append(nearest)
-            new_paths.append(RelationPath(tuple(labels)))
-        snapped[length] = new_paths
-    return CandidatePathSet(
-        by_length=snapped,
-        raw_llm_text=candidate_set.raw_llm_text,
-        inconsistent=candidate_set.inconsistent,
-        snaps=snaps,
-    )
+
+    def snap(label: str) -> str:
+        if label in vocab_set:
+            return label
+        nearest = gateway.top_k_similar_relations(label, vocab, 1)[0][0]
+        snaps.append((label, nearest))
+        return nearest
+
+    snapped = {
+        length: [RelationPath(tuple(map(snap, path.relations))) for path in paths]
+        for length, paths in candidate_set.by_length.items()
+    }
+    return replace(candidate_set, by_length=snapped, snaps=snaps)
 
 
 def replan(
-    query: Query,
-    pool: RelationPool,
+    messages: list[ChatMessage],
     llm: LlmGateway,
     params: LlmParams,
     embedder: EmbeddingGateway,
     vocab: list[str],
 ) -> CandidatePathSet:
-    """One re-planning completion, parsed and validated against the vocabulary.
+    """One re-planning completion of the rendered ``messages``
+    (``build_replanning_prompt``), parsed and validated against the vocabulary.
 
     Hallucinated relation labels are snapped to their nearest vocabulary
     label by cosine similarity so the paths stay executable; every snap is
-    recorded. A parse failure earns one corrective retry, then the error
-    surfaces.
+    recorded. A parse failure earns one corrective retry, which appends the
+    reply and a corrective message to ``messages`` (a new list; ``messages``
+    itself is not changed), then the error surfaces.
     """
-    messages = build_replanning_prompt(query, pool)
     result = llm.complete(messages, params, phase="replanning")
     try:
         parsed = parse_path_sets(result.text)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ContractError, ProviderError
 from .llm import ChatMessage, LlmGateway, LlmParams, digest_messages
-from .planner import BRACE_GROUP, Query, comma_items, load_template, render_template
+from .planner import BRACE_GROUP, Query, comma_items, render_prompt
 
 if TYPE_CHECKING:
     from .kg import KnowledgeGraph
@@ -92,11 +92,7 @@ def build_reasoning_prompt(
     if not paths:
         raise ContractError("reasoning prompt needs at least one path")
     lines = "\n".join(render_path_line(g, scored) for scored in paths)
-    text = render_template(
-        load_template("reasoning.txt"),
-        {"question": query.question, "reasoning_paths": lines},
-    )
-    return [ChatMessage("user", text)]
+    return render_prompt("reasoning.txt", query, reasoning_paths=lines)
 
 
 def parse_answers(llm_text: str, batch: int = 0) -> AnswerSet:

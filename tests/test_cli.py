@@ -141,6 +141,41 @@ def test_out_of_range_value_is_config_error_before_the_graph_loads(
     assert section in err and attr in err
 
 
+@pytest.mark.parametrize(
+    "command, settings, named",
+    [
+        pytest.param(command, settings, named, id=f"{command}-{named}")
+        for command in ("ask", "eval", "match")
+        for settings, named in [
+            ({"embedding.cache_path": "{tmp}/no/such/c.jsonl"}, "embedding.cache_path"),
+            ({"embedding.kind": "scripted"}, "embedding.fixtures"),
+            ({"llm.kind": "http", "llm.endpoint": "ftp://x"}, "llm.endpoint"),
+        ]
+        if not (command == "match" and named.startswith("llm."))  # match asks no LLM
+    ],
+)
+def test_provider_config_error_is_reported_before_the_graph_loads(
+    config_file, tmp_path, monkeypatch, capsys, command, settings, named
+):
+    # The graph file is absent: loading it first would be a data error.
+    monkeypatch.setenv("KARPA_KG_PATH", str(tmp_path / "absent.tsv"))
+    for key, value in settings.items():
+        monkeypatch.setenv(env_name(key), value.format(tmp=tmp_path))
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [["C"]]}) + "\n",
+        encoding="utf-8",
+    )
+    args = {
+        "ask": ["ask", "--question", "Q?", "--topic", "A"],
+        "eval": ["eval", "--dataset", str(dataset)],
+        "match": ["match", "--topic", "A", "--path", "person.family.father"],
+    }[command]
+    assert main(["--config", str(config_file), *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err
+
+
 @pytest.mark.parametrize("command", ["ask", "eval"])
 def test_cache_path_in_a_missing_directory_is_config_error(
     config_file, tmp_path, monkeypatch, capsys, command
@@ -418,6 +453,29 @@ def test_eval_subcommand_end_to_end(tmp_path, kg_file, capsys):
     text = report_path.read_text(encoding="utf-8")
     assert text.startswith("karpa evaluation report")
     assert "hit1\t" in tsv_path.read_text(encoding="utf-8")
+
+
+def test_eval_with_a_repeated_sample_id_is_data_error(tmp_path, kg_file, capsys):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        "".join(
+            json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [[gold]]}) + "\n"
+            for gold in ("B", "C")
+        ),
+        encoding="utf-8",
+    )
+    config = tmp_path / "karpa.conf"
+    config.write_text(
+        f"kg.path = {kg_file}\nembedding.kind = mock\nllm.kind = mock\n"
+        f"eval.checkpoint_dir = {tmp_path / 'ckpt'}\n",
+        encoding="utf-8",
+    )
+    code = main(["--config", str(config), "eval", "--dataset", str(dataset)])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert "data error: duplicate sample id 'q1'" in captured.err
+    assert captured.out == ""
+    assert not any((tmp_path / "ckpt").glob("*.json"))
 
 
 def test_eval_non_json_dataset_line_is_data_error(tmp_path, kg_file, capsys):

@@ -241,6 +241,22 @@ def test_per_sample_failure_becomes_zero_score():
     assert report.aggregates["hit1"] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("checkpoints", [False, True])
+def test_repeated_sample_id_is_data_error_before_any_sample_runs(tmp_path, checkpoints):
+    # Same id, different gold: the second would be served the first's checkpoint.
+    samples = [sample(1, [["a"]]), sample(2, [["b"]]), sample(1, [["b"]])]
+    ran = []
+
+    def runner(s):
+        ran.append(s.id)
+        return outcome(answer_set("a"))
+
+    with pytest.raises(DataError, match="duplicate sample id 'q1'"):
+        evaluate(samples, runner, checkpoint_dir=tmp_path if checkpoints else None, config_digest="d")
+    assert ran == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_checkpoint_resume_skips_runner(tmp_path):
     samples = [sample(1, [["a"]])]
     calls = {"n": 0}

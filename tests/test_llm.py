@@ -370,28 +370,39 @@ def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
     assert len(http_server["requests"]) == 1 and naps == []
 
 
+def _rows(*indices):
+    return {"data": [{"index": i, "embedding": [1.0, 2.0]} for i in indices]}
+
+
 @pytest.mark.parametrize(
-    "payload",
+    "payload, texts",
     [
-        b"not json",
-        {},
-        {"data": [{"index": 0}]},
-        {"data": [{"embedding": [1.0, 2.0]}]},
-        {"data": [{"index": 0, "embedding": ["x"]}]},
-        {"data": "rows"},
-        {"data": []},
-        {"data": [{"index": 0, "embedding": [0.0, 0.0]}]},
+        (b"not json", ["x"]),
+        ({}, ["x"]),
+        ({"data": [{"index": 0}]}, ["x"]),
+        ({"data": [{"embedding": [1.0, 2.0]}]}, ["x"]),
+        ({"data": [{"index": 0, "embedding": ["x"]}]}, ["x"]),
+        ({"data": "rows"}, ["x"]),
+        ({"data": []}, ["x"]),
+        ({"data": [{"index": 0, "embedding": [0.0, 0.0]}]}, ["x"]),
+        # One row per input, but not indexed 0..n-1: vectors would go to the wrong texts.
+        (_rows(1, 1), ["x", "y"]),
+        (_rows(5, 7), ["x", "y"]),
+        (_rows(0, 0), ["x", "y"]),
     ],
-    ids=["not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few", "all-zero"],
+    ids=[
+        "not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few", "all-zero",
+        "index-1-1", "index-5-7", "index-0-0",
+    ],
 )
-def test_http_embedding_malformed_reply_is_provider_error(http_server, payload):
+def test_http_embedding_malformed_reply_is_provider_error(http_server, payload, texts):
     from karpa.embeddings import EmbeddingGateway, HttpEmbeddingProvider
 
     http_server["handler"] = lambda body: (200, payload)
     naps = []
     gw = EmbeddingGateway(HttpEmbeddingProvider(http_server["url"], "m"), sleep=naps.append)
     with pytest.raises(ProviderError) as exc:
-        gw.embed(["x"])
+        gw.embed(texts)
     assert not isinstance(exc.value, TransportError)
     assert len(http_server["requests"]) == 1 and naps == []
     assert gw.cache.stats()["records"] == 0

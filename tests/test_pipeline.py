@@ -2,7 +2,7 @@ import json
 
 from karpa.config import PipelineConfig, config_digest
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider
-from karpa.llm import ScriptedChatProvider
+from karpa.llm import ScriptedChatProvider, digest_messages
 from karpa.matching import MatchConfig, match_candidates
 from karpa.pipeline import Pipeline
 from karpa.planner import (
@@ -124,6 +124,35 @@ def test_pipeline_trace_structure():
     assert set(batch_event) >= {"batch", "prompt_digest", "raw", "parsed"}
     replanning_event = next(e for e in result.trace if e["event"] == "replanning")
     assert "prompt_digest" in replanning_event and "raw" in replanning_event
+
+
+def test_replanning_prompt_is_rendered_once_and_digested_as_sent(monkeypatch):
+    from karpa import pipeline as pipeline_module
+    from karpa import planner
+
+    pipeline, _ = build_brahui_world()
+    rendered = []
+
+    def counting(query, pool):
+        rendered.append(build_replanning_prompt(query, pool))
+        return rendered[-1]
+
+    # Both names: the pipeline calls its own, and ``replan`` once rendered through the planner's.
+    monkeypatch.setattr(pipeline_module, "build_replanning_prompt", counting)
+    monkeypatch.setattr(planner, "build_replanning_prompt", counting)
+    sent = []
+    complete = pipeline.chat_provider.complete
+
+    def recording(messages, params):
+        sent.append(messages)
+        return complete(messages, params)
+
+    monkeypatch.setattr(pipeline.chat_provider, "complete", recording)
+    result = pipeline.run(BRAHUI_QUESTION)
+    assert len(rendered) == 1
+    (replanning_sent,) = [m for m in sent if m is rendered[0]]
+    event = next(e for e in result.trace if e["event"] == "replanning")
+    assert event["prompt_digest"] == digest_messages(replanning_sent)
 
 
 def test_pipeline_deterministic_trace():

@@ -234,6 +234,79 @@ def test_pool_default_per_relation_k(gateway):
     assert all(len(r[1]) == 3 for r in pool.rankings)
 
 
+class RankedGateway:
+    """Serves fixed rankings, as ``top_k_similar_relations`` would, cut to k."""
+
+    def __init__(self, rankings):
+        self.rankings = rankings
+
+    def top_k_similar_relations(self, label, vocab, k):
+        return self.rankings[label][:k]
+
+
+def round_robin_pool(rankings, per_relation_k, cap):
+    """The pool as a rank-by-rank round robin over the sources, deduplicated and stopped at the cap."""
+    pool = []
+    for rank in range(per_relation_k):
+        for _, ranked in rankings:
+            if rank >= len(ranked):
+                continue
+            if ranked[rank][0] not in pool:
+                pool.append(ranked[rank][0])
+            if len(pool) >= cap:
+                return pool
+    return pool
+
+
+@pytest.mark.parametrize("cap", [1, 3, 5, 8, 30])
+@pytest.mark.parametrize("per_relation_k", [1, 2, 4])
+def test_pool_order_with_ties_and_short_rankings(cap, per_relation_k):
+    # Sources share labels and scores, and two rank fewer labels than k.
+    rankings = {
+        "s.a": [("v.x", 0.9), ("v.y", 0.9), ("v.z", 0.5), ("v.w", 0.1)],
+        "s.b": [("v.y", 0.9), ("v.x", 0.9)],
+        "s.c": [("v.x", 0.7)],
+        "s.d": [("v.u", 0.9), ("v.z", 0.9), ("v.t", 0.9), ("v.s", 0.2)],
+    }
+    initial = paths(("s.a",), ("s.b", "s.c"), ("s.d", "s.a", "s.b"))
+    pool = extract_relation_pool(
+        initial, ["v.x"], RankedGateway(rankings), per_relation_k=per_relation_k, cap=cap
+    )
+    assert pool.pool == round_robin_pool(pool.rankings, per_relation_k, cap)
+    assert [source for source, _ in pool.rankings] == ["s.a", "s.b", "s.c", "s.d"]
+
+
+def test_templates_are_read_once_per_process(monkeypatch):
+    from importlib import resources
+
+    from karpa import planner
+
+    reads = []
+    files = resources.files
+
+    class CountingTraversable:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def joinpath(self, name):
+            return CountingTraversable(self.inner.joinpath(name))
+
+        def read_text(self, encoding):
+            reads.append(self.inner.name)
+            return self.inner.read_text(encoding=encoding)
+
+    monkeypatch.setattr(planner.resources, "files", lambda package: CountingTraversable(files(package)))
+    planner.load_template.cache_clear()
+    try:
+        for _ in range(3):
+            build_initial_prompt(BRAHUI_QUERY)
+            build_replanning_prompt(BRAHUI_QUERY, make_pool(["a.b.c"]))
+            planner.load_template("reasoning.txt")
+    finally:
+        planner.load_template.cache_clear()
+    assert sorted(reads) == ["initial_planning.txt", "reasoning.txt", "replanning.txt"]
+
+
 def test_pool_empty_initial_set(gateway):
     pool = extract_relation_pool(paths(), ["a.b.c"], gateway)
     assert pool.pool == []
@@ -286,7 +359,7 @@ def test_replan_parses_exemplar_format(gateway):
     pool = make_pool(vocab)
     provider, llm = scripted_llm()
     provider.add(build_replanning_prompt(BRAHUI_QUERY, pool), EXEMPLAR_ANSWER)
-    result = replan(BRAHUI_QUERY, pool, llm, LlmParams(), gateway, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
     assert result.by_length[2] == [RelationPath(tuple(vocab))]
     assert result.by_length[1] == [] and result.by_length[3] == []
     assert result.snaps == []
@@ -301,7 +374,7 @@ def test_replan_snaps_hallucinated_label(gateway):
         "Length 1 reasoning path: {people.person.child}.\n"
         "Length 2 reasoning path: None: {}.\nLength 3 reasoning path: None: {}.",
     )
-    result = replan(BRAHUI_QUERY, pool, llm, LlmParams(), gateway, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
     nearest = gateway.top_k_similar_relations("people.person.child", vocab, 1)[0][0]
     assert result.by_length[1] == [RelationPath((nearest,))]
     assert result.snaps == [("people.person.child", nearest)]
@@ -322,9 +395,10 @@ def test_replan_retries_once_with_corrective_message(gateway):
         "Length 1 reasoning path: {a.b.c}.\nLength 2 reasoning path: None: {}.\n"
         "Length 3 reasoning path: None: {}.",
     )
-    result = replan(BRAHUI_QUERY, pool, llm, LlmParams(), gateway, vocab)
+    result = replan(first, llm, LlmParams(), gateway, vocab)
     assert result.by_length[1] == [RelationPath(("a.b.c",))]
     assert llm.ledger.calls == 2
+    assert first == build_replanning_prompt(BRAHUI_QUERY, pool)  # the retry appended to a copy
 
 
 def test_replan_parse_failure_after_retry_raises(gateway):
@@ -336,7 +410,7 @@ def test_replan_parse_failure_after_retry_raises(gateway):
     retry = first + [ChatMessage("assistant", "nope"), ChatMessage("user", CORRECTIVE_MESSAGE)]
     provider.add(retry, "still nope")
     with pytest.raises(ParseError):
-        replan(BRAHUI_QUERY, pool, llm, LlmParams(), gateway, vocab)
+        replan(first, llm, LlmParams(), gateway, vocab)
 
 
 def test_replan_all_none_yields_empty_set(gateway):
@@ -348,5 +422,5 @@ def test_replan_all_none_yields_empty_set(gateway):
         "Length 1 reasoning path: None: {}.\nLength 2 reasoning path: None: {}.\n"
         "Length 3 reasoning path: None: {}.",
     )
-    result = replan(BRAHUI_QUERY, pool, llm, LlmParams(), gateway, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
     assert result.is_empty()
