@@ -22,9 +22,13 @@ Bytes and dicts of bytes are not tracked by the cyclic garbage collector, so
 a full cache adds nothing to its collections; a lookup rebuilds a vector
 with the same bits. The hex forms of the digests appear only in cache-file
 records, whose format is unchanged, and in scripted-fixture lookups.
-Vocabulary retrieval is an exhaustive cosine scan against vocabulary vectors
-that each gateway embeds once; vocabulary sizes here do not warrant an ANN
-index.
+
+Each gateway holds the vector of every relation label it has fetched; a
+graph has at most twice as many labels as relations. Vocabulary retrieval
+and the fixed-length matchers' step costs score against those vectors, so
+each label is requested once per gateway and is not rebuilt from the
+cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
+scan; vocabulary sizes here do not warrant an ANN index.
 """
 
 from __future__ import annotations
@@ -289,7 +293,7 @@ class HttpEmbeddingProvider:
     index-aligned to the input. The API key (if any) is read from the
     ``KARPA_EMBED_API_KEY`` environment variable and sent as a bearer token.
     A reply without ``data`` rows of ``index`` and finite ``embedding``
-    numbers, one per input with the indices 0..n-1, or with an all-zero
+    numbers, one per input with the integer indices 0..n-1, or with an all-zero
     vector, which no cosine is defined for, is a ``ProviderError``.
     """
 
@@ -311,7 +315,8 @@ class HttpEmbeddingProvider:
         except (LookupError, TypeError, ValueError, ContractError) as exc:
             raise ProviderError(f"malformed embedding reply ({type(exc).__name__}: {exc})") from None
         indices = [row["index"] for row in rows]
-        if indices != list(range(len(texts))):
+        # ``False == 0`` and ``1.0 == 1``: only an int is an index.
+        if any(type(index) is not int for index in indices) or indices != list(range(len(texts))):
             raise ProviderError(
                 f"embedding service returned vectors indexed {indices} for {len(texts)} inputs"
             )
@@ -458,9 +463,10 @@ class EmbeddingGateway:
         self._sleep = sleep
         self._dim: int | None = None
         self._lock = threading.Lock()
-        # (vocabulary, its vectors) from the last ``top_k_similar_relations``
-        # miss. Two threads that miss together each embed it once.
-        self._vocab_memo: tuple[tuple[str, ...], list[EmbeddingVector]] | None = None
+        # Relation label -> its vector, for every label ``embed_with_labels``
+        # has fetched. Two threads that miss a label together each fetch it;
+        # the cache gives both the same bits, and the first kept stays.
+        self._labels: dict[str, EmbeddingVector] = {}
 
     def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
         """Hold a batch of vectors to the dim of the first vector this gateway saw."""
@@ -520,30 +526,53 @@ class EmbeddingGateway:
         vec_a, vec_b = self.embed([text_a, text_b])
         return cosine(vec_a, vec_b)
 
-    def top_k_similar_relations(
-        self, query_text: str, vocab: list[str], k: int
-    ) -> list[tuple[str, float]]:
-        """The k vocabulary labels most cosine-similar to the query.
+    def embed_with_labels(
+        self, texts: list[str], labels: list[str]
+    ) -> tuple[list[EmbeddingVector], list[EmbeddingVector]]:
+        """``embed(texts)``, and the vectors of the relation ``labels``, in at most one request.
 
-        Descending score, ties broken lexicographically by label. Asking
-        for more than the vocabulary holds returns the whole ranking.
-
-        The gateway keeps the vectors of the last vocabulary it embedded.
-        A call with an equal vocabulary embeds only the query; any other
-        embeds the query and the vocabulary in one request.
+        A graph has at most twice as many relation labels as relations, so
+        the gateway holds the vector of every label it has fetched. The
+        labels it does not hold go to ``embed`` in one request with
+        ``texts``, so they pass through the cache and keep its bits, and are
+        held from then on; a failed request holds nothing. No request is
+        made when ``texts`` is empty and every label is held. Texts such as
+        an LLM's relations are never held: there is no bound on them.
         """
+        held = self._labels
+        missing = [label for label in dict.fromkeys(labels) if label not in held]
+        text_vecs: list[EmbeddingVector] = []
+        if texts or missing:
+            vectors = self.embed([*texts, *missing])
+            text_vecs = vectors[: len(texts)]
+            for label, vec in zip(missing, vectors[len(texts) :]):
+                held.setdefault(label, vec)
+        return text_vecs, [held[label] for label in labels]
+
+    def top_k_similar_relations(
+        self, query_texts: list[str] | str, vocab: list[str], k: int
+    ) -> list[list[tuple[str, float]]]:
+        """For each query, the k vocabulary labels most cosine-similar to it.
+
+        One ranking per query, in order: descending score, ties broken
+        lexicographically by label. Asking for more than the vocabulary
+        holds returns the whole ranking. A single string is one query.
+
+        The queries and the vocabulary labels the gateway does not hold go
+        to ``embed`` in one request (``embed_with_labels``).
+        """
+        if isinstance(query_texts, str):
+            query_texts = [query_texts]
+        if not query_texts:
+            raise ContractError("top_k_similar_relations requires at least one query")
         if not vocab:
             raise ContractError("vocabulary must be non-empty")
         if k < 1:
             raise ContractError(f"k must be positive, got {k}")
-        key = tuple(vocab)
-        memo = self._vocab_memo
-        if memo is not None and memo[0] == key:
-            query_vec = self.embed([query_text])[0]
-            vocab_vecs = memo[1]
-        else:
-            query_vec, *vocab_vecs = self.embed([query_text, *key])
-            self._vocab_memo = (key, vocab_vecs)
-        scored = list(zip(key, cosine_many(query_vec, vocab_vecs)))
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[: min(k, len(key))]
+        query_vecs, vocab_vecs = self.embed_with_labels(list(query_texts), vocab)
+        rankings = []
+        for query_vec in query_vecs:
+            scored = list(zip(vocab, cosine_many(query_vec, vocab_vecs)))
+            scored.sort(key=lambda pair: (-pair[1], pair[0]))
+            rankings.append(scored[:k])
+        return rankings

@@ -45,7 +45,15 @@ class ProviderError(KarpaError):
 
 
 class TransportError(ProviderError):
-    """Retryable transport-level failure when talking to a provider."""
+    """Retryable transport-level failure when talking to a provider.
+
+    ``retry_after`` is the wait in seconds that the reply asked for in its
+    ``Retry-After`` header, or ``None``.
+    """
+
+    def __init__(self, message: str, *, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class EmptyCompletionError(ProviderError):

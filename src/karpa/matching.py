@@ -15,13 +15,18 @@ Three strategies, all scoring with embedding similarity:
   two-hop "father, father" chain).
 
 Beam and pathfind are one best-first loop over summed step costs
-(``_fixed_length_match``); they differ only in what its pop cap counts.
-Every strategy expands a prefix through ``_scored_children``, which makes
-one embedding request for the query text and all of the prefix's
-children, and extends only along edges to entities the prefix has not
-visited, so returned paths are simple from the first hop on. Ordering is
-always deterministic: score descending, then relation-label sequence,
-then entity-id sequence.
+(``_fixed_length_match``); they differ only in what its pop cap counts. A
+step's cost depends only on the depth and the edge's relation, so each
+search costs a (depth, relation) pair once, against relation-label vectors
+the gateway holds: an expansion makes an embedding request only when it
+meets a label the gateway has not fetched, or is the first at its depth
+and needs the candidate's relation there. The heuristic scores whole label
+sequences, which the gateway does not hold, so each of its expansions
+makes one embedding request for the candidate text and all of the
+prefix's children (``_scored_children``). Every strategy extends a prefix
+only along edges to entities it has not visited, so returned paths are
+simple from the first hop on. Ordering is always deterministic: score
+descending, then relation-label sequence, then entity-id sequence.
 """
 
 from __future__ import annotations
@@ -29,14 +34,13 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .embeddings import cosine_many
 from .errors import ContractError
 
 if TYPE_CHECKING:
-    from .embeddings import EmbeddingGateway
+    from .embeddings import EmbeddingGateway, EmbeddingVector
     from .kg import KnowledgeGraph
 
 STRATEGIES = ("beam", "pathfind", "heuristic")
@@ -135,24 +139,22 @@ def _scored_children(
     g: "KnowledgeGraph",
     prefix: _Prefix,
     query_text: str,
-    child_text: Callable[[tuple[str, ...]], str],
     gateway: "EmbeddingGateway",
 ) -> list[_Prefix]:
     """Each one-hop extension of ``prefix`` that revisits no entity, costed ``1 - sim``.
 
-    ``sim`` is the cosine of ``child_text(child labels)`` against
+    ``sim`` is the cosine of the child's space-joined labels against
     ``query_text``. The query and every child text go to the gateway in one
     ``embed`` request; a prefix with no children makes none. ``cosine`` is
-    symmetric bit for bit, so the cost equals the pairwise reference costs
-    (``step_cost`` and ``1 - path_similarity`` in ``tests/oracles.py``)
-    exactly.
+    symmetric bit for bit, so the cost equals the pairwise reference cost
+    (``1 - path_similarity`` in ``tests/oracles.py``) exactly.
     """
     _, labels, entities, steps = prefix
     edges = [edge for edge in g.neighbors(entities[-1]) if edge[1] not in entities]
     if not edges:
         return []
     child_labels = [labels + (g.relation_label(rid),) for rid, _ in edges]
-    query_vec, *child_vecs = gateway.embed([query_text, *map(child_text, child_labels)])
+    query_vec, *child_vecs = gateway.embed([query_text, *map(" ".join, child_labels)])
     return [
         (1.0 - sim, child, entities + (edge[1],), steps + (edge,))
         for edge, child, sim in zip(edges, child_labels, cosine_many(query_vec, child_vecs))
@@ -192,14 +194,26 @@ def _fixed_length_match(
     candidate's length, so the least sum is the least mean; results are
     scored by 1 - mean step cost. An empty list means no path of the
     candidate's length was reachable; that is not an error.
+
+    Step costs are kept per depth by relation id. An expansion costs the
+    relations it meets that its depth has not costed, in one ``cosine_many``
+    call over the gateway's label vectors (``embed_with_labels``), which
+    embeds, in one request, the labels the gateway does not hold and, at
+    the depth's first costing, the candidate's relation there. A depth at
+    which no expansion has children embeds nothing. ``cosine`` is symmetric
+    bit for bit, so each cost equals the reference ``step_cost`` in
+    ``tests/oracles.py`` exactly.
     """
     max_len = cfg.resolve_max_len([candidate])
     if len(candidate) > max_len:
         raise ContractError(f"candidate length {len(candidate)} exceeds max_len {max_len}")
     g.entity_label(start)  # raises NotFoundError on a bad id
+    relation_label = g.relation_label
     frontier: list[_Prefix] = [(0.0, (), (start,), ())]
     pops: dict[object, int] = {}
     results: list[ScoredPath] = []
+    step_costs: list[dict[int, float]] = [{} for _ in candidate.relations]
+    queries: list[EmbeddingVector | None] = [None] * len(candidate)
     while frontier and len(results) < cap:
         prefix = heapq.heappop(frontier)
         total, labels, entities, steps = prefix
@@ -212,10 +226,23 @@ def _fixed_length_match(
         if depth == len(candidate):
             results.append(ScoredPath(ReasoningPath(start, steps), RelationPath(labels), total / depth))
             continue
-        for cost, child_labels, child_entities, child_steps in _scored_children(
-            g, prefix, candidate.relations[depth], itemgetter(-1), gateway
-        ):
-            heapq.heappush(frontier, (total + cost, child_labels, child_entities, child_steps))
+        edges = [edge for edge in g.neighbors(entities[-1]) if edge[1] not in entities]
+        costs = step_costs[depth]
+        new = [rid for rid in dict.fromkeys(rid for rid, _ in edges) if rid not in costs]
+        if new:
+            query = queries[depth]
+            texts = [candidate.relations[depth]] if query is None else []
+            fetched, label_vecs = gateway.embed_with_labels(texts, [relation_label(rid) for rid in new])
+            if query is None:
+                query = queries[depth] = fetched[0]
+            for rid, sim in zip(new, cosine_many(query, label_vecs)):
+                costs[rid] = 1.0 - sim
+        for edge in edges:
+            rid = edge[0]
+            heapq.heappush(
+                frontier,
+                (total + costs[rid], labels + (relation_label(rid),), entities + (edge[1],), steps + (edge,)),
+            )
     results.sort(key=_sort_key)
     return results[: cfg.top_k]
 
@@ -283,7 +310,7 @@ def heuristic_top_k(
     frontier: list[_Prefix] = []
 
     def expand(prefix: _Prefix) -> None:
-        for child in _scored_children(g, prefix, cand_text, " ".join, gateway):
+        for child in _scored_children(g, prefix, cand_text, gateway):
             heapq.heappush(frontier, child)
 
     expand((0.0, (), (start,), ()))

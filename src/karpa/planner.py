@@ -159,9 +159,10 @@ def extract_relation_pool(
     """Pool the vocabulary relations most similar to the proposed ones.
 
     Each distinct proposed relation contributes its top-k similar
-    vocabulary labels; the per-source rankings are merged round-robin by
-    rank, deduplicated, and truncated to the cap. An empty initial set
-    yields an empty pool (the pipeline then falls back).
+    vocabulary labels, all ranked in one ``top_k_similar_relations`` call;
+    the per-source rankings are merged round-robin by rank, deduplicated,
+    and truncated to the cap. An empty initial set yields an empty pool
+    (the pipeline then falls back).
     """
     if not vocab:
         raise ContractError("vocabulary must be non-empty")
@@ -170,10 +171,7 @@ def extract_relation_pool(
         return RelationPool(rankings=[], pool=[], cap=cap)
     if per_relation_k is None:
         per_relation_k = max(3, cap // len(sources))
-    rankings = [
-        (source, gateway.top_k_similar_relations(source, vocab, per_relation_k))
-        for source in sources
-    ]
+    rankings = list(zip(sources, gateway.top_k_similar_relations(sources, vocab, per_relation_k)))
     rank_major = (
         ranked[rank][0] for rank in range(per_relation_k) for _, ranked in rankings if rank < len(ranked)
     )
@@ -192,14 +190,19 @@ def _snap_to_vocabulary(
     gateway: EmbeddingGateway,
 ) -> CandidatePathSet:
     vocab_set = set(vocab)
+    labels = (label for path in candidate_set.all_paths() for label in path.relations)
+    off_vocab = list(dict.fromkeys(label for label in labels if label not in vocab_set))
+    nearest = {}
+    if off_vocab:
+        rankings = gateway.top_k_similar_relations(off_vocab, vocab, 1)
+        nearest = {label: ranked[0][0] for label, ranked in zip(off_vocab, rankings)}
     snaps: list[tuple[str, str]] = []
 
     def snap(label: str) -> str:
         if label in vocab_set:
             return label
-        nearest = gateway.top_k_similar_relations(label, vocab, 1)[0][0]
-        snaps.append((label, nearest))
-        return nearest
+        snaps.append((label, nearest[label]))
+        return nearest[label]
 
     snapped = {
         length: [RelationPath(tuple(map(snap, path.relations))) for path in paths]
@@ -219,10 +222,12 @@ def replan(
     (``build_replanning_prompt``), parsed and validated against the vocabulary.
 
     Hallucinated relation labels are snapped to their nearest vocabulary
-    label by cosine similarity so the paths stay executable; every snap is
-    recorded. A parse failure earns one corrective retry, which appends the
-    reply and a corrective message to ``messages`` (a new list; ``messages``
-    itself is not changed), then the error surfaces.
+    label by cosine similarity so the paths stay executable. All of them
+    are ranked in one ``top_k_similar_relations`` call, and every snap is
+    recorded, a repeated label at each place it occurs. A parse failure
+    earns one corrective retry, which appends the reply and a corrective
+    message to ``messages`` (a new list; ``messages`` itself is not
+    changed), then the error surfaces.
     """
     result = llm.complete(messages, params, phase="replanning")
     try:

@@ -16,7 +16,9 @@ succeed on a retry is retried:
 * no connection (``OSError``, which covers ``URLError``, a refused
   connection and a timeout), a reply cut short (``http.client.HTTPException``),
   a 5xx status or a 429 is ``TransportError``, which ``with_retries``
-  retries;
+  retries. A 429 or 503 whose ``Retry-After`` header is a number of
+  seconds carries it, and the retry waits that long, up to 30 s, unless
+  the backoff is longer; a date or any other value is ignored;
 * any other non-200 status is ``DataError``: the request itself was refused;
 * a 200 whose body is unusable is ``ProviderError``. ``post_json`` raises
   it for a body that is not JSON, each provider for a field it needs that
@@ -40,6 +42,7 @@ T = TypeVar("T")
 
 ATTEMPTS = 3
 FIRST_DELAY = 0.25  # seconds; doubled after each failed attempt
+MAX_RETRY_AFTER = 30.0  # seconds; the longest wait a Retry-After header gets
 
 
 def check_endpoint(key: str, endpoint: str) -> None:
@@ -65,6 +68,12 @@ def _opener():
     return urllib.request.build_opener(NoRedirect)
 
 
+def _retry_after(value: str | None) -> float | None:
+    """The delay-seconds of a ``Retry-After`` header value, or ``None`` for any other value."""
+    value = (value or "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, service: str):
     """POST ``body`` as JSON, with ``api_key`` as a bearer token if given; the decoded reply.
 
@@ -82,11 +91,12 @@ def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, se
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     request = urllib.request.Request(endpoint, data=data, headers=headers, method="POST")
+    retry_header = None
     try:
         with _opener().open(request, timeout=timeout) as resp:
             status, payload = resp.status, resp.read()
     except urllib.error.HTTPError as exc:  # before OSError, which it subclasses
-        status = exc.code
+        status, retry_header = exc.code, exc.headers.get("Retry-After")
         try:
             payload = exc.read()
         except (OSError, http.client.HTTPException) as read_exc:
@@ -96,7 +106,10 @@ def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, se
     except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"{service} request failed: {exc}") from exc
     if status >= 500 or status == 429:
-        raise TransportError(f"{service} service returned {status}")
+        raise TransportError(
+            f"{service} service returned {status}",
+            retry_after=_retry_after(retry_header) if status in (429, 503) else None,
+        )
     if status != 200:
         text = payload.decode("utf-8", errors="replace")
         raise DataError(f"{service} service returned {status}: {text[:200]}")
@@ -108,13 +121,20 @@ def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, se
 
 
 def with_retries(call: Callable[[], T], sleep: Callable[[float], None]) -> T:
-    """``call()``, retried on ``TransportError``: 3 attempts, sleeping 0.25 s, then 0.5 s."""
+    """``call()``, retried on ``TransportError``: 3 attempts, sleeping 0.25 s, then 0.5 s.
+
+    An error that carries a ``Retry-After`` delay sleeps that delay instead,
+    capped at ``MAX_RETRY_AFTER``, when it is the longer.
+    """
     delay = FIRST_DELAY
     for _ in range(ATTEMPTS - 1):
         try:
             return call()
-        except TransportError:
-            sleep(delay)
+        except TransportError as exc:
+            wait = delay
+            if exc.retry_after is not None:
+                wait = max(delay, min(exc.retry_after, MAX_RETRY_AFTER))
+            sleep(wait)
             delay *= 2
     return call()
 

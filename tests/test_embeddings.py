@@ -535,21 +535,21 @@ def test_cache_entries_add_no_objects_for_the_cyclic_collector():
 
 def test_top_k_query_in_vocab_ranks_first(gateway):
     vocab = ["people.person.children", "film.movie.director", "location.country.capital"]
-    ranked = gateway.top_k_similar_relations("people.person.children", vocab, 2)
+    [ranked] = gateway.top_k_similar_relations(["people.person.children"], vocab, 2)
     assert ranked[0][0] == "people.person.children"
     assert ranked[0][1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_top_k_larger_than_vocab_returns_all(gateway):
     vocab = ["a.b.c", "d.e.f"]
-    assert len(gateway.top_k_similar_relations("a.b.c", vocab, 7)) == 2
+    assert [len(r) for r in gateway.top_k_similar_relations(["a.b.c", "d.e.f"], vocab, 7)] == [2, 2]
 
 
 def test_top_k_matches_exhaustive_ranking(gateway):
     rng = random.Random(7)
     vocab = relation_label_pool(rng, 20)
     query = "people.person.children"
-    ranked = gateway.top_k_similar_relations(query, vocab, 5)
+    [ranked] = gateway.top_k_similar_relations([query], vocab, 5)
 
     qv = gateway.embed([query])[0]
     full = sorted(
@@ -562,14 +562,31 @@ def test_top_k_matches_exhaustive_ranking(gateway):
 def test_top_k_is_prefix_of_full_ranking(gateway):
     rng = random.Random(21)
     vocab = relation_label_pool(rng, 60)
-    full = gateway.top_k_similar_relations("music.artist.albums", vocab, len(vocab))
+    [full] = gateway.top_k_similar_relations(["music.artist.albums"], vocab, len(vocab))
     for k in (1, 5, 17, 60):
-        assert gateway.top_k_similar_relations("music.artist.albums", vocab, k) == full[:k]
+        assert gateway.top_k_similar_relations(["music.artist.albums"], vocab, k) == [full[:k]]
 
 
 def test_top_k_rejects_empty_vocab(gateway):
     with pytest.raises(ContractError):
-        gateway.top_k_similar_relations("x", [], 3)
+        gateway.top_k_similar_relations(["x"], [], 3)
+
+
+def test_top_k_rejects_an_empty_query_list(gateway):
+    with pytest.raises(ContractError):
+        gateway.top_k_similar_relations([], ["a.b.c"], 3)
+
+
+def test_top_k_ranks_each_query_as_a_call_of_its_own():
+    vocab = relation_label_pool(random.Random(4), 30)
+    queries = ["people.person.children", "film director", "people.person.children", vocab[3]]
+    batched = EmbeddingGateway(MockEmbeddingProvider(64)).top_k_similar_relations(queries, vocab, 5)
+    assert batched == [
+        EmbeddingGateway(MockEmbeddingProvider(64)).top_k_similar_relations([query], vocab, 5)[0]
+        for query in queries
+    ]
+    # A single string is one query, not a list of characters.
+    assert EmbeddingGateway(MockEmbeddingProvider(64)).top_k_similar_relations(queries[1], vocab, 5) == batched[1:2]
 
 
 def _record_requests(gateway):
@@ -585,17 +602,19 @@ def _record_requests(gateway):
     return requests
 
 
-def test_top_k_embeds_a_vocabulary_once_per_gateway():
-    vocab = relation_label_pool(random.Random(5), 30)
-    other = relation_label_pool(random.Random(6), 30)
+def test_top_k_embeds_each_label_once_per_gateway():
+    vocab = list(dict.fromkeys(relation_label_pool(random.Random(5), 30)))
+    other = list(dict.fromkeys(relation_label_pool(random.Random(6), 30)))
     gw = EmbeddingGateway(MockEmbeddingProvider(64))
     requests = _record_requests(gw)
-    gw.top_k_similar_relations("people person", vocab, 3)
-    gw.top_k_similar_relations("film director", list(vocab), 3)
-    assert requests == [["people person", *vocab], ["film director"]]
-    gw.top_k_similar_relations("film director", other, 3)
-    gw.top_k_similar_relations("music album", other, 3)
-    assert requests[2:] == [["film director", *other], ["music album"]]
+    gw.top_k_similar_relations(["people person", "music"], vocab, 3)
+    gw.top_k_similar_relations(["film director"], list(vocab), 3)
+    assert requests == [["people person", "music", *vocab], ["film director"]]
+    # A vocabulary that shares labels with one held requests only the others.
+    gw.top_k_similar_relations(["film director"], other, 3)
+    gw.top_k_similar_relations(["music album"], other + vocab, 3)
+    fresh = [label for label in other if label not in vocab]
+    assert requests[2:] == [["film director", *fresh], ["music album"]]
 
 
 def test_top_k_over_a_query_sequence_ranks_as_a_fresh_gateway_does():
@@ -607,7 +626,7 @@ def test_top_k_over_a_query_sequence_ranks_as_a_fresh_gateway_does():
     for query, vocab in zip(queries * 2, [b, a, a, b, a, a, b, a]):
         fresh = EmbeddingGateway(MockEmbeddingProvider(64))
         for k in (1, 7, len(vocab)):
-            assert gw.top_k_similar_relations(query, vocab, k) == fresh.top_k_similar_relations(query, vocab, k)
+            assert gw.top_k_similar_relations([query], vocab, k) == fresh.top_k_similar_relations([query], vocab, k)
 
 
 def test_top_k_call_whose_provider_fails_leaves_no_vocabulary_behind():
@@ -615,9 +634,31 @@ def test_top_k_call_whose_provider_fails_leaves_no_vocabulary_behind():
     gw = EmbeddingGateway(FlakyEmbeddingProvider(MockEmbeddingProvider(64), failures=3), sleep=lambda _: None)
     requests = _record_requests(gw)
     with pytest.raises(TransportError):
-        gw.top_k_similar_relations("a b", vocab, 2)
-    gw.top_k_similar_relations("a b", vocab, 2)
+        gw.top_k_similar_relations(["a b"], vocab, 2)
+    gw.top_k_similar_relations(["a b"], vocab, 2)
     assert requests == [["a b", *vocab], ["a b", *vocab]]
+
+
+def test_label_fetch_whose_provider_fails_holds_no_label():
+    gw = EmbeddingGateway(FlakyEmbeddingProvider(MockEmbeddingProvider(64), failures=3), sleep=lambda _: None)
+    requests = _record_requests(gw)
+    with pytest.raises(TransportError):
+        gw.embed_with_labels([], ["a.b.c", "d.e.f"])
+    assert gw.embed_with_labels([], ["d.e.f", "a.b.c"])[0] == []
+    gw.embed_with_labels(["query"], ["a.b.c", "d.e.f"])
+    assert requests == [["a.b.c", "d.e.f"], ["d.e.f", "a.b.c"], ["query"]]
+
+
+def test_held_labels_are_the_vectors_the_cache_serves():
+    cache = EmbeddingCache()
+    gw = EmbeddingGateway(MockEmbeddingProvider(64), cache)
+    # Not the provider's vector for the label, so that the test sees whose bits are held.
+    cached = mock_embed("another label", 64)
+    cache.put(gw._identity_digest, bytes.fromhex(text_digest("a.b.c")), cached)
+    _, (first, other) = gw.embed_with_labels([], ["a.b.c", "d.e.f"])
+    _, (again,) = gw.embed_with_labels([], ["a.b.c"])
+    assert first.values.tobytes() == cached.values.tobytes() and again is first
+    assert other == mock_embed("d.e.f", 64)
 
 
 # -- scripted provider --------------------------------------------------------

@@ -215,8 +215,9 @@ class _Handlerless:
 def http_server():
     """Tiny local HTTP server; each test registers a handler function.
 
-    A handler returns ``(status, payload)``: a ``bytes`` payload is sent as it
-    is, anything else as JSON.
+    A handler returns ``(status, payload)`` or ``(status, payload, headers)``:
+    a ``bytes`` payload is sent as it is, anything else as JSON, and each
+    header in the ``headers`` dict is sent with the reply.
     """
     import http.server
 
@@ -227,10 +228,12 @@ def http_server():
             length = int(self.headers["Content-Length"])
             body = json.loads(self.rfile.read(length))
             state["requests"].append({"path": self.path, "body": body, "headers": dict(self.headers)})
-            status, payload = state["handler"](body)
+            status, payload, *headers = state["handler"](body)
             data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
@@ -389,10 +392,13 @@ def _rows(*indices):
         (_rows(1, 1), ["x", "y"]),
         (_rows(5, 7), ["x", "y"]),
         (_rows(0, 0), ["x", "y"]),
+        # Equal to 0 and 1, but not integers.
+        (_rows(False, True), ["x", "y"]),
+        (_rows(0.0, 1.0), ["x", "y"]),
     ],
     ids=[
         "not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few", "all-zero",
-        "index-1-1", "index-5-7", "index-0-0",
+        "index-1-1", "index-5-7", "index-0-0", "index-false-true", "index-float",
     ],
 )
 def test_http_embedding_malformed_reply_is_provider_error(http_server, payload, texts):
@@ -431,6 +437,32 @@ def test_http_429_is_retried(http_server, call, good, expected):
     naps = []
     assert call(http_server["url"], naps.append) == expected
     assert naps == [0.25]
+    assert len(http_server["requests"]) == 2
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, nap",
+    [
+        (429, "2", 2.0),
+        (503, "2", 2.0),
+        (429, "120", 30.0),  # capped
+        (503, "soon", 0.25),  # not a number of seconds: the backoff
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # a date: the backoff
+        (429, "0", 0.25),  # shorter than the backoff
+        (500, "2", 0.25),  # only 429 and 503 are asked to wait
+    ],
+)
+@pytest.mark.parametrize(
+    "call,good,expected",
+    [(_chat_call, _GOOD_CHAT, "ok {x}"), (_embedding_call, _GOOD_EMBEDDING, (1.0, 2.0))],
+    ids=["chat", "embedding"],
+)
+def test_http_retry_waits_as_long_as_retry_after_asks(http_server, call, good, expected, status, retry_after, nap):
+    replies = [(status, {"error": "busy"}, {"Retry-After": retry_after}), (200, good)]
+    http_server["handler"] = lambda body: replies.pop(0)
+    naps = []
+    assert call(http_server["url"], naps.append) == expected
+    assert naps == [nap]
     assert len(http_server["requests"]) == 2
 
 

@@ -1,11 +1,11 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from karpa.errors import ContractError, NotFoundError
+from karpa.errors import ContractError, DomainError, NotFoundError
 from karpa.matching import (
-    STRATEGIES,
     _rank_key,
     _sort_key,
     MatchConfig,
@@ -466,8 +466,8 @@ def test_heuristic_exact_several_candidates_equal_brute_force(twelve_graph):
 _MATCHERS = {"beam": beam_match, "pathfind": dijkstra_avg_match, "heuristic": heuristic_top_k}
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_every_strategy_makes_one_embed_request_per_expansion(strategy):
+def _random_match_cases():
+    """``(graph, candidate, max_len)`` on ten small random graphs, some with inverse edges."""
     rng = random.Random(3030)
     for _ in range(10):
         replay = random.Random()
@@ -479,28 +479,64 @@ def test_every_strategy_makes_one_embed_request_per_expansion(strategy):
         max_len = len(candidate) + 1
         if rng.choice([False, True]):  # the same graph, loaded with inverse edges
             g = random_graph(replay, n_entities=20, n_relations=10, max_out_degree=3, inverse_edges=True)
+        yield g, candidate, max_len
+
+
+def _wide_config(strategy, max_len):
+    """Wide enough that no search drops a prefix: each expands the start
+    and every path shorter than its deepest length."""
+    return MatchConfig(
+        strategy=strategy,
+        top_k=10_000,
+        beam_width=10_000,
+        exact_mode=True,
+        max_len=max_len,
+    )
+
+
+def test_heuristic_makes_one_embed_request_per_expansion():
+    for g, candidate, max_len in _random_match_cases():
         gateway = SpyGateway()
-        # Wide enough that no search drops a prefix: each expands the start
-        # and every path shorter than its deepest length.
-        cfg = MatchConfig(
-            strategy=strategy,
-            top_k=10_000,
-            beam_width=10_000,
-            exact_mode=True,
-            max_len=max_len,
-        )
-        _MATCHERS[strategy](g, 0, candidate, cfg, gateway)
-        depth = max_len if strategy == "heuristic" else len(candidate)
-        paths = enumerate_all_paths(g, 0, depth)
+        heuristic_top_k(g, 0, candidate, _wide_config("heuristic", max_len), gateway)
+        paths = enumerate_all_paths(g, 0, max_len)
         # Only prefixes with a child that revisits no entity make a request.
         expanded = {steps[:-1] for _, _, steps in paths}
         assert len(gateway.requests) == len(expanded)
         assert sum(len(r) - 1 for r in gateway.requests) == len(paths)
-        if strategy == "heuristic":
-            queries = [" ".join(candidate.relations)] * len(expanded)
-        else:
-            queries = [candidate.relations[len(prefix)] for prefix in expanded]
+        queries = [" ".join(candidate.relations)] * len(expanded)
         assert sorted(r[0] for r in gateway.requests) == sorted(queries)
+
+
+@pytest.mark.parametrize("strategy", ["beam", "pathfind"])
+def test_fixed_length_matchers_request_each_label_once_per_gateway(strategy):
+    for g, candidate, max_len in _random_match_cases():
+        gateway = SpyGateway()
+        cfg = _wide_config(strategy, max_len)
+        first = _MATCHERS[strategy](g, 0, candidate, cfg, gateway)
+        paths = enumerate_all_paths(g, 0, len(candidate))
+        # Only prefixes with a child that revisits no entity cost a step.
+        depths = sorted({len(steps) - 1 for _, _, steps in paths})
+        labels = {g.relation_label(steps[-1][0]) for _, _, steps in paths}
+        # Every text requested, counted: each depth's candidate relation once,
+        # and each label met once, however many edges carry it.
+        requested = Counter(text for request in gateway.requests for text in request)
+        assert requested == Counter(candidate.relations[d] for d in depths) + Counter(labels)
+        assert len(gateway.requests) <= len({steps[:-1] for _, _, steps in paths})
+        # A second search holds every label: it requests only its depth queries.
+        del gateway.requests[:]
+        assert _MATCHERS[strategy](g, 0, candidate, cfg, gateway) == first
+        assert gateway.requests == [[candidate.relations[d]] for d in depths]
+
+
+@pytest.mark.parametrize("strategy", ["beam", "pathfind"])
+def test_candidate_relation_at_a_depth_never_expanded_is_not_embedded(strategy):
+    # "!!!" has no token, so the mock embedding raises DomainError for it.
+    candidate = RelationPath(("people.person.children", "!!!"))
+    g = graph_from([("A", "people.person.children", "B"), ("C", "people.person.children", "A")])
+    cfg = _wide_config(strategy, 2)
+    assert _MATCHERS[strategy](g, g.entity_id("A"), candidate, cfg, mock_gateway()) == []
+    with pytest.raises(DomainError):  # C's child A has a child of its own
+        _MATCHERS[strategy](g, g.entity_id("C"), candidate, cfg, mock_gateway())
 
 
 @pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])

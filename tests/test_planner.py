@@ -20,7 +20,7 @@ from karpa.planner import (
     replan,
 )
 
-from helpers import relation_label_pool
+from helpers import SpyGateway, relation_label_pool
 
 BRAHUI_QUERY = Query(
     id="ex1",
@@ -200,8 +200,8 @@ def test_pool_single_relation_top_k(gateway):
     vocab = sorted(relation_label_pool(random.Random(1), 12))
     initial = paths(("people.person.children",))
     pool = extract_relation_pool(initial, vocab, gateway, per_relation_k=5)
-    expected = [label for label, _ in gateway.top_k_similar_relations("people.person.children", vocab, 5)]
-    assert pool.pool == expected
+    [ranked] = gateway.top_k_similar_relations(["people.person.children"], vocab, 5)
+    assert pool.pool == [label for label, _ in ranked]
 
 
 def test_pool_round_robin_interleaves_rank_order(gateway):
@@ -209,9 +209,22 @@ def test_pool_round_robin_interleaves_rank_order(gateway):
     vocab = ["music.artist.albums", "music.artist.genre", "sports.team.roster", "sports.team.winner"]
     initial = paths(("music.artist.albums", "sports.team.roster"))
     pool = extract_relation_pool(initial, vocab, gateway, per_relation_k=2, cap=4)
-    a = [l for l, _ in gateway.top_k_similar_relations("music.artist.albums", vocab, 2)]
-    b = [l for l, _ in gateway.top_k_similar_relations("sports.team.roster", vocab, 2)]
+    a, b = (
+        [label for label, _ in ranked]
+        for ranked in gateway.top_k_similar_relations(["music.artist.albums", "sports.team.roster"], vocab, 2)
+    )
     assert pool.pool == [a[0], b[0], a[1], b[1]]
+
+
+def test_pool_ranks_all_sources_in_one_embed_request():
+    vocab = sorted(set(relation_label_pool(random.Random(2), 20)))
+    initial = paths(("music.artist.albums", "sports.team.roster"), ("people.person.children",))
+    spy = SpyGateway()
+    pool = extract_relation_pool(initial, vocab, spy, per_relation_k=3, cap=30)
+    sources = ["people.person.children", "music.artist.albums", "sports.team.roster"]  # shortest path first
+    assert spy.requests == [[*sources, *vocab]]
+    fresh = SpyGateway()
+    assert pool.rankings == [(s, fresh.top_k_similar_relations([s], vocab, 3)[0]) for s in sources]
 
 
 def test_pool_cap_and_membership_property(gateway):
@@ -240,8 +253,8 @@ class RankedGateway:
     def __init__(self, rankings):
         self.rankings = rankings
 
-    def top_k_similar_relations(self, label, vocab, k):
-        return self.rankings[label][:k]
+    def top_k_similar_relations(self, labels, vocab, k):
+        return [self.rankings[label][:k] for label in labels]
 
 
 def round_robin_pool(rankings, per_relation_k, cap):
@@ -375,9 +388,35 @@ def test_replan_snaps_hallucinated_label(gateway):
         "Length 2 reasoning path: None: {}.\nLength 3 reasoning path: None: {}.",
     )
     result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
-    nearest = gateway.top_k_similar_relations("people.person.child", vocab, 1)[0][0]
+    nearest = gateway.top_k_similar_relations(["people.person.child"], vocab, 1)[0][0][0]
     assert result.by_length[1] == [RelationPath((nearest,))]
     assert result.snaps == [("people.person.child", nearest)]
+
+
+def test_replan_snaps_every_off_vocabulary_label_in_one_request():
+    vocab = ["people.person.children", "people.person.parents", "film.movie.director"]
+    pool = make_pool(vocab)
+    provider, llm = scripted_llm()
+    provider.add(
+        build_replanning_prompt(BRAHUI_QUERY, pool),
+        "Length 1 reasoning path: {people.person.child}.\n"
+        "Length 2 reasoning path: {film.movie.directed_by, people.person.parents}.\n"
+        "Length 3 reasoning path: {people.person.child, people.person.parents, people.person.child}.",
+    )
+    spy = SpyGateway()
+    spy.top_k_similar_relations(["warm"], vocab, 1)  # the vocabulary is held, as after pooling
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), spy, vocab)
+    assert spy.requests[1:] == [["people.person.child", "film.movie.directed_by"]]
+    # One snap per place the label occurs, in path order, as when each was ranked alone.
+    child, directed = (spy.top_k_similar_relations([label], vocab, 1)[0][0][0]
+                       for label in ("people.person.child", "film.movie.directed_by"))
+    assert result.snaps == [
+        ("people.person.child", child),
+        ("film.movie.directed_by", directed),
+        ("people.person.child", child),
+        ("people.person.child", child),
+    ]
+    assert result.by_length[3] == [RelationPath((child, "people.person.parents", child))]
 
 
 def test_replan_retries_once_with_corrective_message(gateway):
