@@ -1,8 +1,11 @@
 import gc
+import itertools
 import json
 import math
 import random
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -586,7 +589,8 @@ def test_top_k_ranks_each_query_as_a_call_of_its_own():
         for query in queries
     ]
     # A single string is one query, not a list of characters.
-    assert EmbeddingGateway(MockEmbeddingProvider(64)).top_k_similar_relations(queries[1], vocab, 5) == batched[1:2]
+    single = EmbeddingGateway(MockEmbeddingProvider(64)).top_k_similar_relations(queries[1], vocab, 5)
+    assert single == batched[1:2]
 
 
 def _record_requests(gateway):
@@ -647,6 +651,48 @@ def test_label_fetch_whose_provider_fails_holds_no_label():
     assert gw.embed_with_labels([], ["d.e.f", "a.b.c"])[0] == []
     gw.embed_with_labels(["query"], ["a.b.c", "d.e.f"])
     assert requests == [["a.b.c", "d.e.f"], ["d.e.f", "a.b.c"], ["query"]]
+
+
+def test_threads_fetching_labels_together_serve_the_cache_bits():
+    labels = list(dict.fromkeys(relation_label_pool(random.Random(12), 60)))
+
+    class EachCallItsOwn:
+        """A provider whose vectors differ from call to call, so that whose bits are kept shows."""
+
+        identity = "each-call"
+
+        def __init__(self):
+            self.calls = itertools.count()
+
+        def embed_batch(self, texts):
+            n = next(self.calls)
+            return [mock_embed(f"{text} {n}", 64) for text in texts]
+
+    gw = EmbeddingGateway(EachCallItsOwn())
+    served: list[tuple[str, EmbeddingVector]] = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            batch = rng.sample(labels, 8)
+            _, vectors = gw.embed_with_labels(["query"], batch)
+            served.extend(zip(batch, vectors))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(served) == 8 * 20 * 8
+    for label, vector in served:
+        cached = gw.cache.get(gw._identity_digest, bytes.fromhex(text_digest(label)))
+        assert vector.values.tobytes() == cached.values.tobytes()
 
 
 def test_held_labels_are_the_vectors_the_cache_serves():
