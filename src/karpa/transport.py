@@ -91,25 +91,26 @@ def post_json(endpoint: str, body: dict, api_key: str | None, timeout: float, se
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
     request = urllib.request.Request(endpoint, data=data, headers=headers, method="POST")
-    retry_header = None
+    retry_after = None
     try:
         with _opener().open(request, timeout=timeout) as resp:
             status, payload = resp.status, resp.read()
     except urllib.error.HTTPError as exc:  # before OSError, which it subclasses
-        status, retry_header = exc.code, exc.headers.get("Retry-After")
+        status = exc.code
+        if status in (429, 503):
+            retry_after = _retry_after(exc.headers.get("Retry-After"))
         try:
             payload = exc.read()
         except (OSError, http.client.HTTPException) as read_exc:
-            raise TransportError(f"{service} service returned {status}, body unreadable: {read_exc}") from None
+            raise TransportError(
+                f"{service} service returned {status}, body unreadable: {read_exc}", retry_after=retry_after
+            ) from None
         finally:
             exc.close()
     except (OSError, http.client.HTTPException) as exc:
         raise TransportError(f"{service} request failed: {exc}") from exc
     if status >= 500 or status == 429:
-        raise TransportError(
-            f"{service} service returned {status}",
-            retry_after=_retry_after(retry_header) if status in (429, 503) else None,
-        )
+        raise TransportError(f"{service} service returned {status}", retry_after=retry_after)
     if status != 200:
         text = payload.decode("utf-8", errors="replace")
         raise DataError(f"{service} service returned {status}: {text[:200]}")

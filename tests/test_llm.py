@@ -609,6 +609,21 @@ def test_http_broken_reply_is_transport_error_after_three_attempts(raw_server, g
     assert raw_server["connections"] == 3
 
 
+@_GATEWAYS
+def test_http_retry_after_holds_when_the_body_is_cut_short(raw_server, gateway_call):
+    def cut_busy(conn):
+        _read_request(conn)
+        conn.sendall(b"HTTP/1.1 503 Busy\r\nRetry-After: 2\r\nContent-Length: 100\r\n\r\nbusy")
+        conn.close()
+
+    raw_server["reply"] = cut_busy
+    naps = []
+    call = gateway_call(raw_server["url"], naps.append, timeout=0.2)
+    with pytest.raises(TransportError, match="returned 503, body unreadable"):
+        call()
+    assert naps == [2.0, 2.0]
+
+
 @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
 @pytest.mark.parametrize("service", ["chat", "embedding"])
 def test_http_redirect_is_data_error_and_not_followed(raw_server, http_server, service, code):
