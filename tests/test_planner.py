@@ -408,8 +408,10 @@ def test_replan_snaps_every_off_vocabulary_label_in_one_request():
     result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), spy, vocab)
     assert spy.requests[1:] == [["people.person.child", "film.movie.directed_by"]]
     # One snap per place the label occurs, in path order, as when each was ranked alone.
-    child, directed = (spy.top_k_similar_relations([label], vocab, 1)[0][0][0]
-                       for label in ("people.person.child", "film.movie.directed_by"))
+    child, directed = (
+        spy.top_k_similar_relations([label], vocab, 1)[0][0][0]
+        for label in ("people.person.child", "film.movie.directed_by")
+    )
     assert result.snaps == [
         ("people.person.child", child),
         ("film.movie.directed_by", directed),
