@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .embeddings import cosine_many
-from .errors import ContractError
+from .errors import ContractError, KarpaError, TransportError
 
 if TYPE_CHECKING:
     from .embeddings import EmbeddingGateway, EmbeddingVector
@@ -47,6 +47,13 @@ STRATEGIES = ("beam", "pathfind", "heuristic")
 
 # A search prefix: (cost, labels, entity_ids, steps). Heaps order on it as is.
 _Prefix = tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+# A heuristic prefix's child before it is costed: (text, labels, entity_ids, steps).
+_Child = tuple[str, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+
+# Prefixes whose children one heuristic embedding request may carry: the
+# expanded prefix and the next LOOKAHEAD - 1 in pop order. Larger windows
+# save requests but fetch more children the search never expands.
+LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -133,32 +140,6 @@ class MatchConfig:
         if not candidates:
             return 1
         return max(len(c) for c in candidates) + 1
-
-
-def _scored_children(
-    g: "KnowledgeGraph",
-    prefix: _Prefix,
-    query_text: str,
-    gateway: "EmbeddingGateway",
-) -> list[_Prefix]:
-    """Each one-hop extension of ``prefix`` that revisits no entity, costed ``1 - sim``.
-
-    ``sim`` is the cosine of the child's space-joined labels against
-    ``query_text``. The query and every child text go to the gateway in one
-    ``embed`` request; a prefix with no children makes none. ``cosine`` is
-    symmetric bit for bit, so the cost equals the pairwise reference cost
-    (``1 - path_similarity`` in ``tests/oracles.py``) exactly.
-    """
-    _, labels, entities, steps = prefix
-    edges = [edge for edge in g.neighbors(entities[-1]) if edge[1] not in entities]
-    if not edges:
-        return []
-    child_labels = [labels + (g.relation_label(rid),) for rid, _ in edges]
-    query_vec, *child_vecs = gateway.embed([query_text, *map(" ".join, child_labels)])
-    return [
-        (1.0 - sim, child, entities + (edge[1],), steps + (edge,))
-        for edge, child, sim in zip(edges, child_labels, cosine_many(query_vec, child_vecs))
-    ]
 
 
 def _rank_key(cost: float, labels: tuple[str, ...], entities: tuple[int, ...]) -> tuple:
@@ -284,6 +265,36 @@ def dijkstra_avg_match(
     )
 
 
+def _children(g: "KnowledgeGraph", prefix: _Prefix) -> list[_Child]:
+    """Each one-hop extension of ``prefix`` that revisits no entity, with its space-joined labels."""
+    _, labels, entities, steps = prefix
+    children = []
+    for edge in g.neighbors(entities[-1]):
+        if edge[1] not in entities:
+            child = labels + (g.relation_label(edge[0]),)
+            children.append((" ".join(child), child, entities + (edge[1],), steps + (edge,)))
+    return children
+
+
+def _lookahead(frontier: list[_Prefix], max_len: int, fetched: dict) -> list[_Prefix]:
+    """The ``LOOKAHEAD - 1`` least frontier prefixes shorter than ``max_len`` and not in ``fetched``.
+
+    A lazy walk of the heap from its root, in pop order: a heap node is
+    never less than its parent, so a node is looked at only once its parent
+    has been, and the walk stops at the last prefix it picks.
+    """
+    picked: list[_Prefix] = []
+    todo = [(frontier[0], 0)] if frontier else []
+    while todo and len(picked) < LOOKAHEAD - 1:
+        prefix, i = heapq.heappop(todo)
+        if len(prefix[3]) < max_len and prefix[3] not in fetched:
+            picked.append(prefix)
+        for j in (2 * i + 1, 2 * i + 2):
+            if j < len(frontier):
+                heapq.heappush(todo, (frontier[j], j))
+    return picked
+
+
 def heuristic_top_k(
     g: "KnowledgeGraph",
     start: int,
@@ -295,23 +306,71 @@ def heuristic_top_k(
 
     Every simple path of length 1..max_len from the start is a candidate
     result, scored by ``h = 1 - cosine`` of its space-joined labels against
-    the space-joined candidate; a self-loop at the start is not one. Expansion is best-first on the
-    prefix's h; each expansion, the first hop from the start included,
-    scores all the prefix's children with one ``gateway.embed`` request.
-    The prefix value is a priority, not an admissible bound, so the bounded
-    search is approximate by design: when the frontier (or the expansion
-    budget) exceeds ``frontier_cap`` the worst prefixes are dropped and
-    results carry ``truncated=True``. ``exact_mode`` disables all pruning
-    and enumerates exhaustively.
+    the space-joined candidate; a self-loop at the start is not one.
+    Expansion is best-first on the prefix's h, the start first. The prefix
+    value is a priority, not an admissible bound, so the bounded search is
+    approximate by design: when the frontier (or the expansion budget)
+    exceeds ``frontier_cap`` the worst prefixes are dropped and results
+    carry ``truncated=True``. ``exact_mode`` disables all pruning and
+    enumerates exhaustively.
+
+    The search keeps ``costs``, from label-sequence text to h, and fetches
+    the candidate text's vector once, with its first request. An expansion
+    whose children are all costed makes no request. Otherwise its one
+    ``gateway.embed`` request also carries the uncosted children of the
+    ``LOOKAHEAD - 1`` least frontier prefixes that are shorter than
+    ``max_len`` and not yet fetched (``_lookahead``); those prefixes keep
+    their children, so when one is popped it pushes them and makes no
+    request. The largest request is thus 1 + ``LOOKAHEAD`` times the most
+    edges ``neighbors`` returns. An h does not depend on which request
+    fetched its vector, so pop order, truncation and every cost's bits are
+    those of one request per expansion (``ref_heuristic`` in
+    ``tests/oracles.py``).
+
+    A window may fetch prefixes the search never expands. So when its
+    request fails with a ``KarpaError`` other than ``TransportError`` (which
+    ``embed`` has retried already), the expansion re-issues its own
+    children's request alone, and an error surfaces only where one request
+    per expansion would raise it.
     """
     g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
     cand_text = " ".join(candidate.relations)
     frontier: list[_Prefix] = []
+    costs: dict[str, float] = {}
+    fetched: dict[tuple[tuple[int, int], ...], list[_Child]] = {}  # prefix steps -> children
+    query: list[EmbeddingVector] = []  # the candidate text's vector, once fetched
+
+    def cost(texts: list[str]) -> None:
+        head = [] if query else [cand_text]
+        vectors = gateway.embed(head + texts)
+        if not query:
+            query.append(vectors[0])
+        for text, sim in zip(texts, cosine_many(query[0], vectors[len(head) :])):
+            costs[text] = 1.0 - sim
 
     def expand(prefix: _Prefix) -> None:
-        for child in _scored_children(g, prefix, cand_text, gateway):
-            heapq.heappush(frontier, child)
+        children = fetched.pop(prefix[3], None)
+        if children is None:
+            children = _children(g, prefix)
+        own = [text for text in dict.fromkeys(child[0] for child in children) if text not in costs]
+        if own:
+            ahead = [(p[3], _children(g, p)) for p in _lookahead(frontier, max_len, fetched)]
+            texts = dict.fromkeys(own)
+            for _, kids in ahead:
+                texts.update((kid[0], None) for kid in kids if kid[0] not in costs)
+            try:
+                cost(list(texts))
+            except TransportError:
+                raise
+            except KarpaError:
+                if len(texts) == len(own):
+                    raise
+                cost(own)
+            else:
+                fetched.update(ahead)
+        for text, labels, entities, steps in children:
+            heapq.heappush(frontier, (costs[text], labels, entities, steps))
 
     expand((0.0, (), (start,), ()))
     truncated = False

@@ -4,8 +4,9 @@ Everything here is deliberately written through a different code path than
 the package: dict-based feature accumulation instead of list buckets, an
 iterative path enumerator instead of the matchers' shared expansion,
 plain-loop cosine, pairwise step costs instead of batched ones, a
-level-by-level beam instead of a best-first one. Production must agree
-with these, not the other way around.
+level-by-level beam instead of a best-first one, a heuristic search with
+one embedding request per expansion instead of one per lookahead window.
+Production must agree with these, not the other way around.
 """
 
 from __future__ import annotations
@@ -204,6 +205,60 @@ def ref_beam(g, start: int, candidate, cfg, gateway):
     results = [
         ScoredPath(ReasoningPath(start, steps), RelationPath(labels), total / len(steps))
         for total, labels, _, steps in beam
+    ]
+    return _rank(results, cfg.top_k)
+
+
+def ref_heuristic(g, start: int, candidate, cfg, gateway):
+    """Best-first heuristic search with one embedding request per expansion,
+    the reference for ``heuristic_top_k``.
+
+    Each expansion that has children embeds the candidate text and every
+    child's space-joined labels in one ``gateway.embed`` request, however
+    many of them earlier requests fetched, and costs each child
+    ``1 - cosine`` against the candidate. Pop order, the expansion budget,
+    frontier truncation and the final ranking are those of the package.
+    """
+    import heapq
+
+    from karpa.embeddings import cosine_many
+
+    g.entity_label(start)
+    max_len = cfg.resolve_max_len([candidate])
+    cand_text = " ".join(candidate.relations)
+    frontier = []
+
+    def expand(prefix):
+        _, labels, entities, steps = prefix
+        edges = [edge for edge in g.neighbors(entities[-1]) if edge[1] not in entities]
+        if not edges:
+            return
+        child_labels = [labels + (g.relation_label(rid),) for rid, _ in edges]
+        query_vec, *child_vecs = gateway.embed([cand_text, *map(" ".join, child_labels)])
+        for edge, child, sim in zip(edges, child_labels, cosine_many(query_vec, child_vecs)):
+            heapq.heappush(frontier, (1.0 - sim, child, entities + (edge[1],), steps + (edge,)))
+
+    expand((0.0, (), (start,), ()))
+    truncated = False
+    budget = None if cfg.exact_mode else cfg.frontier_cap
+    expansions = 0
+    completed = []
+    while frontier:
+        if budget is not None and expansions >= budget:
+            truncated = True
+            break
+        entry = heapq.heappop(frontier)
+        expansions += 1
+        completed.append(entry)
+        if len(entry[3]) < max_len:
+            expand(entry)
+        if budget is not None and len(frontier) > cfg.frontier_cap:
+            frontier[:] = heapq.nsmallest(cfg.frontier_cap, frontier)
+            heapq.heapify(frontier)
+            truncated = True
+    results = [
+        ScoredPath(ReasoningPath(start, steps), RelationPath(labels), h, truncated)
+        for h, labels, _, steps in completed
     ]
     return _rank(results, cfg.top_k)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,8 @@ from karpa.errors import ConfigError
 from karpa.llm import write_chat_fixtures, digest_messages
 from karpa.pipeline import load_graph
 from karpa.planner import Query, build_initial_prompt
+
+FIXTURE20 = Path(__file__).parent / "data" / "fixture20"
 
 
 @pytest.fixture()
@@ -338,6 +341,27 @@ def test_match_over_a_label_with_no_tokens_is_data_error(tmp_path, capsys, strat
     code = main(["--config", str(config), "match", "--topic", "a", "--path", "r.x", "--strategy", strategy])
     assert code == EXIT_DATA
     assert capsys.readouterr().err == "data error: text has no tokens to embed: '---'\n"
+
+
+@pytest.mark.parametrize("strategy", ["beam", "pathfind", "heuristic"])
+def test_match_path_longer_than_max_len(tmp_path, capsys, strategy):
+    config = tmp_path / "karpa.conf"
+    config.write_text(f"kg.path = {FIXTURE20 / 'kg.tsv'}\nmatcher.max_len = 1\n", encoding="utf-8")
+    path = "language.human_language.main_country,location.country.capital"
+    code = main(["--config", str(config), "match", "--topic", "Lurvish Language", "--path", path,
+                 "--strategy", strategy])
+    out, err = capsys.readouterr()
+    if strategy == "heuristic":  # matches paths of any length up to max_len
+        assert code == EXIT_OK
+        assert [json.loads(line)["entities"] for line in out.splitlines()] == [
+            ["Lurvish Language", "Veldoria"]
+        ]
+    else:
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == (
+            f"data error: --path has 2 relations, more than matcher.max_len = 1 allows under {strategy}\n"
+        )
 
 
 def test_ask_with_scripted_provider(tmp_path, kg_file, capsys):

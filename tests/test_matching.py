@@ -4,8 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from karpa.errors import ContractError, DomainError, NotFoundError
+from karpa.embeddings import (
+    EmbeddingCache,
+    EmbeddingGateway,
+    MockEmbeddingProvider,
+    ScriptedEmbeddingProvider,
+    mock_embed,
+    text_digest,
+)
+from karpa.errors import ContractError, DomainError, NotFoundError, TransportError
 from karpa.matching import (
+    LOOKAHEAD,
     _rank_key,
     _sort_key,
     MatchConfig,
@@ -18,8 +27,17 @@ from karpa.matching import (
     match_candidates,
     render_match_report,
 )
+from karpa.transport import ATTEMPTS
 
-from helpers import SpyGateway, TWELVE_ENTITY_TRIPLES, graph_from, mock_gateway, random_graph
+from helpers import (
+    FlakyEmbeddingProvider,
+    SpyEmbeddingProvider,
+    SpyGateway,
+    TWELVE_ENTITY_TRIPLES,
+    graph_from,
+    mock_gateway,
+    random_graph,
+)
 from oracles import (
     CapacityError,
     brute_force_top_k,
@@ -27,6 +45,7 @@ from oracles import (
     exhaustive_fixed_length_best,
     path_similarity,
     ref_beam,
+    ref_heuristic,
     ref_mock_similarity,
     step_cost,
 )
@@ -494,17 +513,140 @@ def _wide_config(strategy, max_len):
     )
 
 
-def test_heuristic_makes_one_embed_request_per_expansion():
+def test_heuristic_requests_each_text_once_in_lookahead_windows():
+    carried = []  # per request, the parent label sequences its children have
+    expanded = 0
     for g, candidate, max_len in _random_match_cases():
         gateway = SpyGateway()
+        cand_text = " ".join(candidate.relations)
         heuristic_top_k(g, 0, candidate, _wide_config("heuristic", max_len), gateway)
         paths = enumerate_all_paths(g, 0, max_len)
-        # Only prefixes with a child that revisits no entity make a request.
-        expanded = {steps[:-1] for _, _, steps in paths}
-        assert len(gateway.requests) == len(expanded)
-        assert sum(len(r) - 1 for r in gateway.requests) == len(paths)
-        queries = [" ".join(candidate.relations)] * len(expanded)
-        assert sorted(r[0] for r in gateway.requests) == sorted(queries)
+        child_labels = {" ".join(labels): labels for labels, _, _ in paths}
+        # Every text requested, counted: the candidate once, with the first
+        # request, and each child label sequence once, however many
+        # prefixes reach it.
+        requested = Counter(text for request in gateway.requests for text in request)
+        assert requested == Counter([cand_text, *child_labels])
+        assert gateway.requests[0][0] == cand_text
+        children = [gateway.requests[0][1:]] + gateway.requests[1:]
+        carried += [{child_labels[text][:-1] for text in request} for request in children]
+        # Only prefixes with a child that revisits no entity need a request.
+        prefixes = len({steps[:-1] for _, _, steps in paths})
+        assert len(gateway.requests) <= prefixes
+        expanded += prefixes
+    # Distinct parent label sequences undercount the prefixes a request
+    # carries children of, never overcount them.
+    assert max(len(parents) for parents in carried) == LOOKAHEAD
+    assert len(carried) < expanded
+
+
+@pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])
+def test_heuristic_equals_one_request_per_expansion_reference(inverse_edges):
+    rng = random.Random(4242)
+    truncated = 0
+    for _ in range(40):
+        g = random_graph(rng, n_entities=rng.randint(6, 30), n_relations=rng.randint(2, 12),
+                         max_out_degree=4, inverse_edges=inverse_edges)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 3)))
+        )
+        cfg = MatchConfig(
+            strategy="heuristic",
+            top_k=rng.randint(1, 16),
+            max_len=rng.randint(1, 4),
+            frontier_cap=rng.randint(1, 12),
+            exact_mode=rng.random() < 0.2,
+        )
+        ours = heuristic_top_k(g, 0, candidate, cfg, mock_gateway())
+        ref = ref_heuristic(g, 0, candidate, cfg, mock_gateway())
+        assert _ranked(ours) == _ranked(ref)
+        truncated += ref[0].truncated
+    assert truncated >= 10
+
+
+class WordwiseEmbeddingProvider(MockEmbeddingProvider):
+    """The mock embedding, refusing a text with any word that has no token,
+    as a service may refuse a label it cannot read."""
+
+    def embed_batch(self, texts):
+        for text in texts:
+            for word in text.split(" "):
+                mock_embed(word, self.dim)
+        return super().embed_batch(texts)
+
+
+def test_heuristic_error_under_a_prefix_fetched_ahead_surfaces_only_when_expanded():
+    g = graph_from(
+        [
+            ("A", "people.person.children", "B"),
+            ("A", "film.movie.director", "C"),
+            ("B", "people.person.spouse", "D"),
+            ("C", "!!!", "E"),
+        ]
+    )
+    candidate = RelationPath(("people.person.children",))
+    a = g.entity_id("A")
+    # Expanding B fetches C's children ahead; the budget ends before C pops.
+    cfg = MatchConfig(top_k=16, max_len=2, frontier_cap=1)
+    provider = SpyEmbeddingProvider(WordwiseEmbeddingProvider())
+    ours = heuristic_top_k(g, a, candidate, cfg, EmbeddingGateway(provider))
+    assert any("film.movie.director !!!" in batch for batch in provider.batches)
+    ref = ref_heuristic(g, a, candidate, cfg, EmbeddingGateway(WordwiseEmbeddingProvider()))
+    assert _ranked(ours) == _ranked(ref)
+    assert [p.path.entities() for p in ours] == [(a, g.entity_id("B"))]
+    exact = replace(cfg, exact_mode=True)
+    for search in (heuristic_top_k, ref_heuristic):
+        with pytest.raises(DomainError, match="'!!!'"):
+            search(g, a, candidate, exact, EmbeddingGateway(WordwiseEmbeddingProvider()))
+
+
+def test_heuristic_replays_fixtures_recorded_from_the_reference():
+    rng = random.Random(77)
+    replayed_past_a_miss = 0
+    for _ in range(20):
+        g = random_graph(rng, n_entities=25, n_relations=10, max_out_degree=4,
+                         inverse_edges=rng.random() < 0.5)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 2)))
+        )
+        cfg = MatchConfig(top_k=8, max_len=3, frontier_cap=rng.randint(1, 6))
+        recorder = SpyGateway()
+        ref = ref_heuristic(g, 0, candidate, cfg, recorder)
+        records = {text_digest(t): mock_embed(t) for request in recorder.requests for t in request}
+        provider = SpyEmbeddingProvider(ScriptedEmbeddingProvider(records))
+        ours = heuristic_top_k(g, 0, candidate, cfg, EmbeddingGateway(provider))
+        assert _ranked(ours) == _ranked(ref)
+        replayed_past_a_miss += any(
+            text_digest(t) not in records for batch in provider.batches for t in batch
+        )
+    assert replayed_past_a_miss >= 5
+
+
+def test_heuristic_makes_the_reference_attempts_when_transport_always_fails():
+    # Cold, the start's request fails, and it carries no window. With the
+    # start's children cached, the first request with a window fails.
+    failed_warm = 0
+    for g, candidate, max_len in _random_match_cases():
+        cfg = MatchConfig(top_k=8, max_len=max_len, frontier_cap=4)
+        for warm in (False, True):
+            outcomes = []
+            for search in (ref_heuristic, heuristic_top_k):
+                cache = EmbeddingCache()
+                if warm:
+                    ref_heuristic(g, 0, candidate, replace(cfg, max_len=1),
+                                  EmbeddingGateway(MockEmbeddingProvider(), cache))
+                provider = FlakyEmbeddingProvider(MockEmbeddingProvider(), failures=10**9)
+                gateway = EmbeddingGateway(provider, cache, sleep=lambda _: None)
+                try:
+                    search(g, 0, candidate, cfg, gateway)
+                    raised = False
+                except TransportError:
+                    raised = True
+                outcomes.append((raised, provider.attempts))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] == (True, ATTEMPTS) or (warm and outcomes[0] == (False, 0))
+            failed_warm += warm and outcomes[0][0]
+    assert failed_warm >= 5
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
