@@ -21,9 +21,12 @@ search costs a (depth, relation) pair once, against relation-label vectors
 the gateway holds: an expansion makes an embedding request only when it
 meets a label the gateway has not fetched, or is the first at its depth
 and needs the candidate's relation there. The heuristic scores whole label
-sequences, which the gateway does not hold, so each of its expansions
-makes one embedding request for the candidate text and all of the
-prefix's children (``_scored_children``). Every strategy extends a prefix
+sequences, which the gateway does not hold; each search keeps its own
+table from label-sequence text to cost and fetches the candidate text
+once. An expansion that meets an uncosted child makes one embedding
+request, which also carries the uncosted children of the next
+``LOOKAHEAD - 1`` expandable prefixes in pop order, so that when those are
+popped they make none. Every strategy extends a prefix
 only along edges to entities it has not visited, so returned paths are
 simple from the first hop on. Ordering is always deterministic: score
 descending, then relation-label sequence, then entity-id sequence.
@@ -339,14 +342,15 @@ def heuristic_top_k(
     frontier: list[_Prefix] = []
     costs: dict[str, float] = {}
     fetched: dict[tuple[tuple[int, int], ...], list[_Child]] = {}  # prefix steps -> children
-    query: list[EmbeddingVector] = []  # the candidate text's vector, once fetched
+    query: EmbeddingVector | None = None  # the candidate text's vector, once fetched
 
-    def cost(texts: list[str]) -> None:
-        head = [] if query else [cand_text]
+    def add_costs(texts: list[str]) -> None:
+        nonlocal query
+        head = [cand_text] if query is None else []
         vectors = gateway.embed(head + texts)
-        if not query:
-            query.append(vectors[0])
-        for text, sim in zip(texts, cosine_many(query[0], vectors[len(head) :])):
+        if query is None:
+            query = vectors[0]
+        for text, sim in zip(texts, cosine_many(query, vectors[len(head) :])):
             costs[text] = 1.0 - sim
 
     def expand(prefix: _Prefix) -> None:
@@ -356,17 +360,16 @@ def heuristic_top_k(
         own = [text for text in dict.fromkeys(child[0] for child in children) if text not in costs]
         if own:
             ahead = [(p[3], _children(g, p)) for p in _lookahead(frontier, max_len, fetched)]
-            texts = dict.fromkeys(own)
-            for _, kids in ahead:
-                texts.update((kid[0], None) for kid in kids if kid[0] not in costs)
+            extra = [kid[0] for _, kids in ahead for kid in kids if kid[0] not in costs]
+            texts = list(dict.fromkeys(own + extra))
             try:
-                cost(list(texts))
+                add_costs(texts)
             except TransportError:
                 raise
             except KarpaError:
                 if len(texts) == len(own):
                     raise
-                cost(own)
+                add_costs(own)
             else:
                 fetched.update(ahead)
         for text, labels, entities, steps in children:

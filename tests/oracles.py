@@ -11,11 +11,12 @@ Production must agree with these, not the other way around.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 import zlib
 
-from karpa.embeddings import cosine
+from karpa.embeddings import cosine, cosine_many
 from karpa.errors import ContractError, KarpaError
 from karpa.matching import ReasoningPath, RelationPath, ScoredPath
 
@@ -219,10 +220,6 @@ def ref_heuristic(g, start: int, candidate, cfg, gateway):
     ``1 - cosine`` against the candidate. Pop order, the expansion budget,
     frontier truncation and the final ranking are those of the package.
     """
-    import heapq
-
-    from karpa.embeddings import cosine_many
-
     g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
     cand_text = " ".join(candidate.relations)
