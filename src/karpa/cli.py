@@ -139,13 +139,6 @@ def _cmd_match(args, cfg) -> int:
     labels = tuple(part.strip() for part in args.path.split(",") if part.strip())
     if not labels:
         raise DataError("--path must list at least one relation label")
-    strategy, max_len = cfg.matcher.strategy, cfg.matcher.max_len
-    if strategy != "heuristic" and max_len is not None and len(labels) > max_len:
-        # The fixed-length matchers only find paths of the candidate's length.
-        raise DataError(
-            f"--path has {len(labels)} relations, more than matcher.max_len = {max_len} "
-            f"allows under {strategy}"
-        )
     paths = match_candidates(g, topic_id, [RelationPath(labels)], cfg.matcher, embedder)
     print(render_match_report(g, paths), end="")
     return EXIT_OK

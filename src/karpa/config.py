@@ -26,6 +26,7 @@ from .embeddings import MOCK_MIN_DIM
 from .errors import ConfigError, ContractError
 from .llm import LlmParams
 from .matching import MatchConfig
+from .transport import require_file
 
 PROVIDER_KINDS = ("http", "scripted", "mock")
 
@@ -182,9 +183,7 @@ def load_config(path: str | Path | None = None, env: dict[str, str] | None = Non
     file_values: dict[str, str] = {}
     config_path = str(path) if path else env.get("KARPA_CONFIG", "")
     if config_path:
-        p = Path(config_path)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
+        p = require_file(config_path, "config file", ConfigError)
         file_values = parse_config_text(p.read_text(encoding="utf-8"))
     return build_config(resolve_values(file_values, env))
 

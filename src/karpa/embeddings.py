@@ -522,6 +522,11 @@ class EmbeddingGateway:
                     out[i] = vec
         return out
 
+    def holds(self, texts: list[str]) -> bool:
+        """Whether the cache holds every text's vector, so that ``embed(texts)`` calls no provider."""
+        identity, get = self._identity_digest, self.cache.get
+        return all(get(identity, hashlib.sha256(text.encode("utf-8")).digest()) is not None for text in texts)
+
     def similarity(self, text_a: str, text_b: str) -> float:
         vec_a, vec_b = self.embed([text_a, text_b])
         return cosine(vec_a, vec_b)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, TextIO
 from .errors import DataError, ParseError
 from .llm import UsageLedger
 from .reasoner import AnswerSet, normalize_answer
-from .transport import read_jsonl
+from .transport import read_jsonl, require_file
 
 _FORMATS = ("simple", "webqsp", "cwq")
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]+")
@@ -39,6 +39,8 @@ class QASample:
     gold_answers: list[list[str]]  # one alias list per gold answer
 
     def __post_init__(self):
+        if not isinstance(self.question, str):
+            raise TypeError(f"question must be a string, got {type(self.question).__name__}")
         if not self.gold_answers:
             raise DataError(f"sample {self.id}: gold answers must be non-empty")
 
@@ -145,11 +147,9 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
     """
     if format not in _FORMATS:
         raise DataError(f"unknown dataset format {format!r}; expected one of {_FORMATS}")
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"dataset not found: {p}")
     if format == "simple":
-        return _parse_records(_sample_from_simple, read_jsonl(p, "dataset"))
+        return _parse_records(_sample_from_simple, read_jsonl(path, "dataset"))
+    p = require_file(path, "dataset")
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:

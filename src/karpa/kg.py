@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import NotFoundError, ParseError
+from .transport import require_file
 
 INVERSE_MARKER = "~inv"
 
@@ -185,8 +186,5 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
 
 
 def load_triples_path(path: str | Path, inverse_edges: bool = False) -> KnowledgeGraph:
-    p = Path(path)
-    if not p.exists():
-        raise NotFoundError(f"triple file not found: {p}")
-    with p.open("r", encoding="utf-8") as fp:
+    with require_file(path, "triple file", NotFoundError).open("r", encoding="utf-8") as fp:
         return load_triples(fp, inverse_edges)

@@ -224,26 +224,32 @@ class HttpChatProvider:
 
 
 class LlmGateway:
-    """Validates, retries, completes, and tallies usage by phase."""
+    """Validates, retries, completes, and tallies usage by phase.
+
+    ``params`` is the ``llm`` config section; every completion sends its
+    model settings. It is keyword-only, so a call that passes a ledger
+    second cannot bind the ledger in its place.
+    """
 
     def __init__(
         self,
         provider,
         ledger: UsageLedger | None = None,
         sleep: Callable[[float], None] = time.sleep,
+        *,
+        params: LlmParams,
     ):
         self.provider = provider
         self.ledger = ledger if ledger is not None else UsageLedger()
         self._sleep = sleep
+        self.params = params
 
-    def complete(
-        self, messages: list[ChatMessage], params: LlmParams, phase: str = "other"
-    ) -> CompletionResult:
+    def complete(self, messages: list[ChatMessage], phase: str = "other") -> CompletionResult:
         if not messages:
             raise ContractError("complete requires at least one message")
         if messages[-1].role != "user":
             raise ContractError("message list must end with a user message")
-        result = with_retries(lambda: self.provider.complete(messages, params), self._sleep)
+        result = with_retries(lambda: self.provider.complete(messages, self.params), self._sleep)
         if not result.text.strip():
             raise EmptyCompletionError("provider returned empty completion text")
         self.ledger.record(phase, result)

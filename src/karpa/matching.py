@@ -121,7 +121,7 @@ class MatchConfig:
     strategy: str = "heuristic"
     top_k: int = 16
     beam_width: int = 8
-    max_len: int | None = None  # None: max candidate length + 1
+    max_len: int | None = None  # the heuristic's depth bound; None: max candidate length + 1
     frontier_cap: int = 5000
     exact_mode: bool = False
 
@@ -188,9 +188,6 @@ def _fixed_length_match(
     bit for bit, so each cost equals the reference ``step_cost`` in
     ``tests/oracles.py`` exactly.
     """
-    max_len = cfg.resolve_max_len([candidate])
-    if len(candidate) > max_len:
-        raise ContractError(f"candidate length {len(candidate)} exceeds max_len {max_len}")
     g.entity_label(start)  # raises NotFoundError on a bad id
     relation_label = g.relation_label
     frontier: list[_Prefix] = [(0.0, (), (start,), ())]
@@ -331,10 +328,11 @@ def heuristic_top_k(
     ``tests/oracles.py``).
 
     A window may fetch prefixes the search never expands. So when its
-    request fails with a ``KarpaError`` other than ``TransportError`` (which
-    ``embed`` has retried already), the expansion re-issues its own
+    request fails with a ``KarpaError``, the expansion re-issues its own
     children's request alone, and an error surfaces only where one request
-    per expansion would raise it.
+    per expansion would raise it. A ``TransportError``, which ``embed`` has
+    retried already, is re-issued only when the cache holds every text of
+    that request (``gateway.holds``), so the re-issue calls no provider.
     """
     g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
@@ -364,10 +362,9 @@ def heuristic_top_k(
             texts = list(dict.fromkeys(own + extra))
             try:
                 add_costs(texts)
-            except TransportError:
-                raise
-            except KarpaError:
-                if len(texts) == len(own):
+            except KarpaError as exc:
+                down = isinstance(exc, TransportError) and not gateway.holds(own)
+                if down or len(texts) == len(own):
                     raise
                 add_costs(own)
             else:

@@ -8,7 +8,6 @@ concurrent evaluation needs no shared mutable state.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -114,17 +113,16 @@ class Pipeline:
         self.embedder = embedder
         self.chat_provider = chat_provider
         self.vocab = g.relation_vocabulary()
-        self.params = cfg.llm
 
     def run(self, query: Query) -> PipelineResult:
         ledger = UsageLedger()
-        llm = LlmGateway(self.chat_provider, ledger)
+        llm = LlmGateway(self.chat_provider, ledger, params=self.cfg.llm)
         trace: list[dict] = []
         flags: list[str] = []
         selected = self._select(query, llm, trace, flags)
         answers = AnswerSet()
         if selected:
-            answers = self._reason(query, selected, llm, trace)
+            answers = answer_question(query, selected, self.g, llm, self.cfg.reasoner.batch_limit, trace=trace)
             trace.append({"event": "answers", **answers.as_dict()})
         trace.append({"event": "flags", "flags": flags})
         return PipelineResult(answers, trace, ledger.snapshot(), flags, selected)
@@ -161,7 +159,7 @@ class Pipeline:
 
     def _initial_plan(self, query, llm, trace, flags) -> CandidatePathSet:
         messages = build_initial_prompt(query)
-        result = llm.complete(messages, self.params, phase="initial_planning")
+        result = llm.complete(messages, phase="initial_planning")
         trace.append(
             {
                 "event": "initial_planning",
@@ -187,10 +185,10 @@ class Pipeline:
             per_relation_k=self.cfg.planner.per_relation_k,
             cap=self.cfg.planner.relation_cap,
         )
-        trace.append({"event": "relation_pool", "pool": list(pool.pool)})
-        if pool.pool:
+        trace.append({"event": "relation_pool", "pool": pool})
+        if pool:
             messages = build_replanning_prompt(query, pool)
-            candidate_set = replan(messages, llm, self.params, self.embedder, self.vocab)
+            candidate_set = replan(messages, llm, self.embedder, self.vocab)
             trace.append(
                 {
                     "event": "replanning",
@@ -226,14 +224,6 @@ class Pipeline:
             )
             matched_all.extend(matched)
         return union_top_k(matched_all, self.cfg.matcher.top_k)
-
-    def _reason(self, query, selected, llm, trace) -> AnswerSet:
-        limit = self.cfg.reasoner.batch_limit
-        answers = answer_question(
-            query, selected, self.g, llm, self.params, batch_limit=limit, trace=trace
-        )
-        trace.append({"event": "reasoning", "batches": math.ceil(len(selected) / limit)})
-        return answers
 
 
 def build_pipeline(cfg: PipelineConfig) -> Pipeline:

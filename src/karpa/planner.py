@@ -18,7 +18,7 @@ from itertools import islice
 
 from .embeddings import EmbeddingGateway
 from .errors import ContractError, ParseError
-from .llm import ChatMessage, LlmGateway, LlmParams
+from .llm import ChatMessage, LlmGateway
 from .matching import RelationPath
 
 _PLACEHOLDER = re.compile(r"\{\{(question|topic_entities|relations|reasoning_paths)\}\}")
@@ -72,15 +72,6 @@ class CandidatePathSet:
     def trace_paths(self) -> dict[str, list[list[str]]]:
         """The paths as a trace records them: ``{str(length): [[label, ...], ...]}``."""
         return {str(k): [list(p.relations) for p in v] for k, v in self.by_length.items()}
-
-
-@dataclass
-class RelationPool:
-    """Vocabulary relations pooled per source relation, flattened under a cap."""
-
-    rankings: list[tuple[str, list[tuple[str, float]]]]
-    pool: list[str]
-    cap: int
 
 
 @functools.cache
@@ -154,8 +145,9 @@ def extract_relation_pool(
     vocab: list[str],
     gateway: EmbeddingGateway,
     per_relation_k: int | None = None,
-    cap: int = 30,
-) -> RelationPool:
+    *,
+    cap: int,
+) -> list[str]:
     """Pool the vocabulary relations most similar to the proposed ones.
 
     Each distinct proposed relation contributes its top-k similar
@@ -168,20 +160,20 @@ def extract_relation_pool(
         raise ContractError("vocabulary must be non-empty")
     sources = list(dict.fromkeys(label for path in initial.all_paths() for label in path.relations))
     if not sources:
-        return RelationPool(rankings=[], pool=[], cap=cap)
+        return []
     if per_relation_k is None:
         per_relation_k = max(3, cap // len(sources))
-    rankings = list(zip(sources, gateway.top_k_similar_relations(sources, vocab, per_relation_k)))
+    rankings = gateway.top_k_similar_relations(sources, vocab, per_relation_k)
     rank_major = (
-        ranked[rank][0] for rank in range(per_relation_k) for _, ranked in rankings if rank < len(ranked)
+        ranked[rank][0] for rank in range(per_relation_k) for ranked in rankings if rank < len(ranked)
     )
-    return RelationPool(rankings=rankings, pool=list(islice(dict.fromkeys(rank_major), cap)), cap=cap)
+    return list(islice(dict.fromkeys(rank_major), cap))
 
 
-def build_replanning_prompt(query: Query, pool: RelationPool) -> list[ChatMessage]:
-    if not pool.pool:
+def build_replanning_prompt(query: Query, pool: list[str]) -> list[ChatMessage]:
+    if not pool:
         raise ContractError("relation pool must be non-empty")
-    return render_prompt("replanning.txt", query, relations="; ".join(pool.pool))
+    return render_prompt("replanning.txt", query, relations="; ".join(pool))
 
 
 def _snap_to_vocabulary(
@@ -214,7 +206,6 @@ def _snap_to_vocabulary(
 def replan(
     messages: list[ChatMessage],
     llm: LlmGateway,
-    params: LlmParams,
     embedder: EmbeddingGateway,
     vocab: list[str],
 ) -> CandidatePathSet:
@@ -229,7 +220,7 @@ def replan(
     message to ``messages`` (a new list; ``messages`` itself is not
     changed), then the error surfaces.
     """
-    result = llm.complete(messages, params, phase="replanning")
+    result = llm.complete(messages, phase="replanning")
     try:
         parsed = parse_path_sets(result.text)
     except ParseError:
@@ -237,6 +228,6 @@ def replan(
             ChatMessage("assistant", result.text),
             ChatMessage("user", CORRECTIVE_MESSAGE),
         ]
-        retry_result = llm.complete(retry_messages, params, phase="replanning")
+        retry_result = llm.complete(retry_messages, phase="replanning")
         parsed = parse_path_sets(retry_result.text)
     return _snap_to_vocabulary(parsed, vocab, embedder)

@@ -13,14 +13,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .errors import ContractError, ProviderError
-from .llm import ChatMessage, LlmGateway, LlmParams, digest_messages
+from .llm import ChatMessage, LlmGateway, digest_messages
 from .planner import BRACE_GROUP, Query, comma_items, render_prompt
 
 if TYPE_CHECKING:
     from .kg import KnowledgeGraph
     from .matching import ScoredPath
-
-DEFAULT_BATCH_LIMIT = 8
 
 
 def normalize_answer(text: str) -> str:
@@ -116,8 +114,7 @@ def answer_question(
     matched: list["ScoredPath"],
     g: "KnowledgeGraph",
     llm: LlmGateway,
-    params: LlmParams,
-    batch_limit: int = DEFAULT_BATCH_LIMIT,
+    batch_limit: int,
     trace: list[dict] | None = None,
 ) -> AnswerSet:
     """Batched reasoning over the matched paths; answers are unioned.
@@ -126,7 +123,8 @@ def answer_question(
     and the rest still run; only all batches failing is an error. Answers
     matching no supplied tail-entity label are flagged ungrounded. When a
     trace list is given, one event per batch is appended to it (prompt
-    digest, raw completion or failure, parsed answers).
+    digest, raw completion or failure, parsed answers), then, unless all
+    batches failed, one ``reasoning`` event with the batch count.
     """
     if batch_limit < 1:
         raise ContractError(f"batch_limit must be >= 1, got {batch_limit}")
@@ -149,7 +147,7 @@ def answer_question(
             "prompt_digest": digest_messages(messages),
         }
         try:
-            result = llm.complete(messages, params, phase="reasoning")
+            result = llm.complete(messages, phase="reasoning")
         except ProviderError as exc:
             failures += 1
             event["failed"] = f"{type(exc).__name__}: {exc}"
@@ -165,6 +163,8 @@ def answer_question(
             trace.append(event)
     if failures == len(batches):
         raise ProviderError(f"all {len(batches)} reasoning batches failed")
+    if trace is not None:
+        trace.append({"event": "reasoning", "batches": len(batches)})
     merged.no_answer_marker = abstained == len(batches) - failures
 
     tails = {normalize_answer(g.entity_label(p.path.tail)) for p in matched}

@@ -140,16 +140,27 @@ def with_retries(call: Callable[[], T], sleep: Callable[[float], None]) -> T:
     return call()
 
 
-def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
-    """``(line index, object)`` for each non-blank line of a line-JSON file.
+def require_file(path: str | Path, what: str, error: type[Exception] = DataError) -> Path:
+    """``path`` as a ``Path``, or ``error`` naming ``what`` when it is missing or a directory.
 
-    The index is 0-based and counts blank lines too. A missing file is a
-    ``DataError`` naming ``what``; a line that is not JSON is a
-    ``ParseError`` naming the file and the line's 1-based number.
+    Anything else that can be read is accepted, such as a pipe.
     """
     p = Path(path)
     if not p.exists():
-        raise DataError(f"{what} not found: {p}")
+        raise error(f"{what} not found: {p}")
+    if p.is_dir():
+        raise error(f"{what} is a directory: {p}")
+    return p
+
+
+def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
+    """``(line index, object)`` for each non-blank line of a line-JSON file.
+
+    The index is 0-based and counts blank lines too. A missing file or a
+    directory is a ``DataError`` naming ``what``; a line that is not JSON is
+    a ``ParseError`` naming the file and the line's 1-based number.
+    """
+    p = require_file(path, what)
     with p.open("r", encoding="utf-8") as fp:
         for index, line in enumerate(fp):
             line = line.strip()

@@ -286,6 +286,44 @@ def test_missing_config_file_is_config_error(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "case, code, error",
+    [
+        ("--config", EXIT_CONFIG, "config error: config file"),
+        ("ingest", EXIT_DATA, "data error: triple file"),
+        ("kg.path", EXIT_DATA, "data error: triple file"),
+        ("simple", EXIT_DATA, "data error: dataset"),
+        ("webqsp", EXIT_DATA, "data error: dataset"),
+        ("cwq", EXIT_DATA, "data error: dataset"),
+        ("llm.fixtures", EXIT_DATA, "data error: scripted chat fixture"),
+        ("embedding.fixtures", EXIT_DATA, "data error: scripted embedding fixture"),
+    ],
+    ids=["config", "ingest", "kg.path", "simple", "webqsp", "cwq", "llm.fixtures", "embedding.fixtures"],
+)
+def test_a_directory_where_a_file_belongs_is_reported_like_a_missing_file(
+    tmp_path, kg_file, capsys, case, code, error
+):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    settings = {"kg.path": kg_file, "llm.kind": "mock"}
+    if case in ("kg.path", "llm.fixtures", "embedding.fixtures"):
+        settings[case] = directory
+        if case.endswith(".fixtures"):
+            settings[case.replace(".fixtures", ".kind")] = "scripted"
+    conf = tmp_path / "karpa.conf"
+    conf.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()), encoding="utf-8")
+    if case == "--config":
+        argv = ["--config", str(directory), "cache", "stats"]
+    elif case == "ingest":
+        argv = ["ingest", str(directory)]
+    elif case in ("simple", "webqsp", "cwq"):
+        argv = ["--config", str(conf), "eval", "--dataset", str(directory), "--format", case]
+    else:
+        argv = ["--config", str(conf), "ask", "--question", "Q?", "--topic", "A"]
+    assert main(argv) == code
+    assert capsys.readouterr().err == f"{error} is a directory: {directory}\n"
+
+
 def test_cache_without_path_is_config_error(config_file, capsys):
     assert main(["--config", str(config_file), "cache", "stats"]) == EXIT_CONFIG
 
@@ -356,12 +394,13 @@ def test_match_path_longer_than_max_len(tmp_path, capsys, strategy):
         assert [json.loads(line)["entities"] for line in out.splitlines()] == [
             ["Lurvish Language", "Veldoria"]
         ]
-    else:
-        assert code == EXIT_DATA
-        assert out == ""
-        assert err == (
-            f"data error: --path has 2 relations, more than matcher.max_len = 1 allows under {strategy}\n"
-        )
+    else:  # find paths of the candidate's length; max_len bounds only the heuristic
+        assert code == EXIT_OK and err == ""
+        assert [json.loads(line)["entities"] for line in out.splitlines()] == [
+            ["Lurvish Language", "Veldoria", "Veld City"],
+            ["Lurvish Language", "Veldoria", "veldorian crown"],
+            ["Lurvish Language", "Veldoria", "Orla Venn"],
+        ]
 
 
 def test_ask_with_scripted_provider(tmp_path, kg_file, capsys):
@@ -602,6 +641,15 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
             ),
             0,
         ),
+        ("simple", f'{_GOOD_SIMPLE}\n{json.dumps({"id": "1", "question": 5, "topics": ["A"], "answers": [["B"]]})}', 1),
+        (
+            "webqsp",
+            json.dumps(
+                [{"QuestionId": "1", "RawQuestion": 5, "Parses": [{"TopicEntityName": "A", "Answers": [{"EntityName": "B"}]}]}]
+            ),
+            0,
+        ),
+        ("cwq", json.dumps([{"ID": "1", "question": 5, "topic_entity_name": "A", "answers": [{"answer": "B"}]}]), 0),
     ],
     ids=[
         "simple-list-record",
@@ -612,6 +660,9 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
         "simple-string-answers",
         "simple-string-answers-entry",
         "cwq-string-aliases",
+        "simple-int-question",
+        "webqsp-int-question",
+        "cwq-int-question",
     ],
 )
 def test_eval_dataset_record_of_wrong_shape_is_data_error(tmp_path, kg_file, capsys, format, text, index):

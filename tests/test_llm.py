@@ -66,17 +66,17 @@ def test_scripted_replays_verbatim():
     provider = ScriptedChatProvider()
     messages = [user("what is the answer?")]
     provider.add(messages, "the answer is {42}")
-    gw = LlmGateway(provider)
-    result = gw.complete(messages, LlmParams())
+    gw = LlmGateway(provider, params=LlmParams())
+    result = gw.complete(messages)
     assert result.text == "the answer is {42}"
     assert result.estimated is True
 
 
 def test_scripted_missing_fixture_names_digest():
-    gw = LlmGateway(ScriptedChatProvider())
+    gw = LlmGateway(ScriptedChatProvider(), params=LlmParams())
     messages = [user("novel prompt")]
     with pytest.raises(MissingFixtureError) as exc:
-        gw.complete(messages, LlmParams())
+        gw.complete(messages)
     assert digest_messages(messages) in str(exc.value)
 
 
@@ -93,9 +93,9 @@ def test_two_calls_increment_ledger_twice():
     messages = [user("ping")]
     provider.add(messages, "pong")
     ledger = UsageLedger()
-    gw = LlmGateway(provider, ledger)
-    gw.complete(messages, LlmParams(), phase="reasoning")
-    gw.complete(messages, LlmParams(), phase="reasoning")
+    gw = LlmGateway(provider, ledger, params=LlmParams())
+    gw.complete(messages, phase="reasoning")
+    gw.complete(messages, phase="reasoning")
     assert ledger.calls == 2
 
 
@@ -147,17 +147,17 @@ def test_ledger_merge_snapshot():
 
 
 def test_complete_requires_trailing_user_message():
-    gw = LlmGateway(CannedChatProvider("ok"))
+    gw = LlmGateway(CannedChatProvider("ok"), params=LlmParams())
     with pytest.raises(ContractError):
-        gw.complete([ChatMessage("assistant", "hello")], LlmParams())
+        gw.complete([ChatMessage("assistant", "hello")])
     with pytest.raises(ContractError):
-        gw.complete([], LlmParams())
+        gw.complete([])
 
 
 def test_empty_completion_is_error():
-    gw = LlmGateway(CannedChatProvider("   "))
+    gw = LlmGateway(CannedChatProvider("   "), params=LlmParams())
     with pytest.raises(EmptyCompletionError):
-        gw.complete([user("q")], LlmParams())
+        gw.complete([user("q")])
 
 
 class _FlakyChat:
@@ -181,8 +181,8 @@ class _FlakyChat:
 def test_gateway_retries_then_succeeds():
     provider = _FlakyChat(failures=2)
     naps = []
-    gw = LlmGateway(provider, sleep=naps.append)
-    result = gw.complete([user("q")], LlmParams())
+    gw = LlmGateway(provider, sleep=naps.append, params=LlmParams())
+    result = gw.complete([user("q")])
     assert result.text == "fine {x}"
     assert provider.attempts == 3
     assert naps == [0.25, 0.5]
@@ -190,17 +190,17 @@ def test_gateway_retries_then_succeeds():
 
 def test_gateway_retries_exhausted():
     provider = _FlakyChat(failures=10)
-    gw = LlmGateway(provider, sleep=lambda _: None)
+    gw = LlmGateway(provider, sleep=lambda _: None, params=LlmParams())
     with pytest.raises(TransportError):
-        gw.complete([user("q")], LlmParams())
+        gw.complete([user("q")])
     assert provider.attempts == 3
 
 
 def test_failed_calls_not_recorded_in_ledger():
     ledger = UsageLedger()
-    gw = LlmGateway(_FlakyChat(failures=10), ledger, sleep=lambda _: None)
+    gw = LlmGateway(_FlakyChat(failures=10), ledger, sleep=lambda _: None, params=LlmParams())
     with pytest.raises(TransportError):
-        gw.complete([user("q")], LlmParams())
+        gw.complete([user("q")])
     assert ledger.calls == 0
 
 
@@ -262,8 +262,8 @@ def test_http_chat_wire_format(http_server):
 
     http_server["handler"] = handler
     provider = HttpChatProvider(http_server["url"] + "/v1/chat", api_key="sekrit")
-    gw = LlmGateway(provider)
-    result = gw.complete([user("hi")], LlmParams(model="test-model", temperature=0.0))
+    gw = LlmGateway(provider, params=LlmParams(model="test-model", temperature=0.0))
+    result = gw.complete([user("hi")])
     assert result.text == "hello {world}"
     assert result.prompt_tokens == 11
     assert result.estimated is False
@@ -294,8 +294,8 @@ def test_http_chat_retries_on_5xx(http_server):
         return 200, {"choices": [{"message": {"content": "ok {x}"}}]}
 
     http_server["handler"] = handler
-    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=lambda _: None)
-    result = gw.complete([user("hi")], LlmParams())
+    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=lambda _: None, params=LlmParams())
+    result = gw.complete([user("hi")])
     assert result.text == "ok {x}"
     assert calls["n"] == 2
     assert result.estimated is True  # usage omitted -> estimated and flagged
@@ -366,9 +366,9 @@ def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
 
     http_server["handler"] = lambda body: (200, payload)
     naps = []
-    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=naps.append)
+    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=naps.append, params=LlmParams())
     with pytest.raises(ProviderError) as exc:
-        gw.complete([user("hi")], LlmParams())
+        gw.complete([user("hi")])
     assert not isinstance(exc.value, TransportError)
     assert len(http_server["requests"]) == 1 and naps == []
 
@@ -417,7 +417,7 @@ def test_http_embedding_malformed_reply_is_provider_error(http_server, payload, 
 def _chat_call(url, sleep):
     from karpa.llm import HttpChatProvider
 
-    return LlmGateway(HttpChatProvider(url), sleep=sleep).complete([user("hi")], LlmParams()).text
+    return LlmGateway(HttpChatProvider(url), sleep=sleep, params=LlmParams()).complete([user("hi")]).text
 
 
 def _embedding_call(url, sleep):
@@ -561,8 +561,8 @@ def _close_mid_error_body(conn):
 def _chat_gateway(url, sleep, timeout):
     from karpa.llm import HttpChatProvider
 
-    gw = LlmGateway(HttpChatProvider(url, timeout=timeout), sleep=sleep)
-    return lambda: gw.complete([user("hi")], LlmParams())
+    gw = LlmGateway(HttpChatProvider(url, timeout=timeout), sleep=sleep, params=LlmParams())
+    return lambda: gw.complete([user("hi")])
 
 
 def _embedding_gateway(url, sleep, timeout):
@@ -640,8 +640,9 @@ def test_http_redirect_is_data_error_and_not_followed(raw_server, http_server, s
     http_server["handler"] = lambda body: (200, _GOOD_CHAT if service == "chat" else _GOOD_EMBEDDING)
     naps = []
     if service == "chat":
-        gw = LlmGateway(HttpChatProvider(raw_server["url"], api_key="sekrit"), sleep=naps.append)
-        call = lambda: gw.complete([user("hi")], LlmParams())
+        provider = HttpChatProvider(raw_server["url"], api_key="sekrit")
+        gw = LlmGateway(provider, sleep=naps.append, params=LlmParams())
+        call = lambda: gw.complete([user("hi")])
     else:
         gw = EmbeddingGateway(HttpEmbeddingProvider(raw_server["url"], "m", api_key="sekrit"), sleep=naps.append)
         call = lambda: gw.embed(["x"])
@@ -667,9 +668,10 @@ def test_http_body_that_is_not_json_is_contract_error_before_any_connection(http
     from karpa.llm import HttpChatProvider
 
     naps = []
-    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=naps.append)
+    params = LlmParams(temperature=temperature)
+    gw = LlmGateway(HttpChatProvider(http_server["url"]), sleep=naps.append, params=params)
     with pytest.raises(ContractError, match="chat request body is not JSON"):
-        gw.complete([user("hi")], LlmParams(temperature=temperature))
+        gw.complete([user("hi")])
     assert naps == [] and http_server["requests"] == []
 
 
@@ -694,10 +696,11 @@ def test_http_malformed_reasoning_reply_is_a_failed_batch(http_server, gateway):
 
     http_server["handler"] = handler
     trace = []
-    llm = LlmGateway(HttpChatProvider(http_server["url"]), sleep=lambda _: None)
-    answers = answer_question(query, paths, g, llm, LlmParams(), batch_limit=8, trace=trace)
+    llm = LlmGateway(HttpChatProvider(http_server["url"]), sleep=lambda _: None, params=LlmParams())
+    answers = answer_question(query, paths, g, llm, batch_limit=8, trace=trace)
     assert answers.answers == ["tail08"]
-    assert [event.get("failed", "").split(":")[0] for event in trace] == ["ProviderError", ""]
+    assert [event.get("failed", "").split(":")[0] for event in trace[:-1]] == ["ProviderError", ""]
+    assert trace[-1] == {"event": "reasoning", "batches": 2}
 
 
 @pytest.mark.parametrize("payload", [b"not json", {}, {"choices": []}], ids=["not-json", "no-choices", "empty-choices"])

@@ -649,6 +649,27 @@ def test_heuristic_makes_the_reference_attempts_when_transport_always_fails():
     assert failed_warm >= 5
 
 
+def test_heuristic_window_falls_back_to_its_cached_own_request_when_transport_fails():
+    # The cache holds every text the reference requests, and the provider is
+    # down. A window that also fetches a prefix the reference never expands
+    # fails; the popped prefix's own request is then served from the cache.
+    rng = random.Random(2024)
+    windows_failed = 0
+    for _ in range(30):
+        g = random_graph(rng, n_entities=25, n_relations=10, max_out_degree=4)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 2)))
+        )
+        cfg = MatchConfig(top_k=8, max_len=3, frontier_cap=4)
+        cache = EmbeddingCache()
+        ref = ref_heuristic(g, 0, candidate, cfg, EmbeddingGateway(MockEmbeddingProvider(), cache))
+        provider = FlakyEmbeddingProvider(MockEmbeddingProvider(), failures=10**9)
+        ours = heuristic_top_k(g, 0, candidate, cfg, EmbeddingGateway(provider, cache, sleep=lambda _: None))
+        assert _ranked(ours) == _ranked(ref)
+        windows_failed += provider.attempts > 0
+    assert windows_failed >= 10
+
+
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
 def test_fixed_length_matchers_request_each_label_once_per_gateway(strategy):
     for g, candidate, max_len in _random_match_cases():

@@ -1,10 +1,13 @@
 import json
 
+import pytest
+
 from karpa.config import PipelineConfig, config_digest
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider
+from karpa.evaluation import QASample, evaluate
 from karpa.llm import ScriptedChatProvider, digest_messages
 from karpa.matching import MatchConfig, match_candidates
-from karpa.pipeline import Pipeline
+from karpa.pipeline import Pipeline, make_sample_runner
 from karpa.planner import (
     Query,
     build_initial_prompt,
@@ -55,13 +58,13 @@ def make_config(**overrides) -> PipelineConfig:
     return cfg
 
 
-def build_brahui_world(strategy="heuristic", beam_width=8):
+def build_brahui_world(strategy="heuristic", beam_width=8, max_len=None):
     """Graph + scripted provider with fixtures for all three phases."""
     g = graph_from(BRAHUI_TRIPLES)
     embedder = EmbeddingGateway(MockEmbeddingProvider(64))
     provider = ScriptedChatProvider()
     cfg = make_config()
-    cfg.matcher = MatchConfig(strategy=strategy, beam_width=beam_width)
+    cfg.matcher = MatchConfig(strategy=strategy, beam_width=beam_width, max_len=max_len)
 
     provider.add(build_initial_prompt(BRAHUI_QUESTION), PLAN_TEXT)
 
@@ -99,6 +102,20 @@ def test_brahui_pipeline_answers_president_in_three_calls():
     assert phases["replanning"]["calls"] == 1
     assert phases["reasoning"]["calls"] == 1
     assert result.answers.ungrounded == set()
+
+
+@pytest.mark.parametrize("strategy", ["beam", "pathfind"])
+def test_max_len_below_the_planned_length_leaves_beam_and_pathfind_unbounded(strategy):
+    # matcher.max_len bounds the heuristic's depth only; the fixed-length
+    # matchers find paths of the planned length 2.
+    bounded, _ = build_brahui_world(strategy, max_len=1)
+    unbounded, _ = build_brahui_world(strategy)
+    sample = QASample("brahui", BRAHUI_QUESTION.question, ["Brahui Language"], [["Muhammad Zia-ul-Haq"]])
+    [record] = evaluate([sample], make_sample_runner(bounded)).records
+    assert record.error is None and record.score.hit1 == 1
+    selected = bounded.run(BRAHUI_QUESTION).selected
+    assert selected == unbounded.run(BRAHUI_QUESTION).selected
+    assert {len(p.path) for p in selected} == {2}
 
 
 def test_preplanning_is_exactly_two_completions():

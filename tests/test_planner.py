@@ -11,7 +11,6 @@ from karpa.planner import (
     CORRECTIVE_MESSAGE,
     CandidatePathSet,
     Query,
-    RelationPool,
     build_initial_prompt,
     build_replanning_prompt,
     extract_relation_pool,
@@ -199,9 +198,9 @@ def paths(*label_tuples):
 def test_pool_single_relation_top_k(gateway):
     vocab = sorted(relation_label_pool(random.Random(1), 12))
     initial = paths(("people.person.children",))
-    pool = extract_relation_pool(initial, vocab, gateway, per_relation_k=5)
+    pool = extract_relation_pool(initial, vocab, gateway, per_relation_k=5, cap=30)
     [ranked] = gateway.top_k_similar_relations(["people.person.children"], vocab, 5)
-    assert pool.pool == [label for label, _ in ranked]
+    assert pool == [label for label, _ in ranked]
 
 
 def test_pool_round_robin_interleaves_rank_order(gateway):
@@ -213,7 +212,7 @@ def test_pool_round_robin_interleaves_rank_order(gateway):
         [label for label, _ in ranked]
         for ranked in gateway.top_k_similar_relations(["music.artist.albums", "sports.team.roster"], vocab, 2)
     )
-    assert pool.pool == [a[0], b[0], a[1], b[1]]
+    assert pool == [a[0], b[0], a[1], b[1]]
 
 
 def test_pool_ranks_all_sources_in_one_embed_request():
@@ -224,7 +223,8 @@ def test_pool_ranks_all_sources_in_one_embed_request():
     sources = ["people.person.children", "music.artist.albums", "sports.team.roster"]  # shortest path first
     assert spy.requests == [[*sources, *vocab]]
     fresh = SpyGateway()
-    assert pool.rankings == [(s, fresh.top_k_similar_relations([s], vocab, 3)[0]) for s in sources]
+    rankings = [(s, fresh.top_k_similar_relations([s], vocab, 3)[0]) for s in sources]
+    assert pool == round_robin_pool(rankings, 3, 30)
 
 
 def test_pool_cap_and_membership_property(gateway):
@@ -233,9 +233,9 @@ def test_pool_cap_and_membership_property(gateway):
     sources = [tuple(rng.sample(vocab, rng.randint(1, 3))) for _ in range(5)]
     initial = paths(*[s[:3] for s in sources])
     pool = extract_relation_pool(initial, vocab, gateway, per_relation_k=5, cap=30)
-    assert len(pool.pool) <= 30
-    assert len(set(pool.pool)) == len(pool.pool)
-    assert set(pool.pool) <= set(vocab)
+    assert len(pool) <= 30
+    assert len(set(pool)) == len(pool)
+    assert set(pool) <= set(vocab)
 
 
 def test_pool_default_per_relation_k(gateway):
@@ -244,7 +244,8 @@ def test_pool_default_per_relation_k(gateway):
     sources = vocab[:12]
     initial = paths(*[(s,) for s in sources])
     pool = extract_relation_pool(initial, vocab, gateway, cap=30)
-    assert all(len(r[1]) == 3 for r in pool.rankings)
+    rankings = gateway.top_k_similar_relations(sources, vocab, 3)
+    assert pool == round_robin_pool(list(zip(sources, rankings)), 3, 30)
 
 
 class RankedGateway:
@@ -285,8 +286,9 @@ def test_pool_order_with_ties_and_short_rankings(cap, per_relation_k):
     pool = extract_relation_pool(
         initial, ["v.x"], RankedGateway(rankings), per_relation_k=per_relation_k, cap=cap
     )
-    assert pool.pool == round_robin_pool(pool.rankings, per_relation_k, cap)
-    assert [source for source, _ in pool.rankings] == ["s.a", "s.b", "s.c", "s.d"]
+    # Sources in first-appearance order, shortest path first.
+    in_order = [(source, rankings[source]) for source in ("s.a", "s.b", "s.c", "s.d")]
+    assert pool == round_robin_pool(in_order, per_relation_k, cap)
 
 
 def test_templates_are_read_once_per_process(monkeypatch):
@@ -313,7 +315,7 @@ def test_templates_are_read_once_per_process(monkeypatch):
     try:
         for _ in range(3):
             build_initial_prompt(BRAHUI_QUERY)
-            build_replanning_prompt(BRAHUI_QUERY, make_pool(["a.b.c"]))
+            build_replanning_prompt(BRAHUI_QUERY, ["a.b.c"])
             planner.load_template("reasoning.txt")
     finally:
         planner.load_template.cache_clear()
@@ -321,33 +323,27 @@ def test_templates_are_read_once_per_process(monkeypatch):
 
 
 def test_pool_empty_initial_set(gateway):
-    pool = extract_relation_pool(paths(), ["a.b.c"], gateway)
-    assert pool.pool == []
-    assert pool.rankings == []
+    assert extract_relation_pool(paths(), ["a.b.c"], gateway, cap=30) == []
 
 
 # -- replanning prompt ---------------------------------------------------------------------
 
 
-def make_pool(labels):
-    return RelationPool(rankings=[], pool=list(labels), cap=30)
-
-
 def test_replanning_prompt_contains_exemplar_phrases():
-    content = build_replanning_prompt(BRAHUI_QUERY, make_pool(["a.b.c"]))[0].content
+    content = build_replanning_prompt(BRAHUI_QUERY, ["a.b.c"])[0].content
     assert "form reasoning paths of length 1, 2, and 3" in content
     assert "select relevant relations from the provided relation set" in content
     assert "people.marriage.spouse" in content  # second exemplar's relation list
 
 
 def test_replanning_prompt_renders_pool_in_order():
-    pool = make_pool(["z.y.x", "a.b.c", "m.n.o"])
+    pool = ["z.y.x", "a.b.c", "m.n.o"]
     content = build_replanning_prompt(BRAHUI_QUERY, pool)[0].content
     assert "Relations: z.y.x; a.b.c; m.n.o" in content
 
 
 def test_replanning_prompt_deterministic():
-    pool = make_pool(["a.b.c", "d.e.f"])
+    pool = ["a.b.c", "d.e.f"]
     assert (
         build_replanning_prompt(BRAHUI_QUERY, pool)[0].content
         == build_replanning_prompt(BRAHUI_QUERY, pool)[0].content
@@ -356,7 +352,7 @@ def test_replanning_prompt_deterministic():
 
 def test_replanning_prompt_rejects_empty_pool():
     with pytest.raises(ContractError):
-        build_replanning_prompt(BRAHUI_QUERY, make_pool([]))
+        build_replanning_prompt(BRAHUI_QUERY, [])
 
 
 # -- replan ------------------------------------------------------------------------------
@@ -364,15 +360,15 @@ def test_replanning_prompt_rejects_empty_pool():
 
 def scripted_llm():
     provider = ScriptedChatProvider()
-    return provider, LlmGateway(provider, UsageLedger())
+    return provider, LlmGateway(provider, UsageLedger(), params=LlmParams())
 
 
 def test_replan_parses_exemplar_format(gateway):
     vocab = ["language.human_language.main_country", "government.government_position_held.office_holder"]
-    pool = make_pool(vocab)
+    pool = vocab
     provider, llm = scripted_llm()
     provider.add(build_replanning_prompt(BRAHUI_QUERY, pool), EXEMPLAR_ANSWER)
-    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, gateway, vocab)
     assert result.by_length[2] == [RelationPath(tuple(vocab))]
     assert result.by_length[1] == [] and result.by_length[3] == []
     assert result.snaps == []
@@ -380,14 +376,14 @@ def test_replan_parses_exemplar_format(gateway):
 
 def test_replan_snaps_hallucinated_label(gateway):
     vocab = ["people.person.children", "people.person.parents", "film.movie.director"]
-    pool = make_pool(vocab)
+    pool = vocab
     provider, llm = scripted_llm()
     provider.add(
         build_replanning_prompt(BRAHUI_QUERY, pool),
         "Length 1 reasoning path: {people.person.child}.\n"
         "Length 2 reasoning path: None: {}.\nLength 3 reasoning path: None: {}.",
     )
-    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, gateway, vocab)
     nearest = gateway.top_k_similar_relations(["people.person.child"], vocab, 1)[0][0][0]
     assert result.by_length[1] == [RelationPath((nearest,))]
     assert result.snaps == [("people.person.child", nearest)]
@@ -395,7 +391,7 @@ def test_replan_snaps_hallucinated_label(gateway):
 
 def test_replan_snaps_every_off_vocabulary_label_in_one_request():
     vocab = ["people.person.children", "people.person.parents", "film.movie.director"]
-    pool = make_pool(vocab)
+    pool = vocab
     provider, llm = scripted_llm()
     provider.add(
         build_replanning_prompt(BRAHUI_QUERY, pool),
@@ -405,7 +401,7 @@ def test_replan_snaps_every_off_vocabulary_label_in_one_request():
     )
     spy = SpyGateway()
     spy.top_k_similar_relations(["warm"], vocab, 1)  # the vocabulary is held, as after pooling
-    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), spy, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, spy, vocab)
     assert spy.requests[1:] == [["people.person.child", "film.movie.directed_by"]]
     # One snap per place the label occurs, in path order, as when each was ranked alone.
     child, directed = (
@@ -423,7 +419,7 @@ def test_replan_snaps_every_off_vocabulary_label_in_one_request():
 
 def test_replan_retries_once_with_corrective_message(gateway):
     vocab = ["a.b.c"]
-    pool = make_pool(vocab)
+    pool = vocab
     provider, llm = scripted_llm()
     first = build_replanning_prompt(BRAHUI_QUERY, pool)
     provider.add(first, "free-form rambling with no braces")
@@ -436,7 +432,7 @@ def test_replan_retries_once_with_corrective_message(gateway):
         "Length 1 reasoning path: {a.b.c}.\nLength 2 reasoning path: None: {}.\n"
         "Length 3 reasoning path: None: {}.",
     )
-    result = replan(first, llm, LlmParams(), gateway, vocab)
+    result = replan(first, llm, gateway, vocab)
     assert result.by_length[1] == [RelationPath(("a.b.c",))]
     assert llm.ledger.calls == 2
     assert first == build_replanning_prompt(BRAHUI_QUERY, pool)  # the retry appended to a copy
@@ -444,24 +440,24 @@ def test_replan_retries_once_with_corrective_message(gateway):
 
 def test_replan_parse_failure_after_retry_raises(gateway):
     vocab = ["a.b.c"]
-    pool = make_pool(vocab)
+    pool = vocab
     provider, llm = scripted_llm()
     first = build_replanning_prompt(BRAHUI_QUERY, pool)
     provider.add(first, "nope")
     retry = first + [ChatMessage("assistant", "nope"), ChatMessage("user", CORRECTIVE_MESSAGE)]
     provider.add(retry, "still nope")
     with pytest.raises(ParseError):
-        replan(first, llm, LlmParams(), gateway, vocab)
+        replan(first, llm, gateway, vocab)
 
 
 def test_replan_all_none_yields_empty_set(gateway):
     vocab = ["a.b.c"]
-    pool = make_pool(vocab)
+    pool = vocab
     provider, llm = scripted_llm()
     provider.add(
         build_replanning_prompt(BRAHUI_QUERY, pool),
         "Length 1 reasoning path: None: {}.\nLength 2 reasoning path: None: {}.\n"
         "Length 3 reasoning path: None: {}.",
     )
-    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, LlmParams(), gateway, vocab)
+    result = replan(build_replanning_prompt(BRAHUI_QUERY, pool), llm, gateway, vocab)
     assert result.is_empty()
