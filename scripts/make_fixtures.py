@@ -42,7 +42,7 @@ from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider  # noqa: E4
 from karpa.evaluation import evaluate, load_dataset  # noqa: E402
 from karpa.kg import load_triples  # noqa: E402
 from karpa.llm import ScriptedChatProvider, digest_messages, write_chat_fixtures  # noqa: E402
-from karpa.matching import match_candidates  # noqa: E402
+from karpa.matching import STRATEGIES, match_candidates  # noqa: E402
 from karpa.pipeline import Pipeline, make_sample_runner  # noqa: E402
 from karpa.config import PipelineConfig  # noqa: E402
 from karpa.planner import (  # noqa: E402
@@ -289,7 +289,7 @@ def golden_outputs() -> dict[str, bytes]:
                 "--id", first["id"], "--trace", str(work / "ask_trace.jsonl"))
             for name in ("eval_report.txt", "eval_summary.tsv", "ask_trace.jsonl"):
                 outputs[name] = (work / name).read_bytes()
-            for strategy in ("beam", "pathfind", "heuristic"):
+            for strategy in STRATEGIES:
                 for direction, conf in (("forward", forward), ("inverse", inverse)):
                     outputs[f"match_{strategy}_{direction}.txt"] = run(
                         conf, "match", "--topic", topic, "--path", path, "--strategy", strategy

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 provider
 error. Text outside an operation's domain, such as a graph label with no
-letter or digit to embed, is a data error.
+letter or digit to embed, is a data error. An output path that names a
+directory or lies in a missing one is a configuration error, raised before
+any work.
 """
 
 from __future__ import annotations
@@ -11,11 +13,10 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from .config import config_digest, load_config
 from .errors import ConfigError, DataError, DomainError, ProviderError
-from .evaluation import evaluate, load_dataset, render_report, render_summary_tsv, render_trace
+from .evaluation import FORMATS, evaluate, load_dataset, render_report, render_summary_tsv, render_trace
 from .kg import load_triples_path
 from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
 from .pipeline import (
@@ -26,6 +27,7 @@ from .pipeline import (
     open_embedding_cache,
 )
 from .planner import Query
+from .transport import require_output
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="run the pipeline over a dataset and score it")
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--format", default="simple", choices=["simple", "webqsp", "cwq"])
+    ev.add_argument("--format", default="simple", choices=FORMATS)
     ev.add_argument("--report", help="write the full report here (default: stdout)")
     ev.add_argument("--tsv", help="write the metric summary TSV here")
 
@@ -70,9 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_ingest(args) -> int:
+    dump = require_output(args.dump, "--dump")
     g = load_triples_path(args.tsv)
-    if args.dump:
-        g.dump(args.dump)
+    if dump:
+        g.dump(dump)
     print(
         json.dumps(
             {
@@ -87,11 +90,12 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_ask(args, cfg) -> int:
+    trace = require_output(args.trace, "--trace")
     pipeline = build_pipeline(cfg)
     query = Query(id=args.id, question=args.question, topic_entities=tuple(args.topic))
     result = pipeline.run(query)
-    if args.trace:
-        Path(args.trace).write_text(render_trace(result.trace), encoding="utf-8")
+    if trace:
+        trace.write_text(render_trace(result.trace), encoding="utf-8")
     print(
         json.dumps(
             {
@@ -108,6 +112,8 @@ def _cmd_ask(args, cfg) -> int:
 
 
 def _cmd_eval(args, cfg) -> int:
+    report_path = require_output(args.report, "--report")
+    tsv_path = require_output(args.tsv, "--tsv")
     samples = load_dataset(args.dataset, format=args.format)
     pipeline = build_pipeline(cfg)
     report = evaluate(
@@ -119,12 +125,12 @@ def _cmd_eval(args, cfg) -> int:
         config_digest=config_digest(cfg),
     )
     text = render_report(report)
-    if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+    if report_path:
+        report_path.write_text(text, encoding="utf-8")
     else:
         print(text, end="")
-    if args.tsv:
-        Path(args.tsv).write_text(render_summary_tsv(report), encoding="utf-8")
+    if tsv_path:
+        tsv_path.write_text(render_summary_tsv(report), encoding="utf-8")
     return EXIT_OK
 
 

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .embeddings import MOCK_MIN_DIM
 from .errors import ConfigError, ContractError
+from .evaluation import MODES
 from .llm import LlmParams
 from .matching import MatchConfig
 from .transport import require_file
@@ -84,8 +85,8 @@ class PipelineConfig:
             raise ConfigError(f"llm.kind must be one of {PROVIDER_KINDS}")
         if not math.isfinite(self.llm.temperature):
             raise ConfigError("llm.temperature must be a finite number")
-        if self.eval.mode not in ("strict", "lenient"):
-            raise ConfigError("eval.mode must be strict or lenient")
+        if self.eval.mode not in MODES:
+            raise ConfigError(f"eval.mode must be {' or '.join(MODES)}")
         if self.eval.concurrency < 1:
             raise ConfigError("eval.concurrency must be >= 1")
         if self.planner.relation_cap < 1:

@@ -478,7 +478,10 @@ class EmbeddingGateway:
                 dim = self._dim
         for vec in vectors:
             if len(vec.values) != dim:
-                raise ContractError(f"embedding dim drifted from {dim} to {len(vec.values)}")
+                raise ProviderError(
+                    f"embedding dim drifted from {dim} to {len(vec.values)} under identity "
+                    f"{self.provider.identity!r}; if its model changed, run `karpa cache clear`"
+                )
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.
@@ -512,9 +515,7 @@ class EmbeddingGateway:
             unique = list(missing)
             vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
             if len(vectors) != len(unique):
-                raise ContractError(
-                    f"provider returned {len(vectors)} vectors for {len(unique)} texts"
-                )
+                raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
             self._check_dim(vectors)
             for (digest, positions), vec in zip(missing.values(), vectors):
                 vec = cache.put(identity, digest, vec)

@@ -27,7 +27,8 @@ from .llm import UsageLedger
 from .reasoner import AnswerSet, normalize_answer
 from .transport import read_jsonl, require_file
 
-_FORMATS = ("simple", "webqsp", "cwq")
+FORMATS = ("simple", "webqsp", "cwq")  # dataset layouts ``load_dataset`` reads
+MODES = ("strict", "lenient")  # scoring modes ``score_sample`` knows
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]+")
 
 
@@ -145,8 +146,8 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
     ``{"id", "question", "topics": [...], "answers": [[alias...]...]}``;
     ``webqsp`` and ``cwq`` accept those datasets' published JSON layouts.
     """
-    if format not in _FORMATS:
-        raise DataError(f"unknown dataset format {format!r}; expected one of {_FORMATS}")
+    if format not in FORMATS:
+        raise DataError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     if format == "simple":
         return _parse_records(_sample_from_simple, read_jsonl(path, "dataset"))
     p = require_file(path, "dataset")
@@ -194,7 +195,7 @@ def score_sample(pred: AnswerSet, gold: list[list[str]], mode: str = "strict") -
     ``strict`` drops ungrounded predictions before scoring; ``lenient``
     keeps them. Matching is normalized string equality against any alias.
     """
-    if mode not in ("strict", "lenient"):
+    if mode not in MODES:
         raise DataError(f"unknown scoring mode {mode!r}")
     if not gold:
         raise DataError("gold answers must be non-empty")
@@ -331,6 +332,8 @@ def evaluate(
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             payloads = list(pool.map(run_one, samples))
     else:
+        # Not a one-worker pool: on the heuristic-cold benchmark (seed 3, 2 CPUs)
+        # that raised peak RSS from 187 to 210 MB, past its 10% bound.
         payloads = [run_one(sample) for sample in samples]
 
     ledger = UsageLedger()

@@ -8,10 +8,10 @@ first-appearance order (head, relation, tail within a line) so that
 fixtures load reproducibly. Each triple is stored as ``(relation_id,
 tail_id)`` under its head in ``out_index``. Whether searches also walk
 edges backwards is fixed at load: only a graph loaded with
-``inverse_edges`` stores ``(relation_id, head_id)`` under each tail in
-``in_index``. Inverse traversal presents the relation label suffixed with
-the reserved marker ``~inv``; inverse relation ids are offset by the size
-of the relation table and never appear in the vocabulary.
+``inverse_edges`` stores ``(inverse_id, head_id)`` under each tail in
+``in_index``: a relation's id offset by the size of the relation table,
+labelled with the reserved marker ``~inv`` appended. Inverse ids and labels
+are built at load and never appear in the vocabulary.
 
 Each entity's edges are one sorted tuple of ``(relation_id, entity_id)``
 pairs. The cyclic garbage collector stops tracking a tuple once a pass finds
@@ -53,12 +53,15 @@ class KnowledgeGraph:
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
         self._relation_ids = relation_ids
+        self._labels = self.relations + [label + INVERSE_MARKER for label in self.relations]
         self.out_index = {head: tuple(sorted(edges)) for head, edges in adjacency.items()}
         inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
         if inverse_edges:
+            # Shared ints: ids above 256 are not cached, so each edge's own would cost memory.
+            inverse_ids = list(range(len(self.relations), len(self._labels)))
             for head, edges in self.out_index.items():
                 for rid, tail in edges:
-                    inc[tail].append((rid, head))
+                    inc[tail].append((inverse_ids[rid], head))
         self.in_index = {tail: tuple(sorted(adj)) for tail, adj in inc.items()}
 
     # -- lookups ---------------------------------------------------------
@@ -86,13 +89,10 @@ class KnowledgeGraph:
         return self._relation_ids.get(label)
 
     def relation_label(self, relation_id: int) -> str:
-        """Label for a relation id; inverse-offset ids get the ~inv suffix."""
-        n = len(self.relations)
-        if 0 <= relation_id < n:
-            return self.relations[relation_id]
-        if n <= relation_id < 2 * n:
-            return self.relations[relation_id - n] + INVERSE_MARKER
-        raise NotFoundError(f"unknown relation id {relation_id}")
+        """Label for a relation id; inverse ids get the ~inv suffix."""
+        if not 0 <= relation_id < len(self._labels):
+            raise NotFoundError(f"unknown relation id {relation_id}")
+        return self._labels[relation_id]
 
     # -- queries ---------------------------------------------------------
 
@@ -101,14 +101,11 @@ class KnowledgeGraph:
 
         The stored triples head-to-tail, then, on a graph loaded with
         ``inverse_edges``, those ending here walked backwards, each relation
-        under its inverse-offset id.
+        under its inverse id.
         """
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
-        offset = len(self.relations)
-        edges = list(self.out_index.get(entity_id, ()))
-        edges += [(rid + offset, head) for rid, head in self.in_index.get(entity_id, ())]
-        return edges
+        return [*self.out_index.get(entity_id, ()), *self.in_index.get(entity_id, ())]
 
     def relation_vocabulary(self) -> list[str]:
         """All distinct relation labels, sorted; inverse synthetics excluded."""

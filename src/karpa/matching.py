@@ -46,8 +46,6 @@ if TYPE_CHECKING:
     from .embeddings import EmbeddingGateway, EmbeddingVector
     from .kg import KnowledgeGraph
 
-STRATEGIES = ("beam", "pathfind", "heuristic")
-
 # A search prefix: (cost, labels, entity_ids, steps). Heaps order on it as is.
 _Prefix = tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 # A heuristic prefix's child before it is costed: (text, labels, entity_ids, steps).
@@ -333,6 +331,8 @@ def heuristic_top_k(
     per expansion would raise it. A ``TransportError``, which ``embed`` has
     retried already, is re-issued only when the cache holds every text of
     that request (``gateway.holds``), so the re-issue calls no provider.
+    After a window fails, each expansion requests its own children alone,
+    so a provider that stays down is not retried once per window.
     """
     g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
@@ -341,6 +341,7 @@ def heuristic_top_k(
     costs: dict[str, float] = {}
     fetched: dict[tuple[tuple[int, int], ...], list[_Child]] = {}  # prefix steps -> children
     query: EmbeddingVector | None = None  # the candidate text's vector, once fetched
+    windows = True  # whether requests carry a lookahead window; False once one fails
 
     def add_costs(texts: list[str]) -> None:
         nonlocal query
@@ -352,12 +353,14 @@ def heuristic_top_k(
             costs[text] = 1.0 - sim
 
     def expand(prefix: _Prefix) -> None:
+        nonlocal windows
         children = fetched.pop(prefix[3], None)
         if children is None:
             children = _children(g, prefix)
         own = [text for text in dict.fromkeys(child[0] for child in children) if text not in costs]
         if own:
-            ahead = [(p[3], _children(g, p)) for p in _lookahead(frontier, max_len, fetched)]
+            window = _lookahead(frontier, max_len, fetched) if windows else []
+            ahead = [(p[3], _children(g, p)) for p in window]
             extra = [kid[0] for _, kids in ahead for kid in kids if kid[0] not in costs]
             texts = list(dict.fromkeys(own + extra))
             try:
@@ -366,6 +369,7 @@ def heuristic_top_k(
                 down = isinstance(exc, TransportError) and not gateway.holds(own)
                 if down or len(texts) == len(own):
                     raise
+                windows = False
                 add_costs(own)
             else:
                 fetched.update(ahead)
@@ -375,14 +379,12 @@ def heuristic_top_k(
     expand((0.0, (), (start,), ()))
     truncated = False
     budget = None if cfg.exact_mode else cfg.frontier_cap
-    expansions = 0
     completed: list[_Prefix] = []
     while frontier:
-        if budget is not None and expansions >= budget:
+        if budget is not None and len(completed) >= budget:
             truncated = True
             break
         entry = heapq.heappop(frontier)
-        expansions += 1
         completed.append(entry)
         if len(entry[3]) < max_len:
             expand(entry)
@@ -396,6 +398,10 @@ def heuristic_top_k(
         ScoredPath(ReasoningPath(start, steps), RelationPath(labels), h, truncated)
         for h, labels, _, steps in best
     ]
+
+
+MATCHERS = {"beam": beam_match, "pathfind": dijkstra_avg_match, "heuristic": heuristic_top_k}
+STRATEGIES = tuple(MATCHERS)
 
 
 def union_top_k(paths: Iterable[ScoredPath], top_k: int) -> list[ScoredPath]:
@@ -425,12 +431,7 @@ def match_candidates(
         return []
     if cfg.max_len is None:
         cfg = replace(cfg, max_len=cfg.resolve_max_len(candidates))
-    matchers = {
-        "beam": beam_match,
-        "pathfind": dijkstra_avg_match,
-        "heuristic": heuristic_top_k,
-    }
-    matcher = matchers[cfg.strategy]
+    matcher = MATCHERS[cfg.strategy]
     return union_top_k(
         (scored for candidate in candidates for scored in matcher(g, start, candidate, cfg, gateway)),
         cfg.top_k,

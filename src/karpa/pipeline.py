@@ -43,6 +43,7 @@ from .planner import (
     replan,
 )
 from .reasoner import AnswerSet, answer_question
+from .transport import require_output
 
 logger = logging.getLogger(__name__)
 
@@ -68,9 +69,8 @@ def build_embedding_gateway(cfg: PipelineConfig) -> EmbeddingGateway:
         provider = HttpEmbeddingProvider(
             opts.endpoint, opts.model, api_key=os.environ.get("KARPA_EMBED_API_KEY")
         )
-    if opts.cache_path and not Path(opts.cache_path).parent.is_dir():
-        raise ConfigError(f"embedding.cache_path is in a missing directory: {opts.cache_path}")
-    return EmbeddingGateway(provider, open_embedding_cache(opts.cache_path))
+    cache_path = require_output(opts.cache_path, "embedding.cache_path")
+    return EmbeddingGateway(provider, EmbeddingCache(cache_path))
 
 
 def open_embedding_cache(cache_path: str) -> EmbeddingCache:

@@ -153,6 +153,19 @@ def require_file(path: str | Path, what: str, error: type[Exception] = DataError
     return p
 
 
+def require_output(path: str | Path | None, what: str) -> Path | None:
+    """An optional output ``path`` as a ``Path`` (``None`` when empty), checked before any work:
+    a ``ConfigError`` naming ``what`` when it is a directory or its directory is missing."""
+    if not path:
+        return None
+    p = Path(path)
+    if p.is_dir():
+        raise ConfigError(f"{what} is a directory: {p}")
+    if not p.parent.is_dir():
+        raise ConfigError(f"{what} is in a missing directory: {p}")
+    return p
+
+
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
     """``(line index, object)`` for each non-blank line of a line-JSON file.
 

@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from karpa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from karpa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER, main
 from karpa.config import config_digest, env_name, load_config, parse_config_text, resolve_values, build_config
+from karpa.embeddings import EmbeddingCache, MockEmbeddingProvider, mock_embed, text_digest
 from karpa.errors import ConfigError
+from karpa.kg import load_triples_path
 from karpa.llm import write_chat_fixtures, digest_messages
+from karpa.matching import STRATEGIES
 from karpa.pipeline import load_graph
 from karpa.planner import Query, build_initial_prompt
 
@@ -201,6 +204,55 @@ def test_cache_path_in_a_missing_directory_is_config_error(
     assert json.loads(capsys.readouterr().out)["records"] == 0
 
 
+@pytest.mark.parametrize("option", ["dump", "trace", "report", "tsv"])
+def test_output_path_in_a_missing_directory_or_naming_one_is_config_error_before_the_graph_loads(
+    config_file, tmp_path, capsys, option
+):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [["C"]]}) + "\n",
+        encoding="utf-8",
+    )
+    missing = tmp_path / "no" / "such" / "out.txt"
+    # A missing graph is a data error (3): a run that reached it checked its output too late.
+    with config_file.open("a", encoding="utf-8") as fp:
+        fp.write(f"kg.path = {tmp_path / 'no_graph.tsv'}\n")
+    args = {
+        "dump": ["ingest", str(tmp_path / "no_graph.tsv")],
+        "trace": ["ask", "--question", "Q?", "--topic", "A"],
+        "report": ["eval", "--dataset", str(dataset)],
+        "tsv": ["eval", "--dataset", str(dataset)],
+    }[option]
+    assert main(["--config", str(config_file), *args, f"--{option}", str(missing)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: --{option} is in a missing directory: {missing}\n")
+    assert main(["--config", str(config_file), *args, f"--{option}", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: --{option} is a directory: {tmp_path}\n")
+
+
+def test_cached_vectors_of_another_dim_are_provider_error(tmp_path, capsys):
+    # A vector of dim 8 cached under the identity of a dim-64 mock, as when
+    # the model behind an identity changed: the first request, over every
+    # relation label, takes it from the cache and the rest from the mock.
+    cache_path = tmp_path / "cache.jsonl"
+    label = load_triples_path(FIXTURE20 / "kg.tsv").relations[0]
+    identity = bytes.fromhex(text_digest(MockEmbeddingProvider(64).identity))
+    EmbeddingCache(cache_path).put(identity, bytes.fromhex(text_digest(label)), mock_embed(label, 8))
+    config = tmp_path / "karpa.conf"
+    config.write_text(
+        f"kg.path = {FIXTURE20 / 'kg.tsv'}\n"
+        "llm.kind = scripted\n"
+        f"llm.fixtures = {FIXTURE20 / 'llm_fixtures.jsonl'}\n"
+        f"embedding.cache_path = {cache_path}\n",
+        encoding="utf-8",
+    )
+    first = json.loads((FIXTURE20 / "questions.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    code = main(["--config", str(config), "ask", "--question", first["question"], "--topic", first["topics"][0]])
+    assert code == EXIT_PROVIDER
+    err = capsys.readouterr().err
+    assert err.startswith("provider error: embedding dim drifted from 8 to 64 ")
+    assert "karpa cache clear" in err
+
+
 @pytest.mark.parametrize("command", ["ask", "eval", "cache stats", "cache clear"])
 def test_cache_path_naming_a_directory_is_config_error(
     config_file, tmp_path, monkeypatch, capsys, command
@@ -370,7 +422,7 @@ def test_match_unknown_topic_is_data_error(config_file, capsys):
     assert code == EXIT_DATA
 
 
-@pytest.mark.parametrize("strategy", ["beam", "pathfind", "heuristic"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_match_over_a_label_with_no_tokens_is_data_error(tmp_path, capsys, strategy):
     kg = tmp_path / "kg.tsv"
     kg.write_text("a\t---\tb\n", encoding="utf-8")
@@ -381,7 +433,7 @@ def test_match_over_a_label_with_no_tokens_is_data_error(tmp_path, capsys, strat
     assert capsys.readouterr().err == "data error: text has no tokens to embed: '---'\n"
 
 
-@pytest.mark.parametrize("strategy", ["beam", "pathfind", "heuristic"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
 def test_match_path_longer_than_max_len(tmp_path, capsys, strategy):
     config = tmp_path / "karpa.conf"
     config.write_text(f"kg.path = {FIXTURE20 / 'kg.tsv'}\nmatcher.max_len = 1\n", encoding="utf-8")

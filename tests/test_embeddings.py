@@ -25,7 +25,7 @@ from karpa.embeddings import (
     text_digest,
     write_embedding_fixtures,
 )
-from karpa.errors import ContractError, DomainError, MissingFixtureError, TransportError
+from karpa.errors import ContractError, DomainError, MissingFixtureError, ProviderError, TransportError
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
 from oracles import ref_mock_embed_loop, ref_mock_embedding, ref_pair_cosine
@@ -312,11 +312,20 @@ class _DriftingProvider:
         return [EmbeddingVector(tuple([1.0] * dim)) for _ in texts]
 
 
-def test_dim_drift_is_contract_error():
+def test_dim_drift_is_provider_error():
     gw = EmbeddingGateway(_DriftingProvider())
     gw.embed(["first"])
-    with pytest.raises(ContractError):
+    with pytest.raises(ProviderError, match="drifted from 8 to 9 under identity 'drifting'.*karpa cache clear"):
         gw.embed(["second"])
+
+
+def test_a_reply_with_too_few_vectors_is_provider_error():
+    class Short(MockEmbeddingProvider):
+        def embed_batch(self, texts):
+            return super().embed_batch(texts)[1:]
+
+    with pytest.raises(ProviderError, match="returned 1 vectors for 2 texts"):
+        EmbeddingGateway(Short(64)).embed(["one", "two"])
 
 
 def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):

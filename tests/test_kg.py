@@ -124,7 +124,7 @@ def test_index_contains_each_triple_exactly_once():
     for h, r, t in triples:
         head, rid, tail = g.entity_id(h), g.relation_id(r), g.entity_id(t)
         assert g.out_index[head].count((rid, tail)) == 1
-        assert g.in_index[tail].count((rid, head)) == 1
+        assert g.in_index[tail].count((rid + g.num_relations, head)) == 1
     assert len(g) == len(set(triples))
     assert sum(len(v) for v in g.out_index.values()) == len(g)
     assert sum(len(v) for v in g.in_index.values()) == len(g)

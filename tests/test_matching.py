@@ -15,6 +15,7 @@ from karpa.embeddings import (
 from karpa.errors import ContractError, DomainError, NotFoundError, TransportError
 from karpa.matching import (
     LOOKAHEAD,
+    MATCHERS,
     _rank_key,
     _sort_key,
     MatchConfig,
@@ -482,9 +483,6 @@ def test_heuristic_exact_several_candidates_equal_brute_force(twelve_graph):
             ]
 
 
-_MATCHERS = {"beam": beam_match, "pathfind": dijkstra_avg_match, "heuristic": heuristic_top_k}
-
-
 def _random_match_cases():
     """``(graph, candidate, max_len)`` on ten small random graphs, some with inverse edges."""
     rng = random.Random(3030)
@@ -652,7 +650,9 @@ def test_heuristic_makes_the_reference_attempts_when_transport_always_fails():
 def test_heuristic_window_falls_back_to_its_cached_own_request_when_transport_fails():
     # The cache holds every text the reference requests, and the provider is
     # down. A window that also fetches a prefix the reference never expands
-    # fails; the popped prefix's own request is then served from the cache.
+    # fails; the popped prefix's own request is then served from the cache,
+    # and so is every later expansion's, which carries no window: a search
+    # waits out one failed request's retries at most.
     rng = random.Random(2024)
     windows_failed = 0
     for _ in range(30):
@@ -666,6 +666,7 @@ def test_heuristic_window_falls_back_to_its_cached_own_request_when_transport_fa
         provider = FlakyEmbeddingProvider(MockEmbeddingProvider(), failures=10**9)
         ours = heuristic_top_k(g, 0, candidate, cfg, EmbeddingGateway(provider, cache, sleep=lambda _: None))
         assert _ranked(ours) == _ranked(ref)
+        assert provider.attempts <= ATTEMPTS
         windows_failed += provider.attempts > 0
     assert windows_failed >= 10
 
@@ -675,7 +676,7 @@ def test_fixed_length_matchers_request_each_label_once_per_gateway(strategy):
     for g, candidate, max_len in _random_match_cases():
         gateway = SpyGateway()
         cfg = _wide_config(strategy, max_len)
-        first = _MATCHERS[strategy](g, 0, candidate, cfg, gateway)
+        first = MATCHERS[strategy](g, 0, candidate, cfg, gateway)
         paths = enumerate_all_paths(g, 0, len(candidate))
         # Only prefixes with a child that revisits no entity cost a step.
         depths = sorted({len(steps) - 1 for _, _, steps in paths})
@@ -687,7 +688,7 @@ def test_fixed_length_matchers_request_each_label_once_per_gateway(strategy):
         assert len(gateway.requests) <= len({steps[:-1] for _, _, steps in paths})
         # A second search holds every label: it requests only its depth queries.
         del gateway.requests[:]
-        assert _MATCHERS[strategy](g, 0, candidate, cfg, gateway) == first
+        assert MATCHERS[strategy](g, 0, candidate, cfg, gateway) == first
         assert gateway.requests == [[candidate.relations[d]] for d in depths]
 
 
@@ -697,9 +698,9 @@ def test_candidate_relation_at_a_depth_never_expanded_is_not_embedded(strategy):
     candidate = RelationPath(("people.person.children", "!!!"))
     g = graph_from([("A", "people.person.children", "B"), ("C", "people.person.children", "A")])
     cfg = _wide_config(strategy, 2)
-    assert _MATCHERS[strategy](g, g.entity_id("A"), candidate, cfg, mock_gateway()) == []
+    assert MATCHERS[strategy](g, g.entity_id("A"), candidate, cfg, mock_gateway()) == []
     with pytest.raises(DomainError):  # C's child A has a child of its own
-        _MATCHERS[strategy](g, g.entity_id("C"), candidate, cfg, mock_gateway())
+        MATCHERS[strategy](g, g.entity_id("C"), candidate, cfg, mock_gateway())
 
 
 @pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])
