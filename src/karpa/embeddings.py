@@ -29,10 +29,19 @@ and the fixed-length matchers' step costs score against those vectors, so
 each label is requested once per gateway and is not rebuilt from the
 cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
 scan; vocabulary sizes here do not warrant an ANN index.
+
+The cache keeps what is read again: relation labels, the LLM's query texts
+and the candidate relations of the fixed-length matchers. It does not keep
+the heuristic matcher's label sequences, thousands a question and almost
+none met again in a later search. The heuristic requests them inside
+``EmbeddingGateway.transient``, where a sequence the cache holds is served
+from it and one fetched is costed and dropped, stored neither in memory nor
+in the cache file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -45,9 +54,9 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
-from .errors import ContractError, DataError, DomainError, MissingFixtureError, ProviderError
+from .errors import ContractError, DataError, DomainError, EmbeddingDimError, MissingFixtureError, ProviderError
 from .transport import check_endpoint, post_json, read_records, with_retries
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -449,7 +458,21 @@ class EmbeddingCache:
 
 
 class EmbeddingGateway:
-    """Cache-first embedding access with retries and top-K similarity retrieval."""
+    """Cache-first embedding access with retries and top-K similarity retrieval.
+
+    ``embed`` serves each text the cache holds from it and fetches the rest
+    from the provider in one request. By default it keeps what it fetches:
+    the cache stores each fetched vector, and appends it to its file, so a
+    later ``embed`` of the text, by any caller, gets the bits stored first.
+
+    Inside ``with gateway.transient():`` ``embed`` still serves hits and
+    still checks dims, but keeps nothing it fetches: no memory entry and no
+    file record. There a miss gets the provider's own bits, so two requests
+    that miss the same text each get the provider's reply to it; with the
+    mock, scripted or stub provider those bits are the same. The scope holds
+    for this gateway in the thread that entered it: other threads, and other
+    gateways in the same thread, keep what they fetch.
+    """
 
     def __init__(
         self,
@@ -467,6 +490,7 @@ class EmbeddingGateway:
         # has fetched. Two threads that miss a label together each fetch it;
         # the cache gives both the same bits, and the first kept stays.
         self._labels: dict[str, EmbeddingVector] = {}
+        self._scope = threading.local()  # ``transient`` is True inside ``transient()``
 
     def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
         """Hold a batch of vectors to the dim of the first vector this gateway saw."""
@@ -478,17 +502,32 @@ class EmbeddingGateway:
                 dim = self._dim
         for vec in vectors:
             if len(vec.values) != dim:
-                raise ProviderError(
+                raise EmbeddingDimError(
                     f"embedding dim drifted from {dim} to {len(vec.values)} under identity "
                     f"{self.provider.identity!r}; if its model changed, run `karpa cache clear`"
                 )
+
+    @contextlib.contextmanager
+    def transient(self) -> Iterator[None]:
+        """Within the block, ``embed`` in this thread keeps nothing it fetches.
+
+        Scopes nest; leaving one, by an exception too, restores the outer one.
+        """
+        scope = self._scope
+        outer = getattr(scope, "transient", False)
+        scope.transient = True
+        try:
+            yield
+        finally:
+            scope.transient = outer
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.
 
         Each text is hashed once; its digest keys both the lookup and, on a
         miss, the store. Dims are checked once for the hits and once for the
-        provider's reply, before any vector is stored.
+        provider's reply, before any vector is stored. Inside ``transient()``
+        nothing is stored.
         """
         if not texts:
             raise ContractError("embed requires at least one text")
@@ -517,8 +556,10 @@ class EmbeddingGateway:
             if len(vectors) != len(unique):
                 raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
             self._check_dim(vectors)
+            keep = not getattr(self._scope, "transient", False)
             for (digest, positions), vec in zip(missing.values(), vectors):
-                vec = cache.put(identity, digest, vec)
+                if keep:
+                    vec = cache.put(identity, digest, vec)
                 for i in positions:
                     out[i] = vec
         return out

@@ -56,6 +56,15 @@ class TransportError(ProviderError):
         self.retry_after = retry_after
 
 
+class EmbeddingDimError(ProviderError):
+    """Vectors under one provider identity came in two dims.
+
+    A fault of the whole run, not of one question: a cached vector of
+    another dim fails every question that meets it, so ``evaluate`` lets
+    it end the run.
+    """
+
+
 class EmptyCompletionError(ProviderError):
     """Provider returned no usable completion text."""
 

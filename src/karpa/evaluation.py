@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .errors import DataError, ParseError
+from .errors import DataError, EmbeddingDimError, ParseError
 from .llm import UsageLedger
 from .reasoner import AnswerSet, normalize_answer
 from .transport import read_jsonl, require_file
@@ -288,7 +288,10 @@ def evaluate(
     ``runner(sample)`` must return an object with ``answers`` (AnswerSet),
     ``usage_snapshot`` (dict), ``trace`` (list of dicts), and ``flags``
     (list of str). Per-sample failures become zero-score records with an
-    error annotation; the run continues. With a checkpoint directory the
+    error annotation; the run continues. An ``EmbeddingDimError`` is not a
+    per-sample failure: it fails every sample that meets the drifted
+    vector, so it ends the run, writes no checkpoint for its sample and
+    cancels the samples not yet started. With a checkpoint directory the
     run is resumable: samples whose checkpoint matches the config digest
     are not re-run. Sample ids name checkpoints, so a repeated id is a
     ``DataError``, raised before any sample runs.
@@ -313,6 +316,8 @@ def evaluate(
             answers, usage, flags, trace = (
                 outcome.answers, outcome.usage_snapshot, list(outcome.flags), outcome.trace
             )
+        except EmbeddingDimError:
+            raise
         except Exception as exc:  # per-sample isolation is the contract here
             error = f"{type(exc).__name__}: {exc}"
             answers, usage, flags = AnswerSet(), UsageLedger().snapshot(), []
@@ -330,7 +335,11 @@ def evaluate(
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            payloads = list(pool.map(run_one, samples))
+            try:
+                payloads = list(pool.map(run_one, samples))
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         # Not a one-worker pool: on the heuristic-cold benchmark (seed 3, 2 CPUs)
         # that raised peak RSS from 187 to 210 MB, past its 10% bound.

@@ -21,13 +21,13 @@ search costs a (depth, relation) pair once, against relation-label vectors
 the gateway holds: an expansion makes an embedding request only when it
 meets a label the gateway has not fetched, or is the first at its depth
 and needs the candidate's relation there. The heuristic scores whole label
-sequences, which the gateway does not hold; each search keeps its own
-table from label-sequence text to cost and fetches the candidate text
-once. An expansion that meets an uncosted child makes one embedding
-request, which also carries the uncosted children of the next
-``LOOKAHEAD - 1`` expandable prefixes in pop order, so that when those are
-popped they make none. Every strategy extends a prefix
-only along edges to entities it has not visited, so returned paths are
+sequences, which the gateway does not hold and the embedding cache does
+not keep; each search keeps its own table from label-sequence text to cost
+and fetches the candidate text once. An expansion that meets an uncosted
+child makes one embedding request, which also carries the uncosted
+children of the next ``LOOKAHEAD - 1`` expandable prefixes in pop order,
+so that when those are popped they make none. Every strategy extends a
+prefix only along edges to entities it has not visited, so returned paths are
 simple from the first hop on. Ordering is always deterministic: score
 descending, then relation-label sequence, then entity-id sequence.
 """
@@ -325,12 +325,19 @@ def heuristic_top_k(
     those of one request per expansion (``ref_heuristic`` in
     ``tests/oracles.py``).
 
+    Requests run inside ``gateway.transient()``: a text the cache holds is
+    served from it, and nothing fetched is stored, in memory or in the
+    cache file. So a search's costs outlive it only in its results, and a
+    rerun over a file cache requests its label sequences again.
+
     A window may fetch prefixes the search never expands. So when its
     request fails with a ``KarpaError``, the expansion re-issues its own
     children's request alone, and an error surfaces only where one request
     per expansion would raise it. A ``TransportError``, which ``embed`` has
     retried already, is re-issued only when the cache holds every text of
     that request (``gateway.holds``), so the re-issue calls no provider.
+    Since no search stores its texts, that needs a cache filled by another
+    caller, or loaded from a file an older version wrote.
     After a window fails, each expansion requests its own children alone,
     so a provider that stays down is not retried once per window.
     """
@@ -346,7 +353,8 @@ def heuristic_top_k(
     def add_costs(texts: list[str]) -> None:
         nonlocal query
         head = [cand_text] if query is None else []
-        vectors = gateway.embed(head + texts)
+        with gateway.transient():
+            vectors = gateway.embed(head + texts)
         if query is None:
             query = vectors[0]
         for text, sim in zip(texts, cosine_many(query, vectors[len(head) :])):

@@ -229,28 +229,43 @@ def test_output_path_in_a_missing_directory_or_naming_one_is_config_error_before
     assert capsys.readouterr() == ("", f"config error: --{option} is a directory: {tmp_path}\n")
 
 
-def test_cached_vectors_of_another_dim_are_provider_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_cached_vectors_of_another_dim_are_provider_error(tmp_path, capsys, command):
     # A vector of dim 8 cached under the identity of a dim-64 mock, as when
     # the model behind an identity changed: the first request, over every
     # relation label, takes it from the cache and the rest from the mock.
-    cache_path = tmp_path / "cache.jsonl"
+    # It fails every question, so eval ends with it, as ask does, at any
+    # concurrency, and checkpoints no question it failed.
     label = load_triples_path(FIXTURE20 / "kg.tsv").relations[0]
     identity = bytes.fromhex(text_digest(MockEmbeddingProvider(64).identity))
-    EmbeddingCache(cache_path).put(identity, bytes.fromhex(text_digest(label)), mock_embed(label, 8))
-    config = tmp_path / "karpa.conf"
-    config.write_text(
-        f"kg.path = {FIXTURE20 / 'kg.tsv'}\n"
-        "llm.kind = scripted\n"
-        f"llm.fixtures = {FIXTURE20 / 'llm_fixtures.jsonl'}\n"
-        f"embedding.cache_path = {cache_path}\n",
-        encoding="utf-8",
-    )
-    first = json.loads((FIXTURE20 / "questions.jsonl").read_text(encoding="utf-8").splitlines()[0])
-    code = main(["--config", str(config), "ask", "--question", first["question"], "--topic", first["topics"][0]])
-    assert code == EXIT_PROVIDER
-    err = capsys.readouterr().err
-    assert err.startswith("provider error: embedding dim drifted from 8 to 64 ")
-    assert "karpa cache clear" in err
+    for concurrency in (1, 2) if command == "eval" else (1,):
+        run = tmp_path / f"c{concurrency}"
+        run.mkdir()
+        cache_path = run / "cache.jsonl"
+        EmbeddingCache(cache_path).put(identity, bytes.fromhex(text_digest(label)), mock_embed(label, 8))
+        config = run / "karpa.conf"
+        config.write_text(
+            f"kg.path = {FIXTURE20 / 'kg.tsv'}\n"
+            "llm.kind = scripted\n"
+            f"llm.fixtures = {FIXTURE20 / 'llm_fixtures.jsonl'}\n"
+            f"embedding.cache_path = {cache_path}\n"
+            f"eval.concurrency = {concurrency}\n"
+            f"eval.checkpoint_dir = {run / 'checkpoints'}\n",
+            encoding="utf-8",
+        )
+        if command == "ask":
+            first = json.loads((FIXTURE20 / "questions.jsonl").read_text(encoding="utf-8").splitlines()[0])
+            args = ["ask", "--question", first["question"], "--topic", first["topics"][0]]
+        else:
+            args = ["eval", "--dataset", str(FIXTURE20 / "questions5.jsonl"),
+                    "--report", str(run / "report.txt"), "--tsv", str(run / "summary.tsv")]
+        code = main(["--config", str(config), *args])
+        assert code == EXIT_PROVIDER
+        err = capsys.readouterr().err
+        assert err.startswith("provider error: embedding dim drifted from 8 to 64 ")
+        assert "karpa cache clear" in err
+        assert not (run / "report.txt").exists() and not (run / "summary.tsv").exists()
+        assert not list((run / "checkpoints").glob("*"))
 
 
 @pytest.mark.parametrize("command", ["ask", "eval", "cache stats", "cache clear"])

@@ -27,6 +27,8 @@ from karpa.embeddings import (
 )
 from karpa.errors import ContractError, DomainError, MissingFixtureError, ProviderError, TransportError
 
+from karpa.transport import ATTEMPTS
+
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
 from oracles import ref_mock_embed_loop, ref_mock_embedding, ref_pair_cosine
 
@@ -353,6 +355,33 @@ def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):
         assert kept.norm_sq.hex() == held.norm_sq.hex()
     assert cache.stats()["records"] == 1
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2  # the header and one record
+
+
+def test_transient_scope_holds_for_its_gateway_in_its_thread_only():
+    # Inside the scope this gateway, in this thread, keeps nothing it
+    # fetches: another thread, another gateway, and this one after a failed
+    # request has left the scope, keep their misses.
+    cache = EmbeddingCache()
+    provider = FlakyEmbeddingProvider(MockEmbeddingProvider(64), failures=0)
+    gateway = EmbeddingGateway(provider, cache, sleep=lambda _: None)
+    other = EmbeddingGateway(MockEmbeddingProvider(64), EmbeddingCache())
+    with gateway.transient():
+        (dropped,) = gateway.embed(["dropped"])
+        worker = threading.Thread(target=gateway.embed, args=(["another thread's"],))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        other.embed(["another gateway's"])
+    assert dropped.values == mock_embed("dropped", 64).values
+    assert not gateway.holds(["dropped"])
+    assert gateway.holds(["another thread's"]) and other.holds(["another gateway's"])
+    assert cache.stats()["records"] == 1
+    provider.remaining = ATTEMPTS
+    with pytest.raises(TransportError), gateway.transient():
+        gateway.embed(["failed"])
+    assert provider.attempts == ATTEMPTS + 2
+    gateway.embed(["failed"])
+    assert gateway.holds(["failed"]) and cache.stats()["records"] == 2
 
 
 def test_cache_roundtrip_equals_uncached():

@@ -9,6 +9,7 @@ from karpa.embeddings import (
     EmbeddingGateway,
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
+    cosine_many,
     mock_embed,
     text_digest,
 )
@@ -669,6 +670,35 @@ def test_heuristic_window_falls_back_to_its_cached_own_request_when_transport_fa
         assert provider.attempts <= ATTEMPTS
         windows_failed += provider.attempts > 0
     assert windows_failed >= 10
+
+
+def test_heuristic_match_stores_no_vector_and_serves_the_cached_ones(tmp_path):
+    # A heuristic search embeds thousands of label sequences a question and
+    # meets almost none again, so it stores none, in memory or in the file.
+    # One the cache holds is served from it, with the cache's bits.
+    g = graph_from(TWELVE_ENTITY_TRIPLES)
+    hub = g.entity_id("hub")
+    candidates = [RelationPath(("people.person.children", "people.person.spouse"))]
+    cfg = MatchConfig(strategy="heuristic", top_k=64)
+    memory = EmbeddingCache()
+    fresh = match_candidates(g, hub, candidates, cfg, EmbeddingGateway(MockEmbeddingProvider(), memory))
+    assert memory.stats()["records"] == 0
+    path = tmp_path / "cache.jsonl"
+    held = "people.person.children people.person.children"
+    # Not the provider's vector for the text, so that the test sees whose bits are used.
+    vector = mock_embed("people.person.spouse")
+    identity = bytes.fromhex(text_digest(MockEmbeddingProvider().identity))
+    EmbeddingCache(path).put(identity, bytes.fromhex(text_digest(held)), vector)
+    before = path.read_bytes()
+    provider = SpyEmbeddingProvider(MockEmbeddingProvider())
+    served = match_candidates(g, hub, candidates, cfg, EmbeddingGateway(provider, EmbeddingCache(path)))
+    assert path.read_bytes() == before
+    assert provider.batches and not any(held in batch for batch in provider.batches)
+    (query,) = MockEmbeddingProvider().embed_batch([" ".join(candidates[0].relations)])
+    (sim,) = cosine_many(query, [vector])
+    costs = {" ".join(labels_of(p)): p.cost for p in served}
+    assert [p.cost for p in served if " ".join(labels_of(p)) == held] == [1.0 - sim] * 2
+    assert costs == {" ".join(labels_of(p)): p.cost for p in fresh} | {held: 1.0 - sim}
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
