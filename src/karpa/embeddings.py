@@ -30,13 +30,11 @@ each label is requested once per gateway and is not rebuilt from the
 cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
 scan; vocabulary sizes here do not warrant an ANN index.
 
-The cache keeps what is read again: relation labels, the LLM's query texts
-and the candidate relations of the fixed-length matchers. It does not keep
-the heuristic matcher's label sequences, thousands a question and almost
-none met again in a later search. The heuristic requests them inside
-``EmbeddingGateway.transient``, where a sequence the cache holds is served
-from it and one fetched is costed and dropped, stored neither in memory nor
-in the cache file.
+The cache keeps relation labels, the LLM's query texts and the fixed-length
+matchers' candidate relations. It does not keep the heuristic matcher's
+label sequences, thousands a question and almost none met again: the
+heuristic requests them inside ``EmbeddingGateway.transient``, which serves
+cache hits but stores nothing it fetches.
 """
 
 from __future__ import annotations

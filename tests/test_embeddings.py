@@ -26,7 +26,6 @@ from karpa.embeddings import (
     write_embedding_fixtures,
 )
 from karpa.errors import ContractError, DomainError, MissingFixtureError, ProviderError, TransportError
-
 from karpa.transport import ATTEMPTS
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
