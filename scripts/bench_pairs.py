@@ -12,8 +12,11 @@ first when it is odd, so a drift in host speed falls on both sides alike.
 
 ``BENCH_<tag>.json``, written to the root of the repository that holds this
 script, records the commits, the seed, ``--seconds``, the host's CPU count
-and Python version, and per workload every run's last stdout line. Per
-metric it gives each side's median, quartiles and IQR, and for the
+and Python version, and per workload every run's last stdout line, plus
+under ``extra`` the unbounded metrics that ``run.py`` prints above it as
+``name value unit`` lines (printed to six significant digits). Per
+metric, the extra ones that are single numbers included, it gives each
+side's median, quartiles and IQR, and for the
 end-to-end metrics that the change's ``BENCHMARK.json`` lists, how many
 pairs each side won in the metric's better direction and whether the claim
 rule is met: the change wins at least nine tenths of all pairs, ties
@@ -54,8 +57,29 @@ def tree_hash(repo: Path, rev: str, path: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def printed_metrics(lines: list[str]) -> dict[str, dict]:
+    """``{name: {"value": ..., "unit": ...}}`` from the ``name value unit``
+    lines ``perfbench/run.py`` prints: a single number as a float, ``n/a``
+    as None, anything else (several samples) as the printed text. Its
+    header and ``CHECK FAILED`` lines are skipped."""
+    printed = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) < 3 or line.startswith(("#", "CHECK FAILED")):
+            continue
+        shown = " ".join(parts[1:-1])
+        try:
+            value = float(shown)
+        except ValueError:
+            value = None if shown == "n/a" else shown
+        printed[parts[0]] = {"value": value, "unit": parts[-1]}
+    return printed
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its exit status and last stdout line."""
+    """One ``perfbench/run.py`` run in ``tree``: its exit status, its last
+    stdout line and, as ``extra``, the metrics printed above it that the
+    last line does not carry."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -66,7 +90,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = None
-    run = {"returncode": proc.returncode, "result": result}
+    bounded = (result or {}).get("metrics", {})
+    extra = {name: m for name, m in printed_metrics(lines[:-1]).items() if name not in bounded}
+    run = {"returncode": proc.returncode, "result": result, "extra": extra}
     if proc.returncode != 0 or result is None:
         run["stderr_tail"] = proc.stderr[-2000:]
     return run
@@ -100,22 +126,27 @@ def claim(wins: dict[str, int], entry: dict, sign: int) -> dict:
     return {"wins": wins["change"], "pairs": pairs, "median_gap": gap, "base_iqr": iqr, "met": met}
 
 
+def run_values(run: dict) -> dict[str, float | None]:
+    """One run's metric values: the last line's, then the numeric extras."""
+    values = {name: metric.get("value") for name, metric in (run["result"] or {}).get("metrics", {}).items()}
+    for name, metric in run.get("extra", {}).items():
+        if isinstance(metric["value"], float):
+            values.setdefault(name, metric["value"])
+    return values
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median, quartiles and IQR; for metrics in
     ``better`` (name -> "higher" or "lower"), the pairs each side won and
     the claim rule's figures (``claim``)."""
-    names: list[str] = []
+    values_by_name: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
-        for name in (run["result"] or {}).get("metrics", {}):
-            if name not in names:
-                names.append(name)
+        for name, value in run_values(run).items():
+            values = values_by_name.setdefault(name, {side: {} for side in SIDES})
+            if value is not None:
+                values[run["side"]][run["pair"]] = value
     summary = {}
-    for name in names:
-        values = {side: {} for side in SIDES}
-        for run in runs:
-            metric = (run["result"] or {}).get("metrics", {}).get(name)
-            if metric is not None and metric.get("value") is not None:
-                values[run["side"]][run["pair"]] = metric["value"]
+    for name, values in values_by_name.items():
         entry = {}
         for side in SIDES:
             side_values = list(values[side].values())

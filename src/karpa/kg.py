@@ -1,28 +1,37 @@
-"""Immutable triple store: interned labels and sorted adjacency tuples.
+"""Immutable triple store: interned labels and flat adjacency arrays.
 
 Triples are read from UTF-8 TSV (``head<TAB>relation<TAB>tail``, ``#``
 comments allowed, but not ``#`` lines that hold three non-empty fields) and
 deduplicated. Entity and relation labels are plain
 strings in lists indexed by id; ids are dense integers assigned in
 first-appearance order (head, relation, tail within a line) so that
-fixtures load reproducibly. Each triple is stored as ``(relation_id,
-tail_id)`` under its head in ``out_index``. Whether searches also walk
-edges backwards is fixed at load: only a graph loaded with
-``inverse_edges`` stores ``(inverse_id, head_id)`` under each tail in
-``in_index``: a relation's id offset by the size of the relation table,
-labelled with the reserved marker ``~inv`` appended. Inverse ids and labels
-are built at load and never appear in the vocabulary.
+fixtures load reproducibly. Whether searches also walk edges backwards is
+fixed at load: only a graph loaded with ``inverse_edges`` stores each triple
+a second time, under its tail, with the relation's inverse id: its id offset
+by the size of the relation table, labelled with the reserved marker
+``~inv`` appended. Inverse ids and labels are built at load and never
+appear in the vocabulary.
 
-Each entity's edges are one sorted tuple of ``(relation_id, entity_id)``
-pairs. The cyclic garbage collector stops tracking a tuple once a pass finds
-all its items untracked: each pair at the first pass over it, the tuple that
-holds them at the same pass or the next. So a loaded graph adds almost
-nothing to later collections, where one list per entity would stay tracked.
+Each direction is stored in compressed sparse row form: three ``array``s of
+machine integers, ``offsets`` (one per entity, plus one), ``relation_ids``
+and ``entity_ids``; entity ``e``'s edges are the pairs at positions
+``offsets[e]`` to ``offsets[e + 1]``, sorted and distinct. Inverse ids sit
+in ``relation_ids`` like any other id. So an edge costs 8 bytes a
+direction, where a pair tuple in a per-entity tuple cost 64 and an inverse
+id above 256 would cost 32 more as an int object of its own, and the cyclic
+garbage collector sees the same few objects whatever the graph's size;
+``neighbors`` builds its tuples per call. ``load_triples`` keeps each
+line's edge as one 8-byte item, ``relation_id << 32 | tail_id``, in its
+head's ``array('Q')``, then sorts and deduplicates one head at a time into
+the arrays, so no per-edge tuple and no per-head set is built on the way
+either.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,10 +40,41 @@ from .transport import require_file
 
 INVERSE_MARKER = "~inv"
 
+# An edge packs into one int as ``relation_id << 32 | entity_id``: ids fit in
+# the arrays' 32-bit items, as no process holds 2**32 interned labels.
+_SHIFT = 32
+_LOW = (1 << _SHIFT) - 1
+
+Edges = tuple[array, array, array]  # offsets, relation ids, entity ids
+
+
+def _pack(keys: dict[int, array], count: int, rid_offset: int) -> Edges:
+    """Flatten ``{entity_id: [relation_id << 32 | entity_id, ...]}`` into one
+    direction's arrays, each entity's pairs sorted and distinct, relation ids
+    plus ``rid_offset``. ``keys`` is emptied as it goes, so each entity's items
+    are freed once its pairs are in the arrays."""
+    offsets, relation_ids, entity_ids = array("Q", [0]), array("I"), array("I")
+    for entity in range(count):
+        edges = sorted(set(keys.pop(entity, ())))
+        relation_ids.extend([(key >> _SHIFT) + rid_offset for key in edges])
+        entity_ids.extend([key & _LOW for key in edges])
+        offsets.append(len(entity_ids))
+    return offsets, relation_ids, entity_ids
+
+
+def _pairs(edges: Edges, entity_id: int) -> list[tuple[int, int]]:
+    offsets, relation_ids, entity_ids = edges
+    lo, hi = offsets[entity_id], offsets[entity_id + 1]
+    return list(zip(relation_ids[lo:hi], entity_ids[lo:hi]))
+
 
 class KnowledgeGraph:
-    """Entity/relation tables plus the triple set as sorted adjacency tuples.
+    """Entity/relation tables plus the triple set as flat adjacency arrays.
 
+    ``out_edges`` holds each triple under its head as ``(relation_id,
+    tail_id)``; ``in_edges`` is ``None`` unless the graph was loaded with
+    ``inverse_edges``, and then holds each triple under its tail as
+    ``(inverse_id, head_id)``. Both are :data:`Edges` triples of arrays.
     Instances are immutable after construction and safe for concurrent
     reads. Build them through :func:`load_triples` rather than directly.
     """
@@ -43,31 +83,32 @@ class KnowledgeGraph:
         self,
         entity_ids: dict[str, int],
         relation_ids: dict[str, int],
-        adjacency: dict[int, set[tuple[int, int]]],
+        adjacency: dict[int, array],
         inverse_edges: bool = False,
     ):
         """``entity_ids`` and ``relation_ids`` map labels to ids and iterate in
-        id order; ``adjacency`` maps a head id to its distinct
-        ``(relation_id, tail_id)`` pairs; ``inverse_edges`` fills ``in_index``."""
+        id order; ``adjacency`` maps a head id to its ``relation_id << 32 |
+        tail_id`` edges, repeats allowed, and is emptied here;
+        ``inverse_edges`` fills ``in_edges``."""
         self.entities = list(entity_ids)
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
         self._relation_ids = relation_ids
         self._labels = self.relations + [label + INVERSE_MARKER for label in self.relations]
-        self.out_index = {head: tuple(sorted(edges)) for head, edges in adjacency.items()}
-        inc: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        n = len(self.entities)
+        self.out_edges = _pack(adjacency, n, 0)
+        self.in_edges = None
         if inverse_edges:
-            # Shared ints: ids above 256 are not cached, so each edge's own would cost memory.
-            inverse_ids = list(range(len(self.relations), len(self._labels)))
-            for head, edges in self.out_index.items():
-                for rid, tail in edges:
-                    inc[tail].append((inverse_ids[rid], head))
-        self.in_index = {tail: tuple(sorted(adj)) for tail, adj in inc.items()}
+            tails: dict[int, array] = defaultdict(partial(array, "Q"))
+            for head in range(n):
+                for rid, tail in _pairs(self.out_edges, head):
+                    tails[tail].append(rid << _SHIFT | head)
+            self.in_edges = _pack(tails, n, len(self.relations))
 
     # -- lookups ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(map(len, self.out_index.values()))
+        return len(self.out_edges[1])
 
     @property
     def num_entities(self) -> int:
@@ -105,7 +146,10 @@ class KnowledgeGraph:
         """
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
-        return [*self.out_index.get(entity_id, ()), *self.in_index.get(entity_id, ())]
+        pairs = _pairs(self.out_edges, entity_id)
+        if self.in_edges is not None:
+            pairs += _pairs(self.in_edges, entity_id)
+        return pairs
 
     def relation_vocabulary(self) -> list[str]:
         """All distinct relation labels, sorted; inverse synthetics excluded."""
@@ -125,8 +169,8 @@ class KnowledgeGraph:
         entities, relations = self.entities, self.relations
         rows = sorted(
             (entities[head], relations[rid], entities[tail])
-            for head, edges in self.out_index.items()
-            for rid, tail in edges
+            for head in range(len(entities))
+            for rid, tail in _pairs(self.out_edges, head)
         )
         return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows)
 
@@ -143,25 +187,23 @@ def _iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
     """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
         fields = line.split("\t")
         triple = len(fields) == 3 and "" not in fields
-        if line.lstrip().startswith("#"):
+        first = line.lstrip()[:1]  # "" on a blank line
+        if first not in ("", "#"):
             if not triple:
-                continue
+                raise ParseError(
+                    f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}",
+                    line=lineno,
+                    raw=line,
+                )
+            yield fields
+        elif first and triple:
             raise ParseError(
                 f"line {lineno}: a head label may not start with '#', got {line!r}",
                 line=lineno,
                 raw=line,
             )
-        if not triple:
-            raise ParseError(
-                f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}",
-                line=lineno,
-                raw=line,
-            )
-        yield fields
 
 
 def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> KnowledgeGraph:
@@ -174,11 +216,11 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
     """
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
-    adjacency: dict[int, set[tuple[int, int]]] = defaultdict(set)
+    adjacency: dict[int, array] = defaultdict(partial(array, "Q"))
     for head, rel, tail in _iter_fields(lines):
         h = entity_ids.setdefault(head, len(entity_ids))
         r = relation_ids.setdefault(rel, len(relation_ids))
-        adjacency[h].add((r, entity_ids.setdefault(tail, len(entity_ids))))
+        adjacency[h].append(r << _SHIFT | entity_ids.setdefault(tail, len(entity_ids)))
     return KnowledgeGraph(entity_ids, relation_ids, adjacency, inverse_edges)
 
 

@@ -12,7 +12,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-# A stand-in benchmark: prints a progress line, then the result line with
+# A stand-in benchmark: prints a progress line and, as run.py does, one
+# unbounded metric as a "name value unit" line, then the result line with
 # the speed its revision's speed.txt names; a file of several speeds gives
 # its n-th run the n-th speed (the runs are counted in runs.log).
 _FAKE_RUN = """\
@@ -24,6 +25,7 @@ run = len(log.read_text().splitlines()) if log.exists() else 0
 log.write_text("run\\n" * (run + 1))
 speed = float(speeds[run % len(speeds)])
 print("progress")
+print(f"{'embed_provider_texts_per_question':44s} {2 * speed:.6g} count")
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
     "questions_per_s": {"value": speed, "unit": "1/s"},
     "peak_rss_mb": {"value": 100.0, "unit": "MB"},
@@ -99,6 +101,16 @@ def test_pairs_alternate_and_record_every_run(two_revisions):
     assert "claim" not in summary["host_only"]
     assert "met True" in proc.stdout
     assert "pairs_won" not in summary["host_only"]
+    # The printed unbounded metric reaches the record and is summarized, with no claim.
+    assert [r["extra"] for r in runs] == [
+        {"embed_provider_texts_per_question": {"value": 8.0 if r["side"] == "base" else 10.0, "unit": "count"}}
+        for r in runs
+    ]
+    texts = summary["embed_provider_texts_per_question"]
+    assert texts == {
+        "base": {"median": 8.0, "q1": 8.0, "q3": 8.0, "iqr": 0.0, "runs": 3},
+        "change": {"median": 10.0, "q1": 10.0, "q3": 10.0, "iqr": 0.0, "runs": 3},
+    }
     # The worktrees are gone again.
     assert len(_git(repo, "worktree", "list").splitlines()) == 1
 
@@ -112,6 +124,24 @@ def test_summary_quartiles_and_lower_is_better():
     summary = bench_pairs.summarize(runs, {"ms": "lower"})["ms"]
     assert summary["base"] == {"median": 13.0, "q1": 11.5, "q3": 14.5, "iqr": 3.0, "runs": 4}
     assert summary["pairs_won"] == {"change": 2, "base": 1, "tie": 1}
+
+
+def test_printed_metrics_read_run_py_lines():
+    lines = [
+        "# workload heuristic-cold  seed 1  trace 0  nproc 2  python 3.11.7",
+        f"{'setup_s':44s} 1.18001 s",
+        f"{'question_ms_p90':44s} n/a ms",
+        f"{'setup_s_samples':44s} 1.223 1.180 1.100 s",
+        f"{'host_speed':44s} 1.07009 ratio",
+        "CHECK FAILED: pass 2 rendered another report",
+        "progress",
+    ]
+    assert bench_pairs.printed_metrics(lines) == {
+        "setup_s": {"value": 1.18001, "unit": "s"},
+        "question_ms_p90": {"value": None, "unit": "ms"},
+        "setup_s_samples": {"value": "1.223 1.180 1.100", "unit": "s"},
+        "host_speed": {"value": 1.07009, "unit": "ratio"},
+    }
 
 
 def test_a_run_without_a_result_line_fails_the_script(two_revisions):
