@@ -22,13 +22,15 @@ id above 256 would cost 32 more as an int object of its own, and the cyclic
 garbage collector sees the same few objects whatever the graph's size;
 ``neighbors`` builds its tuples per call. ``load_triples`` keeps each
 line's edge as one 8-byte item, ``relation_id << 32 | tail_id``, in its
-head's ``array('Q')``, then sorts and deduplicates one head at a time into
+head's ``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id``
+in its tail's too), then sorts and deduplicates one entity at a time into
 the arrays, so no per-edge tuple and no per-head set is built on the way
 either.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import defaultdict
 from functools import partial
@@ -43,23 +45,27 @@ INVERSE_MARKER = "~inv"
 # An edge packs into one int as ``relation_id << 32 | entity_id``: ids fit in
 # the arrays' 32-bit items, as no process holds 2**32 interned labels.
 _SHIFT = 32
-_LOW = (1 << _SHIFT) - 1
 
 Edges = tuple[array, array, array]  # offsets, relation ids, entity ids
 
 
 def _pack(keys: dict[int, array], count: int, rid_offset: int) -> Edges:
-    """Flatten ``{entity_id: [relation_id << 32 | entity_id, ...]}`` into one
-    direction's arrays, each entity's pairs sorted and distinct, relation ids
-    plus ``rid_offset``. ``keys`` is emptied as it goes, so each entity's items
-    are freed once its pairs are in the arrays."""
-    offsets, relation_ids, entity_ids = array("Q", [0]), array("I"), array("I")
+    """Flatten ``{entity_id: array('Q', [relation_id << 32 | entity_id, ...])}``
+    into one direction's arrays, each entity's pairs sorted and distinct,
+    relation ids plus ``rid_offset``. ``keys`` is emptied as it goes, so each
+    entity's items are freed once they are in the packed array."""
+    offsets, packed = array("Q", [0]), array("Q")
     for entity in range(count):
-        edges = sorted(set(keys.pop(entity, ())))
-        relation_ids.extend([(key >> _SHIFT) + rid_offset for key in edges])
-        entity_ids.extend([key & _LOW for key in edges])
-        offsets.append(len(entity_ids))
-    return offsets, relation_ids, entity_ids
+        packed.extend(sorted(set(keys.pop(entity, ()))))
+        offsets.append(len(packed))
+    # Each key read as two 32-bit words, in the machine's byte order.
+    words = array("I")
+    words.frombytes(memoryview(packed).cast("B"))
+    del packed
+    low, high = (words[0::2], words[1::2]) if sys.byteorder == "little" else (words[1::2], words[0::2])
+    if rid_offset:
+        high = array("I", (rid + rid_offset for rid in high))
+    return offsets, high, low
 
 
 def _pairs(edges: Edges, entity_id: int) -> list[tuple[int, int]]:
@@ -84,12 +90,13 @@ class KnowledgeGraph:
         entity_ids: dict[str, int],
         relation_ids: dict[str, int],
         adjacency: dict[int, array],
-        inverse_edges: bool = False,
+        incoming: dict[int, array] | None = None,
     ):
         """``entity_ids`` and ``relation_ids`` map labels to ids and iterate in
         id order; ``adjacency`` maps a head id to its ``relation_id << 32 |
-        tail_id`` edges, repeats allowed, and is emptied here;
-        ``inverse_edges`` fills ``in_edges``."""
+        tail_id`` edges and ``incoming``, on a graph that walks edges
+        backwards, a tail id to its ``relation_id << 32 | head_id`` edges,
+        repeats allowed; both are emptied here."""
         self.entities = list(entity_ids)
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
@@ -97,13 +104,7 @@ class KnowledgeGraph:
         self._labels = self.relations + [label + INVERSE_MARKER for label in self.relations]
         n = len(self.entities)
         self.out_edges = _pack(adjacency, n, 0)
-        self.in_edges = None
-        if inverse_edges:
-            tails: dict[int, array] = defaultdict(partial(array, "Q"))
-            for head in range(n):
-                for rid, tail in _pairs(self.out_edges, head):
-                    tails[tail].append(rid << _SHIFT | head)
-            self.in_edges = _pack(tails, n, len(self.relations))
+        self.in_edges = None if incoming is None else _pack(incoming, n, len(self.relations))
 
     # -- lookups ---------------------------------------------------------
 
@@ -217,11 +218,15 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
     entity_ids: dict[str, int] = {}
     relation_ids: dict[str, int] = {}
     adjacency: dict[int, array] = defaultdict(partial(array, "Q"))
+    incoming: dict[int, array] | None = defaultdict(partial(array, "Q")) if inverse_edges else None
     for head, rel, tail in _iter_fields(lines):
         h = entity_ids.setdefault(head, len(entity_ids))
-        r = relation_ids.setdefault(rel, len(relation_ids))
-        adjacency[h].append(r << _SHIFT | entity_ids.setdefault(tail, len(entity_ids)))
-    return KnowledgeGraph(entity_ids, relation_ids, adjacency, inverse_edges)
+        r = relation_ids.setdefault(rel, len(relation_ids)) << _SHIFT
+        t = entity_ids.setdefault(tail, len(entity_ids))
+        adjacency[h].append(r | t)
+        if incoming is not None:
+            incoming[t].append(r | h)
+    return KnowledgeGraph(entity_ids, relation_ids, adjacency, incoming)
 
 
 def load_triples_path(path: str | Path, inverse_edges: bool = False) -> KnowledgeGraph:
