@@ -178,7 +178,8 @@ def test_index_contains_each_triple_exactly_once():
 
 
 def test_indexes_sorted():
-    g = graph_from([("a", "z", "b"), ("a", "r", "c"), ("a", "r", "b"), ("c", "s", "a"), ("b", "r", "a")], True)
+    triples = [("a", "z", "b"), ("a", "r", "c"), ("a", "r", "b"), ("c", "s", "a"), ("b", "r", "a")]
+    g = graph_from(triples, inverse_edges=True)
     for edges in (g.out_edges, g.in_edges):
         stored = _stored_pairs(edges, g.num_entities)
         assert all(adj == sorted(set(adj)) for adj in stored)
@@ -204,12 +205,14 @@ def test_adjacency_is_untracked_by_the_cyclic_collector():
     # The adjacency is six flat arrays that refer to no object but their
     # type, so the collector sees the same few objects per graph whatever
     # its size, where one container per entity or per edge would grow with
-    # it. (A tuple of pairs is untracked only from the collection after the
-    # one that untracks its pairs, so collect twice.)
+    # it. Collect twice: a container of untracked items is untracked only
+    # at the collection after the one that untracks those items.
     rng = random.Random(0)
     counts = []
     for size, names in ((300, 30), (3000, 300)):
-        triples = [(f"e{rng.randrange(names)}", f"r{rng.randrange(12)}", f"e{rng.randrange(names)}") for _ in range(size)]
+        triples = [
+            (f"e{rng.randrange(names)}", f"r{rng.randrange(12)}", f"e{rng.randrange(names)}") for _ in range(size)
+        ]
         g = graph_from(triples, inverse_edges=True)
         for stored in (*g.out_edges, *g.in_edges):
             assert type(stored) is array
@@ -225,7 +228,8 @@ def test_adjacency_is_untracked_by_the_cyclic_collector():
 # inverse edges, on Python 3.11.7. Sorted tuples of pairs per entity, built
 # from per-head sets of pairs: 82.6 / 153.7 retained, 158.0 / 248.4 at the
 # load's peak. Flat arrays, built from one packed int per line in per-head
-# ``array('Q')``s: 20.9 / 30.1 retained, 33.5 / 48.5 at the peak.
+# (and per-tail) ``array('Q')``s: 20.5 / 29.5 retained, 33.5 / 55.3 at the
+# peak.
 GRAPH_BYTES_PER_TRIPLE_BOUNDS = {False: (32, 50), True: (45, 72)}  # (retained, peak)
 
 
