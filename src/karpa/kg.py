@@ -21,11 +21,11 @@ direction, where a pair tuple in a per-entity tuple cost 64 and an inverse
 id above 256 would cost 32 more as an int object of its own, and the cyclic
 garbage collector sees the same few objects whatever the graph's size;
 ``neighbors`` builds its tuples per call. ``load_triples`` keeps each
-line's edge as one 8-byte item, ``relation_id << 32 | tail_id``, in its
-head's ``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id``
-in its tail's too), then sorts and deduplicates one entity at a time into
-the arrays, so no per-edge tuple and no per-head set is built on the way
-either.
+line's edge as one int, ``relation_id << 32 | tail_id``, in its head's list
+(with inverse edges, ``relation_id << 32 | head_id`` in its tail's too),
+then sorts and deduplicates one entity at a time into the arrays, freeing
+each list as it goes, so no per-edge tuple and no per-head set is built on
+the way either.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import defaultdict
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,23 +48,41 @@ _SHIFT = 32
 Edges = tuple[array, array, array]  # offsets, relation ids, entity ids
 
 
-def _pack(keys: dict[int, array], count: int, rid_offset: int) -> Edges:
-    """Flatten ``{entity_id: array('Q', [relation_id << 32 | entity_id, ...])}``
-    into one direction's arrays, each entity's pairs sorted and distinct,
-    relation ids plus ``rid_offset``. ``keys`` is emptied as it goes, so each
-    entity's items are freed once they are in the packed array."""
+class _Ids(dict):
+    """Label -> id; looking up a label not yet seen gives it the next id, so
+    ids follow first appearance. Read it with ``get`` once loading is done."""
+
+    def __missing__(self, label: str) -> int:
+        self[label] = next_id = len(self)
+        return next_id
+
+
+def _pack(keys: dict[int, list[int]], count: int, rid_offset: int) -> Edges:
+    """Flatten ``{entity_id: [relation_id << 32 | entity_id, ...]}`` into one
+    direction's arrays, each entity's pairs sorted and distinct, relation ids
+    plus ``rid_offset``. ``keys`` is emptied as it goes, so each entity's list
+    is freed once its items are in the packed array."""
     offsets, packed = array("Q", [0]), array("Q")
     for entity in range(count):
-        packed.extend(sorted(set(keys.pop(entity, ()))))
+        packed.fromlist(sorted(set(keys.pop(entity, ()))))
         offsets.append(len(packed))
     # Each key read as two 32-bit words, in the machine's byte order.
     words = array("I")
     words.frombytes(memoryview(packed).cast("B"))
     del packed
     low, high = (words[0::2], words[1::2]) if sys.byteorder == "little" else (words[1::2], words[0::2])
-    if rid_offset:
-        high = array("I", (rid + rid_offset for rid in high))
-    return offsets, high, low
+    return offsets, _plus(high, rid_offset) if rid_offset else high, low
+
+
+def _plus(words: array, value: int) -> array:
+    """``words`` with ``value`` added to every item, as one big-int addition
+    over the whole buffer: each item is one digit of it, and none may
+    overflow, which holds for ids below 2**32."""
+    order, size = sys.byteorder, words.itemsize
+    total = int.from_bytes(words.tobytes(), order) + int.from_bytes(value.to_bytes(size, order) * len(words), order)
+    out = array(words.typecode)
+    out.frombytes(total.to_bytes(size * len(words), order))
+    return out
 
 
 def _pairs(edges: Edges, entity_id: int) -> list[tuple[int, int]]:
@@ -89,8 +106,8 @@ class KnowledgeGraph:
         self,
         entity_ids: dict[str, int],
         relation_ids: dict[str, int],
-        adjacency: dict[int, array],
-        incoming: dict[int, array] | None = None,
+        adjacency: dict[int, list[int]],
+        incoming: dict[int, list[int]] | None = None,
     ):
         """``entity_ids`` and ``relation_ids`` map labels to ids and iterate in
         id order; ``adjacency`` maps a head id to its ``relation_id << 32 |
@@ -215,14 +232,13 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
     An empty stream yields a valid empty graph. ``inverse_edges`` lets the
     graph's ``neighbors`` walk edges backwards too.
     """
-    entity_ids: dict[str, int] = {}
-    relation_ids: dict[str, int] = {}
-    adjacency: dict[int, array] = defaultdict(partial(array, "Q"))
-    incoming: dict[int, array] | None = defaultdict(partial(array, "Q")) if inverse_edges else None
+    entity_ids, relation_ids = _Ids(), _Ids()
+    adjacency: dict[int, list[int]] = defaultdict(list)
+    incoming: dict[int, list[int]] | None = defaultdict(list) if inverse_edges else None
     for head, rel, tail in _iter_fields(lines):
-        h = entity_ids.setdefault(head, len(entity_ids))
-        r = relation_ids.setdefault(rel, len(relation_ids)) << _SHIFT
-        t = entity_ids.setdefault(tail, len(entity_ids))
+        h = entity_ids[head]
+        r = relation_ids[rel] << _SHIFT
+        t = entity_ids[tail]
         adjacency[h].append(r | t)
         if incoming is not None:
             incoming[t].append(r | h)
