@@ -71,13 +71,13 @@ def _pack(keys: dict[int, list[int]], count: int, rid_offset: int) -> Edges:
     words.frombytes(memoryview(packed).cast("B"))
     del packed
     low, high = (words[0::2], words[1::2]) if sys.byteorder == "little" else (words[1::2], words[0::2])
-    return offsets, _plus(high, rid_offset) if rid_offset else high, low
+    return offsets, (_plus(high, rid_offset) if rid_offset else high), low
 
 
 def _plus(words: array, value: int) -> array:
     """``words`` with ``value`` added to every item, as one big-int addition
-    over the whole buffer: each item is one digit of it, and none may
-    overflow, which holds for ids below 2**32."""
+    over the whole buffer, each item one digit of it; no item may overflow,
+    which holds for a relation id plus the relation count."""
     order, size = sys.byteorder, words.itemsize
     total = int.from_bytes(words.tobytes(), order) + int.from_bytes(value.to_bytes(size, order) * len(words), order)
     out = array(words.typecode)
