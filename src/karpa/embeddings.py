@@ -136,17 +136,17 @@ def _restore(payload: bytes) -> EmbeddingVector:
     return vector
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Cosine similarity, clamped to [-1, 1].
-
-    Raises ``ContractError`` on dimension mismatch and ``DomainError`` if
-    either vector is all-zero.
-    """
-    return cosine_many(a, [b])[0]
+def _vector_from_json(values) -> EmbeddingVector:
+    """The vector of a JSON array of numbers. Anything but a list is a
+    ``TypeError``: a string or an object would read as its characters or keys."""
+    if not isinstance(values, list):
+        raise TypeError(f"embedding values must be a list, got {type(values).__name__}")
+    return EmbeddingVector(array("d", map(float, values)))
 
 
 def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
-    """``cosine(query, v)`` for each ``v`` in order, from the stored norms.
+    """The cosine similarity of ``query`` and each ``v`` in order, clamped to
+    [-1, 1], from the stored norms.
 
     The dot product runs over the query's nonzero components only. It starts
     at ``+0.0`` and so never becomes ``-0.0``; a skipped term is ``±0.0`` and
@@ -254,7 +254,7 @@ def _embedding_fixture_record(obj) -> tuple[str, EmbeddingVector]:
     digest = obj["digest"]
     if not isinstance(digest, str):
         raise TypeError("digest must be a string")
-    return digest, EmbeddingVector(array("d", map(float, obj["values"])))
+    return digest, _vector_from_json(obj["values"])
 
 
 class ScriptedEmbeddingProvider:
@@ -277,19 +277,6 @@ class ScriptedEmbeddingProvider:
                 raise MissingFixtureError(digest)
             out.append(self._records[digest])
         return out
-
-
-def write_embedding_fixtures(path: str | Path, entries: Iterable[tuple[str, EmbeddingVector]]) -> None:
-    """Record ``(text, vector)`` pairs for later scripted replay."""
-    with Path(path).open("a", encoding="utf-8") as fp:
-        for text, vec in entries:
-            fp.write(
-                json.dumps(
-                    {"digest": text_digest(text), "dim": vec.dim, "values": list(vec.values)},
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
 
 
 class HttpEmbeddingProvider:
@@ -318,7 +305,7 @@ class HttpEmbeddingProvider:
         )
         try:
             rows = sorted(body["data"], key=lambda r: r["index"])
-            vectors = [EmbeddingVector(array("d", map(float, row["embedding"]))) for row in rows]
+            vectors = [_vector_from_json(row["embedding"]) for row in rows]
         except (LookupError, TypeError, ValueError, ContractError) as exc:
             raise ProviderError(f"malformed embedding reply ({type(exc).__name__}: {exc})") from None
         indices = [row["index"] for row in rows]
@@ -387,7 +374,7 @@ class EmbeddingCache:
                 try:
                     obj = json.loads(line)
                     identity, digest = bytes.fromhex(obj["identity"]), bytes.fromhex(obj["text"])
-                    vector = EmbeddingVector(array("d", map(float, obj["values"])))
+                    vector = _vector_from_json(obj["values"])
                 except (ValueError, KeyError, TypeError, ContractError):
                     self.skipped += 1
                     continue
@@ -568,8 +555,10 @@ class EmbeddingGateway:
         return all(get(identity, hashlib.sha256(text.encode("utf-8")).digest()) is not None for text in texts)
 
     def similarity(self, text_a: str, text_b: str) -> float:
+        """Cosine similarity of two texts' vectors. No karpa code calls it: it
+        stays for the benchmark's tests (``perfbench/tests/test_measure.py``)."""
         vec_a, vec_b = self.embed([text_a, text_b])
-        return cosine(vec_a, vec_b)
+        return cosine_many(vec_a, [vec_b])[0]
 
     def embed_with_labels(
         self, texts: list[str], labels: list[str]

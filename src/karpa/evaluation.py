@@ -103,12 +103,12 @@ def _sample_from_webqsp(obj: dict) -> QASample:
     answers: dict[str, list[str]] = {}
     for parse in obj["Parses"]:
         name = parse.get("TopicEntityName")
-        if name and name not in topics:
-            topics.append(name)
+        if name and str(name) not in topics:
+            topics.append(str(name))
         for ans in parse.get("Answers", []):
             label = ans.get("EntityName") or ans.get("AnswerArgument")
-            if label and label not in answers:
-                answers[label] = [label]
+            if label:
+                answers.setdefault(str(label), [str(label)])
     return QASample(sample_id, question, topics, list(answers.values()))
 
 
@@ -116,12 +116,15 @@ def _sample_from_cwq(obj: dict) -> QASample:
     sample_id = str(obj["ID"])
     question = obj["question"]
     if isinstance(obj.get("topic_entity"), dict):
-        topics = list(obj["topic_entity"].values())
+        topics = [str(t) for t in obj["topic_entity"].values()]
     elif "topic_entity_name" in obj:
-        topics = [obj["topic_entity_name"]]
+        topics = [str(obj["topic_entity_name"])]
     else:
         raise KeyError("topic_entity")
-    answers = [[ans["answer"]] + _as_list(ans.get("aliases", []), "aliases") for ans in obj["answers"]]
+    answers = [
+        [str(a) for a in [ans["answer"], *_as_list(ans.get("aliases", []), "aliases")]]
+        for ans in obj["answers"]
+    ]
     return QASample(sample_id, question, topics, answers)
 
 

@@ -117,7 +117,6 @@ class KnowledgeGraph:
         self.entities = list(entity_ids)
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
-        self._relation_ids = relation_ids
         self._labels = self.relations + [label + INVERSE_MARKER for label in self.relations]
         n = len(self.entities)
         self.out_edges = _pack(adjacency, n, 0)
@@ -143,9 +142,6 @@ class KnowledgeGraph:
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
         return self.entities[entity_id]
-
-    def relation_id(self, label: str) -> int | None:
-        return self._relation_ids.get(label)
 
     def relation_label(self, relation_id: int) -> str:
         """Label for a relation id; inverse ids get the ~inv suffix."""

@@ -182,11 +182,10 @@ def _fixed_length_match(
     call over the gateway's label vectors (``embed_with_labels``), which
     embeds, in one request, the labels the gateway does not hold and, at
     the depth's first costing, the candidate's relation there. A depth at
-    which no expansion has children embeds nothing. ``cosine`` is symmetric
+    which no expansion has children embeds nothing. The cosine is symmetric
     bit for bit, so each cost equals the reference ``step_cost`` in
     ``tests/oracles.py`` exactly.
     """
-    g.entity_label(start)  # raises NotFoundError on a bad id
     relation_label = g.relation_label
     frontier: list[_Prefix] = [(0.0, (), (start,), ())]
     pops: dict[object, int] = {}
@@ -341,7 +340,6 @@ def heuristic_top_k(
     After a window fails, each expansion requests its own children alone,
     so a provider that stays down is not retried once per window.
     """
-    g.entity_label(start)
     max_len = cfg.resolve_max_len([candidate])
     cand_text = " ".join(candidate.relations)
     frontier: list[_Prefix] = []

@@ -17,8 +17,7 @@ import re
 import zlib
 from typing import Iterable, Iterator
 
-from karpa.embeddings import cosine, cosine_many
-from karpa.errors import ContractError, KarpaError, ParseError
+from karpa.errors import ContractError, DomainError, KarpaError, ParseError
 from karpa.matching import ReasoningPath, RelationPath, ScoredPath
 
 _SPLIT = re.compile(r"[^0-9a-z]+")
@@ -35,7 +34,8 @@ def step_cost(gateway, kg_label: str, candidate_label: str) -> float:
 
     The fixed-length matchers compute the same value in batches.
     """
-    return 1.0 - gateway.similarity(kg_label, candidate_label)
+    vec_a, vec_b = gateway.embed([kg_label, candidate_label])
+    return 1.0 - ref_pair_cosine(vec_a, vec_b)
 
 
 def path_similarity(gateway, labels_a: list[str], labels_b: list[str]) -> float:
@@ -47,7 +47,7 @@ def path_similarity(gateway, labels_a: list[str], labels_b: list[str]) -> float:
     if not labels_a or not labels_b:
         raise ContractError("path similarity requires non-empty label sequences")
     vec_a, vec_b = gateway.embed([" ".join(labels_a), " ".join(labels_b)])
-    return cosine(vec_a, vec_b)
+    return ref_pair_cosine(vec_a, vec_b)
 
 
 def ref_mock_embedding(text: str, dim: int) -> list[float]:
@@ -69,7 +69,6 @@ def ref_mock_embed_loop(text: str, dim: int = 64):
     trigram hashed afresh, counted in float buckets. The memoized version
     must equal this with ``==``, errors included."""
     from karpa.embeddings import EmbeddingVector
-    from karpa.errors import DomainError
 
     if dim < 8:
         raise ContractError(f"mock embedding dim must be >= 8, got {dim}")
@@ -93,11 +92,11 @@ def ref_cosine(a: list[float], b: list[float]) -> float:
 
 
 def ref_pair_cosine(a, b) -> float:
-    """One pair's cosine of two ``EmbeddingVector``s, the arithmetic and the
-    errors of the package's ``cosine`` written as its own loop: the batch
-    form must equal this bit for bit."""
-    from karpa.errors import ContractError, DomainError
-
+    """Cosine of two ``EmbeddingVector``s, clamped to [-1, 1], as one loop over
+    every component that also sums both squared norms. The package's
+    ``cosine_many`` must equal this bit for bit, errors included: a
+    ``ContractError`` on a dimension mismatch before a ``DomainError`` for
+    an all-zero vector."""
     if a.dim != b.dim:
         raise ContractError(f"dimension mismatch: {a.dim} vs {b.dim}")
     dot = na = nb = 0.0
@@ -233,8 +232,9 @@ def ref_heuristic(g, start: int, candidate, cfg, gateway):
             return
         child_labels = [labels + (g.relation_label(rid),) for rid, _ in edges]
         query_vec, *child_vecs = gateway.embed([cand_text, *map(" ".join, child_labels)])
-        for edge, child, sim in zip(edges, child_labels, cosine_many(query_vec, child_vecs)):
-            heapq.heappush(frontier, (1.0 - sim, child, entities + (edge[1],), steps + (edge,)))
+        for edge, child, child_vec in zip(edges, child_labels, child_vecs):
+            cost = 1.0 - ref_pair_cosine(query_vec, child_vec)
+            heapq.heappush(frontier, (cost, child, entities + (edge[1],), steps + (edge,)))
 
     expand((0.0, (), (start,), ()))
     truncated = False
@@ -271,7 +271,7 @@ def exhaustive_fixed_length_best(g, gateway, start, candidate_labels):
             continue
         total = 0.0
         for label, cand in zip(labels, candidate_labels):
-            total += 1.0 - gateway.similarity(label, cand)
+            total += step_cost(gateway, label, cand)
         mean = total / n
         key = (mean, labels, entities)
         if best is None or key < best[0]:

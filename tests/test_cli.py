@@ -645,6 +645,7 @@ def test_ask_non_json_chat_fixture_line_is_data_error(tmp_path, kg_file, capsys)
         ("embedding", "{}"),
         ("embedding", '{"digest": "d2", "dim": 1, "values": ["x"]}'),
         ("embedding", '{"digest": "d2", "dim": 1, "values": [1e999]}'),
+        ("embedding", '{"digest": "d2", "dim": 3, "values": "123"}'),
     ],
 )
 def test_ask_fixture_line_that_is_not_a_record_is_data_error(tmp_path, kg_file, capsys, kind, line):

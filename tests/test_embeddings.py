@@ -19,11 +19,9 @@ from karpa.embeddings import (
     EmbeddingVector,
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
-    cosine,
     cosine_many,
     mock_embed,
     text_digest,
-    write_embedding_fixtures,
 )
 from karpa.errors import ContractError, DomainError, MissingFixtureError, ProviderError, TransportError
 from karpa.transport import ATTEMPTS
@@ -40,25 +38,25 @@ def vec(*values):
 
 
 def test_cosine_identity():
-    assert cosine(vec(1, 0), vec(1, 0)) == pytest.approx(1.0, abs=1e-9)
+    assert cosine_many(vec(1, 0), [vec(1, 0)]) == pytest.approx([1.0], abs=1e-9)
 
 
 def test_cosine_orthogonal():
-    assert cosine(vec(1, 0), vec(0, 1)) == pytest.approx(0.0, abs=1e-9)
+    assert cosine_many(vec(1, 0), [vec(0, 1)]) == pytest.approx([0.0], abs=1e-9)
 
 
 def test_cosine_analytic_sqrt2():
-    assert cosine(vec(1, 1), vec(1, 0)) == pytest.approx(0.7071, abs=1e-4)
+    assert cosine_many(vec(1, 1), [vec(1, 0)]) == pytest.approx([0.7071], abs=1e-4)
 
 
 def test_cosine_dimension_mismatch():
     with pytest.raises(ContractError):
-        cosine(vec(1, 0), vec(1, 0, 0))
+        cosine_many(vec(1, 0), [vec(1, 0, 0)])
 
 
 def test_cosine_zero_vector():
     with pytest.raises(DomainError):
-        cosine(vec(0, 0), vec(1, 0))
+        cosine_many(vec(0, 0), [vec(1, 0)])
 
 
 def test_vector_values_must_be_finite():
@@ -79,7 +77,7 @@ def test_cosine_self_similarity(values):
     if not any(v != 0 for v in values):
         return
     v = EmbeddingVector(tuple(values))
-    assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
+    assert cosine_many(v, [v]) == pytest.approx([1.0], abs=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,9 +93,10 @@ def test_cosine_symmetry_and_scale_invariance(a, b, scale):
         return
     va, vb = EmbeddingVector(tuple(a)), EmbeddingVector(tuple(b))
     scaled = EmbeddingVector(tuple(x * scale for x in a))
-    assert cosine(va, vb) == pytest.approx(cosine(vb, va), abs=1e-9)
-    assert cosine(scaled, vb) == pytest.approx(cosine(va, vb), abs=1e-6)
-    assert -1.0 <= cosine(va, vb) <= 1.0
+    [ab] = cosine_many(va, [vb])
+    assert cosine_many(vb, [va]) == pytest.approx([ab], abs=1e-9)
+    assert cosine_many(scaled, [vb]) == pytest.approx([ab], abs=1e-6)
+    assert -1.0 <= ab <= 1.0
 
 
 def _outcome(call):
@@ -122,7 +121,7 @@ def test_cosine_many_is_pairwise_cosine_bit_for_bit(query, vectors):
     # Equal lists of floats with ==, or the same error type and message,
     # which names the first offending vector's dimension.
     batch = _outcome(lambda: cosine_many(q, vs))
-    assert batch == _outcome(lambda: [cosine(q, v) for v in vs])
+    assert batch == _outcome(lambda: [cosine_many(q, [v])[0] for v in vs])
     assert batch == _outcome(lambda: [ref_pair_cosine(q, v) for v in vs])
 
 
@@ -234,7 +233,8 @@ def test_mock_embed_equals_the_unmemoized_loop(text, dim):
 
 def test_mock_embed_shared_tokens_raise_similarity():
     ff = mock_embed("father father", 64)
-    assert cosine(ff, mock_embed("father", 64)) > cosine(ff, mock_embed("spouse", 64))
+    father, spouse = cosine_many(ff, [mock_embed("father", 64), mock_embed("spouse", 64)])
+    assert father > spouse
 
 
 def test_mock_embed_rejects_small_dim():
@@ -454,6 +454,18 @@ def test_payload_round_trip_keeps_values_and_norm_bit_for_bit(tmp_path):
     assert [v.norm_sq for v in vectors][1:] == [math.inf, 0.0]
 
 
+def test_cache_load_skips_values_that_are_not_a_list(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    EmbeddingCache(path).put(b"identity", b"kept", mock_embed("kept", 8))
+    with path.open("a", encoding="utf-8") as fp:
+        for digest, values in ((b"string", "123"), (b"object", {"4": 1, "5": 2, "6": 3})):
+            record = {"identity": b"identity".hex(), "text": digest.hex(), "dim": 3, "values": values}
+            fp.write(json.dumps(record) + "\n")
+    cache = EmbeddingCache(path)
+    assert cache.skipped == 2 and cache.stats()["records"] == 1
+    assert cache.get(b"identity", b"string") is None and cache.get(b"identity", b"object") is None
+
+
 def test_two_caches_on_one_new_file_write_one_header(tmp_path):
     path = tmp_path / "cache.jsonl"
     first, second = EmbeddingCache(path), EmbeddingCache(path)
@@ -593,7 +605,7 @@ def test_top_k_matches_exhaustive_ranking(gateway):
 
     qv = gateway.embed([query])[0]
     full = sorted(
-        ((label, cosine(qv, gateway.embed([label])[0])) for label in vocab),
+        ((label, cosine_many(qv, gateway.embed([label]))[0]) for label in vocab),
         key=lambda pair: (-pair[1], pair[0]),
     )
     assert ranked == full[:5]
@@ -750,7 +762,8 @@ def test_held_labels_are_the_vectors_the_cache_serves():
 def test_scripted_provider_replays_and_misses(tmp_path):
     path = tmp_path / "embed.jsonl"
     vector = mock_embed("known text", 16)
-    write_embedding_fixtures(path, [("known text", vector)])
+    record = {"digest": text_digest("known text"), "dim": 16, "values": vector.values.tolist()}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     provider = ScriptedEmbeddingProvider.from_file(path)
     assert provider.embed_batch(["known text"]) == [vector]
     with pytest.raises(MissingFixtureError) as exc:

@@ -112,6 +112,32 @@ def test_cwq_loader(tmp_path):
     assert sample.gold_answers == [["Paris", "City of Light"]]
 
 
+_WEBQSP_NUMERIC = {
+    "QuestionId": 1,
+    "RawQuestion": "when?",
+    "Parses": [{"TopicEntityName": 1066, "Answers": [{"EntityName": None, "AnswerArgument": 7}]}],
+}
+_CWQ_NUMERIC = {"ID": 1, "question": "when?", "answers": [{"answer": 7, "aliases": [7.0]}]}
+
+
+@pytest.mark.parametrize(
+    "format, payload, gold",
+    [
+        ("webqsp", {"Questions": [_WEBQSP_NUMERIC]}, [["7"]]),
+        ("cwq", [{**_CWQ_NUMERIC, "topic_entity": {"m.01": 1066}}], [["7", "7.0"]]),
+        ("cwq", [{**_CWQ_NUMERIC, "topic_entity_name": 1066}], [["7", "7.0"]]),
+    ],
+    ids=["webqsp", "cwq", "cwq-topic-name"],
+)
+def test_numeric_labels_load_as_strings_and_score(tmp_path, format, payload, gold):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    (sample,) = load_dataset(path, format)
+    assert sample.topic_entities == ["1066"]
+    assert sample.gold_answers == gold
+    assert score_sample(answer_set("7"), sample.gold_answers).hit1 == 1
+
+
 # -- score_sample -------------------------------------------------------------------
 
 

@@ -92,8 +92,8 @@ def test_ids_assigned_first_appearance_order():
     g = graph_from([("x", "r", "y"), ("y", "s", "x")])
     assert g.entity_id("x") == 0
     assert g.entity_id("y") == 1
-    assert g.relation_id("r") == 0
-    assert g.relation_id("s") == 1
+    assert g.relations.index("r") == 0
+    assert g.relations.index("s") == 1
 
 
 def test_neighbors_forward_empty_for_sink():
@@ -124,7 +124,7 @@ def test_neighbors_both_concatenates():
     triples = [("A", "r", "B"), ("C", "s", "A")]
     g = graph_from(triples, inverse_edges=True)
     a = g.entity_id("A")
-    inverse = [(g.relation_id("s") + g.num_relations, g.entity_id("C"))]
+    inverse = [(g.relations.index("s") + g.num_relations, g.entity_id("C"))]
     assert g.neighbors(a) == graph_from(triples).neighbors(a) + inverse
 
 
@@ -169,7 +169,7 @@ def test_index_contains_each_triple_exactly_once():
     out = _stored_pairs(g.out_edges, g.num_entities)
     inc = _stored_pairs(g.in_edges, g.num_entities)
     for h, r, t in triples:
-        head, rid, tail = g.entity_id(h), g.relation_id(r), g.entity_id(t)
+        head, rid, tail = g.entity_id(h), g.relations.index(r), g.entity_id(t)
         assert out[head].count((rid, tail)) == 1
         assert inc[tail].count((rid + g.num_relations, head)) == 1
     assert len(g) == len(set(triples))
@@ -184,7 +184,7 @@ def test_indexes_sorted():
         stored = _stored_pairs(edges, g.num_entities)
         assert all(adj == sorted(set(adj)) for adj in stored)
     a, b, c = map(g.entity_id, "abc")
-    z, r = g.relation_id("z"), g.relation_id("r")
+    z, r = g.relations.index("z"), g.relations.index("r")
     assert _stored_pairs(g.out_edges, g.num_entities)[a] == [(z, b), (r, b), (r, c)]
 
 
@@ -334,7 +334,7 @@ def test_load_triples_equals_reference_graph(label_triples):
             assert g.entity_label(eid) == label
         n = len(ref["relations"])
         for rid, label in enumerate(ref["relations"]):
-            assert g.relation_id(label) == rid
+            assert g.relations.index(label) == rid
             assert g.relation_label(rid) == label
             assert g.relation_label(rid + n) == label + INVERSE_MARKER
         assert [g.neighbors(eid) for eid in range(g.num_entities)] == ref["neighbors"][walk]

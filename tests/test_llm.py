@@ -385,6 +385,9 @@ def _rows(*indices):
         ({"data": [{"index": 0}]}, ["x"]),
         ({"data": [{"embedding": [1.0, 2.0]}]}, ["x"]),
         ({"data": [{"index": 0, "embedding": ["x"]}]}, ["x"]),
+        # Not a list: read as its characters or its keys, each is a number.
+        ({"data": [{"index": 0, "embedding": "123"}]}, ["x"]),
+        ({"data": [{"index": 0, "embedding": {"4": 1, "5": 2, "6": 3}}]}, ["x"]),
         ({"data": "rows"}, ["x"]),
         ({"data": []}, ["x"]),
         ({"data": [{"index": 0, "embedding": [0.0, 0.0]}]}, ["x"]),
@@ -397,7 +400,8 @@ def _rows(*indices):
         (_rows(0.0, 1.0), ["x", "y"]),
     ],
     ids=[
-        "not-json", "no-data", "no-embedding", "no-index", "bad-value", "data-not-list", "too-few", "all-zero",
+        "not-json", "no-data", "no-embedding", "no-index", "bad-value", "embedding-string", "embedding-object",
+        "data-not-list", "too-few", "all-zero",
         "index-1-1", "index-5-7", "index-0-0", "index-false-true", "index-float",
     ],
 )

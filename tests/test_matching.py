@@ -216,9 +216,13 @@ def test_beam_trap_misses_global_optimum(gateway, trap_graph):
     assert beam_result[0].cost > oracle_best[4] + 0.1
 
 
-def test_beam_invalid_start(gateway, trap_graph):
-    with pytest.raises(NotFoundError):
-        beam_match(trap_graph, 99, TRAP_CANDIDATE, MatchConfig(strategy="beam"), gateway)
+@pytest.mark.parametrize("start", [99, -1])
+@pytest.mark.parametrize("strategy", MATCHERS)
+def test_invalid_start_is_not_found_before_any_request(trap_graph, strategy, start):
+    spy = SpyGateway()
+    with pytest.raises(NotFoundError, match=f"unknown entity id {start}"):
+        MATCHERS[strategy](trap_graph, start, TRAP_CANDIDATE, MatchConfig(strategy=strategy), spy)
+    assert spy.requests == []
 
 
 def test_beam_no_path_of_required_length_returns_empty(gateway):

@@ -311,7 +311,6 @@ def test_config_digest_ignores_execution_knobs():
 
 
 def test_run_pipeline_from_config(tmp_path):
-    from karpa.embeddings import mock_embed, write_embedding_fixtures
     from karpa.pipeline import build_pipeline
 
     kg_path = tmp_path / "kg.tsv"
@@ -325,16 +324,18 @@ def test_run_pipeline_from_config(tmp_path):
 
 
 def test_scripted_embedding_provider_from_config(tmp_path):
-    from karpa.embeddings import mock_embed, write_embedding_fixtures
+    from karpa.embeddings import mock_embed, text_digest
     from karpa.pipeline import build_embedding_gateway
 
     fixtures = tmp_path / "embed.jsonl"
-    write_embedding_fixtures(fixtures, [("some text", mock_embed("some text", 16))])
+    vector = mock_embed("some text", 16)
+    record = {"digest": text_digest("some text"), "dim": 16, "values": vector.values.tolist()}
+    fixtures.write_text(json.dumps(record) + "\n", encoding="utf-8")
     cfg = PipelineConfig()
     cfg.embedding.kind = "scripted"
     cfg.embedding.fixtures = str(fixtures)
     gw = build_embedding_gateway(cfg)
-    assert gw.embed(["some text"])[0] == mock_embed("some text", 16)
+    assert gw.embed(["some text"])[0] == vector
 
 
 def test_multi_topic_union(gateway):
