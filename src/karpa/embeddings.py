@@ -16,12 +16,13 @@ where a tuple of floats holds a pointer to a boxed float per component) and
 stores its squared norm, taken once when it is made; ``cosine_many``
 multiplies through the query's nonzero components only. Both give the same
 bits as the plain pairwise loop. The cache keeps each vector in memory as one
-``bytes`` payload, its values' bytes then those of its squared norm, under
-the raw 32-byte SHA-256 digests of the provider identity and of the text.
-Bytes and dicts of bytes are not tracked by the cyclic garbage collector, so
-a full cache adds nothing to its collections; a lookup rebuilds a vector
-with the same bits. The hex forms of the digests appear only in cache-file
-records, whose format is unchanged, and in scripted-fixture lookups.
+``bytes`` payload, its values' bytes, under the raw 32-byte SHA-256 digests
+of the provider identity and of the text. Bytes and dicts of bytes are not
+tracked by the cyclic garbage collector, so a full cache adds nothing to its
+collections. A lookup makes the vector anew with ``EmbeddingVector``, which
+adds up the same squares in the same order, so every hit has the stored
+bits. The hex forms of the digests appear only in cache-file records, whose
+format is unchanged, and in scripted-fixture lookups.
 
 Each gateway holds the vector of every relation label it has fetched; a
 graph has at most twice as many labels as relations. Vocabulary retrieval
@@ -45,7 +46,6 @@ import hashlib
 import json
 import math
 import re
-import struct
 import threading
 import time
 import zlib
@@ -110,38 +110,18 @@ class EmbeddingVector:
         return len(self.values)
 
 
-# The slots' own setters: a frozen dataclass refuses plain assignment, and
-# ``object.__setattr__`` is slower on the cache-hit path.
-_set_values = EmbeddingVector.values.__set__
-_set_norm_sq = EmbeddingVector.norm_sq.__set__
-
-
-def _payload(vector: EmbeddingVector) -> bytes:
-    """``vector``'s values then its ``norm_sq``, as native doubles."""
-    return vector.values.tobytes() + struct.pack("d", vector.norm_sq)
-
-
-def _restore(payload: bytes) -> EmbeddingVector:
-    """The vector ``_payload`` was taken from, bit for bit.
-
-    A payload only ever comes from a vector that was made, so validated,
-    already: its values are finite and its norm is theirs, and neither is
-    checked or added up again.
-    """
-    values = array("d", payload)
-    norm_sq = values.pop()
-    vector = object.__new__(EmbeddingVector)
-    _set_values(vector, values)
-    _set_norm_sq(vector, norm_sq)
-    return vector
-
-
 def _vector_from_json(values) -> EmbeddingVector:
-    """The vector of a JSON array of numbers. Anything but a list is a
-    ``TypeError``: a string or an object would read as its characters or keys."""
-    if not isinstance(values, list):
-        raise TypeError(f"embedding values must be a list, got {type(values).__name__}")
-    return EmbeddingVector(array("d", map(float, values)))
+    """The vector of a JSON array of numbers. Anything else is a ``TypeError``:
+    a string or an object would read as its characters or keys, and ``float``
+    would take a numeric string or a boolean. An int too large for a double
+    is a ``ValueError``."""
+    if not isinstance(values, list) or bool in map(type, values):
+        raise TypeError("embedding values must be a list of numbers")
+    try:
+        values = array("d", values)  # a TypeError for anything but an int or a float
+    except OverflowError as exc:
+        raise ValueError(f"embedding value out of range ({exc})") from None
+    return EmbeddingVector(values)
 
 
 def cosine_many(query: EmbeddingVector, vectors: Iterable[EmbeddingVector]) -> list[float]:
@@ -324,18 +304,19 @@ class EmbeddingCache:
 
     Both keys are raw 32-byte SHA-256 digests: vectors are held per identity
     in a dict keyed by the text's digest, each as one ``bytes`` payload (its
-    values' bytes, then its ``norm_sq``'s 8 bytes), so that no held entry is
-    an object the cyclic garbage collector must walk. ``get`` returns a new
-    vector with the held bits each time, and ``put`` returns a vector equal
-    bit for bit to the held one, not the held object. When backed by a
-    file, records are line-JSON after a version header line and name both
-    digests in hex; writes are atomic per key (guarded by a lock, flushed
-    per line). Only the cache that creates the file writes the header: it
-    creates the file exclusively (``O_EXCL``), and a cache that finds the
-    file made by another since it looked appends its record without one. A
-    load skips and counts lines that are not whole records, such as one cut
-    short by an interrupted write, and the next append starts on a new line
-    so that no later record is glued onto the cut one.
+    values' bytes), so that no held entry is an object the cyclic garbage
+    collector must walk. ``get`` makes a new vector from the held bytes each
+    time with ``EmbeddingVector``, so with the held bits, norm included;
+    ``put`` returns a vector equal bit for bit to the held one, not the held
+    object. When backed by a file, records are line-JSON after a version
+    header line and name both digests in hex; writes are atomic per key
+    (guarded by a lock, flushed per line). Only the cache that creates the
+    file writes the header: it creates the file exclusively (``O_EXCL``),
+    and a cache that finds the file made by another since it looked appends
+    its record without one. A load skips and counts lines that are not whole
+    records, such as one cut short by an interrupted write, and the next
+    append starts on a new line so that no later record is glued onto the
+    cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -378,13 +359,13 @@ class EmbeddingCache:
                 except (ValueError, KeyError, TypeError, ContractError):
                     self.skipped += 1
                     continue
-                self._memory.setdefault(identity, {})[digest] = _payload(vector)
+                self._memory.setdefault(identity, {})[digest] = vector.values.tobytes()
         self._lead = "" if last.endswith("\n") else "\n"
 
     def get(self, identity_digest: bytes, digest: bytes) -> EmbeddingVector | None:
         vectors = self._memory.get(identity_digest)
         payload = vectors.get(digest) if vectors is not None else None
-        return _restore(payload) if payload is not None else None
+        return EmbeddingVector(array("d", payload)) if payload is not None else None
 
     def put(self, identity_digest: bytes, digest: bytes, vector: EmbeddingVector) -> EmbeddingVector:
         """Store ``vector`` unless the key is held already; return a vector equal
@@ -394,12 +375,12 @@ class EmbeddingCache:
         returned vector, so two threads that embedded the same text keep the
         same bits between them: those of the first to store it.
         """
-        payload = _payload(vector)
+        payload = vector.values.tobytes()
         with self._lock:
             vectors = self._memory.setdefault(identity_digest, {})
             stored = vectors.get(digest)
             if stored is not None:
-                return _restore(stored)
+                return EmbeddingVector(array("d", stored))
             vectors[digest] = payload
             if self._path is not None:
                 try:

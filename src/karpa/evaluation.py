@@ -84,13 +84,21 @@ def _as_list(value, name: str) -> list:
     return value
 
 
+def _label(value, name: str) -> str:
+    """A topic, answer or alias: a string, or a JSON number as its text. Anything
+    else is a ``TypeError``: ``str`` would read a null as the label "None"."""
+    if type(value) not in (str, int, float):
+        raise TypeError(f"{name} must be a string or a number, got {type(value).__name__}")
+    return str(value)
+
+
 def _sample_from_simple(obj: dict) -> QASample:
     return QASample(
         id=str(obj["id"]),
         question=obj["question"],
-        topic_entities=[str(t) for t in _as_list(obj["topics"], "topics")],
+        topic_entities=[_label(t, "topic") for t in _as_list(obj["topics"], "topics")],
         gold_answers=[
-            [str(a) for a in _as_list(aliases, "answers entry")]
+            [_label(a, "answer") for a in _as_list(aliases, "answers entry")]
             for aliases in _as_list(obj["answers"], "answers")
         ],
     )
@@ -116,13 +124,13 @@ def _sample_from_cwq(obj: dict) -> QASample:
     sample_id = str(obj["ID"])
     question = obj["question"]
     if isinstance(obj.get("topic_entity"), dict):
-        topics = [str(t) for t in obj["topic_entity"].values()]
+        topics = [_label(t, "topic_entity") for t in obj["topic_entity"].values()]
     elif "topic_entity_name" in obj:
-        topics = [str(obj["topic_entity_name"])]
+        topics = [_label(obj["topic_entity_name"], "topic_entity_name")]
     else:
         raise KeyError("topic_entity")
     answers = [
-        [str(a) for a in [ans["answer"], *_as_list(ans.get("aliases", []), "aliases")]]
+        [_label(a, "answer") for a in [ans["answer"], *_as_list(ans.get("aliases", []), "aliases")]]
         for ans in obj["answers"]
     ]
     return QASample(sample_id, question, topics, answers)
@@ -344,8 +352,8 @@ def evaluate(
                 pool.shutdown(cancel_futures=True)
                 raise
     else:
-        # Not a one-worker pool: on the heuristic-cold benchmark (seed 3, 2 CPUs)
-        # that raised peak RSS from 187 to 210 MB, past its 10% bound.
+        # In the calling thread, not a one-worker pool: there Ctrl-C stops the
+        # question in flight, where a pool's shutdown waits for it to finish.
         payloads = [run_one(sample) for sample in samples]
 
     ledger = UsageLedger()

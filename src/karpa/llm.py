@@ -123,6 +123,15 @@ def _estimated_usage(messages: list[ChatMessage], text: str) -> tuple[int, int]:
     return prompt, estimate_tokens(text)
 
 
+def _usage_count(value) -> int:
+    """A reply's token count; ``int`` alone would take ``"12"`` and ``true``."""
+    if type(value) not in (int, float):
+        raise TypeError(f"usage count must be a number, got {type(value).__name__}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"usage count must be finite, got {value}")
+    return int(value)
+
+
 def _chat_fixture_record(obj) -> tuple[str, str]:
     digest, text = obj["digest"], obj["response_text"]
     if not isinstance(digest, str) or not isinstance(text, str):
@@ -188,8 +197,8 @@ class HttpChatProvider:
     Response: ``{"choices": [{"message": {"content"}}], "usage":
     {"prompt_tokens", "completion_tokens"}}``. The API key is read from
     ``KARPA_LLM_API_KEY`` and sent as a bearer token. A reply whose content
-    is missing or not a string, or whose usage counts are not numbers, is a
-    ``ProviderError``.
+    is missing or not a string, or whose usage counts are not finite JSON
+    numbers, is a ``ProviderError``.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 120.0):
@@ -215,8 +224,8 @@ class HttpChatProvider:
             if usage is not None:
                 return CompletionResult(
                     text,
-                    int(usage.get("prompt_tokens", 0)),
-                    int(usage.get("completion_tokens", 0)),
+                    _usage_count(usage.get("prompt_tokens", 0)),
+                    _usage_count(usage.get("completion_tokens", 0)),
                 )
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise ProviderError(f"malformed chat reply ({type(exc).__name__}: {exc})") from None

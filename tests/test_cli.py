@@ -646,6 +646,9 @@ def test_ask_non_json_chat_fixture_line_is_data_error(tmp_path, kg_file, capsys)
         ("embedding", '{"digest": "d2", "dim": 1, "values": ["x"]}'),
         ("embedding", '{"digest": "d2", "dim": 1, "values": [1e999]}'),
         ("embedding", '{"digest": "d2", "dim": 3, "values": "123"}'),
+        ("embedding", '{"digest": "d2", "dim": 2, "values": ["1.5", "2"]}'),
+        ("embedding", '{"digest": "d2", "dim": 3, "values": [true, false, 3]}'),
+        pytest.param("embedding", '{"digest": "d2", "dim": 2, "values": [1' + "0" * 400 + ', 1.0]}', id="embedding-huge-int"),
     ],
 )
 def test_ask_fixture_line_that_is_not_a_record_is_data_error(tmp_path, kg_file, capsys, kind, line):
@@ -718,6 +721,21 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
             0,
         ),
         ("cwq", json.dumps([{"ID": "1", "question": 5, "topic_entity_name": "A", "answers": [{"answer": "B"}]}]), 0),
+        # A null would be taken as the label "None", a list or an object as its repr.
+        ("simple", json.dumps({"id": "q", "question": "?", "topics": [None], "answers": [["B"]]}), 0),
+        ("simple", f'{_GOOD_SIMPLE}\n{json.dumps({"id": "1", "question": "?", "topics": ["A"], "answers": [[None]]})}', 1),
+        ("simple", json.dumps({"id": "q", "question": "?", "topics": [["A"]], "answers": [["B"]]}), 0),
+        ("simple", json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers": [[{"B": 1}]]}), 0),
+        ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity_name": "A", "answers": [{"answer": None}]}]), 0),
+        (
+            "cwq",
+            json.dumps(
+                [{"ID": "1", "question": "q?", "topic_entity_name": "A", "answers": [{"answer": "x", "aliases": [None]}]}]
+            ),
+            0,
+        ),
+        ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity": {"m.1": None}, "answers": [{"answer": "B"}]}]), 0),
+        ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity_name": ["A"], "answers": [{"answer": "B"}]}]), 0),
     ],
     ids=[
         "simple-list-record",
@@ -731,6 +749,14 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
         "simple-int-question",
         "webqsp-int-question",
         "cwq-int-question",
+        "simple-null-topic",
+        "simple-null-answer",
+        "simple-list-topic",
+        "simple-object-answer",
+        "cwq-null-answer",
+        "cwq-null-alias",
+        "cwq-null-topic-entity",
+        "cwq-list-topic-name",
     ],
 )
 def test_eval_dataset_record_of_wrong_shape_is_data_error(tmp_path, kg_file, capsys, format, text, index):

@@ -466,6 +466,18 @@ def test_cache_load_skips_values_that_are_not_a_list(tmp_path):
     assert cache.get(b"identity", b"string") is None and cache.get(b"identity", b"object") is None
 
 
+def test_cache_load_skips_values_that_are_not_json_numbers(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    EmbeddingCache(path).put(b"identity", b"kept", mock_embed("kept", 8))
+    with path.open("a", encoding="utf-8") as fp:
+        for digest, values in ((b"strings", ["1.5", "2"]), (b"booleans", [True, False]), (b"huge", [10**400, 1.0])):
+            record = {"identity": b"identity".hex(), "text": digest.hex(), "dim": 2, "values": values}
+            fp.write(json.dumps(record) + "\n")
+    cache = EmbeddingCache(path)
+    assert cache.skipped == 3 and cache.stats()["records"] == 1
+    assert cache.get(b"identity", b"kept") == mock_embed("kept", 8)
+
+
 def test_two_caches_on_one_new_file_write_one_header(tmp_path):
     path = tmp_path / "cache.jsonl"
     first, second = EmbeddingCache(path), EmbeddingCache(path)
@@ -551,8 +563,8 @@ def _two_label_texts_and_a_warm_gateway() -> tuple[list[str], EmbeddingGateway]:
 # Bytes a cache entry (dim 64, ~22 nonzero components) retains: about 1,400
 # when vectors held tuples of floats under hex-digest keys, about 815 with
 # ``array('d')`` payloads in slotted vectors, about 650 with one ``bytes``
-# payload per entry.
-CACHE_ENTRY_BYTES_BOUND = 750
+# payload of values and norm per entry, about 640 with the values' bytes only.
+CACHE_ENTRY_BYTES_BOUND = 700
 
 
 def test_cache_entries_stay_small():

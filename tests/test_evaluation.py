@@ -1,6 +1,9 @@
 import json
 import os
 import random
+import signal
+import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -366,6 +369,35 @@ def test_concurrent_equals_sequential():
     sequential = evaluate(samples, runner, concurrency=1)
     concurrent = evaluate(samples, runner, concurrency=4)
     assert render_report(sequential) == render_report(concurrent)
+
+
+def test_ctrl_c_stops_a_sequential_run_in_the_question_in_flight():
+    started, finished = threading.Event(), []
+
+    def runner(s):
+        started.set()
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            time.sleep(0.01)
+        finished.append(s.id)
+        return outcome(answer_set("a"))
+
+    def interrupt():
+        if started.wait(timeout=10):
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+    # A shell starts background jobs with SIGINT ignored: install Python's own handler.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    helper = threading.Thread(target=interrupt)
+    helper.start()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            evaluate([sample(1, [["a"]]), sample(2, [["a"]])], runner, concurrency=1)
+    finally:
+        helper.join(timeout=10)
+        signal.signal(signal.SIGINT, previous)
+    assert not helper.is_alive()
+    assert finished == []
 
 
 def test_report_rendering_shape():

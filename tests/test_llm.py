@@ -358,8 +358,15 @@ _GOOD_EMBEDDING = {"data": [{"index": 0, "embedding": [1.0, 2.0]}]}
         {"choices": [{"message": {"content": None}}]},
         {"choices": [{"message": {"content": "ok {x}"}}], "usage": "many"},
         [],
+        # Counts that ``int`` would take: a numeric string, a boolean, infinity.
+        {"choices": [{"message": {"content": "ok {x}"}}], "usage": {"prompt_tokens": "12"}},
+        {"choices": [{"message": {"content": "ok {x}"}}], "usage": {"completion_tokens": True}},
+        b'{"choices": [{"message": {"content": "ok {x}"}}], "usage": {"prompt_tokens": 1e400}}',
     ],
-    ids=["not-json", "no-choices", "empty-choices", "no-message", "null-content", "bad-usage", "list"],
+    ids=[
+        "not-json", "no-choices", "empty-choices", "no-message", "null-content", "bad-usage", "list",
+        "usage-string", "usage-bool", "usage-infinite",
+    ],
 )
 def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
     from karpa.llm import HttpChatProvider
@@ -388,6 +395,10 @@ def _rows(*indices):
         # Not a list: read as its characters or its keys, each is a number.
         ({"data": [{"index": 0, "embedding": "123"}]}, ["x"]),
         ({"data": [{"index": 0, "embedding": {"4": 1, "5": 2, "6": 3}}]}, ["x"]),
+        # Not JSON numbers, or too large for a double.
+        ({"data": [{"index": 0, "embedding": ["1.5", "2"]}]}, ["x"]),
+        ({"data": [{"index": 0, "embedding": [True, False, 3]}]}, ["x"]),
+        ({"data": [{"index": 0, "embedding": [10**400, 1.0]}]}, ["x"]),
         ({"data": "rows"}, ["x"]),
         ({"data": []}, ["x"]),
         ({"data": [{"index": 0, "embedding": [0.0, 0.0]}]}, ["x"]),
@@ -401,6 +412,7 @@ def _rows(*indices):
     ],
     ids=[
         "not-json", "no-data", "no-embedding", "no-index", "bad-value", "embedding-string", "embedding-object",
+        "numeric-strings", "booleans", "huge-int",
         "data-not-list", "too-few", "all-zero",
         "index-1-1", "index-5-7", "index-0-0", "index-false-true", "index-float",
     ],
