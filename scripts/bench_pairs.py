@@ -47,13 +47,15 @@ SIDES = ("base", "change")
 
 def git(repo: Path, *args: str) -> str:
     return subprocess.run(
-        ["git", *args], cwd=repo, check=True, capture_output=True, text=True
+        ["git", *args], cwd=repo, check=True, capture_output=True, text=True, encoding="utf-8"
     ).stdout.strip()
 
 
 def tree_hash(repo: Path, rev: str, path: str) -> str | None:
     """The git tree hash of ``path`` at ``rev``, or None if it has no such directory."""
-    proc = subprocess.run(["git", "rev-parse", f"{rev}:{path}"], cwd=repo, capture_output=True, text=True)
+    proc = subprocess.run(
+        ["git", "rev-parse", f"{rev}:{path}"], cwd=repo, capture_output=True, text=True, encoding="utf-8"
+    )
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
@@ -83,7 +85,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True, encoding="utf-8",
     )
     lines = proc.stdout.strip().splitlines()
     try:

@@ -41,7 +41,7 @@ from karpa.cli import main as karpa_main  # noqa: E402
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider  # noqa: E402
 from karpa.evaluation import evaluate, load_dataset  # noqa: E402
 from karpa.kg import load_triples  # noqa: E402
-from karpa.llm import ScriptedChatProvider, digest_messages, write_chat_fixtures  # noqa: E402
+from karpa.llm import ScriptedChatProvider, digest_messages  # noqa: E402
 from karpa.matching import STRATEGIES, match_candidates  # noqa: E402
 from karpa.pipeline import Pipeline, make_sample_runner  # noqa: E402
 from karpa.config import PipelineConfig  # noqa: E402
@@ -325,9 +325,9 @@ def main() -> None:
                 record = {k: spec[k] for k in ("id", "question", "topics", "answers")}
                 fp.write(json.dumps(record, ensure_ascii=False) + "\n")
 
-    fixture_path = OUT_DIR / "llm_fixtures.jsonl"
-    fixture_path.write_text("", encoding="utf-8")
-    write_chat_fixtures(fixture_path, sorted(fixtures.items()))
+    with (OUT_DIR / "llm_fixtures.jsonl").open("w", encoding="utf-8") as fp:
+        for digest, text in sorted(fixtures.items()):
+            fp.write(json.dumps({"digest": digest, "response_text": text}, ensure_ascii=False) + "\n")
 
     print(f"wrote {len(triples)} triples, {len(questions)} questions, {len(fixtures)} chat fixtures")
     verify(OUT_DIR, selected_counts)

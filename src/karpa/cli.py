@@ -179,9 +179,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_eval(args, cfg)
         if args.command == "match":
             return _cmd_match(args, cfg)
-        if args.command == "cache":
-            return _cmd_cache(args, cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _cmd_cache(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -75,10 +75,10 @@ class EmbeddingVector:
     ``values`` is one ``array('d')``: any other iterable of numbers is copied
     into one when the vector is made, and an ``array('d')`` is kept as given,
     so the maker must not change it afterwards. Equality is elementwise (so
-    ``0.0 == -0.0``), the hash is that of the values as a tuple, and ``repr``
-    shows them as a tuple. ``norm_sq`` is the sum of squared values, added in
-    index order when the vector is made. It takes no part in equality,
-    hashing or ``repr``.
+    ``0.0 == -0.0``) and ``repr`` shows the values as a tuple. A vector has
+    no hash: its array is mutable. ``norm_sq`` is the sum of squared values,
+    added in index order when the vector is made. It takes no part in
+    equality or ``repr``.
     """
 
     values: array
@@ -98,9 +98,6 @@ class EmbeddingVector:
         if not math.isfinite(nv) and not all(map(math.isfinite, values)):
             raise ContractError("embedding values must be finite")
         object.__setattr__(self, "norm_sq", nv)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.values))
 
     def __repr__(self) -> str:
         return f"EmbeddingVector(values={tuple(self.values)!r})"
@@ -477,15 +474,13 @@ class EmbeddingGateway:
     def transient(self) -> Iterator[None]:
         """Within the block, ``embed`` in this thread keeps nothing it fetches.
 
-        Scopes nest; leaving one, by an exception too, restores the outer one.
+        Scopes do not nest: leaving one, by an exception too, ends it.
         """
-        scope = self._scope
-        outer = getattr(scope, "transient", False)
-        scope.transient = True
+        self._scope.transient = True
         try:
             yield
         finally:
-            scope.transient = outer
+            self._scope.transient = False
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.

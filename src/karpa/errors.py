@@ -18,14 +18,8 @@ class DataError(KarpaError):
 class ParseError(DataError):
     """Malformed text that should have followed a known format.
 
-    Carries the offending line number for file inputs, or the raw text
-    for LLM output that could not be parsed.
+    For a file input the message names the line.
     """
-
-    def __init__(self, message: str, *, line: int | None = None, raw: str | None = None):
-        super().__init__(message)
-        self.line = line
-        self.raw = raw
 
 
 class NotFoundError(DataError):
@@ -74,4 +68,3 @@ class MissingFixtureError(ProviderError):
 
     def __init__(self, digest: str):
         super().__init__(f"no scripted fixture for digest {digest}")
-        self.digest = digest

@@ -85,16 +85,22 @@ def _as_list(value, name: str) -> list:
 
 
 def _label(value, name: str) -> str:
-    """A topic, answer or alias: a string, or a JSON number as its text. Anything
+    """An id, topic, answer or alias: a string, or a JSON number as its text. Anything
     else is a ``TypeError``: ``str`` would read a null as the label "None"."""
     if type(value) not in (str, int, float):
         raise TypeError(f"{name} must be a string or a number, got {type(value).__name__}")
     return str(value)
 
 
+def _webqsp_name(obj: dict, key: str) -> str | None:
+    """``obj[key]`` through ``_label``; a null, missing or empty name is absent (``None``)."""
+    value = obj.get(key)
+    return None if value is None or value == "" else _label(value, key)
+
+
 def _sample_from_simple(obj: dict) -> QASample:
     return QASample(
-        id=str(obj["id"]),
+        id=_label(obj["id"], "id"),
         question=obj["question"],
         topic_entities=[_label(t, "topic") for t in _as_list(obj["topics"], "topics")],
         gold_answers=[
@@ -106,22 +112,22 @@ def _sample_from_simple(obj: dict) -> QASample:
 
 def _sample_from_webqsp(obj: dict) -> QASample:
     question = obj.get("ProcessedQuestion") or obj["RawQuestion"]
-    sample_id = str(obj["QuestionId"])
+    sample_id = _label(obj["QuestionId"], "QuestionId")
     topics: list[str] = []
     answers: dict[str, list[str]] = {}
     for parse in obj["Parses"]:
-        name = parse.get("TopicEntityName")
-        if name and str(name) not in topics:
-            topics.append(str(name))
+        name = _webqsp_name(parse, "TopicEntityName")
+        if name is not None and name not in topics:
+            topics.append(name)
         for ans in parse.get("Answers", []):
-            label = ans.get("EntityName") or ans.get("AnswerArgument")
-            if label:
-                answers.setdefault(str(label), [str(label)])
+            label = _webqsp_name(ans, "EntityName") or _webqsp_name(ans, "AnswerArgument")
+            if label is not None:
+                answers.setdefault(label, [label])
     return QASample(sample_id, question, topics, list(answers.values()))
 
 
 def _sample_from_cwq(obj: dict) -> QASample:
-    sample_id = str(obj["ID"])
+    sample_id = _label(obj["ID"], "ID")
     question = obj["question"]
     if isinstance(obj.get("topic_entity"), dict):
         topics = [_label(t, "topic_entity") for t in obj["topic_entity"].values()]
@@ -165,7 +171,7 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
     try:
         payload = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{p}: not a JSON {format} dataset ({exc})", line=exc.lineno) from None
+        raise ParseError(f"{p}: not a JSON {format} dataset ({exc})") from None
     if format == "webqsp":
         records = payload.get("Questions") if isinstance(payload, dict) else payload
         parse = _sample_from_webqsp

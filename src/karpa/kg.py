@@ -207,17 +207,11 @@ def _iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
         if first not in ("", "#"):
             if not triple:
                 raise ParseError(
-                    f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}",
-                    line=lineno,
-                    raw=line,
+                    f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}"
                 )
             yield fields
         elif first and triple:
-            raise ParseError(
-                f"line {lineno}: a head label may not start with '#', got {line!r}",
-                line=lineno,
-                raw=line,
-            )
+            raise ParseError(f"line {lineno}: a head label may not start with '#', got {line!r}")
 
 
 def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> KnowledgeGraph:

@@ -99,10 +99,6 @@ class UsageLedger:
         with self._lock:
             self._add(phase, (1, result.prompt_tokens, result.completion_tokens, int(result.estimated)))
 
-    @property
-    def calls(self) -> int:
-        return self.snapshot()["calls"]
-
     def snapshot(self) -> dict:
         with self._lock:
             phases = {name: dict(zip(COUNTERS, counts)) for name, counts in self._phases.items()}
@@ -169,15 +165,6 @@ class ScriptedChatProvider:
         return CompletionResult(text, *_estimated_usage(messages, text), estimated=True)
 
 
-def write_chat_fixtures(path: str | Path, records: Iterable[tuple[str, str]]) -> None:
-    """Append ``(digest, response_text)`` records to a fixture file."""
-    with Path(path).open("a", encoding="utf-8") as fp:
-        for digest, text in records:
-            fp.write(
-                json.dumps({"digest": digest, "response_text": text}, ensure_ascii=False) + "\n"
-            )
-
-
 class CannedChatProvider:
     """Returns one fixed response regardless of input; smoke-test provider."""
 
@@ -235,21 +222,13 @@ class HttpChatProvider:
 class LlmGateway:
     """Validates, retries, completes, and tallies usage by phase.
 
-    ``params`` is the ``llm`` config section; every completion sends its
-    model settings. It is keyword-only, so a call that passes a ledger
-    second cannot bind the ledger in its place.
+    Each gateway owns its ``ledger``, a new ``UsageLedger``. ``params`` is
+    the ``llm`` config section; every completion sends its model settings.
     """
 
-    def __init__(
-        self,
-        provider,
-        ledger: UsageLedger | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-        *,
-        params: LlmParams,
-    ):
+    def __init__(self, provider, sleep: Callable[[float], None] = time.sleep, *, params: LlmParams):
         self.provider = provider
-        self.ledger = ledger if ledger is not None else UsageLedger()
+        self.ledger = UsageLedger()
         self._sleep = sleep
         self.params = params
 

@@ -138,8 +138,6 @@ class MatchConfig:
     def resolve_max_len(self, candidates: list[RelationPath]) -> int:
         if self.max_len is not None:
             return self.max_len
-        if not candidates:
-            return 1
         return max(len(c) for c in candidates) + 1
 
 

@@ -28,7 +28,6 @@ from .llm import (
     HttpChatProvider,
     LlmGateway,
     ScriptedChatProvider,
-    UsageLedger,
     digest_messages,
 )
 from .matching import RelationPath, ScoredPath, match_candidates, union_top_k
@@ -115,8 +114,7 @@ class Pipeline:
         self.vocab = g.relation_vocabulary()
 
     def run(self, query: Query) -> PipelineResult:
-        ledger = UsageLedger()
-        llm = LlmGateway(self.chat_provider, ledger, params=self.cfg.llm)
+        llm = LlmGateway(self.chat_provider, params=self.cfg.llm)
         trace: list[dict] = []
         flags: list[str] = []
         selected = self._select(query, llm, trace, flags)
@@ -125,7 +123,7 @@ class Pipeline:
             answers = answer_question(query, selected, self.g, llm, self.cfg.reasoner.batch_limit, trace=trace)
             trace.append({"event": "answers", **answers.as_dict()})
         trace.append({"event": "flags", "flags": flags})
-        return PipelineResult(answers, trace, ledger.snapshot(), flags, selected)
+        return PipelineResult(answers, trace, llm.ledger.snapshot(), flags, selected)
 
     # -- phases ----------------------------------------------------------
 

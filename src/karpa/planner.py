@@ -117,7 +117,7 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
     For each length the last ``{...}`` group after that length's header is
     taken; its content is comma-split and trimmed. ``{}`` and ``None``
     mean no path of that length. If no length yields any brace group the
-    text is unusable and a ``ParseError`` carrying it is raised.
+    text is unusable and a ``ParseError`` is raised.
     """
     headers = [(m.start(), int(m.group(1))) for m in _LENGTH_HEADER.finditer(llm_text)]
     by_length: dict[int, list[RelationPath]] = {length: [] for length in PATH_LENGTHS}
@@ -136,7 +136,7 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
             inconsistent = True
         by_length.setdefault(length, []).append(RelationPath(labels))
     if not found_any:
-        raise ParseError("no per-length brace groups found in planning output", raw=llm_text)
+        raise ParseError("no per-length brace groups found in planning output")
     return CandidatePathSet(by_length=by_length, raw_llm_text=llm_text, inconsistent=inconsistent)
 
 

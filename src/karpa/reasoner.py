@@ -45,9 +45,6 @@ class AnswerSet:
     def normalized(self) -> list[str]:
         return [normalize_answer(a) for a in self.answers]
 
-    def is_empty(self) -> bool:
-        return not self.answers
-
     def add(self, surface: str, batch: int) -> None:
         norm = normalize_answer(surface)
         if not norm:
@@ -115,16 +112,16 @@ def answer_question(
     g: "KnowledgeGraph",
     llm: LlmGateway,
     batch_limit: int,
-    trace: list[dict] | None = None,
+    trace: list[dict],
 ) -> AnswerSet:
     """Batched reasoning over the matched paths; answers are unioned.
 
     Batches partition the score-ordered paths. A failed batch is recorded
     and the rest still run; only all batches failing is an error. Answers
-    matching no supplied tail-entity label are flagged ungrounded. When a
-    trace list is given, one event per batch is appended to it (prompt
-    digest, raw completion or failure, parsed answers), then, unless all
-    batches failed, one ``reasoning`` event with the batch count.
+    matching no supplied tail-entity label are flagged ungrounded. One
+    event per batch is appended to ``trace`` (prompt digest, raw completion
+    or failure, parsed answers), then, unless all batches failed, one
+    ``reasoning`` event with the batch count.
     """
     if batch_limit < 1:
         raise ContractError(f"batch_limit must be >= 1, got {batch_limit}")
@@ -159,12 +156,10 @@ def answer_question(
                 merged.add(surface, index)
             event["raw"] = result.text
             event["parsed"] = list(parsed.answers)
-        if trace is not None:
-            trace.append(event)
+        trace.append(event)
     if failures == len(batches):
         raise ProviderError(f"all {len(batches)} reasoning batches failed")
-    if trace is not None:
-        trace.append({"event": "reasoning", "batches": len(batches)})
+    trace.append({"event": "reasoning", "batches": len(batches)})
     merged.no_answer_marker = abstained == len(batches) - failures
 
     tails = {normalize_answer(g.entity_label(p.path.tail)) for p in matched}

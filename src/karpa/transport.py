@@ -182,7 +182,7 @@ def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{p}: line {index + 1} is not JSON ({exc})", line=index + 1) from None
+                raise ParseError(f"{p}: line {index + 1} is not JSON ({exc})") from None
             yield index, obj
 
 
@@ -198,7 +198,6 @@ def read_records(path: str | Path, what: str, parse: Callable[[object], T]) -> I
             record = parse(obj)
         except (LookupError, TypeError, ValueError, ContractError) as exc:
             raise ParseError(
-                f"{path}: line {index + 1} is not a {what} record ({type(exc).__name__}: {exc})",
-                line=index + 1,
+                f"{path}: line {index + 1} is not a {what} record ({type(exc).__name__}: {exc})"
             ) from None
         yield record

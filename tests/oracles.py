@@ -333,15 +333,7 @@ def ref_iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
         if line.lstrip().startswith("#"):
             if not triple:
                 continue
-            raise ParseError(
-                f"line {lineno}: a head label may not start with '#', got {line!r}",
-                line=lineno,
-                raw=line,
-            )
+            raise ParseError(f"line {lineno}: a head label may not start with '#', got {line!r}")
         if not triple:
-            raise ParseError(
-                f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}",
-                line=lineno,
-                raw=line,
-            )
+            raise ParseError(f"line {lineno}: expected 3 tab-separated non-empty fields, got {line!r}")
         yield fields

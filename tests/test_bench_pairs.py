@@ -35,7 +35,9 @@ print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
 
 
 def _git(repo, *args):
-    return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+    return subprocess.run(
+        ["git", *args], cwd=repo, check=True, capture_output=True, text=True, encoding="utf-8"
+    ).stdout.strip()
 
 
 def _make_repo(tmp_path, base_speeds, change_speeds):
@@ -71,7 +73,7 @@ def _bench_pairs(repo, *args):
     return subprocess.run(
         [sys.executable, "scripts/bench_pairs.py", "--base", "HEAD~1", "--change", "HEAD", "--workload", "w",
          "--seconds", "1", "--tag", "t", *args],
-        cwd=repo, capture_output=True, text=True,
+        cwd=repo, capture_output=True, text=True, encoding="utf-8",
     )
 
 

@@ -8,7 +8,7 @@ from karpa.config import config_digest, env_name, load_config, parse_config_text
 from karpa.embeddings import EmbeddingCache, MockEmbeddingProvider, mock_embed, text_digest
 from karpa.errors import ConfigError
 from karpa.kg import load_triples_path
-from karpa.llm import write_chat_fixtures, digest_messages
+from karpa.llm import digest_messages
 from karpa.matching import STRATEGIES
 from karpa.pipeline import load_graph
 from karpa.planner import Query, build_initial_prompt
@@ -131,6 +131,11 @@ def test_inverse_edges_flag_makes_load_graph_walk_backwards(kg_file, flag, walke
         ("embedding.dim", "4"),
         ("planner.per_relation_k", "0"),
         ("planner.per_relation_k", "-1"),
+        ("embedding.kind", "bogus"),
+        ("eval.mode", "bogus"),
+        ("eval.concurrency", "0"),
+        ("planner.relation_cap", "0"),
+        ("reasoner.batch_limit", "0"),
     ],
 )
 def test_out_of_range_value_is_config_error_before_the_graph_loads(
@@ -156,6 +161,8 @@ def test_out_of_range_value_is_config_error_before_the_graph_loads(
             ({"embedding.cache_path": "{tmp}/no/such/c.jsonl"}, "embedding.cache_path"),
             ({"embedding.kind": "scripted"}, "embedding.fixtures"),
             ({"llm.kind": "http", "llm.endpoint": "ftp://x"}, "llm.endpoint"),
+            ({"llm.kind": "scripted"}, "llm.fixtures"),
+            ({"kg.path": ""}, "kg.path"),
         ]
         if not (command == "match" and named.startswith("llm."))  # match asks no LLM
     ],
@@ -475,17 +482,12 @@ def test_ask_with_scripted_provider(tmp_path, kg_file, capsys):
     query = Query(id="q0", question="Who is the spouse of A's father?", topic_entities=("A",))
     # scripted fixture only for initial planning; it proposes nothing, the
     # pipeline falls back, matches nothing at zero candidates, answers empty
-    messages = build_initial_prompt(query)
-    write_chat_fixtures(
-        fixtures,
-        [
-            (
-                digest_messages(messages),
-                "Length 1 reasoning path: None: {}.\nLength 2 reasoning path: None: {}.\n"
-                "Length 3 reasoning path: None: {}.",
-            )
-        ],
-    )
+    record = {
+        "digest": digest_messages(build_initial_prompt(query)),
+        "response_text": "Length 1 reasoning path: None: {}.\nLength 2 reasoning path: None: {}.\n"
+        "Length 3 reasoning path: None: {}.",
+    }
+    fixtures.write_text(json.dumps(record) + "\n", encoding="utf-8")
     conf = tmp_path / "ask.conf"
     conf.write_text(
         f"kg.path = {kg_file}\nllm.kind = scripted\nllm.fixtures = {fixtures}\n",
@@ -516,16 +518,12 @@ def test_ask_with_scripted_provider(tmp_path, kg_file, capsys):
 def test_ask_is_deterministic(tmp_path, kg_file):
     fixtures = tmp_path / "llm.jsonl"
     query = Query(id="q0", question="Q?", topic_entities=("A",))
-    write_chat_fixtures(
-        fixtures,
-        [
-            (
-                digest_messages(build_initial_prompt(query)),
-                "Length 1 reasoning path: None: {}.\nLength 2 reasoning path: None: {}.\n"
-                "Length 3 reasoning path: None: {}.",
-            )
-        ],
-    )
+    record = {
+        "digest": digest_messages(build_initial_prompt(query)),
+        "response_text": "Length 1 reasoning path: None: {}.\nLength 2 reasoning path: None: {}.\n"
+        "Length 3 reasoning path: None: {}.",
+    }
+    fixtures.write_text(json.dumps(record) + "\n", encoding="utf-8")
     conf = tmp_path / "ask.conf"
     conf.write_text(
         f"kg.path = {kg_file}\nllm.kind = scripted\nllm.fixtures = {fixtures}\n",
@@ -736,6 +734,43 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
         ),
         ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity": {"m.1": None}, "answers": [{"answer": "B"}]}]), 0),
         ("cwq", json.dumps([{"ID": "1", "question": "q?", "topic_entity_name": ["A"], "answers": [{"answer": "B"}]}]), 0),
+        # An id goes through the same check: str() would read null as "None", true as "True".
+        ("simple", json.dumps({"id": None, "question": "?", "topics": ["A"], "answers": [["B"]]}), 0),
+        ("simple", f'{_GOOD_SIMPLE}\n{json.dumps({"id": True, "question": "?", "topics": ["A"], "answers": [["B"]]})}', 1),
+        ("simple", json.dumps({"id": [1], "question": "?", "topics": ["A"], "answers": [["B"]]}), 0),
+        ("cwq", json.dumps([{"ID": None, "question": "q?", "topic_entity_name": "A", "answers": [{"answer": "B"}]}]), 0),
+        ("cwq", json.dumps([{"ID": True, "question": "q?", "topic_entity_name": "A", "answers": [{"answer": "B"}]}]), 0),
+        (
+            "webqsp",
+            json.dumps([{"QuestionId": None, "RawQuestion": "q?", "Parses": [{"TopicEntityName": "A", "Answers": [{"EntityName": "B"}]}]}]),
+            0,
+        ),
+        (
+            "webqsp",
+            json.dumps([{"QuestionId": [1], "RawQuestion": "q?", "Parses": [{"TopicEntityName": "A", "Answers": [{"EntityName": "B"}]}]}]),
+            0,
+        ),
+        # A WebQSP name that is a list, an object or a boolean would be taken as its repr.
+        (
+            "webqsp",
+            json.dumps([{"QuestionId": "1", "RawQuestion": "q?", "Parses": [{"TopicEntityName": ["A"], "Answers": [{"EntityName": "B"}]}]}]),
+            0,
+        ),
+        (
+            "webqsp",
+            json.dumps([{"QuestionId": "1", "RawQuestion": "q?", "Parses": [{"TopicEntityName": "A", "Answers": [{"EntityName": {"x": 1}}]}]}]),
+            0,
+        ),
+        (
+            "webqsp",
+            json.dumps([{"QuestionId": "1", "RawQuestion": "q?", "Parses": [{"TopicEntityName": "A", "Answers": [{"EntityName": None, "AnswerArgument": [7]}]}]}]),
+            0,
+        ),
+        (
+            "webqsp",
+            json.dumps([{"QuestionId": "1", "RawQuestion": "q?", "Parses": [{"TopicEntityName": True, "Answers": [{"EntityName": "B"}]}]}]),
+            0,
+        ),
     ],
     ids=[
         "simple-list-record",
@@ -757,6 +792,17 @@ _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers
         "cwq-null-alias",
         "cwq-null-topic-entity",
         "cwq-list-topic-name",
+        "simple-null-id",
+        "simple-true-id",
+        "simple-list-id",
+        "cwq-null-id",
+        "cwq-true-id",
+        "webqsp-null-id",
+        "webqsp-list-id",
+        "webqsp-list-topic-name",
+        "webqsp-object-answer",
+        "webqsp-list-answer-argument",
+        "webqsp-true-topic-name",
     ],
 )
 def test_eval_dataset_record_of_wrong_shape_is_data_error(tmp_path, kg_file, capsys, format, text, index):

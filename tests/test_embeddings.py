@@ -23,7 +23,7 @@ from karpa.embeddings import (
     mock_embed,
     text_digest,
 )
-from karpa.errors import ContractError, DomainError, MissingFixtureError, ProviderError, TransportError
+from karpa.errors import ContractError, DataError, DomainError, MissingFixtureError, ProviderError, TransportError
 from karpa.transport import ATTEMPTS
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
@@ -175,7 +175,8 @@ def _loop_norm_sq(values):
 def test_stored_norm_is_the_loop_sum_and_stays_out_of_equality(values):
     a, b = EmbeddingVector(tuple(values)), EmbeddingVector(tuple(values))
     assert a == b
-    assert hash(a) == hash(b)
+    with pytest.raises(TypeError):
+        hash(a)  # a vector's array is mutable, so it has no hash
     assert a.norm_sq == _loop_norm_sq(values)
     assert repr(a) == f"EmbeddingVector(values={tuple(values)!r})"
 
@@ -476,6 +477,24 @@ def test_cache_load_skips_values_that_are_not_json_numbers(tmp_path):
     cache = EmbeddingCache(path)
     assert cache.skipped == 3 and cache.stats()["records"] == 1
     assert cache.get(b"identity", b"kept") == mock_embed("kept", 8)
+
+
+def test_cache_load_skips_blank_lines_without_counting_them(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    EmbeddingCache(path).put(b"identity", b"first", mock_embed("first", 8))
+    with path.open("a", encoding="utf-8") as fp:
+        fp.write("\n  \n")
+    EmbeddingCache(path).put(b"identity", b"second", mock_embed("second", 8))
+    cache = EmbeddingCache(path)
+    assert cache.skipped == 0 and cache.stats()["records"] == 2
+
+
+@pytest.mark.parametrize("first_line", ["karpa cache\n", "[1, 2]\n"], ids=["not-json", "not-a-header"])
+def test_file_that_does_not_start_with_a_cache_header_is_data_error(tmp_path, first_line):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(first_line, encoding="utf-8")
+    with pytest.raises(DataError, match="not an embedding cache file"):
+        EmbeddingCache(path)
 
 
 def test_two_caches_on_one_new_file_write_one_header(tmp_path):

@@ -86,7 +86,11 @@ def test_webqsp_loader(tmp_path):
                             {"EntityName": "Y", "AnswerArgument": "m.123"},
                             {"EntityName": None, "AnswerArgument": "1984"},
                         ],
-                    }
+                    },
+                    # A null, empty or missing name is absent.
+                    {"TopicEntityName": None, "Answers": [{"EntityName": "", "AnswerArgument": None}, {}]},
+                    {"TopicEntityName": ""},
+                    {},
                 ],
             }
         ]
@@ -200,6 +204,12 @@ def test_exact_requires_bijection():
     assert s2.exact == 1
 
 
+def test_exact_match_moves_an_earlier_prediction_to_a_free_gold():
+    # "a" takes the first gold, then "b", which only the first gold holds,
+    # takes it over and "a" moves to the second.
+    assert score_sample(answer_set("a", "b"), [["a", "b"], ["a"]]).exact == 1
+
+
 def test_f1_identity_and_bounds_thousand_cases():
     rng = random.Random(424242)
     for _ in range(1000):
@@ -302,6 +312,23 @@ def test_checkpoint_resume_skips_runner(tmp_path):
     # a different config digest invalidates the checkpoint
     evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="other")
     assert calls["n"] == 2
+
+
+def test_checkpoint_that_is_not_json_is_run_again(tmp_path):
+    samples = [sample(1, [["a"]])]
+    ran = []
+
+    def runner(s):
+        ran.append(s.id)
+        return outcome(answer_set("a"))
+
+    evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    (checkpoint,) = tmp_path.glob("*.json")
+    checkpoint.write_text('{"config_digest": "d", "ans', encoding="utf-8")
+    report = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    assert ran == ["q1", "q1"]
+    assert report.records[0].score.hit1 == 1
+    assert json.loads(checkpoint.read_text(encoding="utf-8"))["config_digest"] == "d"
 
 
 def test_checkpoint_writes_trace_file(tmp_path):

@@ -22,7 +22,6 @@ from karpa.llm import (
     UsageLedger,
     digest_messages,
     estimate_tokens,
-    write_chat_fixtures,
 )
 
 
@@ -83,7 +82,7 @@ def test_scripted_missing_fixture_names_digest():
 def test_scripted_fixture_file_roundtrip(tmp_path):
     path = tmp_path / "fixtures.jsonl"
     messages = [user("q1")]
-    write_chat_fixtures(path, [(digest_messages(messages), "a1 {x}")])
+    path.write_text(json.dumps({"digest": digest_messages(messages), "response_text": "a1 {x}"}) + "\n", encoding="utf-8")
     provider = ScriptedChatProvider.from_file(path)
     assert provider.complete(messages, LlmParams()).text == "a1 {x}"
 
@@ -92,11 +91,10 @@ def test_two_calls_increment_ledger_twice():
     provider = ScriptedChatProvider()
     messages = [user("ping")]
     provider.add(messages, "pong")
-    ledger = UsageLedger()
-    gw = LlmGateway(provider, ledger, params=LlmParams())
+    gw = LlmGateway(provider, params=LlmParams())
     gw.complete(messages, phase="reasoning")
     gw.complete(messages, phase="reasoning")
-    assert ledger.calls == 2
+    assert gw.ledger.snapshot()["calls"] == 2
 
 
 # -- ledger ---------------------------------------------------------------------
@@ -197,11 +195,10 @@ def test_gateway_retries_exhausted():
 
 
 def test_failed_calls_not_recorded_in_ledger():
-    ledger = UsageLedger()
-    gw = LlmGateway(_FlakyChat(failures=10), ledger, sleep=lambda _: None, params=LlmParams())
+    gw = LlmGateway(_FlakyChat(failures=10), sleep=lambda _: None, params=LlmParams())
     with pytest.raises(TransportError):
         gw.complete([user("q")])
-    assert ledger.calls == 0
+    assert gw.ledger.snapshot()["calls"] == 0
 
 
 # -- http wire formats -------------------------------------------------------------

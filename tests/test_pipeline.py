@@ -5,7 +5,8 @@ import pytest
 from karpa.config import PipelineConfig, config_digest
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider
 from karpa.evaluation import QASample, evaluate
-from karpa.llm import ScriptedChatProvider, digest_messages
+from karpa.errors import MissingFixtureError
+from karpa.llm import CompletionResult, ScriptedChatProvider, digest_messages
 from karpa.matching import MatchConfig, match_candidates
 from karpa.pipeline import Pipeline, make_sample_runner
 from karpa.planner import (
@@ -187,7 +188,7 @@ def test_unresolvable_topic_returns_empty_with_flag():
     pipeline, _ = build_brahui_world()
     query = Query("x", "Whatever?", ("Klingon Language",))
     result = pipeline.run(query)
-    assert result.answers.is_empty()
+    assert result.answers.answers == []
     assert "no_resolvable_topic" in result.flags
     assert result.usage_snapshot["calls"] == 0
 
@@ -230,8 +231,49 @@ def test_unparseable_initial_plan_flagged_and_empty():
     assert "initial_parse_error" in result.flags
     assert "fallback_initial" in result.flags
     assert "no_paths_matched" in result.flags
-    assert result.answers.is_empty()
+    assert result.answers.answers == []
     assert result.usage_snapshot["calls"] == 1  # nothing to re-plan or reason over
+
+
+class _AbstainingChat(ScriptedChatProvider):
+    """Replays its fixtures, and abstains with ``{}`` on any other prompt."""
+
+    def complete(self, messages, params):
+        try:
+            return super().complete(messages, params)
+        except MissingFixtureError:
+            return CompletionResult("{}", 1, 1)
+
+
+def test_inconsistent_plans_and_snapped_labels_are_flagged():
+    # Two labels under "Length 1" make both plans inconsistent, and the
+    # re-plan's unknown label is snapped to its nearest vocabulary label.
+    g = graph_from(BRAHUI_TRIPLES)
+    embedder = EmbeddingGateway(MockEmbeddingProvider(64))
+    provider = _AbstainingChat()
+    plan = (
+        "Length 1 reasoning path: "
+        "{language.human_language.main_country, government.government_position_held.office_holder}.\n"
+        "Length 2 reasoning path: None: {}.\nLength 3 reasoning path: None: {}."
+    )
+    provider.add(build_initial_prompt(BRAHUI_QUESTION), plan)
+    pool = extract_relation_pool(parse_path_sets(plan), g.relation_vocabulary(), embedder, cap=30)
+    provider.add(
+        build_replanning_prompt(BRAHUI_QUESTION, pool),
+        plan.replace("government.government_position_held.office_holder", "government.president"),
+    )
+    result = Pipeline(make_config(), g, embedder, provider).run(BRAHUI_QUESTION)
+    assert {"initial_inconsistent", "replan_inconsistent", "snapped_relations"} <= set(result.flags)
+    [(label, snapped)] = next(e for e in result.trace if e["event"] == "replanning")["snaps"]
+    assert label == "government.president" and snapped in g.relation_vocabulary()
+
+
+def test_sample_without_topics_is_a_not_found_error_record():
+    pipeline, _ = build_brahui_world()
+    sample = QASample("bare", BRAHUI_QUESTION.question, [], [["Muhammad Zia-ul-Haq"]])
+    [record] = evaluate([sample], make_sample_runner(pipeline)).records
+    assert record.error == "NotFoundError: sample bare has no topic entities"
+    assert record.usage["calls"] == 0
 
 
 # -- strategy comparison on the greedy trap ----------------------------------------------
@@ -319,7 +361,7 @@ def test_run_pipeline_from_config(tmp_path):
     cfg.kg.path = str(kg_path)
     cfg.llm.kind = "mock"  # canned "{}" response: explicit empty answers
     result = build_pipeline(cfg).run(Query("q", "What is linked to A?", ("A",)))
-    assert result.answers.is_empty()
+    assert result.answers.answers == []
     assert result.usage_snapshot["calls"] >= 1
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from karpa.errors import ContractError, ProviderError
-from karpa.llm import LlmGateway, LlmParams, ScriptedChatProvider, UsageLedger
+from karpa.llm import LlmGateway, LlmParams, ScriptedChatProvider
 from karpa.matching import MatchConfig, RelationPath, heuristic_top_k
 from karpa.planner import Query
 from karpa.reasoner import (
@@ -148,7 +148,7 @@ def scripted(g, query, batches, responses, gateway):
     provider = ScriptedChatProvider()
     for batch, response in zip(batches, responses):
         provider.add(build_reasoning_prompt(query, batch, g), response)
-    return provider, LlmGateway(provider, UsageLedger(), params=LlmParams())
+    return provider, LlmGateway(provider, params=LlmParams())
 
 
 def test_sixteen_paths_make_two_completions(gateway):
@@ -156,8 +156,8 @@ def test_sixteen_paths_make_two_completions(gateway):
     paths = matched_paths(g, 16, gateway)
     batches = [paths[:8], paths[8:]]
     provider, llm = scripted(g, RIFT_QUERY, batches, ["{tail00}", "{}"], gateway)
-    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
-    assert llm.ledger.calls == 2
+    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
+    assert llm.ledger.snapshot()["calls"] == 2
     assert llm.ledger.snapshot()["phases"]["reasoning"]["calls"] == 2
     assert answers.answers == ["tail00"]
 
@@ -167,7 +167,7 @@ def test_batch_answers_unioned(gateway):
     paths = matched_paths(g, 10, gateway)
     batches = [paths[:8], paths[8:]]
     provider, llm = scripted(g, RIFT_QUERY, batches, ["{tail00, tail01}", "{tail08}"], gateway)
-    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
+    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
     assert answers.answers == ["tail00", "tail01", "tail08"]
     assert answers.provenance["tail08"] == [1]
     assert answers.ungrounded == set()
@@ -177,7 +177,7 @@ def test_ungrounded_answer_kept_but_flagged(gateway):
     g = star_graph(2)
     paths = matched_paths(g, 2, gateway)
     provider, llm = scripted(g, RIFT_QUERY, [paths], ["{Atlantis}"], gateway)
-    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
+    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
     assert answers.answers == ["Atlantis"]
     assert answers.ungrounded == {"atlantis"}
 
@@ -188,8 +188,8 @@ def test_completion_count_formula(gateway):
         paths = matched_paths(g, n, gateway)
         batches = [paths[i : i + 8] for i in range(0, n, 8)]
         provider, llm = scripted(g, RIFT_QUERY, batches, ["{}"] * len(batches), gateway)
-        answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
-        assert llm.ledger.calls == expected, f"{n} paths"
+        answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
+        assert llm.ledger.snapshot()["calls"] == expected, f"{n} paths"
 
 
 def test_failed_batch_recorded_rest_continue(gateway):
@@ -198,7 +198,7 @@ def test_failed_batch_recorded_rest_continue(gateway):
     batches = [paths[:8], paths[8:]]
     # only the second batch has a fixture; the first raises MissingFixtureError
     provider, llm = scripted(g, RIFT_QUERY, [batches[1]], ["{tail08}"], gateway)
-    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
+    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
     assert answers.answers == ["tail08"]
 
 
@@ -207,7 +207,7 @@ def test_all_batches_failing_is_error(gateway):
     paths = matched_paths(g, 3, gateway)
     provider, llm = scripted(g, RIFT_QUERY, [], [], gateway)
     with pytest.raises(ProviderError):
-        answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
+        answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
 
 
 def test_trace_ends_with_the_batch_count_unless_all_batches_fail(gateway):
@@ -233,7 +233,7 @@ def test_unsorted_matched_paths_rejected(gateway):
     assert paths[0].score > paths[1].score
     provider, llm = scripted(g, RIFT_QUERY, [paths], ["{}"], gateway)
     with pytest.raises(ContractError):
-        answer_question(RIFT_QUERY, list(reversed(paths)), g, llm, batch_limit=8)
+        answer_question(RIFT_QUERY, list(reversed(paths)), g, llm, batch_limit=8, trace=[])
 
 
 def test_abstention_marker_only_when_all_batches_abstain(gateway):
@@ -241,6 +241,6 @@ def test_abstention_marker_only_when_all_batches_abstain(gateway):
     paths = matched_paths(g, 10, gateway)
     batches = [paths[:8], paths[8:]]
     provider, llm = scripted(g, RIFT_QUERY, batches, ["no braces here", "none here either"], gateway)
-    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8)
+    answers = answer_question(RIFT_QUERY, paths, g, llm, batch_limit=8, trace=[])
     assert answers.no_answer_marker
-    assert answers.is_empty()
+    assert answers.answers == []

@@ -25,7 +25,6 @@ def test_non_json_line_is_parse_error_naming_file_and_line(tmp_path, reader):
     path.write_text(json.dumps(record) + "\n\n{not json\n", encoding="utf-8")
     with pytest.raises(ParseError) as exc:
         load(path)
-    assert exc.value.line == 3
     assert f"{path}: line 3 is not JSON" in str(exc.value)
 
 
