@@ -21,11 +21,13 @@ direction, where a pair tuple in a per-entity tuple cost 64 and an inverse
 id above 256 would cost 32 more as an int object of its own, and the cyclic
 garbage collector sees the same few objects whatever the graph's size;
 ``neighbors`` builds its tuples per call. ``load_triples`` keeps each
-line's edge as one int, ``relation_id << 32 | tail_id``, in its head's list
-(with inverse edges, ``relation_id << 32 | head_id`` in its tail's too),
-then sorts and deduplicates one entity at a time into the arrays, freeing
-each list as it goes, so no per-edge tuple and no per-head set is built on
-the way either.
+line's edge as one machine integer, ``relation_id << 32 | tail_id``, in its
+head's ``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id``
+in its tail's too), 8 bytes an edge and no Python object per edge. It then
+sorts and deduplicates one entity at a time into a batch of a few thousand
+keys, freeing each entity's array as it goes, and splits each full batch
+into the id arrays, so the load holds each direction's edges about once at any
+time and builds no per-edge tuple or int object that outlives its entity.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -44,6 +47,9 @@ INVERSE_MARKER = "~inv"
 # An edge packs into one int as ``relation_id << 32 | entity_id``: ids fit in
 # the arrays' 32-bit items, as no process holds 2**32 interned labels.
 _SHIFT = 32
+# Sorted keys held before they are split into the id arrays: the split's
+# copies stay about 100 KB, whatever the graph's size.
+_BATCH = 1 << 12
 
 Edges = tuple[array, array, array]  # offsets, relation ids, entity ids
 
@@ -57,21 +63,38 @@ class _Ids(dict):
         return next_id
 
 
-def _pack(keys: dict[int, list[int]], count: int, rid_offset: int) -> Edges:
-    """Flatten ``{entity_id: [relation_id << 32 | entity_id, ...]}`` into one
-    direction's arrays, each entity's pairs sorted and distinct, relation ids
-    plus ``rid_offset``. ``keys`` is emptied as it goes, so each entity's list
-    is freed once its items are in the packed array."""
-    offsets, packed = array("Q", [0]), array("Q")
+def _pack(keys: dict[int, array], count: int, rid_offset: int) -> Edges:
+    """Flatten ``{entity_id: array("Q", [relation_id << 32 | entity_id, ...])}``
+    into one direction's arrays, each entity's pairs sorted and distinct,
+    relation ids plus ``rid_offset``. ``keys`` is emptied as it goes, so each
+    entity's keys are freed once sorted into the batch, and the batch is
+    emptied into the id arrays each time it reaches ``_BATCH`` keys."""
+    offsets, relation_ids, entity_ids = array("Q", [0]), array("I"), array("I")
+    batch = array("Q")
     for entity in range(count):
-        packed.fromlist(sorted(set(keys.pop(entity, ()))))
-        offsets.append(len(packed))
+        # Sorted in place and kept when distinct, as they mostly are: in
+        # input order, so keys read in sorted order sort in one pass.
+        pairs = keys.pop(entity).tolist() if entity in keys else []
+        pairs.sort()
+        distinct = set(pairs)
+        batch.fromlist(pairs if len(distinct) == len(pairs) else sorted(distinct))
+        offsets.append(len(entity_ids) + len(batch))
+        if len(batch) >= _BATCH:
+            _split(batch, relation_ids, entity_ids, rid_offset)
+    _split(batch, relation_ids, entity_ids, rid_offset)
+    return offsets, relation_ids, entity_ids
+
+
+def _split(batch: array, relation_ids: array, entity_ids: array, rid_offset: int) -> None:
+    """Move ``batch``'s keys to the ends of the id arrays, relation ids plus
+    ``rid_offset``."""
     # Each key read as two 32-bit words, in the machine's byte order.
     words = array("I")
-    words.frombytes(memoryview(packed).cast("B"))
-    del packed
+    words.frombytes(memoryview(batch).cast("B"))
     low, high = (words[0::2], words[1::2]) if sys.byteorder == "little" else (words[1::2], words[0::2])
-    return offsets, (_plus(high, rid_offset) if rid_offset else high), low
+    relation_ids.extend(_plus(high, rid_offset) if rid_offset else high)
+    entity_ids.extend(low)
+    del batch[:]
 
 
 def _plus(words: array, value: int) -> array:
@@ -106,14 +129,15 @@ class KnowledgeGraph:
         self,
         entity_ids: dict[str, int],
         relation_ids: dict[str, int],
-        adjacency: dict[int, list[int]],
-        incoming: dict[int, list[int]] | None = None,
+        adjacency: dict[int, array],
+        incoming: dict[int, array] | None = None,
     ):
         """``entity_ids`` and ``relation_ids`` map labels to ids and iterate in
-        id order; ``adjacency`` maps a head id to its ``relation_id << 32 |
-        tail_id`` edges and ``incoming``, on a graph that walks edges
-        backwards, a tail id to its ``relation_id << 32 | head_id`` edges,
-        repeats allowed; both are emptied here."""
+        id order; ``adjacency`` maps a head id to an ``array('Q')`` of its
+        ``relation_id << 32 | tail_id`` edges and ``incoming``, on a graph
+        that walks edges backwards, a tail id to an ``array('Q')`` of its
+        ``relation_id << 32 | head_id`` edges, repeats allowed, in any order;
+        an entity with no edges may be left out. Both are emptied here."""
         self.entities = list(entity_ids)
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
@@ -203,6 +227,9 @@ def _iter_fields(lines: Iterable[str]) -> Iterator[list[str]]:
         line = raw.rstrip("\r\n")
         fields = line.split("\t")
         triple = len(fields) == 3 and "" not in fields
+        if triple and line[0] != "#" and not line[0].isspace():
+            yield fields  # the common line, told apart without stripping it
+            continue
         first = line.lstrip()[:1]  # "" on a blank line
         if first not in ("", "#"):
             if not triple:
@@ -223,8 +250,8 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
     graph's ``neighbors`` walk edges backwards too.
     """
     entity_ids, relation_ids = _Ids(), _Ids()
-    adjacency: dict[int, list[int]] = defaultdict(list)
-    incoming: dict[int, list[int]] | None = defaultdict(list) if inverse_edges else None
+    adjacency: dict[int, array] = defaultdict(partial(array, "Q"))
+    incoming: dict[int, array] | None = defaultdict(partial(array, "Q")) if inverse_edges else None
     for head, rel, tail in _iter_fields(lines):
         h = entity_ids[head]
         r = relation_ids[rel] << _SHIFT

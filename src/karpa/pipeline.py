@@ -186,22 +186,28 @@ class Pipeline:
         trace.append({"event": "relation_pool", "pool": pool})
         if pool:
             messages = build_replanning_prompt(query, pool)
-            candidate_set = replan(messages, llm, self.embedder, self.vocab)
-            trace.append(
-                {
-                    "event": "replanning",
-                    "prompt_digest": digest_messages(messages),
-                    "raw": candidate_set.raw_llm_text,
-                    "paths": candidate_set.trace_paths(),
-                    "snaps": [list(s) for s in candidate_set.snaps],
-                }
-            )
-            if candidate_set.snaps:
-                flags.append("snapped_relations")
-            if candidate_set.inconsistent:
-                flags.append("replan_inconsistent")
-            if not candidate_set.is_empty():
-                return candidate_set.all_paths()
+            try:
+                candidate_set = replan(messages, llm, self.embedder, self.vocab)
+            except ParseError:
+                # The reply and its corrective retry both unreadable: the
+                # initial plan stands, as it does for an empty re-plan.
+                flags.append("replan_parse_error")
+            else:
+                trace.append(
+                    {
+                        "event": "replanning",
+                        "prompt_digest": digest_messages(messages),
+                        "raw": candidate_set.raw_llm_text,
+                        "paths": candidate_set.trace_paths(),
+                        "snaps": [list(s) for s in candidate_set.snaps],
+                    }
+                )
+                if candidate_set.snaps:
+                    flags.append("snapped_relations")
+                if candidate_set.inconsistent:
+                    flags.append("replan_inconsistent")
+                if not candidate_set.is_empty():
+                    return candidate_set.all_paths()
         flags.append("fallback_initial")
         return initial.all_paths()
 

@@ -3,13 +3,14 @@ import io
 import random
 import tracemalloc
 from array import array
+from collections import defaultdict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from karpa.errors import NotFoundError, ParseError
-from karpa.kg import INVERSE_MARKER, _iter_fields, load_triples, load_triples_path
+from karpa.kg import INVERSE_MARKER, _BATCH, _iter_fields, load_triples, load_triples_path
 
 from helpers import graph_from
 from oracles import ref_graph, ref_iter_fields
@@ -222,18 +223,21 @@ def test_adjacency_is_untracked_by_the_cyclic_collector():
     assert counts[0] == counts[1] < 20
 
 
-# Bytes a triple costs in a load of 50k seeded random triples over 5,000
+# Bytes a triple costs in a load of 60k seeded random triples over 5,000
 # entities and 200 relations (labels and tables included), forward / with
 # inverse edges, on Python 3.11.7. Sorted tuples of pairs per entity, built
 # from per-head sets of pairs: 82.6 / 153.7 retained, 158.0 / 248.4 at the
-# load's peak. Flat arrays, built from one packed int per line in per-head
-# (and per-tail) lists: 20.5 / 29.5 retained, 63.0 / 114.4 at the peak.
-GRAPH_BYTES_PER_TRIPLE_BOUNDS = {False: (32, 80), True: (45, 145)}  # (retained, peak)
+# load's peak (at 50k triples). Flat arrays, built from one packed int per
+# line in per-head (and per-tail) lists: 18.3 / 27.3 retained, 59.3 / 108.8
+# at the peak. The same, with the packed keys in per-head (and per-tail)
+# array('Q')s, split into the id arrays in batches: 18.5 / 27.3 retained,
+# 30.5 / 50.1 at the peak.
+GRAPH_BYTES_PER_TRIPLE_BOUNDS = {False: (32, 40), True: (45, 70)}  # (retained, peak)
 
 
 def test_graph_bytes_per_triple_stay_small():
     rng = random.Random(0)
-    lines = [f"m.{rng.randrange(5000)}\tr.{rng.randrange(200)}\tm.{rng.randrange(5000)}\n" for _ in range(50_000)]
+    lines = [f"m.{rng.randrange(5000)}\tr.{rng.randrange(200)}\tm.{rng.randrange(5000)}\n" for _ in range(60_000)]
     for inverse_edges, (retained_bound, peak_bound) in GRAPH_BYTES_PER_TRIPLE_BOUNDS.items():
         gc.collect()
         tracemalloc.start()
@@ -243,10 +247,39 @@ def test_graph_bytes_per_triple_stay_small():
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(g) == 50_000
+        assert len(g) == 60_000
         assert retained / len(g) < retained_bound
         assert peak / len(g) < peak_bound
         del g
+
+
+def test_large_graph_equals_plain_dict_reference():
+    # Large enough that each direction's keys fill several batches, with a
+    # hub whose edges alone outnumber a batch, repeated lines, and inverse
+    # ids that need more than one byte.
+    rng = random.Random(5)
+    triples = [(f"e{rng.randrange(3000)}", f"r{rng.randrange(300)}", f"e{rng.randrange(3000)}") for _ in range(30_000)]
+    triples += [("hub", f"r{i % 300}", f"e{i}") for i in range(2 * _BATCH)]
+    triples += rng.sample(triples, 5_000)
+    rng.shuffle(triples)
+    entities, relations = {}, {}
+    for head, rel, tail in triples:
+        for label, table in ((head, entities), (rel, relations), (tail, entities)):
+            table.setdefault(label, len(table))
+    n = len(relations)
+    forward, inverse = defaultdict(set), defaultdict(set)
+    for head, rel, tail in triples:
+        h, r, t = entities[head], relations[rel], entities[tail]
+        forward[h].add((r, t))
+        inverse[t].add((r + n, h))
+    lines = [f"{h}\t{r}\t{t}\n" for h, r, t in triples]
+    g, both = load_triples(lines), load_triples(lines, inverse_edges=True)
+    assert len(g) == len(both) == sum(map(len, forward.values())) > 4 * _BATCH
+    for graph in (g, both):
+        assert graph.entities == list(entities) and graph.relations == list(relations)
+    for eid in range(len(entities)):
+        assert g.neighbors(eid) == sorted(forward[eid])
+        assert both.neighbors(eid) == sorted(forward[eid]) + sorted(inverse[eid])
 
 
 def test_dump_load_dump_byte_identical_small():

@@ -6,10 +6,11 @@ from karpa.config import PipelineConfig, config_digest
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider
 from karpa.evaluation import QASample, evaluate
 from karpa.errors import MissingFixtureError
-from karpa.llm import CompletionResult, ScriptedChatProvider, digest_messages
+from karpa.llm import ChatMessage, CompletionResult, ScriptedChatProvider, digest_messages
 from karpa.matching import MatchConfig, match_candidates
 from karpa.pipeline import Pipeline, make_sample_runner
 from karpa.planner import (
+    CORRECTIVE_MESSAGE,
     Query,
     build_initial_prompt,
     build_replanning_prompt,
@@ -219,6 +220,32 @@ def test_empty_replanned_candidates_falls_back_to_initial():
     result = pipeline.run(BRAHUI_QUESTION)
     assert "fallback_initial" in result.flags
     assert "Muhammad Zia-ul-Haq" in result.answers.answers
+
+
+def test_unparseable_replan_after_retry_falls_back_to_initial_plan():
+    # Both re-planning replies lack braces: the question is still answered,
+    # from the initial plan, and all four completions count in its usage.
+    pipeline, _ = build_brahui_world()
+    provider = pipeline.chat_provider
+    initial = parse_path_sets(PLAN_TEXT)
+    pool = extract_relation_pool(initial, pipeline.vocab, pipeline.embedder, cap=30)
+    first = build_replanning_prompt(BRAHUI_QUESTION, pool)
+    provider.add(first, "nope")
+    provider.add(first + [ChatMessage("assistant", "nope"), ChatMessage("user", CORRECTIVE_MESSAGE)], "still nope")
+    sample = QASample("brahui", BRAHUI_QUESTION.question, ["Brahui Language"], [["Muhammad Zia-ul-Haq"]])
+    [record] = evaluate([sample], make_sample_runner(pipeline)).records
+    assert record.error is None and record.score.hit1 == 1
+    assert record.flags[:2] == ["replan_parse_error", "fallback_initial"]
+    assert record.usage["calls"] == 4
+    assert {phase: c["calls"] for phase, c in record.usage["phases"].items()} == {
+        "initial_planning": 1, "replanning": 2, "reasoning": 1
+    }
+    result = pipeline.run(BRAHUI_QUESTION)
+    assert "replanning" not in [e["event"] for e in result.trace]
+    expected = match_candidates(
+        pipeline.g, pipeline.g.entity_id("Brahui Language"), initial.all_paths(), pipeline.cfg.matcher, pipeline.embedder
+    )
+    assert result.selected == expected
 
 
 def test_unparseable_initial_plan_flagged_and_empty():
