@@ -85,6 +85,8 @@ class PipelineConfig:
             raise ConfigError(f"llm.kind must be one of {PROVIDER_KINDS}")
         if not math.isfinite(self.llm.temperature):
             raise ConfigError("llm.temperature must be a finite number")
+        if self.llm.max_output < 1:
+            raise ConfigError("llm.max_output must be >= 1")
         if self.eval.mode not in MODES:
             raise ConfigError(f"eval.mode must be {' or '.join(MODES)}")
         if self.eval.concurrency < 1:

@@ -30,6 +30,7 @@ from .transport import read_jsonl, require_file
 FORMATS = ("simple", "webqsp", "cwq")  # dataset layouts ``load_dataset`` reads
 MODES = ("strict", "lenient")  # scoring modes ``score_sample`` knows
 _SAFE_ID = re.compile(r"[^A-Za-z0-9._-]+")
+_CHECKPOINT_KEYS = {"config_digest", "answers", "usage", "flags", "error"}  # a checkpoint file's object
 
 
 @dataclass
@@ -286,7 +287,10 @@ def _read_checkpoint(directory: Path, sample_id: str, config_digest: str) -> dic
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError:
         return None
-    if payload.get("config_digest") != config_digest:
+    # Valid JSON that is not what ``_write_checkpoint`` wrote reads as absent.
+    if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
+        return None
+    if payload["config_digest"] != config_digest:
         return None
     return payload
 

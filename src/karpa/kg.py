@@ -12,27 +12,22 @@ by the size of the relation table, labelled with the reserved marker
 ``~inv`` appended. Inverse ids and labels are built at load and never
 appear in the vocabulary.
 
-Each direction is stored in compressed sparse row form: three ``array``s of
-machine integers, ``offsets`` (one per entity, plus one), ``relation_ids``
-and ``entity_ids``; entity ``e``'s edges are the pairs at positions
-``offsets[e]`` to ``offsets[e + 1]``, sorted and distinct. Inverse ids sit
-in ``relation_ids`` like any other id. So an edge costs 8 bytes a
-direction, where a pair tuple in a per-entity tuple cost 64 and an inverse
-id above 256 would cost 32 more as an int object of its own, and the cyclic
-garbage collector sees the same few objects whatever the graph's size;
-``neighbors`` builds its tuples per call. ``load_triples`` keeps each
-line's edge as one machine integer, ``relation_id << 32 | tail_id``, in its
-head's ``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id``
-in its tail's too), 8 bytes an edge and no Python object per edge. It then
-sorts and deduplicates one entity at a time into a batch of a few thousand
-keys, freeing each entity's array as it goes, and splits each full batch
-into the id arrays, so the load holds each direction's edges about once at any
-time and builds no per-edge tuple or int object that outlives its entity.
+Each direction is stored in compressed sparse row form: two ``array('Q')``s,
+``offsets`` (one per entity, plus one) and ``keys``, each key one edge packed
+as ``relation_id << 32 | entity_id``; entity ``e``'s edges are the keys at
+positions ``offsets[e]`` to ``offsets[e + 1]``, sorted and distinct, so in
+``(relation_id, entity_id)`` order. Inverse ids sit in the keys like any
+other id. So an edge costs 8 bytes a direction, the cyclic garbage collector
+sees the same few objects whatever the graph's size, and ``neighbors``
+decodes its pairs per call. ``load_triples`` appends each line's key to its
+head's ``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id`` to
+its tail's too); the store then sorts and deduplicates one entity at a time
+into ``keys``, freeing each entity's array as it goes, so the load holds each
+direction's edges about once at any time.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections import defaultdict
 from functools import partial
@@ -45,13 +40,10 @@ from .transport import require_file
 INVERSE_MARKER = "~inv"
 
 # An edge packs into one int as ``relation_id << 32 | entity_id``: ids fit in
-# the arrays' 32-bit items, as no process holds 2**32 interned labels.
+# 32 bits, as no process holds 2**32 interned labels.
 _SHIFT = 32
-# Sorted keys held before they are split into the id arrays: the split's
-# copies stay about 100 KB, whatever the graph's size.
-_BATCH = 1 << 12
 
-Edges = tuple[array, array, array]  # offsets, relation ids, entity ids
+Edges = tuple[array, array]  # offsets, packed keys
 
 
 class _Ids(dict):
@@ -65,64 +57,39 @@ class _Ids(dict):
 
 def _pack(keys: dict[int, array], count: int, rid_offset: int) -> Edges:
     """Flatten ``{entity_id: array("Q", [relation_id << 32 | entity_id, ...])}``
-    into one direction's arrays, each entity's pairs sorted and distinct,
+    into one direction's arrays, each entity's keys sorted and distinct,
     relation ids plus ``rid_offset``. ``keys`` is emptied as it goes, so each
-    entity's keys are freed once sorted into the batch, and the batch is
-    emptied into the id arrays each time it reaches ``_BATCH`` keys."""
-    offsets, relation_ids, entity_ids = array("Q", [0]), array("I"), array("I")
-    batch = array("Q")
+    entity's keys are freed once appended."""
+    offsets, packed = array("Q", [0]), array("Q")
+    shift = rid_offset << _SHIFT
     for entity in range(count):
         # Sorted in place and kept when distinct, as they mostly are: in
         # input order, so keys read in sorted order sort in one pass.
-        pairs = keys.pop(entity).tolist() if entity in keys else []
-        pairs.sort()
-        distinct = set(pairs)
-        batch.fromlist(pairs if len(distinct) == len(pairs) else sorted(distinct))
-        offsets.append(len(entity_ids) + len(batch))
-        if len(batch) >= _BATCH:
-            _split(batch, relation_ids, entity_ids, rid_offset)
-    _split(batch, relation_ids, entity_ids, rid_offset)
-    return offsets, relation_ids, entity_ids
-
-
-def _split(batch: array, relation_ids: array, entity_ids: array, rid_offset: int) -> None:
-    """Move ``batch``'s keys to the ends of the id arrays, relation ids plus
-    ``rid_offset``."""
-    # Each key read as two 32-bit words, in the machine's byte order.
-    words = array("I")
-    words.frombytes(memoryview(batch).cast("B"))
-    low, high = (words[0::2], words[1::2]) if sys.byteorder == "little" else (words[1::2], words[0::2])
-    relation_ids.extend(_plus(high, rid_offset) if rid_offset else high)
-    entity_ids.extend(low)
-    del batch[:]
-
-
-def _plus(words: array, value: int) -> array:
-    """``words`` with ``value`` added to every item, as one big-int addition
-    over the whole buffer, each item one digit of it; no item may overflow,
-    which holds for a relation id plus the relation count."""
-    order, size = sys.byteorder, words.itemsize
-    total = int.from_bytes(words.tobytes(), order) + int.from_bytes(value.to_bytes(size, order) * len(words), order)
-    out = array(words.typecode)
-    out.frombytes(total.to_bytes(size * len(words), order))
-    return out
+        row = keys.pop(entity).tolist() if entity in keys else []
+        row.sort()
+        distinct = set(row)
+        if len(distinct) != len(row):
+            row = sorted(distinct)
+        packed.fromlist([key + shift for key in row] if shift else row)
+        offsets.append(len(packed))
+    return offsets, packed
 
 
 def _pairs(edges: Edges, entity_id: int) -> list[tuple[int, int]]:
-    offsets, relation_ids, entity_ids = edges
-    lo, hi = offsets[entity_id], offsets[entity_id + 1]
-    return list(zip(relation_ids[lo:hi], entity_ids[lo:hi]))
+    offsets, keys = edges
+    return [divmod(key, 1 << _SHIFT) for key in keys[offsets[entity_id] : offsets[entity_id + 1]]]
 
 
 class KnowledgeGraph:
     """Entity/relation tables plus the triple set as flat adjacency arrays.
 
-    ``out_edges`` holds each triple under its head as ``(relation_id,
-    tail_id)``; ``in_edges`` is ``None`` unless the graph was loaded with
-    ``inverse_edges``, and then holds each triple under its tail as
-    ``(inverse_id, head_id)``. Both are :data:`Edges` triples of arrays.
-    Instances are immutable after construction and safe for concurrent
-    reads. Build them through :func:`load_triples` rather than directly.
+    ``out_edges`` holds each triple under its head as the key
+    ``relation_id << 32 | tail_id``; ``in_edges`` is ``None`` unless the
+    graph was loaded with ``inverse_edges``, and then holds each triple
+    under its tail as ``inverse_id << 32 | head_id``. Both are :data:`Edges`
+    pairs of arrays, ``(offsets, keys)``. Instances are immutable after
+    construction and safe for concurrent reads. Build them through
+    :func:`load_triples` rather than directly.
     """
 
     def __init__(

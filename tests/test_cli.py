@@ -136,6 +136,7 @@ def test_inverse_edges_flag_makes_load_graph_walk_backwards(kg_file, flag, walke
         ("eval.concurrency", "0"),
         ("planner.relation_cap", "0"),
         ("reasoner.batch_limit", "0"),
+        ("llm.max_output", "0"),
     ],
 )
 def test_out_of_range_value_is_config_error_before_the_graph_loads(

@@ -331,6 +331,26 @@ def test_checkpoint_that_is_not_json_is_run_again(tmp_path):
     assert json.loads(checkpoint.read_text(encoding="utf-8"))["config_digest"] == "d"
 
 
+@pytest.mark.parametrize("text", ["[]", "null", '"d"', '{"config_digest": "d"}'])
+def test_checkpoint_that_is_not_a_checkpoint_object_is_run_again(tmp_path, text):
+    samples = [sample(1, [["a"]])]
+    ran = []
+
+    def runner(s):
+        ran.append(s.id)
+        return outcome(answer_set("a"))
+
+    evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    (checkpoint,) = tmp_path.glob("*.json")
+    checkpoint.write_text(text, encoding="utf-8")
+    report = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    assert ran == ["q1", "q1"]
+    assert report.records[0].score.hit1 == 1 and report.records[0].error is None
+    assert json.loads(checkpoint.read_text(encoding="utf-8")).keys() == {
+        "config_digest", "answers", "usage", "flags", "error"
+    }
+
+
 def test_checkpoint_writes_trace_file(tmp_path):
     samples = [sample(7, [["a"]])]
     evaluate(samples, lambda s: outcome(answer_set("a")), checkpoint_dir=tmp_path, config_digest="d")

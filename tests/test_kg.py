@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from karpa.errors import NotFoundError, ParseError
-from karpa.kg import INVERSE_MARKER, _BATCH, _iter_fields, load_triples, load_triples_path
+from karpa.kg import INVERSE_MARKER, _iter_fields, load_triples, load_triples_path
 
 from helpers import graph_from
 from oracles import ref_graph, ref_iter_fields
@@ -152,15 +152,12 @@ def test_vocabulary_excludes_inverse_synthetics():
 
 def _stored_pairs(edges, num_entities):
     """Each entity's ``(relation_id, entity_id)`` pairs as one direction's
-    arrays store them, read straight from the arrays."""
-    offsets, relation_ids, entity_ids = edges
+    arrays store them, decoded straight from the packed keys."""
+    offsets, keys = edges
     assert len(offsets) == num_entities + 1 and offsets[0] == 0
     assert list(offsets) == sorted(offsets)
-    assert offsets[-1] == len(relation_ids) == len(entity_ids)
-    return [
-        list(zip(relation_ids[offsets[e] : offsets[e + 1]], entity_ids[offsets[e] : offsets[e + 1]]))
-        for e in range(num_entities)
-    ]
+    assert offsets[-1] == len(keys)
+    return [[(key >> 32, key & 0xFFFFFFFF) for key in keys[offsets[e] : offsets[e + 1]]] for e in range(num_entities)]
 
 
 def test_index_contains_each_triple_exactly_once():
@@ -202,7 +199,7 @@ def _tracked_objects_reachable(root) -> int:
 
 
 def test_adjacency_is_untracked_by_the_cyclic_collector():
-    # The adjacency is six flat arrays that refer to no object but their
+    # The adjacency is four flat arrays that refer to no object but their
     # type, so the collector sees the same few objects per graph whatever
     # its size, where one container per entity or per edge would grow with
     # it. Collect twice: a container of untracked items is untracked only
@@ -232,6 +229,8 @@ def test_adjacency_is_untracked_by_the_cyclic_collector():
 # at the peak. The same, with the packed keys in per-head (and per-tail)
 # array('Q')s, split into the id arrays in batches: 18.5 / 27.3 retained,
 # 30.5 / 50.1 at the peak.
+# The same, kept as the packed keys (offsets and keys, no id arrays): 18.6 /
+# 27.7 retained, 29.4 / 49.0 at the peak.
 GRAPH_BYTES_PER_TRIPLE_BOUNDS = {False: (32, 40), True: (45, 70)}  # (retained, peak)
 
 
@@ -254,12 +253,11 @@ def test_graph_bytes_per_triple_stay_small():
 
 
 def test_large_graph_equals_plain_dict_reference():
-    # Large enough that each direction's keys fill several batches, with a
-    # hub whose edges alone outnumber a batch, repeated lines, and inverse
-    # ids that need more than one byte.
+    # Large, with a hub of 8,192 edges, repeated lines, and inverse ids that
+    # need more than one byte.
     rng = random.Random(5)
     triples = [(f"e{rng.randrange(3000)}", f"r{rng.randrange(300)}", f"e{rng.randrange(3000)}") for _ in range(30_000)]
-    triples += [("hub", f"r{i % 300}", f"e{i}") for i in range(2 * _BATCH)]
+    triples += [("hub", f"r{i % 300}", f"e{i}") for i in range(8192)]
     triples += rng.sample(triples, 5_000)
     rng.shuffle(triples)
     entities, relations = {}, {}
@@ -274,7 +272,7 @@ def test_large_graph_equals_plain_dict_reference():
         inverse[t].add((r + n, h))
     lines = [f"{h}\t{r}\t{t}\n" for h, r, t in triples]
     g, both = load_triples(lines), load_triples(lines, inverse_edges=True)
-    assert len(g) == len(both) == sum(map(len, forward.values())) > 4 * _BATCH
+    assert len(g) == len(both) == sum(map(len, forward.values())) > 16_384
     for graph in (g, both):
         assert graph.entities == list(entities) and graph.relations == list(relations)
     for eid in range(len(entities)):
