@@ -288,11 +288,34 @@ def _read_checkpoint(directory: Path, sample_id: str, config_digest: str) -> dic
     except json.JSONDecodeError:
         return None
     # Valid JSON that is not what ``_write_checkpoint`` wrote reads as absent.
-    if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
-        return None
-    if payload["config_digest"] != config_digest:
+    if not _is_checkpoint(payload) or payload["config_digest"] != config_digest:
         return None
     return payload
+
+
+def _is_checkpoint(payload) -> bool:
+    """Whether ``payload`` has a checkpoint's keys and each value of the type ``evaluate`` reads:
+    answers that ``AnswerSet.from_dict`` gives back unchanged, a ledger snapshot, a list of
+    str flags and a str or null error."""
+    if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
+        return False
+    flags, error = payload["flags"], payload["error"]
+    if not isinstance(flags, list) or not all(isinstance(flag, str) for flag in flags):
+        return False
+    if error is not None and not isinstance(error, str):
+        return False
+    answers, usage = payload["answers"], payload["usage"]
+    ledger = UsageLedger()
+    try:
+        answer_set = AnswerSet.from_dict(answers)
+        ledger.merge_snapshot(usage)
+        return (
+            answer_set.as_dict() == answers
+            and all(isinstance(answer, str) for answer in answer_set.answers)
+            and ledger.snapshot() == usage
+        )
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return False
 
 
 def evaluate(

@@ -20,7 +20,7 @@ from .embeddings import (
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
 )
-from .errors import ConfigError, NotFoundError, ParseError
+from .errors import ConfigError, NotFoundError, ParseError, ReplanParseError
 from .evaluation import QASample
 from .kg import KnowledgeGraph, load_triples_path
 from .llm import (
@@ -188,10 +188,18 @@ class Pipeline:
             messages = build_replanning_prompt(query, pool)
             try:
                 candidate_set = replan(messages, llm, self.embedder, self.vocab)
-            except ParseError:
+            except ReplanParseError as exc:
                 # The reply and its corrective retry both unreadable: the
                 # initial plan stands, as it does for an empty re-plan.
                 flags.append("replan_parse_error")
+                trace.append(
+                    {
+                        "event": "replanning",
+                        "prompt_digest": digest_messages(messages),
+                        "unparsed": list(exc.replies),
+                        "snaps": [],
+                    }
+                )
             else:
                 trace.append(
                     {

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import islice
 
 from .embeddings import EmbeddingGateway
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, ReplanParseError
 from .llm import ChatMessage, LlmGateway
 from .matching import RelationPath
 
@@ -218,7 +218,8 @@ def replan(
     recorded, a repeated label at each place it occurs. A parse failure
     earns one corrective retry, which appends the reply and a corrective
     message to ``messages`` (a new list; ``messages`` itself is not
-    changed), then the error surfaces.
+    changed); when the retry's reply fails too, a ``ReplanParseError``
+    carries both replies.
     """
     result = llm.complete(messages, phase="replanning")
     try:
@@ -229,5 +230,8 @@ def replan(
             ChatMessage("user", CORRECTIVE_MESSAGE),
         ]
         retry_result = llm.complete(retry_messages, phase="replanning")
-        parsed = parse_path_sets(retry_result.text)
+        try:
+            parsed = parse_path_sets(retry_result.text)
+        except ParseError as exc:
+            raise ReplanParseError(str(exc), (result.text, retry_result.text)) from None
     return _snap_to_vocabulary(parsed, vocab, embedder)

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,57 @@ _mock_texts = st.text(alphabet=st.sampled_from(list("abcxyzABZ019 .\t\n_-İΣß"
 @example("ab ab  ab", 8)
 def test_mock_embed_equals_the_unmemoized_loop(text, dim):
     assert _embed_outcome(mock_embed, text, dim) == _embed_outcome(ref_mock_embed_loop, text, dim)
+
+
+# A word of a label sequence: a relation label, or any short run of letters,
+# digits and separators, which may hold no token at all ("", "._").
+_mock_words = st.one_of(
+    st.sampled_from(["people.person.children", "people.person.spouse_s", "location.country.capital"]),
+    st.text(alphabet=st.sampled_from(list("abxyz09._-İΣß")), max_size=8),
+)
+
+
+@st.composite
+def _heuristic_batches(draw):
+    """Texts shaped like one heuristic request: a few heads, each followed by one
+    space and one label per child, with single-word texts (the empty head),
+    double spaces (an empty word in a head) and repeats, in any order."""
+    batch = []
+    for head in draw(st.lists(st.lists(_mock_words, max_size=3).map(" ".join), min_size=1, max_size=4)):
+        labels = draw(st.lists(_mock_words, min_size=1, max_size=6))
+        batch += [f"{head} {label}" if head else label for label in labels]
+    batch += draw(st.lists(st.sampled_from(batch), max_size=3))
+    return draw(st.permutations(batch))
+
+
+def _loop_outcome(batch, dim):
+    """Each text's ``(values bytes, norm_sq hex)`` from the per-text reference, up to the
+    first ``DomainError``, and that error's message (None if there is none)."""
+    out = []
+    for text in batch:
+        try:
+            vector = ref_mock_embed_loop(text, dim)
+        except DomainError as exc:
+            return out, str(exc)
+        out.append((vector.values.tobytes(), vector.norm_sq.hex()))
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_heuristic_batches())
+@example(["a b", "a c", "a b", "b", "a  c", "a ..", "x.y a", "x.y  b"])
+@example(["people.person.children people.person.spouse_s", "..", "a b"])
+def test_mock_batch_equals_the_per_text_loop(batch):
+    for dim in (8, 64, 768):
+        expected, error = _loop_outcome(batch, dim)
+        if error is not None:
+            with pytest.raises(DomainError) as info:
+                MockEmbeddingProvider(dim).embed_batch(batch)
+            assert str(info.value) == error
+            continue
+        got = MockEmbeddingProvider(dim).embed_batch(batch)
+        assert [(vector.values.tobytes(), vector.norm_sq.hex()) for vector in got] == expected
+        assert [array("d", ref_mock_embedding(text, dim)).tobytes() for text in batch] == [v for v, _ in expected]
 
 
 def test_mock_embed_shared_tokens_raise_similarity():

@@ -351,6 +351,41 @@ def test_checkpoint_that_is_not_a_checkpoint_object_is_run_again(tmp_path, text)
     }
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        (None, {"config_digest": "d", "answers": [], "usage": {}, "flags": [], "error": None}),
+        ("answers", []),
+        ("answers", "a"),
+        ("answers", {"answers": [1], "provenance": {}, "ungrounded": [], "no_answer_marker": False}),
+        ("answers", {"answers": ["a"], "provenance": {}, "ungrounded": [], "no_answer_marker": "no"}),
+        ("usage", {}),
+        ("usage", {"calls": 3, "phases": []}),
+        ("usage", {"phases": {"reasoning": {"calls": "3"}}}),
+        ("flags", "fallback_initial"),
+        ("flags", [1]),
+        ("error", 5),
+    ],
+)
+def test_checkpoint_with_a_value_of_the_wrong_type_is_run_again(tmp_path, key, value):
+    samples = [sample(1, [["a"]])]
+    ran = []
+
+    def runner(s):
+        ran.append(s.id)
+        return outcome(answer_set("a"))
+
+    first = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    (checkpoint,) = tmp_path.glob("*.json")
+    written = json.loads(checkpoint.read_text(encoding="utf-8"))
+    payload = value if key is None else {**written, key: value}
+    checkpoint.write_text(json.dumps(payload), encoding="utf-8")
+    report = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    assert ran == ["q1", "q1"]
+    assert render_report(report) == render_report(first)
+    assert json.loads(checkpoint.read_text(encoding="utf-8")) == written
+
+
 def test_checkpoint_writes_trace_file(tmp_path):
     samples = [sample(7, [["a"]])]
     evaluate(samples, lambda s: outcome(answer_set("a")), checkpoint_dir=tmp_path, config_digest="d")

@@ -241,7 +241,10 @@ def test_unparseable_replan_after_retry_falls_back_to_initial_plan():
         "initial_planning": 1, "replanning": 2, "reasoning": 1
     }
     result = pipeline.run(BRAHUI_QUESTION)
-    assert "replanning" not in [e["event"] for e in result.trace]
+    [event] = [e for e in result.trace if e["event"] == "replanning"]
+    assert event == {
+        "event": "replanning", "prompt_digest": digest_messages(first), "unparsed": ["nope", "still nope"], "snaps": []
+    }
     expected = match_candidates(
         pipeline.g, pipeline.g.entity_id("Brahui Language"), initial.all_paths(), pipeline.cfg.matcher, pipeline.embedder
     )
