@@ -3,9 +3,9 @@
 The gateway is provider-agnostic. Three providers ship here:
 
 * ``MockEmbeddingProvider`` — deterministic offline hashing of tokens and
-  character trigrams into a fixed number of buckets, memoized per word and
-  summed once per request for each distinct text before a text's last
-  space; shared tokens between two texts raise their cosine similarity.
+  character trigrams into a fixed number of buckets, memoized per word; a
+  request counts each distinct head, the text before a text's last space,
+  once. Shared tokens between two texts raise their cosine similarity.
   Used throughout the test suite.
 * ``ScriptedEmbeddingProvider`` — replays vectors recorded per text digest.
 * ``HttpEmbeddingProvider`` — generic HTTP embedding service client. The
@@ -188,8 +188,8 @@ def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
     included), then hashes every token and every character trigram of each
     token into one of ``dim`` buckets, accumulating counts. The result is
     L2-normalized, so identical texts give identical unit vectors and
-    texts sharing tokens score higher cosine. This is the one-text case of
-    ``MockEmbeddingProvider.embed_batch``; see ``_mock_vectors``.
+    texts sharing tokens score higher cosine. It is the one-text case of
+    ``MockEmbeddingProvider.embed_batch`` (``_mock_vectors``).
     """
     return _mock_vectors([text], dim)[0]
 
@@ -197,37 +197,41 @@ def mock_embed(text: str, dim: int = 64) -> EmbeddingVector:
 def _mock_vectors(texts: list[str], dim: int) -> list[EmbeddingVector]:
     """``mock_embed`` of each text, in order; a tokenless text raises at its turn.
 
-    A space is one of the separators, so each word's bucket counts can be
-    taken from a memo (``MOCK_WORD_MEMO`` words): label sequences repeat the
+    A space is one of the separators, so each word's bucket counts can come
+    from a memo (``MOCK_WORD_MEMO`` words): label sequences repeat the
     words of a small vocabulary. Each text is split at its last space into
     a head and a last word, and each distinct head's counts are summed once
     per call, in a dict that ends with the call: the heuristic matcher's
-    requests hold the children of a few prefixes, each child a prefix's text
-    plus one space and one label. A text copies its head's counts, adds
-    its last word's and sums the squares of its counts. Every count and every squared count is a small
-    integer, exact in any order of addition, so the vector equals the one
-    from hashing each feature afresh bit for bit.
+    requests hold the children of a few prefixes, each child a prefix's
+    text plus one space and one label. A text copies its head's counts,
+    adds its last word's and sums the squares of its counts; a one-word
+    text has no head to count or copy. Every count and every squared count
+    is a small integer, exact in any order of addition, so the vector
+    equals the one from hashing each feature afresh bit for bit.
     """
     if dim < MOCK_MIN_DIM:
         raise ContractError(f"mock embedding dim must be >= {MOCK_MIN_DIM}, got {dim}")
     heads: dict[str, dict[int, int]] = {}  # head -> its bucket counts
-    zeros = bytes(8 * dim)
+    zeros = array("d", bytes(8 * dim))
     out = []
     for text in texts:
         head, _, last = text.rpartition(" ")
-        counts = heads.get(head)
-        if counts is None:
-            counts = heads[head] = {}
-            for word in head.split(" "):
-                for bucket, count in _word_buckets(word, dim):
-                    counts[bucket] = counts.get(bucket, 0) + count
-        counts = counts.copy()
+        if head:
+            counts = heads.get(head)
+            if counts is None:
+                counts = heads[head] = {}
+                for word in head.split(" "):
+                    for bucket, count in _word_buckets(word, dim):
+                        counts[bucket] = counts.get(bucket, 0) + count
+            counts = counts.copy()
+        else:
+            counts = {}
         for bucket, count in _word_buckets(last, dim):
             counts[bucket] = counts.get(bucket, 0) + count
         if not counts:
             raise DomainError(f"text has no tokens to embed: {text!r}")
         norm = math.sqrt(sum(map(operator.mul, counts.values(), counts.values())))
-        values = array("d", zeros)
+        values = zeros[:]
         for bucket, count in counts.items():
             values[bucket] = count / norm
         out.append(EmbeddingVector(values))
@@ -241,8 +245,8 @@ class EmbeddingProvider(Protocol):
 
 
 class MockEmbeddingProvider:
-    """``mock_embed`` of every text of a request, with each distinct head (the
-    text before its last space) counted once per request (``_mock_vectors``)."""
+    """``mock_embed`` of every text of a request, each distinct head (the text
+    before its last space) counted once per request (``_mock_vectors``)."""
 
     def __init__(self, dim: int = 64):
         if dim < MOCK_MIN_DIM:

@@ -314,7 +314,7 @@ def _is_checkpoint(payload) -> bool:
             and all(isinstance(answer, str) for answer in answer_set.answers)
             and ledger.snapshot() == usage
         )
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError):
         return False
 
 

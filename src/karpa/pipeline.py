@@ -190,7 +190,8 @@ class Pipeline:
                 candidate_set = replan(messages, llm, self.embedder, self.vocab)
             except ReplanParseError as exc:
                 # The reply and its corrective retry both unreadable: the
-                # initial plan stands, as it does for an empty re-plan.
+                # initial plan stands, as it does for an empty re-plan. The
+                # event records both replies, and no snaps, as none were made.
                 flags.append("replan_parse_error")
                 trace.append(
                     {
