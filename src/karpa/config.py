@@ -27,7 +27,7 @@ from .errors import ConfigError, ContractError
 from .evaluation import MODES
 from .llm import LlmParams
 from .matching import MatchConfig
-from .transport import require_file
+from .transport import read_utf8, require_file
 
 PROVIDER_KINDS = ("http", "scripted", "mock")
 
@@ -187,7 +187,7 @@ def load_config(path: str | Path | None = None, env: dict[str, str] | None = Non
     config_path = str(path) if path else env.get("KARPA_CONFIG", "")
     if config_path:
         p = require_file(config_path, "config file", ConfigError)
-        file_values = parse_config_text(p.read_text(encoding="utf-8"))
+        file_values = parse_config_text(read_utf8(p, ConfigError))
     return build_config(resolve_values(file_values, env))
 
 

@@ -32,11 +32,19 @@ each label is requested once per gateway and is not rebuilt from the
 cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
 scan; vocabulary sizes here do not warrant an ANN index.
 
+Kept fetches are single-flight per gateway: under ``eval.concurrency > 1``
+a text or relation label that one worker is fetching is not sent again by
+another, which waits for that fetch and takes the vector the cache stored.
+So each label is passed to ``embed`` once, and each kept text reaches the
+provider once, however many workers miss it; a fetch that fails leaves
+each waiter to send the text itself.
+
 The cache keeps relation labels, the LLM's query texts and the fixed-length
 matchers' candidate relations. It does not keep the heuristic matcher's
 label sequences, thousands a question and almost none met again: the
 heuristic requests them inside ``EmbeddingGateway.transient``, which serves
-cache hits but stores nothing it fetches.
+cache hits but stores nothing it fetches, and takes no part in single
+flight.
 """
 
 from __future__ import annotations
@@ -363,14 +371,17 @@ class EmbeddingCache:
     def _load(self) -> None:
         assert self._path is not None
         self._mode = "a"
-        with self._path.open("r", encoding="utf-8") as fp:
+        # Read as bytes, which ``json.loads`` decodes: a line that is not
+        # UTF-8 is a ``UnicodeDecodeError``, a ``ValueError`` like a line
+        # that is not JSON, and is skipped the same way.
+        with self._path.open("rb") as fp:
             last = header_line = fp.readline()
             if not header_line:
                 return  # empty file: the first append writes the header
             try:
                 header = json.loads(header_line)
-            except json.JSONDecodeError:
-                if _HEADER_LINE.startswith(header_line):
+            except ValueError:
+                if _HEADER_LINE.encode("utf-8").startswith(header_line):
                     self._mode = "w"  # a header cut short: the file holds no records
                     return
                 raise DataError(f"not an embedding cache file: {self._path}") from None
@@ -388,7 +399,7 @@ class EmbeddingCache:
                     self.skipped += 1
                     continue
                 self._memory.setdefault(identity, {})[digest] = vector.values.tobytes()
-        self._lead = "" if last.endswith("\n") else "\n"
+        self._lead = "" if last.endswith(b"\n") else "\n"
 
     def get(self, identity_digest: bytes, digest: bytes) -> EmbeddingVector | None:
         vectors = self._memory.get(identity_digest)
@@ -459,6 +470,12 @@ class EmbeddingGateway:
     the cache stores each fetched vector, and appends it to its file, so a
     later ``embed`` of the text, by any caller, gets the bits stored first.
 
+    Kept fetches are single-flight: a miss that another thread is fetching
+    is not sent again. The caller sends its own misses first, then waits
+    for the other fetches and takes the vectors the cache stored. A fetch
+    that fails wakes its waiters, and each sends the text itself, so a
+    caller's error comes from its own request only.
+
     Inside ``with gateway.transient():`` ``embed`` still serves hits and
     still checks dims, but keeps nothing it fetches: no memory entry and no
     file record. There a miss gets the provider's own bits, so two requests
@@ -481,9 +498,16 @@ class EmbeddingGateway:
         self._dim: int | None = None
         self._lock = threading.Lock()
         # Relation label -> its vector, for every label ``embed_with_labels``
-        # has fetched. Two threads that miss a label together each fetch it;
-        # the cache gives both the same bits, and the first kept stays.
+        # has fetched. One call at a time fetches a label (``_fetching``), so
+        # each label is held once, with the bits the cache serves.
         self._labels: dict[str, EmbeddingVector] = {}
+        # The fetches in progress, guarded by ``_lock``, which is never held
+        # across provider I/O: the event set when each fetch ends, under the
+        # digest of each kept miss ``embed`` is sending and under each label
+        # ``embed_with_labels`` is sending. A digest is bytes and a label a
+        # str, so the two never meet, and a call's own label fetch does not
+        # make its ``embed`` wait.
+        self._fetching: dict[bytes | str, threading.Event] = {}
         self._scope = threading.local()  # ``transient`` is True inside ``transient()``
 
     def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
@@ -501,11 +525,22 @@ class EmbeddingGateway:
                     f"{self.provider.identity!r}; if its model changed, run `karpa cache clear`"
                 )
 
+    def _release(self, keys: list, done: threading.Event) -> None:
+        """End a fetch: drop its ``keys`` from the fetches in progress, then wake its waiters."""
+        fetching = self._fetching
+        with self._lock:
+            for key in keys:
+                if fetching.get(key) is done:
+                    del fetching[key]
+        done.set()
+
     @contextlib.contextmanager
     def transient(self) -> Iterator[None]:
         """Within the block, ``embed`` in this thread keeps nothing it fetches.
 
-        Scopes do not nest: leaving one, by an exception too, ends it.
+        Its requests take no part in single flight: they neither wait for
+        another thread's fetch of a text nor make another thread wait for
+        theirs. Scopes do not nest: leaving one, by an exception too, ends it.
         """
         self._scope.transient = True
         try:
@@ -516,45 +551,87 @@ class EmbeddingGateway:
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.
 
-        Each text is hashed once; its digest keys both the lookup and, on a
-        miss, the store. Dims are checked once for the hits and once for the
-        provider's reply, before any vector is stored. Inside ``transient()``
-        nothing is stored.
+        Each distinct text is hashed once; its digest keys the lookup, the
+        store and the text's entry among the fetches in progress. Dims are
+        checked once for the hits and once for the provider's reply, before
+        any vector is stored. A kept miss that another thread is fetching is
+        waited for after this call's own request, then served from the cache,
+        or sent by this call if that fetch failed. Inside ``transient()``
+        nothing is stored and nothing is waited for.
         """
         if not texts:
             raise ContractError("embed requires at least one text")
         if any(not t for t in texts):
             raise ContractError("embed texts must be non-empty")
-        identity = self._identity_digest
-        cache = self.cache
+        keep = not getattr(self._scope, "transient", False)
         sha256 = hashlib.sha256
         out: list[EmbeddingVector | None] = [None] * len(texts)
-        hits: list[EmbeddingVector] = []
         # text -> (its digest, its positions in ``texts``)
-        missing: dict[str, tuple[bytes, list[int]]] = {}
+        pending: dict[str, tuple[bytes, list[int]]] = {}
         for i, text in enumerate(texts):
-            digest = sha256(text.encode("utf-8")).digest()
-            hit = cache.get(identity, digest)
-            if hit is not None:
-                hits.append(hit)
-                out[i] = hit
-            else:
-                missing.setdefault(text, (digest, []))[1].append(i)
-        if hits:
-            self._check_dim(hits)
-        if missing:
-            unique = list(missing)
-            vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
-            if len(vectors) != len(unique):
-                raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
-            self._check_dim(vectors)
-            keep = not getattr(self._scope, "transient", False)
-            for (digest, positions), vec in zip(missing.values(), vectors):
-                if keep:
-                    vec = cache.put(identity, digest, vec)
-                for i in positions:
-                    out[i] = vec
+            entry = pending.get(text)
+            if entry is None:
+                entry = pending[text] = (sha256(text.encode("utf-8")).digest(), [])
+            entry[1].append(i)
+        while pending:
+            pending = self._serve(pending, out, keep)
         return out
+
+    def _serve(
+        self, pending: dict[str, tuple[bytes, list[int]]], out: list, keep: bool
+    ) -> dict[str, tuple[bytes, list[int]]]:
+        """One round of ``embed``: fill ``out`` for the ``pending`` texts that
+        the cache holds or that this round fetches, in one request, then wait
+        for those another thread is fetching, and return them.
+
+        When ``keep``, the lookups and the claims on the misses are made under
+        the lock, and a fetch stores its vectors before it is released, so a
+        text is either found in the cache or seen in flight: no fetch that
+        ends in between is missed. The claims are released however the round
+        ends, before it waits for anyone, so no two rounds wait on each other.
+        """
+        identity, cache = self._identity_digest, self.cache
+        fetching = self._fetching
+        done = threading.Event() if keep else None
+        hits: list[EmbeddingVector] = []
+        missing: dict[str, tuple[bytes, list[int]]] = {}  # this round fetches them
+        others: dict[str, tuple[bytes, list[int]]] = {}  # another thread fetches them
+        waits: set[threading.Event] = set()
+        try:
+            with self._lock if keep else contextlib.nullcontext():
+                for text, entry in pending.items():
+                    digest, positions = entry
+                    hit = cache.get(identity, digest)
+                    if hit is not None:
+                        hits.append(hit)
+                        for i in positions:
+                            out[i] = hit
+                    elif keep and digest in fetching:
+                        others[text] = entry
+                        waits.add(fetching[digest])
+                    else:
+                        missing[text] = entry
+                        if keep:
+                            fetching[digest] = done
+            if hits:
+                self._check_dim(hits)
+            if missing:
+                unique = list(missing)
+                vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
+                if len(vectors) != len(unique):
+                    raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
+                self._check_dim(vectors)
+                for (digest, positions), vec in zip(missing.values(), vectors):
+                    if keep:
+                        vec = cache.put(identity, digest, vec)
+                    for i in positions:
+                        out[i] = vec
+        finally:
+            if keep and missing:
+                self._release([digest for digest, _ in missing.values()], done)
+        for other in waits:
+            other.wait()
+        return others
 
     def holds(self, texts: list[str]) -> bool:
         """Whether the cache holds every text's vector, so that ``embed(texts)`` calls no provider."""
@@ -574,20 +651,46 @@ class EmbeddingGateway:
 
         A graph has at most twice as many relation labels as relations, so
         the gateway holds the vector of every label it has fetched. The
-        labels it does not hold go to ``embed`` in one request with
-        ``texts``, so they pass through the cache and keep its bits, and are
-        held from then on; a failed request holds nothing. No request is
-        made when ``texts`` is empty and every label is held. Texts such as
-        an LLM's relations are never held: there is no bound on them.
+        labels it does not hold, and that no other thread is fetching, go to
+        ``embed`` in one request with ``texts``, so they pass through the
+        cache and keep its bits, and are held from then on; a failed request
+        holds nothing. A label another thread is fetching is left out and
+        waited for after that request, so each label is passed to ``embed``
+        once per gateway; if that fetch fails, this call sends the label
+        itself. No request is made when ``texts`` is empty and every label
+        is held or being fetched. Texts such as an LLM's relations are never
+        held: there is no bound on them.
         """
         held = self._labels
         missing = [label for label in dict.fromkeys(labels) if label not in held]
         text_vecs: list[EmbeddingVector] = []
-        if texts or missing:
-            vectors = self.embed([*texts, *missing])
-            text_vecs = vectors[: len(texts)]
-            for label, vec in zip(missing, vectors[len(texts) :]):
-                held.setdefault(label, vec)
+        while texts or missing:
+            fetching, done = self._fetching, threading.Event()
+            mine: list[str] = []
+            waits: set[threading.Event] = set()
+            try:
+                if missing:
+                    with self._lock:
+                        for label in missing:
+                            if label in held:  # fetched since the look above
+                                continue
+                            if label in fetching:
+                                waits.add(fetching[label])
+                            else:
+                                mine.append(label)
+                                fetching[label] = done
+                if texts or mine:
+                    vectors = self.embed([*texts, *mine])
+                    text_vecs += vectors[: len(texts)]
+                    for label, vec in zip(mine, vectors[len(texts) :]):
+                        held[label] = vec
+            finally:
+                if mine:
+                    self._release(mine, done)
+            for other in waits:
+                other.wait()
+            texts = []  # sent with the first request only
+            missing = [label for label in missing if label not in held]
         return text_vecs, [held[label] for label in labels]
 
     def top_k_similar_relations(

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, TextIO
 from .errors import DataError, EmbeddingDimError, ParseError
 from .llm import UsageLedger
 from .reasoner import AnswerSet, normalize_answer
-from .transport import read_jsonl, require_file
+from .transport import read_jsonl, read_utf8, require_file
 
 FORMATS = ("simple", "webqsp", "cwq")  # dataset layouts ``load_dataset`` reads
 MODES = ("strict", "lenient")  # scoring modes ``score_sample`` knows
@@ -170,7 +170,7 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
         return _parse_records(_sample_from_simple, read_jsonl(path, "dataset"))
     p = require_file(path, "dataset")
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
+        payload = json.loads(read_utf8(p, ParseError))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}: not a JSON {format} dataset ({exc})") from None
     if format == "webqsp":
@@ -285,7 +285,7 @@ def _read_checkpoint(directory: Path, sample_id: str, config_digest: str) -> dic
         return None
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError:
+    except (UnicodeDecodeError, json.JSONDecodeError):
         return None
     # Valid JSON that is not what ``_write_checkpoint`` wrote reads as absent.
     if not _is_checkpoint(payload) or payload["config_digest"] != config_digest:

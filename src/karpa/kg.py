@@ -230,5 +230,14 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
 
 
 def load_triples_path(path: str | Path, inverse_edges: bool = False) -> KnowledgeGraph:
-    with require_file(path, "triple file", NotFoundError).open("r", encoding="utf-8") as fp:
-        return load_triples(fp, inverse_edges)
+    """``load_triples`` over the UTF-8 lines of the file at ``path``.
+
+    Bytes that are not UTF-8 are a ``ParseError`` naming the file: the text
+    is decoded in blocks, so the line is not known.
+    """
+    p = require_file(path, "triple file", NotFoundError)
+    try:
+        with p.open("r", encoding="utf-8") as fp:
+            return load_triples(fp, inverse_edges)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text ({exc.reason})") from None

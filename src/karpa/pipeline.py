@@ -202,15 +202,17 @@ class Pipeline:
                     }
                 )
             else:
-                trace.append(
-                    {
-                        "event": "replanning",
-                        "prompt_digest": digest_messages(messages),
-                        "raw": candidate_set.raw_llm_text,
-                        "paths": candidate_set.trace_paths(),
-                        "snaps": [list(s) for s in candidate_set.snaps],
-                    }
-                )
+                event = {
+                    "event": "replanning",
+                    "prompt_digest": digest_messages(messages),
+                    "raw": candidate_set.raw_llm_text,
+                    "paths": candidate_set.trace_paths(),
+                    "snaps": [list(s) for s in candidate_set.snaps],
+                }
+                # A first reply that failed to parse before the retry's parsed.
+                if candidate_set.unparsed:
+                    event["unparsed"] = candidate_set.unparsed
+                trace.append(event)
                 if candidate_set.snaps:
                     flags.append("snapped_relations")
                 if candidate_set.inconsistent:

@@ -55,13 +55,15 @@ class CandidatePathSet:
     ``inconsistent`` marks sets where some path's relation count does not
     match its stated length; such paths are kept, not dropped. ``snaps``
     records off-vocabulary labels that were replaced by their nearest
-    vocabulary label during re-planning.
+    vocabulary label during re-planning. ``unparsed`` holds the reply that
+    failed to parse before ``raw_llm_text``, when a corrective retry gave it.
     """
 
     by_length: dict[int, list[RelationPath]]
     raw_llm_text: str
     inconsistent: bool = False
     snaps: list[tuple[str, str]] = field(default_factory=list)
+    unparsed: list[str] = field(default_factory=list)
 
     def all_paths(self) -> list[RelationPath]:
         return [path for length in sorted(self.by_length) for path in self.by_length[length]]
@@ -218,8 +220,9 @@ def replan(
     recorded, a repeated label at each place it occurs. A parse failure
     earns one corrective retry, which appends the reply and a corrective
     message to ``messages`` (a new list; ``messages`` itself is not
-    changed); when the retry's reply fails too, a ``ReplanParseError``
-    carries both replies.
+    changed). When the retry's reply parses, the set keeps the first reply
+    under ``unparsed``; when it fails too, a ``ReplanParseError`` carries
+    both replies.
     """
     result = llm.complete(messages, phase="replanning")
     try:
@@ -234,4 +237,5 @@ def replan(
             parsed = parse_path_sets(retry_result.text)
         except ParseError as exc:
             raise ReplanParseError(str(exc), (result.text, retry_result.text)) from None
+        parsed.unparsed = [result.text]
     return _snap_to_vocabulary(parsed, vocab, embedder)

@@ -166,17 +166,32 @@ def require_output(path: str | Path | None, what: str) -> Path | None:
     return p
 
 
+def read_utf8(path: Path, error: type[Exception]) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are ``error``
+    naming the file and the 1-based number of their line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line} is not UTF-8 text ({exc.reason})") from None
+
+
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
     """``(line index, object)`` for each non-blank line of a line-JSON file.
 
-    The index is 0-based and counts blank lines too. A missing file or a
-    directory is a ``DataError`` naming ``what``; a line that is not JSON is
-    a ``ParseError`` naming the file and the line's 1-based number.
+    The index is 0-based and counts blank lines too; lines end at ``\\n``.
+    A missing file or a directory is a ``DataError`` naming ``what``; a line
+    that is not UTF-8 text or not JSON is a ``ParseError`` naming the file
+    and the line's 1-based number.
     """
     p = require_file(path, what)
-    with p.open("r", encoding="utf-8") as fp:
-        for index, line in enumerate(fp):
-            line = line.strip()
+    with p.open("rb") as fp:
+        for index, raw in enumerate(fp):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{p}: line {index + 1} is not UTF-8 text ({exc.reason})") from None
             if not line:
                 continue
             try:

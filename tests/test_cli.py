@@ -1,4 +1,10 @@
 import json
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -815,3 +821,94 @@ def test_eval_dataset_record_of_wrong_shape_is_data_error(tmp_path, kg_file, cap
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith(f"data error: record {index}: ")
+
+
+# One case per reader: a line of bytes that are not UTF-8, after a good first line.
+_NOT_UTF8 = {
+    "triples": b"A\tr\tB\n\xff\tr\tC\n",
+    "simple": _GOOD_SIMPLE.encode("utf-8") + b"\n\xff\n",
+    "webqsp": b'{"Questions": [\n"\xff"]}',
+    "cwq": b'[\n"\xff"]',
+    "llm": b'{"digest": "d1", "response_text": "t"}\n\xff\n',
+    "embedding": b'{"digest": "d1", "values": [1.0]}\n\xff\n',
+    "config": b"llm.kind = mock\nmatcher.strategy = \xff\n",
+}
+
+
+@pytest.mark.parametrize("reader", list(_NOT_UTF8))
+def test_input_file_that_is_not_utf8_is_a_typed_error_naming_it(tmp_path, kg_file, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(_NOT_UTF8[reader])
+    conf = tmp_path / "karpa.conf"
+    conf.write_text(f"kg.path = {kg_file}\nllm.kind = mock\n", encoding="utf-8")
+    ask = ["ask", "--question", "Q?", "--topic", "A"]
+    if reader == "triples":
+        argv = ["ingest", str(bad)]
+    elif reader in ("simple", "webqsp", "cwq"):
+        argv = ["--config", str(conf), "eval", "--dataset", str(bad), "--format", reader]
+    elif reader == "config":
+        argv = ["--config", str(bad), *ask]
+    else:
+        conf.write_text(f"kg.path = {kg_file}\n{reader}.kind = scripted\n{reader}.fixtures = {bad}\n", encoding="utf-8")
+        argv = ["--config", str(conf), *ask]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if reader == "config":
+        assert code == EXIT_CONFIG and err.startswith("config error: ")
+    else:
+        assert code == EXIT_DATA and err.startswith("data error: ")
+    where = "" if reader == "triples" else " line 2 is"  # the graph is decoded in blocks
+    assert f"{bad}:{where} not UTF-8 text" in err
+
+
+def test_eval_killed_at_seeded_points_resumes_to_the_uninterrupted_report(tmp_path):
+    # `karpa eval` with checkpoints and a file cache, SIGKILLed once k
+    # checkpoints exist for seeded k, then run again each time: the last run
+    # must write the uninterrupted run's report byte for byte. Only the
+    # test's own child process is signalled.
+    config = (
+        f"kg.path = {FIXTURE20 / 'kg.tsv'}\n"
+        "llm.kind = scripted\n"
+        f"llm.fixtures = {FIXTURE20 / 'llm_fixtures.jsonl'}\n"
+        "embedding.cache_path = cache.jsonl\n"
+        "eval.checkpoint_dir = ckpt\n"
+        "eval.concurrency = 2\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KARPA_")}
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+
+    def start(cwd: Path) -> subprocess.Popen:
+        cwd.mkdir(exist_ok=True)
+        (cwd / "karpa.conf").write_text(config, encoding="utf-8")
+        argv = ["--config", "karpa.conf", "eval", "--dataset", str(FIXTURE20 / "questions.jsonl")]
+        return subprocess.Popen(
+            [sys.executable, "-m", "karpa.cli", *argv, "--report", "report.txt"], cwd=cwd, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+    def finish(cwd: Path) -> bytes:
+        proc = start(cwd)
+        assert proc.wait(timeout=120) == 0
+        return (cwd / "report.txt").read_bytes()
+
+    reference = finish(tmp_path / "reference")
+    work = tmp_path / "interrupted"
+    landed = 0
+    for k in sorted(random.Random(27).sample(range(1, 20), 4)):
+        proc = start(work)
+        try:
+            deadline = time.monotonic() + 120
+            while proc.poll() is None and len(list((work / "ckpt").glob("*.json"))) < k:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            if proc.poll() is None:
+                proc.kill()
+                landed += proc.wait(timeout=30) == -signal.SIGKILL
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=30)
+    assert landed >= 1
+    assert finish(work) == reference
+    assert EmbeddingCache(work / "cache.jsonl").skipped <= 1

@@ -541,6 +541,23 @@ def test_cache_load_skips_blank_lines_without_counting_them(tmp_path):
     assert cache.skipped == 0 and cache.stats()["records"] == 2
 
 
+def test_cache_load_skips_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    EmbeddingCache(path).put(b"identity", b"first", mock_embed("first", 8))
+    with path.open("ab") as fp:
+        fp.write(b'{"identity": "\xff"}\n')
+    EmbeddingCache(path).put(b"identity", b"second", mock_embed("second", 8))
+    cache = EmbeddingCache(path)
+    assert cache.skipped == 1 and cache.stats()["records"] == 2
+
+
+def test_file_whose_first_line_is_not_utf8_is_data_error(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(DataError, match="not an embedding cache file"):
+        EmbeddingCache(path)
+
+
 @pytest.mark.parametrize("first_line", ["karpa cache\n", "[1, 2]\n"], ids=["not-json", "not-a-header"])
 def test_file_that_does_not_start_with_a_cache_header_is_data_error(tmp_path, first_line):
     path = tmp_path / "cache.jsonl"
@@ -837,6 +854,182 @@ def test_held_labels_are_the_vectors_the_cache_serves():
     _, (again,) = gw.embed_with_labels([], ["a.b.c"])
     assert first.values.tobytes() == cached.values.tobytes() and again is first
     assert other == mock_embed("d.e.f", 64)
+
+
+# -- single-flight fetches ----------------------------------------------------
+
+
+class _GatedProvider:
+    """Mock vectors, recording every request. The first request that holds a
+    text of ``hold`` blocks until ``release`` is set, then raises ``error``
+    if one is given."""
+
+    identity = "gated"
+
+    def __init__(self, hold, error=None):
+        self.hold = set(hold)
+        self.error = error
+        self.batches: list[list[str]] = []
+        self.release = threading.Event()
+        self._seen = threading.Condition()
+
+    def embed_batch(self, texts):
+        with self._seen:
+            self.batches.append(list(texts))
+            gated = not self.hold.isdisjoint(texts)
+            self.hold.difference_update(texts)
+            self._seen.notify_all()
+        if gated:
+            if not self.release.wait(timeout=10):
+                raise RuntimeError("the gated request was never released")
+            if self.error is not None:
+                raise self.error
+        return [mock_embed(text, 16) for text in texts]
+
+    def wait_for_requests(self, count):
+        with self._seen:
+            assert self._seen.wait_for(lambda: len(self.batches) >= count, timeout=10)
+
+
+def _in_thread(call, *args):
+    """Start ``call(*args)`` in a thread; the returned dict gets its result or what it raised."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call(*args)
+        except BaseException as exc:  # handed to the test, KeyboardInterrupt too
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread, outcome
+
+
+def _join(*threads):
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def _cached_bits(gateway, text):
+    return gateway.cache.get(gateway._identity_digest, bytes.fromhex(text_digest(text))).values.tobytes()
+
+
+def test_threads_with_overlapping_labels_send_each_label_once():
+    provider = _GatedProvider(hold={"first query"})
+    gw = EmbeddingGateway(provider)
+    requests = _record_requests(gw)
+    first, second = ["a.b.c", "d.e.f", "g.h.i"], ["g.h.i", "d.e.f", "j.k.l"]
+    leader, led = _in_thread(gw.embed_with_labels, ["first query"], first)
+    try:
+        provider.wait_for_requests(1)
+        follower, followed = _in_thread(gw.embed_with_labels, ["second query"], second)
+        # The follower's request leaves out the two labels the leader is fetching.
+        provider.wait_for_requests(2)
+    finally:
+        provider.release.set()
+    _join(leader, follower)
+    assert requests == [["first query", *first], ["second query", "j.k.l"]]
+    assert provider.batches == requests
+    for labels, outcome in ((first, led), (second, followed)):
+        _, vectors = outcome["result"]
+        assert [v.values.tobytes() for v in vectors] == [_cached_bits(gw, label) for label in labels]
+
+
+def test_threads_missing_one_kept_text_make_one_request_for_it():
+    provider = _GatedProvider(hold={"shared"})
+    gw = EmbeddingGateway(provider)
+    leader, led = _in_thread(gw.embed, ["shared"])
+    try:
+        provider.wait_for_requests(1)
+        follower, followed = _in_thread(gw.embed, ["own", "shared", "own"])
+        provider.wait_for_requests(2)
+    finally:
+        provider.release.set()
+    _join(leader, follower)
+    assert provider.batches == [["shared"], ["own"]]
+    own, shared, again = followed["result"]
+    assert again is own and shared.values.tobytes() == led["result"][0].values.tobytes() == _cached_bits(gw, "shared")
+
+
+@pytest.mark.parametrize(
+    "error", [ProviderError("leader failed"), KeyboardInterrupt()], ids=["ProviderError", "KeyboardInterrupt"]
+)
+def test_a_failed_fetch_releases_its_waiters_and_each_fetches_the_text_itself(error):
+    provider = _GatedProvider(hold={"shared"}, error=error)
+    gw = EmbeddingGateway(provider, sleep=lambda _: None)
+    leader, led = _in_thread(gw.embed, ["shared"])
+    try:
+        provider.wait_for_requests(1)
+        follower, followed = _in_thread(gw.embed, ["shared", "own"])
+        provider.wait_for_requests(2)
+    finally:
+        provider.release.set()
+    _join(leader, follower)
+    # The leader's error stays the leader's; the follower sends the text once it is released.
+    assert led["error"] is error and "error" not in followed
+    assert provider.batches == [["shared"], ["own"], ["shared"]]
+    shared, own = followed["result"]
+    assert shared == mock_embed("shared", 16) and own == mock_embed("own", 16)
+    assert gw._fetching == {}
+
+
+def test_transient_requests_neither_wait_nor_make_others_wait():
+    provider = _GatedProvider(hold={"kept", "transient"})
+    gw = EmbeddingGateway(provider)
+
+    def transient_embed(texts):
+        with gw.transient():
+            return gw.embed(texts)
+
+    kept, _ = _in_thread(gw.embed, ["kept"])
+    transient, _ = _in_thread(transient_embed, ["transient"])
+    try:
+        provider.wait_for_requests(2)
+        # Both requests are blocked. A transient request for the kept text
+        # does not wait for it, and a kept request does not wait for the
+        # transient one's text.
+        others = [_in_thread(transient_embed, ["kept"]), _in_thread(gw.embed, ["transient"])]
+        _join(*(thread for thread, _ in others))
+        assert provider.batches[2:] in (
+            [["kept"], ["transient"]],
+            [["transient"], ["kept"]],
+        )
+        for (_, outcome), text in zip(others, ["kept", "transient"]):
+            assert outcome["result"] == [mock_embed(text, 16)]
+    finally:
+        provider.release.set()
+    _join(kept, transient)
+    assert gw.holds(["kept", "transient"]) and gw._fetching == {}
+
+
+def test_many_threads_send_each_kept_text_and_label_once():
+    texts = [f"text {i}" for i in range(40)]
+    labels = list(dict.fromkeys(relation_label_pool(random.Random(13), 60)))
+    spy = SpyEmbeddingProvider(MockEmbeddingProvider(64))
+    gw = EmbeddingGateway(spy)
+    requests = _record_requests(gw)
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            gw.embed(rng.sample(texts, 5))
+            gw.embed_with_labels(rng.sample(texts, 2), rng.sample(labels, 8))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        _join(*threads)
+    finally:
+        sys.setswitchinterval(interval)
+    sent = [text for batch in spy.batches for text in batch]
+    assert len(sent) == len(set(sent))
+    passed_labels = [text for request in requests for text in request if text in labels]
+    assert len(passed_labels) == len(set(passed_labels))
 
 
 # -- scripted provider --------------------------------------------------------

@@ -331,6 +331,23 @@ def test_checkpoint_that_is_not_json_is_run_again(tmp_path):
     assert json.loads(checkpoint.read_text(encoding="utf-8"))["config_digest"] == "d"
 
 
+def test_checkpoint_that_is_not_utf8_is_run_again(tmp_path):
+    samples = [sample(1, [["a"]])]
+    ran = []
+
+    def runner(s):
+        ran.append(s.id)
+        return outcome(answer_set("a"))
+
+    evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    (checkpoint,) = tmp_path.glob("*.json")
+    checkpoint.write_bytes(b'{"config_digest": "\xff"}')
+    report = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    assert ran == ["q1", "q1"]
+    assert report.records[0].score.hit1 == 1
+    assert json.loads(checkpoint.read_text(encoding="utf-8"))["config_digest"] == "d"
+
+
 @pytest.mark.parametrize("text", ["[]", "null", '"d"', '{"config_digest": "d"}'])
 def test_checkpoint_that_is_not_a_checkpoint_object_is_run_again(tmp_path, text):
     samples = [sample(1, [["a"]])]

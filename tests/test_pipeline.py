@@ -251,6 +251,20 @@ def test_unparseable_replan_after_retry_falls_back_to_initial_plan():
     assert result.selected == expected
 
 
+def test_replan_whose_retry_parses_records_the_unparsed_first_reply():
+    pipeline, _ = build_brahui_world()
+    provider = pipeline.chat_provider
+    pool = extract_relation_pool(parse_path_sets(PLAN_TEXT), pipeline.vocab, pipeline.embedder, cap=30)
+    first = build_replanning_prompt(BRAHUI_QUESTION, pool)
+    provider.add(first, "nope")
+    provider.add(first + [ChatMessage("assistant", "nope"), ChatMessage("user", CORRECTIVE_MESSAGE)], PLAN_TEXT)
+    result = pipeline.run(BRAHUI_QUESTION)
+    assert "Muhammad Zia-ul-Haq" in result.answers.answers
+    assert result.flags == [] and result.usage_snapshot["phases"]["replanning"]["calls"] == 2
+    [event] = [e for e in result.trace if e["event"] == "replanning"]
+    assert event["raw"] == PLAN_TEXT and event["unparsed"] == ["nope"]
+
+
 def test_unparseable_initial_plan_flagged_and_empty():
     g = graph_from(BRAHUI_TRIPLES)
     embedder = EmbeddingGateway(MockEmbeddingProvider(64))
