@@ -209,7 +209,7 @@ class Pipeline:
                     "paths": candidate_set.trace_paths(),
                     "snaps": [list(s) for s in candidate_set.snaps],
                 }
-                # A first reply that failed to parse before the retry's parsed.
+                # The first reply, when only the corrective retry parsed.
                 if candidate_set.unparsed:
                     event["unparsed"] = candidate_set.unparsed
                 trace.append(event)
