@@ -32,19 +32,19 @@ each label is requested once per gateway and is not rebuilt from the
 cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
 scan; vocabulary sizes here do not warrant an ANN index.
 
-Kept fetches are single-flight per gateway: under ``eval.concurrency > 1``
-a text or relation label that one worker is fetching is not sent again by
-another, which waits for that fetch and takes the vector the cache stored.
-So each label is passed to ``embed`` once, and each kept text reaches the
-provider once, however many workers miss it; a fetch that fails leaves
-each waiter to send the text itself.
+Relation-label fetches are single-flight per gateway: under
+``eval.concurrency > 1`` a label that one worker is fetching is not sent
+again by another, which waits for that fetch and takes the vector it held.
+So each label is passed to ``embed`` once, however many workers miss it; a
+fetch that fails leaves each waiter to send the label itself. Other texts,
+an LLM's relations and query texts, are fetched by each worker that misses
+them: two workers rarely miss the same one at once.
 
 The cache keeps relation labels, the LLM's query texts and the fixed-length
 matchers' candidate relations. It does not keep the heuristic matcher's
 label sequences, thousands a question and almost none met again: the
 heuristic requests them inside ``EmbeddingGateway.transient``, which serves
-cache hits but stores nothing it fetches, and takes no part in single
-flight.
+cache hits but stores nothing it fetches.
 """
 
 from __future__ import annotations
@@ -470,12 +470,6 @@ class EmbeddingGateway:
     the cache stores each fetched vector, and appends it to its file, so a
     later ``embed`` of the text, by any caller, gets the bits stored first.
 
-    Kept fetches are single-flight: a miss that another thread is fetching
-    is not sent again. The caller sends its own misses first, then waits
-    for the other fetches and takes the vectors the cache stored. A fetch
-    that fails wakes its waiters, and each sends the text itself, so a
-    caller's error comes from its own request only.
-
     Inside ``with gateway.transient():`` ``embed`` still serves hits and
     still checks dims, but keeps nothing it fetches: no memory entry and no
     file record. There a miss gets the provider's own bits, so two requests
@@ -501,13 +495,10 @@ class EmbeddingGateway:
         # has fetched. One call at a time fetches a label (``_fetching``), so
         # each label is held once, with the bits the cache serves.
         self._labels: dict[str, EmbeddingVector] = {}
-        # The fetches in progress, guarded by ``_lock``, which is never held
-        # across provider I/O: the event set when each fetch ends, under the
-        # digest of each kept miss ``embed`` is sending and under each label
-        # ``embed_with_labels`` is sending. A digest is bytes and a label a
-        # str, so the two never meet, and a call's own label fetch does not
-        # make its ``embed`` wait.
-        self._fetching: dict[bytes | str, threading.Event] = {}
+        # Each label ``embed_with_labels`` is fetching -> the event set when
+        # that fetch ends. Guarded by ``_lock``, which is never held across
+        # provider I/O.
+        self._fetching: dict[str, threading.Event] = {}
         self._scope = threading.local()  # ``transient`` is True inside ``transient()``
 
     def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
@@ -525,22 +516,11 @@ class EmbeddingGateway:
                     f"{self.provider.identity!r}; if its model changed, run `karpa cache clear`"
                 )
 
-    def _release(self, keys: list, done: threading.Event) -> None:
-        """End a fetch: drop its ``keys`` from the fetches in progress, then wake its waiters."""
-        fetching = self._fetching
-        with self._lock:
-            for key in keys:
-                if fetching.get(key) is done:
-                    del fetching[key]
-        done.set()
-
     @contextlib.contextmanager
     def transient(self) -> Iterator[None]:
         """Within the block, ``embed`` in this thread keeps nothing it fetches.
 
-        Its requests take no part in single flight: they neither wait for
-        another thread's fetch of a text nor make another thread wait for
-        theirs. Scopes do not nest: leaving one, by an exception too, ends it.
+        Scopes do not nest: leaving one, by an exception too, ends it.
         """
         self._scope.transient = True
         try:
@@ -551,87 +531,45 @@ class EmbeddingGateway:
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.
 
-        Each distinct text is hashed once; its digest keys the lookup, the
-        store and the text's entry among the fetches in progress. Dims are
-        checked once for the hits and once for the provider's reply, before
-        any vector is stored. A kept miss that another thread is fetching is
-        waited for after this call's own request, then served from the cache,
-        or sent by this call if that fetch failed. Inside ``transient()``
-        nothing is stored and nothing is waited for.
+        Each text is hashed once; its digest keys both the lookup and, on a
+        miss, the store. Dims are checked once for the hits and once for the
+        provider's reply, before any vector is stored. Inside ``transient()``
+        nothing is stored.
         """
         if not texts:
             raise ContractError("embed requires at least one text")
         if any(not t for t in texts):
             raise ContractError("embed texts must be non-empty")
-        keep = not getattr(self._scope, "transient", False)
+        identity = self._identity_digest
+        cache = self.cache
         sha256 = hashlib.sha256
         out: list[EmbeddingVector | None] = [None] * len(texts)
-        # text -> (its digest, its positions in ``texts``)
-        pending: dict[str, tuple[bytes, list[int]]] = {}
-        for i, text in enumerate(texts):
-            entry = pending.get(text)
-            if entry is None:
-                entry = pending[text] = (sha256(text.encode("utf-8")).digest(), [])
-            entry[1].append(i)
-        while pending:
-            pending = self._serve(pending, out, keep)
-        return out
-
-    def _serve(
-        self, pending: dict[str, tuple[bytes, list[int]]], out: list, keep: bool
-    ) -> dict[str, tuple[bytes, list[int]]]:
-        """One round of ``embed``: fill ``out`` for the ``pending`` texts that
-        the cache holds or that this round fetches, in one request, then wait
-        for those another thread is fetching, and return them.
-
-        When ``keep``, the lookups and the claims on the misses are made under
-        the lock, and a fetch stores its vectors before it is released, so a
-        text is either found in the cache or seen in flight: no fetch that
-        ends in between is missed. The claims are released however the round
-        ends, before it waits for anyone, so no two rounds wait on each other.
-        """
-        identity, cache = self._identity_digest, self.cache
-        fetching = self._fetching
-        done = threading.Event() if keep else None
         hits: list[EmbeddingVector] = []
-        missing: dict[str, tuple[bytes, list[int]]] = {}  # this round fetches them
-        others: dict[str, tuple[bytes, list[int]]] = {}  # another thread fetches them
-        waits: set[threading.Event] = set()
-        try:
-            with self._lock if keep else contextlib.nullcontext():
-                for text, entry in pending.items():
-                    digest, positions = entry
-                    hit = cache.get(identity, digest)
-                    if hit is not None:
-                        hits.append(hit)
-                        for i in positions:
-                            out[i] = hit
-                    elif keep and digest in fetching:
-                        others[text] = entry
-                        waits.add(fetching[digest])
-                    else:
-                        missing[text] = entry
-                        if keep:
-                            fetching[digest] = done
-            if hits:
-                self._check_dim(hits)
-            if missing:
-                unique = list(missing)
-                vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
-                if len(vectors) != len(unique):
-                    raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
-                self._check_dim(vectors)
-                for (digest, positions), vec in zip(missing.values(), vectors):
-                    if keep:
-                        vec = cache.put(identity, digest, vec)
-                    for i in positions:
-                        out[i] = vec
-        finally:
-            if keep and missing:
-                self._release([digest for digest, _ in missing.values()], done)
-        for other in waits:
-            other.wait()
-        return others
+        # text -> (its digest, its positions in ``texts``)
+        missing: dict[str, tuple[bytes, list[int]]] = {}
+        for i, text in enumerate(texts):
+            digest = sha256(text.encode("utf-8")).digest()
+            hit = cache.get(identity, digest)
+            if hit is not None:
+                hits.append(hit)
+                out[i] = hit
+            else:
+                missing.setdefault(text, (digest, []))[1].append(i)
+        if hits:
+            self._check_dim(hits)
+        if missing:
+            unique = list(missing)
+            vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
+            if len(vectors) != len(unique):
+                raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
+            self._check_dim(vectors)
+            keep = not getattr(self._scope, "transient", False)
+            for (digest, positions), vec in zip(missing.values(), vectors):
+                if keep:
+                    vec = cache.put(identity, digest, vec)
+                for i in positions:
+                    out[i] = vec
+        return out
 
     def holds(self, texts: list[str]) -> bool:
         """Whether the cache holds every text's vector, so that ``embed(texts)`` calls no provider."""
@@ -685,8 +623,12 @@ class EmbeddingGateway:
                     for label, vec in zip(mine, vectors[len(texts) :]):
                         held[label] = vec
             finally:
-                if mine:
-                    self._release(mine, done)
+                if mine:  # end this fetch, held or failed, then wake its waiters
+                    with self._lock:
+                        for label in mine:
+                            if fetching.get(label) is done:
+                                del fetching[label]
+                    done.set()
             for other in waits:
                 other.wait()
             texts = []  # sent with the first request only

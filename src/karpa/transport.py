@@ -173,21 +173,27 @@ def read_utf8(path: Path, error: type[Exception]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # ``bytes.splitlines`` ends lines at \n, \r and \r\n, as text mode
+        # does; the added byte stands for the line the bad bytes are on.
+        line = len((data[: exc.start] + b".").splitlines())
         raise error(f"{path}: line {line} is not UTF-8 text ({exc.reason})") from None
 
 
 def read_jsonl(path: str | Path, what: str) -> Iterator[tuple[int, object]]:
     """``(line index, object)`` for each non-blank line of a line-JSON file.
 
-    The index is 0-based and counts blank lines too; lines end at ``\\n``.
-    A missing file or a directory is a ``DataError`` naming ``what``; a line
-    that is not UTF-8 text or not JSON is a ``ParseError`` naming the file
-    and the line's 1-based number.
+    The index is 0-based and counts blank lines too; lines end at ``\\n``,
+    ``\\r`` or ``\\r\\n``, as in text mode. A missing file or a directory
+    is a ``DataError`` naming ``what``; a line that is not UTF-8 text or not
+    JSON is a ``ParseError`` naming the file and the line's 1-based number.
     """
     p = require_file(path, what)
     with p.open("rb") as fp:
-        for index, raw in enumerate(fp):
+        # A binary read ends lines at \n only; splitting each again ends them
+        # where text mode would, and a line's bytes are decoded on their own,
+        # so one that is not UTF-8 is named.
+        lines = (line for chunk in fp for line in chunk.splitlines())
+        for index, raw in enumerate(lines):
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:

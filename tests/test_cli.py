@@ -892,19 +892,26 @@ def test_eval_killed_at_seeded_points_resumes_to_the_uninterrupted_report(tmp_pa
         assert proc.wait(timeout=120) == 0
         return (cwd / "report.txt").read_bytes()
 
+    def checkpoints() -> int:
+        return len(list((work / "ckpt").glob("*.json")))
+
     reference = finish(tmp_path / "reference")
     work = tmp_path / "interrupted"
+    # A kill lands mid-run when the killed run wrote a checkpoint and not the
+    # last: not while the interpreter starts, and not after the eval ended.
     landed = 0
     for k in sorted(random.Random(27).sample(range(1, 20), 4)):
+        before = checkpoints()
         proc = start(work)
         try:
             deadline = time.monotonic() + 120
-            while proc.poll() is None and len(list((work / "ckpt").glob("*.json"))) < k:
+            while proc.poll() is None and checkpoints() < k:
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
             if proc.poll() is None:
                 proc.kill()
-                landed += proc.wait(timeout=30) == -signal.SIGKILL
+                if proc.wait(timeout=30) == -signal.SIGKILL:
+                    landed += before < checkpoints() < 20
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -937,84 +937,37 @@ def test_threads_with_overlapping_labels_send_each_label_once():
         assert [v.values.tobytes() for v in vectors] == [_cached_bits(gw, label) for label in labels]
 
 
-def test_threads_missing_one_kept_text_make_one_request_for_it():
-    provider = _GatedProvider(hold={"shared"})
-    gw = EmbeddingGateway(provider)
-    leader, led = _in_thread(gw.embed, ["shared"])
-    try:
-        provider.wait_for_requests(1)
-        follower, followed = _in_thread(gw.embed, ["own", "shared", "own"])
-        provider.wait_for_requests(2)
-    finally:
-        provider.release.set()
-    _join(leader, follower)
-    assert provider.batches == [["shared"], ["own"]]
-    own, shared, again = followed["result"]
-    assert again is own and shared.values.tobytes() == led["result"][0].values.tobytes() == _cached_bits(gw, "shared")
-
-
 @pytest.mark.parametrize(
     "error", [ProviderError("leader failed"), KeyboardInterrupt()], ids=["ProviderError", "KeyboardInterrupt"]
 )
-def test_a_failed_fetch_releases_its_waiters_and_each_fetches_the_text_itself(error):
-    provider = _GatedProvider(hold={"shared"}, error=error)
+def test_a_failed_label_fetch_releases_its_waiters_and_each_fetches_the_label_itself(error):
+    provider = _GatedProvider(hold={"first query"}, error=error)
     gw = EmbeddingGateway(provider, sleep=lambda _: None)
-    leader, led = _in_thread(gw.embed, ["shared"])
+    leader, led = _in_thread(gw.embed_with_labels, ["first query"], ["a.b.c"])
     try:
         provider.wait_for_requests(1)
-        follower, followed = _in_thread(gw.embed, ["shared", "own"])
+        follower, followed = _in_thread(gw.embed_with_labels, ["second query"], ["a.b.c", "d.e.f"])
         provider.wait_for_requests(2)
     finally:
         provider.release.set()
     _join(leader, follower)
-    # The leader's error stays the leader's; the follower sends the text once it is released.
+    # The leader's error stays the leader's; the follower sends the label once it is released.
     assert led["error"] is error and "error" not in followed
-    assert provider.batches == [["shared"], ["own"], ["shared"]]
-    shared, own = followed["result"]
-    assert shared == mock_embed("shared", 16) and own == mock_embed("own", 16)
+    assert provider.batches == [["first query", "a.b.c"], ["second query", "d.e.f"], ["a.b.c"]]
+    _, vectors = followed["result"]
+    assert vectors == [mock_embed("a.b.c", 16), mock_embed("d.e.f", 16)]
     assert gw._fetching == {}
 
 
-def test_transient_requests_neither_wait_nor_make_others_wait():
-    provider = _GatedProvider(hold={"kept", "transient"})
-    gw = EmbeddingGateway(provider)
-
-    def transient_embed(texts):
-        with gw.transient():
-            return gw.embed(texts)
-
-    kept, _ = _in_thread(gw.embed, ["kept"])
-    transient, _ = _in_thread(transient_embed, ["transient"])
-    try:
-        provider.wait_for_requests(2)
-        # Both requests are blocked. A transient request for the kept text
-        # does not wait for it, and a kept request does not wait for the
-        # transient one's text.
-        others = [_in_thread(transient_embed, ["kept"]), _in_thread(gw.embed, ["transient"])]
-        _join(*(thread for thread, _ in others))
-        assert provider.batches[2:] in (
-            [["kept"], ["transient"]],
-            [["transient"], ["kept"]],
-        )
-        for (_, outcome), text in zip(others, ["kept", "transient"]):
-            assert outcome["result"] == [mock_embed(text, 16)]
-    finally:
-        provider.release.set()
-    _join(kept, transient)
-    assert gw.holds(["kept", "transient"]) and gw._fetching == {}
-
-
-def test_many_threads_send_each_kept_text_and_label_once():
+def test_many_threads_pass_each_label_to_embed_once():
     texts = [f"text {i}" for i in range(40)]
     labels = list(dict.fromkeys(relation_label_pool(random.Random(13), 60)))
-    spy = SpyEmbeddingProvider(MockEmbeddingProvider(64))
-    gw = EmbeddingGateway(spy)
+    gw = EmbeddingGateway(MockEmbeddingProvider(64))
     requests = _record_requests(gw)
 
     def worker(seed):
         rng = random.Random(seed)
         for _ in range(20):
-            gw.embed(rng.sample(texts, 5))
             gw.embed_with_labels(rng.sample(texts, 2), rng.sample(labels, 8))
 
     interval = sys.getswitchinterval()
@@ -1026,10 +979,9 @@ def test_many_threads_send_each_kept_text_and_label_once():
         _join(*threads)
     finally:
         sys.setswitchinterval(interval)
-    sent = [text for batch in spy.batches for text in batch]
-    assert len(sent) == len(set(sent))
     passed_labels = [text for request in requests for text in request if text in labels]
     assert len(passed_labels) == len(set(passed_labels))
+    assert gw._fetching == {}
 
 
 # -- scripted provider --------------------------------------------------------

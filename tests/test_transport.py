@@ -41,3 +41,17 @@ def test_simple_dataset_errors_keep_zero_based_record_index(tmp_path):
     with pytest.raises(DataError, match=r"record 2: missing field 'answers'"):
         load_dataset(path, format="simple")
 
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_lines_end_at_cr_and_crlf_as_in_text_mode(tmp_path, reader, newline):
+    load, record = READERS[reader]
+    path = tmp_path / "input.jsonl"
+    line = json.dumps(record).encode("utf-8")
+    path.write_bytes(line + newline.encode() * 2 + line + newline.encode())
+    load(path)
+    path.write_bytes(line + newline.encode() * 2 + b"\xff" + newline.encode())
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert f"{path}: line 3 is not UTF-8 text" in str(exc.value)
