@@ -32,13 +32,13 @@ each label is requested once per gateway and is not rebuilt from the
 cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
 scan; vocabulary sizes here do not warrant an ANN index.
 
-Relation-label fetches are single-flight per gateway: under
-``eval.concurrency > 1`` a label that one worker is fetching is not sent
-again by another, which waits for that fetch and takes the vector it held.
-So each label is passed to ``embed`` once, however many workers miss it; a
-fetch that fails leaves each waiter to send the label itself. Other texts,
-an LLM's relations and query texts, are fetched by each worker that misses
-them: two workers rarely miss the same one at once.
+Relation labels are fetched one call at a time per gateway, under one lock:
+under ``eval.concurrency > 1`` a worker that misses a label waits for the
+fetch in progress, then sends the labels still missing, so each label is
+passed to ``embed`` once. A worker whose labels are all held takes no lock;
+one that misses a label waits, its own texts too, while another fetches.
+Other texts, an LLM's relations and query texts, are fetched by each worker
+that misses them: two workers rarely miss the same one at once.
 
 The cache keeps relation labels, the LLM's query texts and the fixed-length
 matchers' candidate relations. It does not keep the heuristic matcher's
@@ -492,13 +492,12 @@ class EmbeddingGateway:
         self._dim: int | None = None
         self._lock = threading.Lock()
         # Relation label -> its vector, for every label ``embed_with_labels``
-        # has fetched. One call at a time fetches a label (``_fetching``), so
-        # each label is held once, with the bits the cache serves.
+        # has fetched. Labels are fetched under ``_label_lock``, one fetch at
+        # a time, so each label is held once, with the bits the cache serves.
+        # ``_lock`` guards ``_dim`` only: ``embed`` takes it, so it cannot be
+        # held across a label fetch.
         self._labels: dict[str, EmbeddingVector] = {}
-        # Each label ``embed_with_labels`` is fetching -> the event set when
-        # that fetch ends. Guarded by ``_lock``, which is never held across
-        # provider I/O.
-        self._fetching: dict[str, threading.Event] = {}
+        self._label_lock = threading.Lock()
         self._scope = threading.local()  # ``transient`` is True inside ``transient()``
 
     def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
@@ -588,52 +587,27 @@ class EmbeddingGateway:
         """``embed(texts)``, and the vectors of the relation ``labels``, in at most one request.
 
         A graph has at most twice as many relation labels as relations, so
-        the gateway holds the vector of every label it has fetched. The
-        labels it does not hold, and that no other thread is fetching, go to
-        ``embed`` in one request with ``texts``, so they pass through the
-        cache and keep its bits, and are held from then on; a failed request
-        holds nothing. A label another thread is fetching is left out and
-        waited for after that request, so each label is passed to ``embed``
-        once per gateway; if that fetch fails, this call sends the label
-        itself. No request is made when ``texts`` is empty and every label
-        is held or being fetched. Texts such as an LLM's relations are never
-        held: there is no bound on them.
+        the gateway holds the vector of every label it has fetched. A call
+        whose labels are all held takes no lock. Any other call takes the
+        gateway's label lock, looks again for the labels it does not hold,
+        and sends them to ``embed`` in one request with ``texts``, so they
+        pass through the cache and keep its bits, and are held from then on.
+        So each label is passed to ``embed`` once per gateway, and a call
+        that misses a label waits while another call fetches. A failed
+        request holds nothing: the next caller sends the labels itself. No
+        request is made when ``texts`` is empty and every label is held.
+        Texts such as an LLM's relations are never held: there is no bound
+        on them.
         """
         held = self._labels
-        missing = [label for label in dict.fromkeys(labels) if label not in held]
-        text_vecs: list[EmbeddingVector] = []
-        while texts or missing:
-            fetching, done = self._fetching, threading.Event()
-            mine: list[str] = []
-            waits: set[threading.Event] = set()
-            try:
-                if missing:
-                    with self._lock:
-                        for label in missing:
-                            if label in held:  # fetched since the look above
-                                continue
-                            if label in fetching:
-                                waits.add(fetching[label])
-                            else:
-                                mine.append(label)
-                                fetching[label] = done
-                if texts or mine:
-                    vectors = self.embed([*texts, *mine])
-                    text_vecs += vectors[: len(texts)]
-                    for label, vec in zip(mine, vectors[len(texts) :]):
-                        held[label] = vec
-            finally:
-                if mine:  # end this fetch, held or failed, then wake its waiters
-                    with self._lock:
-                        for label in mine:
-                            if fetching.get(label) is done:
-                                del fetching[label]
-                    done.set()
-            for other in waits:
-                other.wait()
-            texts = []  # sent with the first request only
-            missing = [label for label in missing if label not in held]
-        return text_vecs, [held[label] for label in labels]
+        # A call whose labels are all held takes no lock: it never waits for another's fetch.
+        fetch = any(label not in held for label in labels)
+        with self._label_lock if fetch else contextlib.nullcontext():
+            missing = [label for label in dict.fromkeys(labels) if label not in held]
+            vectors = self.embed([*texts, *missing]) if texts or missing else []
+            for label, vec in zip(missing, vectors[len(texts) :]):
+                held[label] = vec
+        return vectors[: len(texts)], [held[label] for label in labels]
 
     def top_k_similar_relations(
         self, query_texts: list[str] | str, vocab: list[str], k: int

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import NotFoundError, ParseError
-from .transport import require_file
+from .transport import read_utf8, require_file
 
 INVERSE_MARKER = "~inv"
 
@@ -232,12 +232,16 @@ def load_triples(lines: Iterable[str], inverse_edges: bool = False) -> Knowledge
 def load_triples_path(path: str | Path, inverse_edges: bool = False) -> KnowledgeGraph:
     """``load_triples`` over the UTF-8 lines of the file at ``path``.
 
-    Bytes that are not UTF-8 are a ``ParseError`` naming the file: the text
-    is decoded in blocks, so the line is not known.
+    A malformed line, or bytes that are not UTF-8, are a ``ParseError``
+    naming the file and the line. Text mode decodes in blocks, so on bad
+    bytes the file is read again whole to find their line.
     """
     p = require_file(path, "triple file", NotFoundError)
     try:
         with p.open("r", encoding="utf-8") as fp:
             return load_triples(fp, inverse_edges)
+    except ParseError as exc:
+        raise ParseError(f"{p}: {exc}") from None
     except UnicodeDecodeError as exc:
+        read_utf8(p, ParseError)  # raises, naming the line
         raise ParseError(f"{p}: not UTF-8 text ({exc.reason})") from None

@@ -362,6 +362,28 @@ def test_ingest_malformed_file_is_data_error(tmp_path, capsys):
     assert main(["ingest", str(bad)]) == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["ingest", "ask"])
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"A\tr\tB\nbroken line\n", "line 2: expected 3 tab-separated non-empty fields, got 'broken line'"),
+        (b"A\tr\tB\n\xff\tr\tC\n", "line 2 is not UTF-8 text (invalid start byte)"),
+    ],
+    ids=["malformed", "not-utf8"],
+)
+def test_bad_triple_line_is_data_error_naming_the_file_and_line(tmp_path, capsys, command, data, error):
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(data)
+    if command == "ingest":
+        argv = ["ingest", str(bad)]
+    else:
+        conf = tmp_path / "karpa.conf"
+        conf.write_text(f"kg.path = {bad}\nllm.kind = mock\n", encoding="utf-8")
+        argv = ["--config", str(conf), "ask", "--question", "Q?", "--topic", "A"]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {bad}: {error}\n"
+
+
 def test_missing_config_file_is_config_error(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.conf"), "cache", "stats"])
     assert code == EXIT_CONFIG
@@ -857,8 +879,7 @@ def test_input_file_that_is_not_utf8_is_a_typed_error_naming_it(tmp_path, kg_fil
         assert code == EXIT_CONFIG and err.startswith("config error: ")
     else:
         assert code == EXIT_DATA and err.startswith("data error: ")
-    where = "" if reader == "triples" else " line 2 is"  # the graph is decoded in blocks
-    assert f"{bad}:{where} not UTF-8 text" in err
+    assert f"{bad}: line 2 is not UTF-8 text" in err
 
 
 def test_eval_killed_at_seeded_points_resumes_to_the_uninterrupted_report(tmp_path):

@@ -856,7 +856,7 @@ def test_held_labels_are_the_vectors_the_cache_serves():
     assert other == mock_embed("d.e.f", 64)
 
 
-# -- single-flight fetches ----------------------------------------------------
+# -- label fetches under the gateway's label lock -----------------------------
 
 
 class _GatedProvider:
@@ -891,6 +891,33 @@ class _GatedProvider:
             assert self._seen.wait_for(lambda: len(self.batches) >= count, timeout=10)
 
 
+class _WatchedLock:
+    """A lock that counts the calls that have asked for it, so that a test
+    can tell when a thread is queued behind the holder."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._asked = threading.Condition()
+        self.asks = 0
+
+    def __enter__(self):
+        with self._asked:
+            self.asks += 1
+            self._asked.notify_all()
+        if not self._lock.acquire(timeout=10):
+            raise RuntimeError("the label lock was never released")
+
+    def __exit__(self, *exc_info):
+        self._lock.release()
+
+    def locked(self):
+        return self._lock.locked()
+
+    def wait_for_asks(self, count):
+        with self._asked:
+            assert self._asked.wait_for(lambda: self.asks >= count, timeout=10)
+
+
 def _in_thread(call, *args):
     """Start ``call(*args)`` in a thread; the returned dict gets its result or what it raised."""
     outcome = {}
@@ -919,17 +946,20 @@ def _cached_bits(gateway, text):
 def test_threads_with_overlapping_labels_send_each_label_once():
     provider = _GatedProvider(hold={"first query"})
     gw = EmbeddingGateway(provider)
+    gw._label_lock = lock = _WatchedLock()
     requests = _record_requests(gw)
     first, second = ["a.b.c", "d.e.f", "g.h.i"], ["g.h.i", "d.e.f", "j.k.l"]
     leader, led = _in_thread(gw.embed_with_labels, ["first query"], first)
     try:
         provider.wait_for_requests(1)
         follower, followed = _in_thread(gw.embed_with_labels, ["second query"], second)
-        # The follower's request leaves out the two labels the leader is fetching.
-        provider.wait_for_requests(2)
+        # The follower waits for the lock the leader holds, its own text unsent.
+        lock.wait_for_asks(2)
+        assert provider.batches == [["first query", *first]]
     finally:
         provider.release.set()
     _join(leader, follower)
+    # Once the leader's labels are held, the follower sends only the label still missing.
     assert requests == [["first query", *first], ["second query", "j.k.l"]]
     assert provider.batches == requests
     for labels, outcome in ((first, led), (second, followed)):
@@ -943,20 +973,42 @@ def test_threads_with_overlapping_labels_send_each_label_once():
 def test_a_failed_label_fetch_releases_its_waiters_and_each_fetches_the_label_itself(error):
     provider = _GatedProvider(hold={"first query"}, error=error)
     gw = EmbeddingGateway(provider, sleep=lambda _: None)
+    gw._label_lock = lock = _WatchedLock()
     leader, led = _in_thread(gw.embed_with_labels, ["first query"], ["a.b.c"])
     try:
         provider.wait_for_requests(1)
         follower, followed = _in_thread(gw.embed_with_labels, ["second query"], ["a.b.c", "d.e.f"])
-        provider.wait_for_requests(2)
+        lock.wait_for_asks(2)
     finally:
         provider.release.set()
     _join(leader, follower)
-    # The leader's error stays the leader's; the follower sends the label once it is released.
+    # The leader's error stays the leader's; once released, the follower
+    # sends its text and both labels in one request.
     assert led["error"] is error and "error" not in followed
-    assert provider.batches == [["first query", "a.b.c"], ["second query", "d.e.f"], ["a.b.c"]]
+    assert provider.batches == [["first query", "a.b.c"], ["second query", "a.b.c", "d.e.f"]]
     _, vectors = followed["result"]
     assert vectors == [mock_embed("a.b.c", 16), mock_embed("d.e.f", 16)]
-    assert gw._fetching == {}
+    assert not lock.locked()
+
+
+def test_a_call_whose_labels_are_held_does_not_wait_for_another_fetch():
+    # The planner's per-question ranking, once the vocabulary is held, goes
+    # on while another thread's label fetch is in flight.
+    provider = _GatedProvider(hold={"gated query"})
+    gw = EmbeddingGateway(provider)
+    gw.embed_with_labels([], ["a.b.c", "d.e.f"])
+    fetcher, fetched = _in_thread(gw.embed_with_labels, ["gated query"], ["g.h.i"])
+    try:
+        provider.wait_for_requests(2)
+        ranker, ranked = _in_thread(gw.top_k_similar_relations, ["ranked query"], ["a.b.c", "d.e.f"], 1)
+        ranker.join(timeout=5)
+        assert not ranker.is_alive() and fetcher.is_alive()
+    finally:
+        provider.release.set()
+    _join(fetcher, ranker)
+    assert ranked["result"] == gw.top_k_similar_relations(["ranked query"], ["a.b.c", "d.e.f"], 1)
+    assert provider.batches == [["a.b.c", "d.e.f"], ["gated query", "g.h.i"], ["ranked query"]]
+    assert "error" not in fetched
 
 
 def test_many_threads_pass_each_label_to_embed_once():
@@ -981,7 +1033,7 @@ def test_many_threads_pass_each_label_to_embed_once():
         sys.setswitchinterval(interval)
     passed_labels = [text for request in requests for text in request if text in labels]
     assert len(passed_labels) == len(set(passed_labels))
-    assert gw._fetching == {}
+    assert not gw._label_lock.locked()
 
 
 # -- scripted provider --------------------------------------------------------
