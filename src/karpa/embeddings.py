@@ -588,19 +588,18 @@ class EmbeddingGateway:
 
         A graph has at most twice as many relation labels as relations, so
         the gateway holds the vector of every label it has fetched. A call
-        whose labels are all held takes no lock. Any other call takes the
-        gateway's label lock, looks again for the labels it does not hold,
-        and sends them to ``embed`` in one request with ``texts``, so they
-        pass through the cache and keep its bits, and are held from then on.
-        So each label is passed to ``embed`` once per gateway, and a call
-        that misses a label waits while another call fetches. A failed
-        request holds nothing: the next caller sends the labels itself. No
-        request is made when ``texts`` is empty and every label is held.
-        Texts such as an LLM's relations are never held: there is no bound
-        on them.
+        whose labels are all held takes no lock, so it never waits for
+        another call's fetch. Any other call takes the gateway's label lock,
+        looks again for the labels it does not hold, and sends them to
+        ``embed`` in one request with ``texts``, so they pass through the
+        cache and keep its bits, and are held from then on. So each label is
+        passed to ``embed`` once per gateway, and a call that misses a label
+        waits while another call fetches. A failed request holds nothing:
+        the next caller sends the labels itself. No request is made when
+        ``texts`` is empty and every label is held. Texts such as an LLM's
+        relations are never held: there is no bound on them.
         """
         held = self._labels
-        # A call whose labels are all held takes no lock: it never waits for another's fetch.
         fetch = any(label not in held for label in labels)
         with self._label_lock if fetch else contextlib.nullcontext():
             missing = [label for label in dict.fromkeys(labels) if label not in held]

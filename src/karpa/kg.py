@@ -243,5 +243,5 @@ def load_triples_path(path: str | Path, inverse_edges: bool = False) -> Knowledg
     except ParseError as exc:
         raise ParseError(f"{p}: {exc}") from None
     except UnicodeDecodeError as exc:
-        read_utf8(p, ParseError)  # raises, naming the line
+        read_utf8(p, ParseError)  # raises, naming the line, unless the file changed since
         raise ParseError(f"{p}: not UTF-8 text ({exc.reason})") from None
