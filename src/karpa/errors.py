@@ -22,17 +22,6 @@ class ParseError(DataError):
     """
 
 
-class ReplanParseError(ParseError):
-    """A re-planning reply and its corrective retry both failed to parse.
-
-    ``replies`` holds the two reply texts in order.
-    """
-
-    def __init__(self, message: str, replies: tuple[str, str]):
-        super().__init__(message)
-        self.replies = replies
-
-
 class NotFoundError(DataError):
     """Lookup of an unknown entity, relation, or file."""
 

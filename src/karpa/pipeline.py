@@ -20,7 +20,7 @@ from .embeddings import (
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
 )
-from .errors import ConfigError, NotFoundError, ParseError, ReplanParseError
+from .errors import ConfigError, NotFoundError
 from .evaluation import QASample
 from .kg import KnowledgeGraph, load_triples_path
 from .llm import (
@@ -32,7 +32,6 @@ from .llm import (
 )
 from .matching import RelationPath, ScoredPath, match_candidates, union_top_k
 from .planner import (
-    PATH_LENGTHS,
     CandidatePathSet,
     Query,
     build_initial_prompt,
@@ -165,11 +164,9 @@ class Pipeline:
                 "raw": result.text,
             }
         )
-        try:
-            initial = parse_path_sets(result.text)
-        except ParseError:
+        initial = parse_path_sets(result.text)
+        if not initial.parsed:
             flags.append("initial_parse_error")
-            initial = CandidatePathSet(by_length={n: [] for n in PATH_LENGTHS}, raw_llm_text=result.text)
         if initial.inconsistent:
             flags.append("initial_inconsistent")
         trace.append({"event": "initial_paths", "paths": initial.trace_paths()})
@@ -186,39 +183,23 @@ class Pipeline:
         trace.append({"event": "relation_pool", "pool": pool})
         if pool:
             messages = build_replanning_prompt(query, pool)
-            try:
-                candidate_set = replan(messages, llm, self.embedder, self.vocab)
-            except ReplanParseError as exc:
-                # The reply and its corrective retry both unreadable: the
-                # initial plan stands, as it does for an empty re-plan. The
-                # event records both replies, and no snaps, as none were made.
-                flags.append("replan_parse_error")
-                trace.append(
-                    {
-                        "event": "replanning",
-                        "prompt_digest": digest_messages(messages),
-                        "unparsed": list(exc.replies),
-                        "snaps": [],
-                    }
-                )
+            candidate_set = replan(messages, llm, self.embedder, self.vocab)
+            event = {"event": "replanning", "prompt_digest": digest_messages(messages)}
+            if candidate_set.parsed:
+                event.update(raw=candidate_set.raw_llm_text, paths=candidate_set.trace_paths())
             else:
-                event = {
-                    "event": "replanning",
-                    "prompt_digest": digest_messages(messages),
-                    "raw": candidate_set.raw_llm_text,
-                    "paths": candidate_set.trace_paths(),
-                    "snaps": [list(s) for s in candidate_set.snaps],
-                }
-                # The first reply, when only the corrective retry parsed.
-                if candidate_set.unparsed:
-                    event["unparsed"] = candidate_set.unparsed
-                trace.append(event)
-                if candidate_set.snaps:
-                    flags.append("snapped_relations")
-                if candidate_set.inconsistent:
-                    flags.append("replan_inconsistent")
-                if not candidate_set.is_empty():
-                    return candidate_set.all_paths()
+                # No reply readable: the initial plan stands, as for an empty re-plan.
+                flags.append("replan_parse_error")
+            if candidate_set.unparsed:
+                event["unparsed"] = candidate_set.unparsed
+            event["snaps"] = [list(s) for s in candidate_set.snaps]
+            trace.append(event)
+            if candidate_set.snaps:
+                flags.append("snapped_relations")
+            if candidate_set.inconsistent:
+                flags.append("replan_inconsistent")
+            if not candidate_set.is_empty():
+                return candidate_set.all_paths()
         flags.append("fallback_initial")
         return initial.all_paths()
 

@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import islice
 
 from .embeddings import EmbeddingGateway
-from .errors import ContractError, ParseError, ReplanParseError
+from .errors import ContractError
 from .llm import ChatMessage, LlmGateway
 from .matching import RelationPath
 
@@ -55,13 +55,15 @@ class CandidatePathSet:
     ``inconsistent`` marks sets where some path's relation count does not
     match its stated length; such paths are kept, not dropped. ``snaps``
     records off-vocabulary labels that were replaced by their nearest
-    vocabulary label during re-planning. ``unparsed`` holds the reply that
-    failed to parse before ``raw_llm_text``, when a corrective retry gave it.
+    vocabulary label during re-planning. ``parsed`` is False for a reply
+    with no brace group, whose set is empty. ``unparsed`` holds the
+    re-planning replies that did not parse, in order.
     """
 
     by_length: dict[int, list[RelationPath]]
     raw_llm_text: str
     inconsistent: bool = False
+    parsed: bool = True
     snaps: list[tuple[str, str]] = field(default_factory=list)
     unparsed: list[str] = field(default_factory=list)
 
@@ -119,7 +121,7 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
     For each length the last ``{...}`` group after that length's header is
     taken; its content is comma-split and trimmed. ``{}`` and ``None``
     mean no path of that length. If no length yields any brace group the
-    text is unusable and a ``ParseError`` is raised.
+    text is unusable: the set is empty and not ``parsed``.
     """
     headers = [(m.start(), int(m.group(1))) for m in _LENGTH_HEADER.finditer(llm_text)]
     by_length: dict[int, list[RelationPath]] = {length: [] for length in PATH_LENGTHS}
@@ -137,9 +139,7 @@ def parse_path_sets(llm_text: str) -> CandidatePathSet:
         if len(labels) != length or length not in PATH_LENGTHS:
             inconsistent = True
         by_length.setdefault(length, []).append(RelationPath(labels))
-    if not found_any:
-        raise ParseError("no per-length brace groups found in planning output")
-    return CandidatePathSet(by_length=by_length, raw_llm_text=llm_text, inconsistent=inconsistent)
+    return CandidatePathSet(by_length, llm_text, inconsistent, parsed=found_any)
 
 
 def extract_relation_pool(
@@ -217,25 +217,17 @@ def replan(
     Hallucinated relation labels are snapped to their nearest vocabulary
     label by cosine similarity so the paths stay executable. All of them
     are ranked in one ``top_k_similar_relations`` call, and every snap is
-    recorded, a repeated label at each place it occurs. A parse failure
-    earns one corrective retry, which appends the reply and a corrective
-    message to ``messages`` (a new list; ``messages`` itself is not
-    changed). When the retry's reply parses, the set keeps the first reply
-    under ``unparsed``; when it fails too, a ``ReplanParseError`` carries
-    both replies.
+    recorded, a repeated label at each place it occurs. A reply that does
+    not parse earns one corrective retry, which appends the reply and a
+    corrective message to ``messages`` (a new list; ``messages`` itself is
+    not changed). The set is the retry's, with the first reply under
+    ``unparsed``; when the retry does not parse either, it is empty, not
+    ``parsed``, and holds both replies.
     """
-    result = llm.complete(messages, phase="replanning")
-    try:
-        parsed = parse_path_sets(result.text)
-    except ParseError:
-        retry_messages = messages + [
-            ChatMessage("assistant", result.text),
-            ChatMessage("user", CORRECTIVE_MESSAGE),
-        ]
-        retry_result = llm.complete(retry_messages, phase="replanning")
-        try:
-            parsed = parse_path_sets(retry_result.text)
-        except ParseError as exc:
-            raise ReplanParseError(str(exc), (result.text, retry_result.text)) from None
-        parsed.unparsed = [result.text]
-    return _snap_to_vocabulary(parsed, vocab, embedder)
+    candidate_set = parse_path_sets(llm.complete(messages, phase="replanning").text)
+    if not candidate_set.parsed:
+        first = candidate_set.raw_llm_text
+        retry_messages = messages + [ChatMessage("assistant", first), ChatMessage("user", CORRECTIVE_MESSAGE)]
+        candidate_set = parse_path_sets(llm.complete(retry_messages, phase="replanning").text)
+        candidate_set.unparsed = [first] if candidate_set.parsed else [first, candidate_set.raw_llm_text]
+    return _snap_to_vocabulary(candidate_set, vocab, embedder)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karpa.errors import ContractError, ParseError
+from karpa.errors import ContractError
 from karpa.llm import ChatMessage, LlmGateway, LlmParams, ScriptedChatProvider
 from karpa.matching import RelationPath
 from karpa.planner import (
@@ -112,9 +112,12 @@ def test_parse_none_with_empty_braces():
     assert parsed.by_length[1] == []
 
 
-def test_parse_no_braces_raises_parse_error():
-    with pytest.raises(ParseError, match="no per-length brace groups"):
-        parse_path_sets("I have no idea what to do here.")
+def test_parse_no_braces_returns_an_empty_unparsed_set():
+    parsed = parse_path_sets("I have no idea what to do here.")
+    assert not parsed.parsed and parsed.is_empty() and not parsed.inconsistent
+    assert parsed.by_length == {1: [], 2: [], 3: []}
+    assert parsed.raw_llm_text == "I have no idea what to do here."
+    assert parse_path_sets(EXEMPLAR_ANSWER).parsed
 
 
 def test_parse_takes_last_brace_group_per_length():
@@ -437,7 +440,7 @@ def test_replan_retries_once_with_corrective_message(gateway):
     assert first == build_replanning_prompt(BRAHUI_QUERY, pool)  # the retry appended to a copy
 
 
-def test_replan_parse_failure_after_retry_raises(gateway):
+def test_replan_parse_failure_after_retry_returns_an_empty_unparsed_set():
     vocab = ["a.b.c"]
     pool = vocab
     provider, llm = scripted_llm()
@@ -445,8 +448,13 @@ def test_replan_parse_failure_after_retry_raises(gateway):
     provider.add(first, "nope")
     retry = first + [ChatMessage("assistant", "nope"), ChatMessage("user", CORRECTIVE_MESSAGE)]
     provider.add(retry, "still nope")
-    with pytest.raises(ParseError):
-        replan(first, llm, gateway, vocab)
+    spy = SpyGateway()
+    result = replan(first, llm, spy, vocab)
+    assert not result.parsed and result.is_empty()
+    assert result.by_length == {1: [], 2: [], 3: []}
+    assert result.unparsed == ["nope", "still nope"] and result.snaps == []
+    assert llm.ledger.snapshot()["calls"] == 2
+    assert spy.requests == []  # an empty set has nothing to snap
 
 
 def test_replan_all_none_yields_empty_set(gateway):
