@@ -14,7 +14,9 @@ first when it is odd, so a drift in host speed falls on both sides alike.
 script, records the commits, the seed, ``--seconds``, the host's CPU count
 and Python version, and per workload every run's last stdout line, plus
 under ``extra`` the unbounded metrics that ``run.py`` prints above it as
-``name value unit`` lines (printed to six significant digits). Per
+``name value unit`` lines (printed to six significant digits). An extra
+that prints several numbers, such as ``setup_s_samples``, is also recorded
+as its smallest one, ``<name>_min``, so set-up noise shows run by run. Per
 metric, the extra ones that are single numbers included, it gives each
 side's median, quartiles and IQR, and for the
 end-to-end metrics that the change's ``BENCHMARK.json`` lists, how many
@@ -78,6 +80,20 @@ def printed_metrics(lines: list[str]) -> dict[str, dict]:
     return printed
 
 
+def sample_minimums(extra: dict[str, dict]) -> dict[str, dict]:
+    """``{name + "_min": {"value": ..., "unit": ...}}`` for each extra that
+    printed several numbers: the smallest of them."""
+    minimums = {}
+    for name, metric in extra.items():
+        if isinstance(metric["value"], str):
+            try:
+                samples = [float(word) for word in metric["value"].split()]
+            except ValueError:
+                continue
+            minimums[name + "_min"] = {"value": min(samples), "unit": metric["unit"]}
+    return minimums
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its exit status, its last
     stdout line and, as ``extra``, the metrics printed above it that the
@@ -94,6 +110,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = None
     bounded = (result or {}).get("metrics", {})
     extra = {name: m for name, m in printed_metrics(lines[:-1]).items() if name not in bounded}
+    extra.update(sample_minimums(extra))
     run = {"returncode": proc.returncode, "result": result, "extra": extra}
     if proc.returncode != 0 or result is None:
         run["stderr_tail"] = proc.stderr[-2000:]

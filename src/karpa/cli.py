@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 provider
 error. Text outside an operation's domain, such as a graph label with no
 letter or digit to embed, is a data error. An output path that names a
-directory or lies in a missing one is a configuration error, raised before
-any work.
+directory or lies in a missing one, or a checkpoint directory that is a
+file or lies under one, is a configuration error, raised before any work.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .pipeline import (
     open_embedding_cache,
 )
 from .planner import Query
-from .transport import require_output
+from .transport import require_directory, require_output
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,6 +114,7 @@ def _cmd_ask(args, cfg) -> int:
 def _cmd_eval(args, cfg) -> int:
     report_path = require_output(args.report, "--report")
     tsv_path = require_output(args.tsv, "--tsv")
+    checkpoint_dir = require_directory(cfg.eval.checkpoint_dir, "eval.checkpoint_dir")
     samples = load_dataset(args.dataset, format=args.format)
     pipeline = build_pipeline(cfg)
     report = evaluate(
@@ -121,7 +122,7 @@ def _cmd_eval(args, cfg) -> int:
         make_sample_runner(pipeline),
         mode=cfg.eval.mode,
         concurrency=cfg.eval.concurrency,
-        checkpoint_dir=cfg.eval.checkpoint_dir or None,
+        checkpoint_dir=checkpoint_dir,
         config_digest=config_digest(cfg),
     )
     text = render_report(report)

@@ -55,6 +55,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import re
 import threading
 import time
@@ -346,13 +347,13 @@ class EmbeddingCache:
     ``put`` returns a vector equal bit for bit to the held one, not the held
     object. When backed by a file, records are line-JSON after a version
     header line and name both digests in hex; writes are atomic per key
-    (guarded by a lock, flushed per line). Only the cache that creates the
-    file writes the header: it creates the file exclusively (``O_EXCL``),
-    and a cache that finds the file made by another since it looked appends
-    its record without one. A load skips and counts lines that are not whole
-    records, such as one cut short by an interrupted write, and the next
-    append starts on a new line so that no later record is glued onto the
-    cut one.
+    (guarded by a lock, flushed per line). The file never exists without
+    its header: a cache that finds no file writes the header to a file of
+    its own beside the path and links that into place, and when another
+    cache made the file first, it appends its record to that one. A load
+    skips and counts lines that are not whole records, such as one cut
+    short by an interrupted write, and the next append starts on a new line
+    so that no later record is glued onto the cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -361,8 +362,9 @@ class EmbeddingCache:
         self._path = Path(path) if path is not None else None
         self.skipped = 0
         # What the next append writes before its record, and the mode it
-        # opens the file in ("x" creates it, "a" appends, "w" replaces a cut
-        # header): decided once here, so ``put`` adds no syscall.
+        # opens the file in ("x": link a header file into place first, "a"
+        # appends, "w" replaces a cut header): decided once here, so ``put``
+        # adds no syscall.
         self._lead = _HEADER_LINE
         self._mode = "x"
         if self._path is not None and self._path.exists():
@@ -422,11 +424,9 @@ class EmbeddingCache:
                 return EmbeddingVector(array("d", stored))
             vectors[digest] = payload
             if self._path is not None:
-                try:
-                    fp = self._path.open(self._mode, encoding="utf-8")
-                except FileExistsError:  # another cache created the file and its header
-                    fp, self._lead = self._path.open("a", encoding="utf-8"), ""
-                with fp:
+                if self._mode == "x":
+                    self._create()
+                with self._path.open(self._mode, encoding="utf-8") as fp:
                     fp.write(self._lead)
                     self._lead, self._mode = "", "a"
                     fp.write(
@@ -443,6 +443,20 @@ class EmbeddingCache:
                     )
                     fp.flush()
         return vector
+
+    def _create(self) -> None:
+        """Link a file that holds just the header into place at the path,
+        unless another cache made the file first; either way records are
+        then appended to it."""
+        assert self._path is not None
+        tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}-{id(self):x}.tmp")
+        try:
+            tmp.write_text(_HEADER_LINE, encoding="utf-8")
+            with contextlib.suppress(FileExistsError):  # another cache created the file and its header
+                os.link(tmp, self._path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        self._lead, self._mode = "", "a"
 
     def stats(self) -> dict:
         size = self._path.stat().st_size if self._path is not None and self._path.exists() else 0

@@ -166,6 +166,20 @@ def require_output(path: str | Path | None, what: str) -> Path | None:
     return p
 
 
+def require_directory(path: str | Path | None, what: str) -> Path | None:
+    """An optional output directory ``path`` as a ``Path`` (``None`` when empty), checked
+    before any work: a ``ConfigError`` naming ``what`` when it, or a directory above it,
+    is a file. Missing directories are left to be made."""
+    if not path:
+        return None
+    p = Path(path)
+    existing = next(q for q in (p, *p.parents) if q.exists())
+    if not existing.is_dir():
+        where = "is a file" if existing == p else f"is under a file, {existing}"
+        raise ConfigError(f"{what} {where}: {p}")
+    return p
+
+
 def read_utf8(path: Path, error: type[Exception]) -> str:
     """The text of the file at ``path``; bytes that are not UTF-8 are ``error``
     naming the file and the 1-based number of their line."""

@@ -146,6 +146,36 @@ def test_printed_metrics_read_run_py_lines():
     }
 
 
+def test_several_printed_samples_are_recorded_and_summarized_by_their_minimum():
+    printed = [
+        # (side, setup_s_samples, pass_walls_s): a run's least set-up shows its cluster, fast or slow
+        ("base", "0.043 0.061 0.044", "1.20 1.10"),
+        ("change", "0.045 0.044 0.062", "1.00 1.30"),
+        ("base", "0.062 0.060 0.063", "1.40 1.50"),
+        ("change", "0.046 0.063 0.064", "1.10 1.20"),
+    ]
+    runs = []
+    for pair, (side, setup, walls) in enumerate(printed):
+        extra = bench_pairs.printed_metrics([
+            f"{'setup_s_samples':44s} {setup} s",
+            f"{'pass_walls_s':44s} {walls} s",
+            f"{'host_speed':44s} 1.07009 ratio",
+            f"{'note':44s} fast cluster s",
+        ])
+        extra.update(bench_pairs.sample_minimums(extra))
+        runs.append({"pair": pair // 2, "side": side, "result": {"metrics": {}}, "extra": extra})
+    assert runs[0]["extra"]["setup_s_samples_min"] == {"value": 0.043, "unit": "s"}
+    assert runs[0]["extra"]["pass_walls_s_min"] == {"value": 1.10, "unit": "s"}
+    assert "host_speed_min" not in runs[0]["extra"] and "note_min" not in runs[0]["extra"]
+    summary = bench_pairs.summarize(runs, {"setup_s": "lower"})
+    setup = summary["setup_s_samples_min"]
+    assert setup["base"] == pytest.approx({"median": 0.0515, "q1": 0.04725, "q3": 0.05575, "iqr": 0.0085, "runs": 2})
+    assert setup["change"] == pytest.approx({"median": 0.045, "q1": 0.0445, "q3": 0.0455, "iqr": 0.001, "runs": 2})
+    assert "claim" not in summary["setup_s_samples_min"] and "pairs_won" not in summary["pass_walls_s_min"]
+    assert summary["pass_walls_s_min"]["change"]["median"] == 1.05
+    assert "setup_s_samples" not in summary  # the samples themselves are text
+
+
 def test_a_run_without_a_result_line_fails_the_script(two_revisions):
     repo = two_revisions
     (repo / "perfbench" / "run.py").write_text("import sys; sys.exit(2)\n", encoding="utf-8")

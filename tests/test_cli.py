@@ -243,6 +243,30 @@ def test_output_path_in_a_missing_directory_or_naming_one_is_config_error_before
     assert capsys.readouterr() == ("", f"config error: --{option} is a directory: {tmp_path}\n")
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_checkpoint_dir_that_is_a_file_or_under_one_is_config_error_before_the_graph_loads(
+    config_file, tmp_path, capsys, under
+):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text(
+        json.dumps({"id": "q1", "question": "Q?", "topics": ["A"], "answers": [["C"]]}) + "\n",
+        encoding="utf-8",
+    )
+    blocker = tmp_path / "ckpt"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    checkpoint_dir = blocker / "run1" if under else blocker
+    # A missing graph is a data error (3): a run that reached it checked the directory too late.
+    with config_file.open("a", encoding="utf-8") as fp:
+        fp.write(f"kg.path = {tmp_path / 'no_graph.tsv'}\neval.checkpoint_dir = {checkpoint_dir}\n")
+    report = tmp_path / "report.txt"
+    code = main(["--config", str(config_file), "eval", "--dataset", str(dataset), "--report", str(report)])
+    assert code == EXIT_CONFIG
+    where = f"is under a file, {blocker}" if under else "is a file"
+    assert capsys.readouterr() == ("", f"config error: eval.checkpoint_dir {where}: {checkpoint_dir}\n")
+    assert not report.exists()
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 @pytest.mark.parametrize("command", ["ask", "eval"])
 def test_cached_vectors_of_another_dim_are_provider_error(tmp_path, capsys, command):
     # A vector of dim 8 cached under the identity of a dim-64 mock, as when

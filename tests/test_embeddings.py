@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from karpa import embeddings
 from karpa.embeddings import (
     EmbeddingCache,
     EmbeddingGateway,
@@ -576,6 +577,35 @@ def test_two_caches_on_one_new_file_write_one_header(tmp_path):
     assert reloaded.skipped == 0
     assert reloaded.get(b"identity", b"alpha") == alpha
     assert reloaded.get(b"identity", b"beta") == beta
+
+
+@pytest.mark.parametrize("lands", ["before", "after"])
+def test_a_put_that_lands_while_another_cache_creates_the_file_is_kept(tmp_path, monkeypatch, lands):
+    # Two caches on one new path: the second's put lands while the first
+    # creates the file, before or after the first links its header into place.
+    path = tmp_path / "cache.jsonl"
+    first, second = EmbeddingCache(path), EmbeddingCache(path)
+    alpha, beta = mock_embed("alpha"), mock_embed("beta")
+    link = embeddings.os.link
+    injected = []
+
+    def racing_link(src, dst):
+        if lands == "after":
+            link(src, dst)
+        if not injected:
+            injected.append(True)
+            second.put(b"identity", b"beta", beta)
+        if lands == "before":
+            link(src, dst)
+
+    monkeypatch.setattr(embeddings.os, "link", racing_link)
+    first.put(b"identity", b"alpha", alpha)
+    assert injected
+    reloaded = EmbeddingCache(path)
+    assert reloaded.stats()["records"] == 2 and reloaded.skipped == 0
+    assert reloaded.get(b"identity", b"alpha") == alpha
+    assert reloaded.get(b"identity", b"beta") == beta
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]  # no header file left behind
 
 
 _cache_texts = st.lists(
