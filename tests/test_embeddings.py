@@ -608,6 +608,35 @@ def test_a_put_that_lands_while_another_cache_creates_the_file_is_kept(tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]  # no header file left behind
 
 
+def test_caches_on_one_new_file_in_many_threads_keep_every_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    caches = [EmbeddingCache(path) for _ in range(4)]
+    start = threading.Barrier(8)
+
+    def put_all(worker):
+        cache = caches[worker % len(caches)]
+        start.wait(timeout=10)
+        for i in range(10):
+            text = f"w{worker} r{i}"
+            cache.put(b"identity", text.encode(), mock_embed(text))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=put_all, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    reloaded = EmbeddingCache(path)
+    assert reloaded.stats()["records"] == 80 and reloaded.skipped == 0
+    assert path.read_text(encoding="utf-8").count('"format"') == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
 _cache_texts = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=6), min_size=2, max_size=4, unique=True
 )
