@@ -2,7 +2,9 @@ import gc
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import threading
@@ -633,6 +635,35 @@ def test_caches_on_one_new_file_in_many_threads_keep_every_record(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     reloaded = EmbeddingCache(path)
     assert reloaded.stats()["records"] == 80 and reloaded.skipped == 0
+    assert path.read_text(encoding="utf-8").count('"format"') == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
+_PUT_FIFTY = """\
+import sys
+from karpa.embeddings import EmbeddingCache, mock_embed
+cache = EmbeddingCache(sys.argv[1])
+sys.stdin.read()  # start when the test closes stdin, with the other process
+for i in range(50):
+    text = f"{sys.argv[2]} r{i}"
+    cache.put(b"identity", text.encode(), mock_embed(text))
+"""
+
+
+def test_two_processes_on_one_new_file_keep_every_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _PUT_FIFTY, str(path), name], stdin=subprocess.PIPE, env=env)
+        for name in ("p0", "p1")
+    ]
+    for proc in procs:
+        proc.stdin.close()
+    assert [proc.wait(timeout=60) for proc in procs] == [0, 0]
+    reloaded = EmbeddingCache(path)
+    assert reloaded.stats()["records"] == 100 and reloaded.skipped == 0
     assert path.read_text(encoding="utf-8").count('"format"') == 1
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
