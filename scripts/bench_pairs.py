@@ -23,7 +23,12 @@ end-to-end metrics that the change's ``BENCHMARK.json`` lists, how many
 pairs each side won in the metric's better direction and whether the claim
 rule is met: the change wins at least nine tenths of all pairs, ties
 counting for neither, and its median beats the base's by more than the
-base's IQR. The file is
+base's IQR. For each of those with a ``bound`` it also gives a regression
+verdict: ``worse_by``, how far the change's median lies from the base's in
+the worse direction, as a share of the base's; ``held`` if that is at most
+the bound, ``regressed`` if it is more, and ``unresolved`` if the base's IQR
+over its median exceeds the bound, unless every change run beats every base
+run. The file is
 rewritten after every run, so an interrupted run keeps the pairs made so
 far. The worktrees are removed on exit.
 
@@ -145,6 +150,41 @@ def claim(wins: dict[str, int], entry: dict, sign: int) -> dict:
     return {"wins": wins["change"], "pairs": pairs, "median_gap": gap, "base_iqr": iqr, "met": met}
 
 
+def share(amount: float, base: float) -> float | None:
+    """``amount`` as a share of ``|base|``. With a zero base: 0.0 for an
+    amount of at most zero, None (unbounded) for a positive one."""
+    if base:
+        return amount / abs(base)
+    return None if amount > 0 else 0.0
+
+
+def regression(base: list[float], change: list[float], entry: dict, sign: int, bound: float) -> dict:
+    """The regression verdict for one metric, from each side's runs and
+    summaries; ``sign`` is 1 where higher is better, -1 where lower is.
+
+    ``worse_by`` is the change's median less the base's in the worse
+    direction, as a share of the base's median: negative for a change that
+    is better. ``base_spread`` is the base's IQR as a share of its median.
+    The verdict is ``unresolved`` when no side ran, or when ``base_spread``
+    exceeds ``bound`` and some change run does not beat every base run;
+    otherwise ``regressed`` when ``worse_by`` exceeds ``bound``, and ``held``
+    when it does not.
+    """
+    if not base or not change:
+        return {"worse_by": None, "bound": bound, "base_spread": None, "verdict": "unresolved"}
+    median = entry["base"]["median"]
+    worse_by = share(sign * (median - entry["change"]["median"]), median)
+    spread = share(entry["base"]["iqr"], median)
+    beats_every_base_run = min(sign * v for v in change) > max(sign * v for v in base)
+    if (spread is None or spread > bound) and not beats_every_base_run:
+        verdict = "unresolved"
+    elif worse_by is None or worse_by > bound:
+        verdict = "regressed"
+    else:
+        verdict = "held"
+    return {"worse_by": worse_by, "bound": bound, "base_spread": spread, "verdict": verdict}
+
+
 def run_values(run: dict) -> dict[str, float | None]:
     """One run's metric values: the last line's, then the numeric extras."""
     values = {name: metric.get("value") for name, metric in (run["result"] or {}).get("metrics", {}).items()}
@@ -154,10 +194,11 @@ def run_values(run: dict) -> dict[str, float | None]:
     return values
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per metric: each side's median, quartiles and IQR; for metrics in
     ``better`` (name -> "higher" or "lower"), the pairs each side won and
-    the claim rule's figures (``claim``)."""
+    the claim rule's figures (``claim``), and for those in ``bounds`` too,
+    the regression verdict (``regression``)."""
     values_by_name: dict[str, dict[str, dict[int, float]]] = {}
     for run in runs:
         for name, value in run_values(run).items():
@@ -192,17 +233,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             entry["better"] = better[name]
             entry["pairs_won"] = wins
             entry["claim"] = claim(wins, entry, sign)
+            if bounds and name in bounds:
+                sides = [list(values[side].values()) for side in SIDES]
+                entry["regression"] = regression(*sides, entry, sign, bounds[name])
         summary[name] = entry
     return summary
 
 
-def better_directions(tree: Path) -> dict[str, str]:
-    """``{metric: "higher" | "lower"}`` for the end-to-end metrics of ``tree``'s BENCHMARK.json."""
+def end_to_end(tree: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """``{metric: "higher" | "lower"}`` for the end-to-end metrics of
+    ``tree``'s BENCHMARK.json, and ``{metric: bound}`` for those with a bound."""
     path = tree / "BENCHMARK.json"
     if not path.is_file():
-        return {}
-    spec = json.loads(path.read_text(encoding="utf-8"))
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+        return {}, {}
+    metrics = json.loads(path.read_text(encoding="utf-8")).get("end_to_end", [])
+    return {m["name"]: m["better"] for m in metrics}, {m["name"]: m["bound"] for m in metrics if "bound" in m}
 
 
 def nproc() -> int:
@@ -257,7 +302,7 @@ def main() -> int:
             for side in SIDES:
                 trees[side] = Path(tmp) / side
                 git(REPO, "worktree", "add", "--detach", str(trees[side]), record["revisions"][side]["commit"])
-            better = better_directions(trees["change"])
+            better, bounds = end_to_end(trees["change"])
             for workload in args.workload:
                 runs: list[dict] = []
                 entry = record["workloads"][workload] = {"runs": runs, "summary": {}}
@@ -267,7 +312,7 @@ def main() -> int:
                         run.update(run_once(trees[side], workload, args.seed, args.seconds))
                         runs.append(run)
                         all_ok &= run_ok(run)
-                        entry["summary"] = summarize(runs, better)
+                        entry["summary"] = summarize(runs, better, bounds)
                         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
                         metrics = (run["result"] or {}).get("metrics", {})
                         qps = metrics.get("questions_per_s", {}).get("value")
@@ -283,9 +328,11 @@ def main() -> int:
             if "pairs_won" not in stats:
                 continue
             base, change = stats.get("base", {}), stats.get("change", {})
+            verdict = stats.get("regression", {}).get("verdict")
             print(
                 f"{workload:16} {name:26} base {base.get('median')!s:>22} (IQR {base.get('iqr')!s:>22})"
                 f"  change {change.get('median')!s:>22}  won {stats['pairs_won']}  met {stats['claim']['met']}"
+                f"  verdict {verdict}"
             )
     print(f"wrote {out}")
     return 0 if all_ok else 1

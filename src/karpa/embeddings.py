@@ -55,7 +55,6 @@ import hashlib
 import json
 import math
 import operator
-import os
 import re
 import threading
 import time
@@ -72,6 +71,7 @@ _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
 
 CACHE_HEADER = {"format": "karpa-embedding-cache", "version": 1}
 _HEADER_LINE = json.dumps(CACHE_HEADER, separators=(",", ":")) + "\n"
+_HEADER_BYTES = _HEADER_LINE.encode("utf-8")
 
 
 def text_digest(text: str) -> str:
@@ -346,14 +346,15 @@ class EmbeddingCache:
     time with ``EmbeddingVector``, so with the held bits, norm included;
     ``put`` returns a vector equal bit for bit to the held one, not the held
     object. When backed by a file, records are line-JSON after a version
-    header line and name both digests in hex; writes are atomic per key
-    (guarded by a lock, flushed per line). The file never exists without
-    its header: a cache that finds no file writes the header to a file of
-    its own beside the path and links that into place, and when another
-    cache made the file first, it appends its record to that one. A load
-    skips and counts lines that are not whole records, such as one cut
-    short by an interrupted write, and the next append starts on a new line
-    so that no later record is glued onto the cut one.
+    header line and name both digests in hex; each ``put`` is one append of
+    one record, under a lock, flushed. A cache that loaded no whole header,
+    because it found no file, an empty one or a header cut short, appends
+    the header before its first record, so caches that open one new file
+    together each append a header: a load skips every header line after the
+    first, and counts none of them. A load also skips and counts lines that
+    are not whole records, such as one cut short by an interrupted write, and
+    the next append starts on a new line so that no later record is glued
+    onto the cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -361,37 +362,33 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self.skipped = 0
-        # What the next append writes before its record, and the mode it
-        # opens the file in ("x": link a header file into place first, "a"
-        # appends, "w" replaces a cut header): decided once here, so ``put``
-        # adds no syscall.
+        # What the next append writes before its record: decided once here,
+        # so ``put`` adds no syscall.
         self._lead = _HEADER_LINE
-        self._mode = "x"
         if self._path is not None and self._path.exists():
             self._load()
 
     def _load(self) -> None:
         assert self._path is not None
-        self._mode = "a"
         # Read as bytes, which ``json.loads`` decodes: a line that is not
         # UTF-8 is a ``UnicodeDecodeError``, a ``ValueError`` like a line
         # that is not JSON, and is skipped the same way.
         with self._path.open("rb") as fp:
-            last = header_line = fp.readline()
-            if not header_line:
+            last = first = fp.readline()
+            if not first:
                 return  # empty file: the first append writes the header
             try:
-                header = json.loads(header_line)
+                header = json.loads(first)
             except ValueError:
-                if _HEADER_LINE.encode("utf-8").startswith(header_line):
-                    self._mode = "w"  # a header cut short: the file holds no records
-                    return
-                raise DataError(f"not an embedding cache file: {self._path}") from None
-            if not isinstance(header, dict) or header.get("format") != CACHE_HEADER["format"]:
+                header = None
+            if isinstance(header, dict) and header.get("format") == CACHE_HEADER["format"]:
+                self._lead = ""
+            elif first == b"\n" or not _HEADER_BYTES.startswith(first.rstrip(b"\n")):
+                # Neither a header nor one cut short.
                 raise DataError(f"not an embedding cache file: {self._path}")
             for line in fp:
                 last = line
-                if not line.strip():
+                if not line.strip() or line == _HEADER_BYTES:
                     continue
                 try:
                     obj = json.loads(line)
@@ -401,7 +398,8 @@ class EmbeddingCache:
                     self.skipped += 1
                     continue
                 self._memory.setdefault(identity, {})[digest] = vector.values.tobytes()
-        self._lead = "" if last.endswith(b"\n") else "\n"
+        if not last.endswith(b"\n"):
+            self._lead = "\n" + self._lead
 
     def get(self, identity_digest: bytes, digest: bytes) -> EmbeddingVector | None:
         vectors = self._memory.get(identity_digest)
@@ -424,39 +422,17 @@ class EmbeddingCache:
                 return EmbeddingVector(array("d", stored))
             vectors[digest] = payload
             if self._path is not None:
-                if self._mode == "x":
-                    self._create()
-                with self._path.open(self._mode, encoding="utf-8") as fp:
-                    fp.write(self._lead)
-                    self._lead, self._mode = "", "a"
-                    fp.write(
-                        json.dumps(
-                            {
-                                "identity": identity_digest.hex(),
-                                "text": digest.hex(),
-                                "dim": vector.dim,
-                                "values": vector.values.tolist(),
-                            },
-                            separators=(",", ":"),
-                        )
-                        + "\n"
-                    )
+                record = {
+                    "identity": identity_digest.hex(),
+                    "text": digest.hex(),
+                    "dim": vector.dim,
+                    "values": vector.values.tolist(),
+                }
+                with self._path.open("a", encoding="utf-8") as fp:
+                    fp.write(self._lead + json.dumps(record, separators=(",", ":")) + "\n")
                     fp.flush()
+                self._lead = ""
         return vector
-
-    def _create(self) -> None:
-        """Link a file that holds just the header into place at the path,
-        unless another cache made the file first; either way records are
-        then appended to it."""
-        assert self._path is not None
-        tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}-{id(self):x}.tmp")
-        try:
-            tmp.write_text(_HEADER_LINE, encoding="utf-8")
-            with contextlib.suppress(FileExistsError):  # another cache created the file and its header
-                os.link(tmp, self._path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        self._lead, self._mode = "", "a"
 
     def stats(self) -> dict:
         size = self._path.stat().st_size if self._path is not None and self._path.exists() else 0
@@ -473,7 +449,6 @@ class EmbeddingCache:
             if self._path is not None and self._path.exists():
                 self._path.unlink()
             self._lead = _HEADER_LINE
-            self._mode = "x"
 
 
 class EmbeddingGateway:

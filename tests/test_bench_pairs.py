@@ -49,8 +49,8 @@ def _make_repo(tmp_path, base_speeds, change_speeds):
     shutil.copy(_SCRIPT, repo / "scripts" / "bench_pairs.py")
     (repo / "BENCHMARK.json").write_text(
         json.dumps({"end_to_end": [
-            {"name": "questions_per_s", "better": "higher"},
-            {"name": "peak_rss_mb", "better": "lower"},
+            {"name": "questions_per_s", "better": "higher", "bound": 0.25},
+            {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
         ]}),
         encoding="utf-8",
     )
@@ -100,8 +100,12 @@ def test_pairs_alternate_and_record_every_run(two_revisions):
         "wins": 3, "pairs": 3, "median_gap": 1.0, "base_iqr": 0.0, "met": True,
     }
     assert summary["peak_rss_mb"]["claim"]["met"] is False
-    assert "claim" not in summary["host_only"]
-    assert "met True" in proc.stdout
+    assert summary["questions_per_s"]["regression"] == {
+        "worse_by": -0.25, "bound": 0.25, "base_spread": 0.0, "verdict": "held",
+    }
+    assert summary["peak_rss_mb"]["regression"]["verdict"] == "held"
+    assert "claim" not in summary["host_only"] and "regression" not in summary["host_only"]
+    assert "met True" in proc.stdout and "verdict held" in proc.stdout
     assert "pairs_won" not in summary["host_only"]
     # The printed unbounded metric reaches the record and is summarized, with no claim.
     assert [r["extra"] for r in runs] == [
@@ -126,6 +130,42 @@ def test_summary_quartiles_and_lower_is_better():
     summary = bench_pairs.summarize(runs, {"ms": "lower"})["ms"]
     assert summary["base"] == {"median": 13.0, "q1": 11.5, "q3": 14.5, "iqr": 3.0, "runs": 4}
     assert summary["pairs_won"] == {"change": 2, "base": 1, "tie": 1}
+
+
+def _verdict(base, change, better="lower", bound=0.25):
+    runs = [
+        {"pair": i, "side": side, "result": {"metrics": {"m": {"value": value}}}}
+        for i, pair in enumerate(zip(base, change))
+        for side, value in zip(("base", "change"), pair)
+    ]
+    return bench_pairs.summarize(runs, {"m": better}, {"m": bound})["m"]["regression"]
+
+
+def test_regression_verdict_holds_within_the_bound_and_regresses_beyond_it():
+    held = _verdict([4.0, 4.0, 4.0, 4.0], [3.2, 3.2, 3.2, 3.2], better="higher")
+    assert held == {"worse_by": pytest.approx(0.2), "bound": 0.25, "base_spread": 0.0, "verdict": "held"}
+    regressed = _verdict([4.0, 4.0, 4.0, 4.0], [2.0, 2.0, 2.0, 2.0], better="higher")
+    assert regressed == {"worse_by": 0.5, "bound": 0.25, "base_spread": 0.0, "verdict": "regressed"}
+    assert _verdict([10.0] * 4, [13.0] * 4)["verdict"] == "regressed"  # lower is better
+    assert _verdict([10.0] * 4, [7.0] * 4)["worse_by"] == pytest.approx(-0.3)
+
+
+def test_a_base_spread_wider_than_the_bound_leaves_the_verdict_unresolved():
+    # A set-up time that falls in a fast or a slow cluster run by run.
+    base = [0.043, 0.062, 0.043, 0.062]
+    unresolved = _verdict(base, [0.044, 0.061, 0.045, 0.062])
+    assert unresolved["base_spread"] == pytest.approx(0.019 / 0.0525)
+    assert unresolved["verdict"] == "unresolved"
+    # Unless every change run beats every base run.
+    assert _verdict(base, [0.040, 0.041, 0.040, 0.042])["verdict"] == "held"
+    assert _verdict(base, [0.040, 0.041, 0.040, 0.043])["verdict"] == "unresolved"  # a tie is no win
+
+
+def test_a_zero_base_median_regresses_on_any_increase():
+    assert _verdict([0.0] * 4, [0.0] * 4)["verdict"] == "held"
+    assert _verdict([0.0] * 4, [1.0] * 4) == {
+        "worse_by": None, "bound": 0.25, "base_spread": 0.0, "verdict": "regressed",
+    }
 
 
 def test_printed_metrics_read_run_py_lines():

@@ -1,3 +1,4 @@
+import errno
 import gc
 import itertools
 import json
@@ -569,45 +570,53 @@ def test_file_that_does_not_start_with_a_cache_header_is_data_error(tmp_path, fi
         EmbeddingCache(path)
 
 
-def test_two_caches_on_one_new_file_write_one_header(tmp_path):
-    path = tmp_path / "cache.jsonl"
+def _two_caches_put_one_record_each(path: Path) -> EmbeddingCache:
+    """Open two caches on ``path``, then put one record through each; the file reloaded."""
     first, second = EmbeddingCache(path), EmbeddingCache(path)
-    alpha, beta = mock_embed("alpha"), mock_embed("beta")
-    first.put(b"identity", b"alpha", alpha)
-    second.put(b"identity", b"beta", beta)
-    reloaded = EmbeddingCache(path)
-    assert reloaded.skipped == 0
-    assert reloaded.get(b"identity", b"alpha") == alpha
-    assert reloaded.get(b"identity", b"beta") == beta
+    first.put(b"identity", b"alpha", mock_embed("alpha"))
+    second.put(b"identity", b"beta", mock_embed("beta"))
+    return EmbeddingCache(path)
 
 
-@pytest.mark.parametrize("lands", ["before", "after"])
-def test_a_put_that_lands_while_another_cache_creates_the_file_is_kept(tmp_path, monkeypatch, lands):
-    # Two caches on one new path: the second's put lands while the first
-    # creates the file, before or after the first links its header into place.
+def _assert_both_records(reloaded: EmbeddingCache, why=None) -> None:
+    assert reloaded.stats()["records"] == 2 and reloaded.skipped == 0, why
+    assert reloaded.get(b"identity", b"alpha") == mock_embed("alpha"), why
+    assert reloaded.get(b"identity", b"beta") == mock_embed("beta"), why
+
+
+def test_two_caches_on_one_new_file_keep_both_records(tmp_path):
     path = tmp_path / "cache.jsonl"
-    first, second = EmbeddingCache(path), EmbeddingCache(path)
-    alpha, beta = mock_embed("alpha"), mock_embed("beta")
-    link = embeddings.os.link
-    injected = []
+    _assert_both_records(_two_caches_put_one_record_each(path))
+    # Each cache found no file, so each appended a header before its record.
+    assert path.read_text(encoding="utf-8").count(embeddings._HEADER_LINE) == 2
 
-    def racing_link(src, dst):
-        if lands == "after":
-            link(src, dst)
-        if not injected:
-            injected.append(True)
-            second.put(b"identity", b"beta", beta)
-        if lands == "before":
-            link(src, dst)
 
-    monkeypatch.setattr(embeddings.os, "link", racing_link)
-    first.put(b"identity", b"alpha", alpha)
-    assert injected
+def test_two_caches_on_an_empty_file_keep_both_records(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(b"")
+    _assert_both_records(_two_caches_put_one_record_each(path))
+
+
+def test_two_caches_on_a_header_cut_short_keep_both_records(tmp_path):
+    header = embeddings._HEADER_LINE
+    for n in range(1, len(header)):
+        path = tmp_path / f"cache{n}.jsonl"
+        path.write_text(header[:n], encoding="utf-8")
+        _assert_both_records(_two_caches_put_one_record_each(path), n)
+
+
+def test_a_put_to_a_new_file_makes_no_hard_link(tmp_path, monkeypatch):
+    # As on a filesystem without hard links.
+    def no_link(src, dst, *args, **kwargs):
+        raise OSError(errno.EPERM, "Operation not permitted", str(src))
+
+    monkeypatch.setattr(os, "link", no_link)
+    path = tmp_path / "cache.jsonl"
+    EmbeddingCache(path).put(b"identity", b"alpha", mock_embed("alpha"))
     reloaded = EmbeddingCache(path)
-    assert reloaded.stats()["records"] == 2 and reloaded.skipped == 0
-    assert reloaded.get(b"identity", b"alpha") == alpha
-    assert reloaded.get(b"identity", b"beta") == beta
-    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]  # no header file left behind
+    assert reloaded.stats()["records"] == 1 and reloaded.skipped == 0
+    assert reloaded.get(b"identity", b"alpha") == mock_embed("alpha")
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
 def test_caches_on_one_new_file_in_many_threads_keep_every_record(tmp_path):
@@ -635,7 +644,7 @@ def test_caches_on_one_new_file_in_many_threads_keep_every_record(tmp_path):
     assert not any(thread.is_alive() for thread in threads)
     reloaded = EmbeddingCache(path)
     assert reloaded.stats()["records"] == 80 and reloaded.skipped == 0
-    assert path.read_text(encoding="utf-8").count('"format"') == 1
+    assert path.read_text(encoding="utf-8").count('"format"') == 4  # one per cache
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
@@ -643,7 +652,8 @@ _PUT_FIFTY = """\
 import sys
 from karpa.embeddings import EmbeddingCache, mock_embed
 cache = EmbeddingCache(sys.argv[1])
-sys.stdin.read()  # start when the test closes stdin, with the other process
+print("open", flush=True)
+sys.stdin.read()  # start when the test closes stdin, once both caches are open
 for i in range(50):
     text = f"{sys.argv[2]} r{i}"
     cache.put(b"identity", text.encode(), mock_embed(text))
@@ -656,15 +666,24 @@ def test_two_processes_on_one_new_file_keep_every_record(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
     procs = [
-        subprocess.Popen([sys.executable, "-c", _PUT_FIFTY, str(path), name], stdin=subprocess.PIPE, env=env)
+        subprocess.Popen(
+            [sys.executable, "-c", _PUT_FIFTY, str(path), name],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, text=True, encoding="utf-8",
+        )
         for name in ("p0", "p1")
     ]
-    for proc in procs:
-        proc.stdin.close()
+    try:
+        # Both caches are open, and neither found a file, before either writes.
+        assert [proc.stdout.readline() for proc in procs] == ["open\n", "open\n"]
+    finally:
+        for proc in procs:
+            proc.stdin.close()
     assert [proc.wait(timeout=60) for proc in procs] == [0, 0]
+    for proc in procs:
+        proc.stdout.close()
     reloaded = EmbeddingCache(path)
     assert reloaded.stats()["records"] == 100 and reloaded.skipped == 0
-    assert path.read_text(encoding="utf-8").count('"format"') == 1
+    assert path.read_text(encoding="utf-8").count('"format"') == 2  # one per process
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
