@@ -165,7 +165,7 @@ def regression(base: list[float], change: list[float], entry: dict, sign: int, b
     ``worse_by`` is the change's median less the base's in the worse
     direction, as a share of the base's median: negative for a change that
     is better. ``base_spread`` is the base's IQR as a share of its median.
-    The verdict is ``unresolved`` when no side ran, or when ``base_spread``
+    The verdict is ``unresolved`` when a side has no run, or when ``base_spread``
     exceeds ``bound`` and some change run does not beat every base run;
     otherwise ``regressed`` when ``worse_by`` exceeds ``bound``, and ``held``
     when it does not.

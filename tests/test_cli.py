@@ -75,6 +75,11 @@ def test_env_names_are_dotted_keys_upcased():
     assert env_name("kg.inverse_edges") == "KARPA_KG_INVERSE_EDGES"
 
 
+def test_a_boolean_setting_that_is_not_a_boolean_word_is_config_error():
+    with pytest.raises(ConfigError, match="bad value for kg.inverse_edges: 'maybe'"):
+        resolve_values({}, env={"KARPA_KG_INVERSE_EDGES": "maybe"})
+
+
 def test_karpa_config_env_selects_file(config_file):
     cfg = load_config(None, env={"KARPA_CONFIG": str(config_file)})
     assert cfg.matcher.top_k == 4
@@ -495,6 +500,14 @@ def test_match_unknown_topic_is_data_error(config_file, capsys):
         ["--config", str(config_file), "match", "--topic", "Zzz", "--path", "person.family.father"]
     )
     assert code == EXIT_DATA
+
+
+def test_match_path_with_no_label_is_data_error(tmp_path, capsys):
+    config = tmp_path / "karpa.conf"
+    config.write_text(f"kg.path = {FIXTURE20 / 'kg.tsv'}\n", encoding="utf-8")
+    code = main(["--config", str(config), "match", "--topic", "Lurvish Language", "--path", " , "])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "data error: --path must list at least one relation label\n"
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -588,7 +588,7 @@ def test_two_caches_on_one_new_file_keep_both_records(tmp_path):
     path = tmp_path / "cache.jsonl"
     _assert_both_records(_two_caches_put_one_record_each(path))
     # Each cache found no file, so each appended a header before its record.
-    assert path.read_text(encoding="utf-8").count(embeddings._HEADER_LINE) == 2
+    assert path.read_text(encoding="utf-8").count('"format"') == 2
 
 
 def test_two_caches_on_an_empty_file_keep_both_records(tmp_path):
@@ -605,7 +605,7 @@ def test_two_caches_on_a_header_cut_short_keep_both_records(tmp_path):
         _assert_both_records(_two_caches_put_one_record_each(path), n)
 
 
-def test_a_put_to_a_new_file_makes_no_hard_link(tmp_path, monkeypatch):
+def test_a_put_to_a_new_file_works_where_hard_links_fail(tmp_path, monkeypatch):
     # As on a filesystem without hard links.
     def no_link(src, dst, *args, **kwargs):
         raise OSError(errno.EPERM, "Operation not permitted", str(src))

@@ -52,6 +52,12 @@ def test_hash_lines_without_three_fields_stay_comments():
     assert load_triples(io.StringIO(g.dumps())).dumps() == g.dumps()
 
 
+def test_a_head_label_that_starts_with_whitespace_is_kept_as_written():
+    g = load_triples(io.StringIO(" a\tr\tb\n\u00a0a\tr\tb\na\tr\tb\n"))
+    assert g.entities == [" a", "b", "\u00a0a", "a"] and len(g) == 3
+    assert load_triples(io.StringIO(g.dumps())).dumps() == g.dumps()
+
+
 def _fields_then_error(iter_fields, lines):
     """What a field reader yields from ``lines``, and the message (it names
     the line and its text) of the ``ParseError`` that stopped it, if one did."""

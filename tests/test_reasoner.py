@@ -117,6 +117,14 @@ def test_parse_no_braces_sets_abstention_flag():
     assert parsed.no_answer_marker
 
 
+def test_answer_set_add_keeps_no_surface_that_normalizes_to_empty():
+    # parse_answers never passes one (comma_items drops blank items); add guards the set itself.
+    a = AnswerSet()
+    a.add(" \t\u00a0", 0)
+    a.add("X", 1)
+    assert a.answers == ["X"] and a.provenance == {"x": [1]}
+
+
 def test_answer_set_roundtrip():
     a = AnswerSet()
     a.add("X", 0)
