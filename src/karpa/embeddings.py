@@ -26,11 +26,12 @@ bits. The hex forms of the digests appear only in cache-file records, whose
 format is unchanged, and in scripted-fixture lookups.
 
 Each gateway holds the vector of every relation label it has fetched; a
-graph has at most twice as many labels as relations. Vocabulary retrieval
-and the fixed-length matchers' step costs score against those vectors, so
-each label is requested once per gateway and is not rebuilt from the
-cache's bytes at every use. Vocabulary retrieval is an exhaustive cosine
-scan; vocabulary sizes here do not warrant an ANN index.
+graph has at most twice as many labels as relations. Vocabulary retrieval,
+the fixed-length matchers' step costs and the heuristic's one-hop paths
+score against those vectors, so each label is requested once per gateway
+and is not rebuilt from the cache's bytes at every use. Vocabulary
+retrieval is an exhaustive cosine scan; vocabulary sizes here do not
+warrant an ANN index.
 
 Relation labels are fetched one call at a time per gateway, under one lock:
 under ``eval.concurrency > 1`` a worker that misses a label waits for the
@@ -40,11 +41,11 @@ one that misses a label waits, its own texts too, while another fetches.
 Other texts, an LLM's relations and query texts, are fetched by each worker
 that misses them: two workers rarely miss the same one at once.
 
-The cache keeps relation labels, the LLM's query texts and the fixed-length
-matchers' candidate relations. It does not keep the heuristic matcher's
-label sequences, thousands a question and almost none met again: the
-heuristic requests them inside ``EmbeddingGateway.transient``, which serves
-cache hits but stores nothing it fetches.
+The cache keeps relation labels, the LLM's query texts and the matchers'
+candidate texts. The heuristic matcher's label sequences, thousands a
+question and almost none met again, skip it: the heuristic requests them
+inside ``EmbeddingGateway.transient``, where ``embed`` sends its texts to
+the provider with no hash, no lookup and no store.
 """
 
 from __future__ import annotations
@@ -446,6 +447,7 @@ class EmbeddingCache:
     def clear(self) -> None:
         with self._lock:
             self._memory.clear()
+            self.skipped = 0
             if self._path is not None and self._path.exists():
                 self._path.unlink()
             self._lead = _HEADER_LINE
@@ -459,13 +461,12 @@ class EmbeddingGateway:
     the cache stores each fetched vector, and appends it to its file, so a
     later ``embed`` of the text, by any caller, gets the bits stored first.
 
-    Inside ``with gateway.transient():`` ``embed`` still serves hits and
-    still checks dims, but keeps nothing it fetches: no memory entry and no
-    file record. There a miss gets the provider's own bits, so two requests
-    that miss the same text each get the provider's reply to it; with the
-    mock, scripted or stub provider those bits are the same. The scope holds
-    for this gateway in the thread that entered it: other threads, and other
-    gateways in the same thread, keep what they fetch.
+    Inside ``with gateway.transient():`` ``embed`` skips the cache: it sends
+    its texts to the provider as given, with a miss's retries and checks,
+    and keeps nothing, so it gets the provider's bits even for a text the
+    cache holds (with the mock, scripted or stub provider, the same bits).
+    The scope holds for this gateway in the thread that entered it: other
+    threads, and other gateways in the same thread, use the cache.
     """
 
     def __init__(
@@ -506,7 +507,8 @@ class EmbeddingGateway:
 
     @contextlib.contextmanager
     def transient(self) -> Iterator[None]:
-        """Within the block, ``embed`` in this thread keeps nothing it fetches.
+        """Within the block, ``embed`` in this thread skips the cache: it reads
+        and keeps nothing.
 
         Scopes do not nest: leaving one, by an exception too, ends it.
         """
@@ -516,18 +518,28 @@ class EmbeddingGateway:
         finally:
             self._scope.transient = False
 
+    def _fetch(self, texts: list[str]) -> list[EmbeddingVector]:
+        """The provider's vectors for ``texts``, retried and checked; nothing is stored."""
+        vectors = with_retries(lambda: self.provider.embed_batch(texts), self._sleep)
+        if len(vectors) != len(texts):
+            raise ProviderError(f"provider returned {len(vectors)} vectors for {len(texts)} texts")
+        self._check_dim(vectors)
+        return vectors
+
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.
 
         Each text is hashed once; its digest keys both the lookup and, on a
         miss, the store. Dims are checked once for the hits and once for the
         provider's reply, before any vector is stored. Inside ``transient()``
-        nothing is stored.
+        the texts go to the provider as given, with no lookup and no store.
         """
         if not texts:
             raise ContractError("embed requires at least one text")
         if any(not t for t in texts):
             raise ContractError("embed texts must be non-empty")
+        if getattr(self._scope, "transient", False):
+            return self._fetch(texts)
         identity = self._identity_digest
         cache = self.cache
         sha256 = hashlib.sha256
@@ -546,23 +558,11 @@ class EmbeddingGateway:
         if hits:
             self._check_dim(hits)
         if missing:
-            unique = list(missing)
-            vectors = with_retries(lambda: self.provider.embed_batch(unique), self._sleep)
-            if len(vectors) != len(unique):
-                raise ProviderError(f"provider returned {len(vectors)} vectors for {len(unique)} texts")
-            self._check_dim(vectors)
-            keep = not getattr(self._scope, "transient", False)
-            for (digest, positions), vec in zip(missing.values(), vectors):
-                if keep:
-                    vec = cache.put(identity, digest, vec)
+            for (digest, positions), vec in zip(missing.values(), self._fetch(list(missing))):
+                vec = cache.put(identity, digest, vec)
                 for i in positions:
                     out[i] = vec
         return out
-
-    def holds(self, texts: list[str]) -> bool:
-        """Whether the cache holds every text's vector, so that ``embed(texts)`` calls no provider."""
-        identity, get = self._identity_digest, self.cache.get
-        return all(get(identity, hashlib.sha256(text.encode("utf-8")).digest()) is not None for text in texts)
 
     def similarity(self, text_a: str, text_b: str) -> float:
         """Cosine similarity of two texts' vectors. No karpa code calls it: it

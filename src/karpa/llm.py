@@ -120,11 +120,12 @@ def _estimated_usage(messages: list[ChatMessage], text: str) -> tuple[int, int]:
 
 
 def _usage_count(value) -> int:
-    """A reply's token count; ``int`` alone would take ``"12"`` and ``true``."""
+    """A reply's token count: a whole number, such as ``12`` or ``12.0``, not
+    below zero; ``int`` alone would take ``"12"``, ``true``, ``-5`` and ``2.7``."""
     if type(value) not in (int, float):
         raise TypeError(f"usage count must be a number, got {type(value).__name__}")
-    if type(value) is float and not math.isfinite(value):
-        raise ValueError(f"usage count must be finite, got {value}")
+    if value < 0 or type(value) is float and not value.is_integer():  # False for inf and NaN
+        raise ValueError(f"usage count must be a whole number not below zero, got {value}")
     return int(value)
 
 

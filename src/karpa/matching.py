@@ -21,15 +21,16 @@ search costs a (depth, relation) pair once, against relation-label vectors
 the gateway holds: an expansion makes an embedding request only when it
 meets a label the gateway has not fetched, or is the first at its depth
 and needs the candidate's relation there. The heuristic scores whole label
-sequences, which the gateway does not hold and the embedding cache does
-not keep; each search keeps its own table from label-sequence text to cost
-and fetches the candidate text once. An expansion that meets an uncosted
-child makes one embedding request, which also carries the uncosted
-children of the next ``LOOKAHEAD - 1`` expandable prefixes in pop order,
-so that when those are popped they make none. Every strategy extends a
-prefix only along edges to entities it has not visited, so returned paths are
-simple from the first hop on. Ordering is always deterministic: score
-descending, then relation-label sequence, then entity-id sequence.
+sequences, which the gateway does not hold and the embedding cache neither
+keeps nor reads; each search keeps its own table from label-sequence text
+to cost and fetches the candidate text once, with the start's one-label
+children. Each later expansion that meets an uncosted child makes one
+embedding request, which also carries the uncosted children of the next
+``LOOKAHEAD - 1`` expandable prefixes in pop order, so that when those are
+popped they make none. Every strategy extends a prefix only along edges to
+entities it has not visited, so returned paths are simple from the first
+hop on. Ordering is always deterministic: score descending, then
+relation-label sequence, then entity-id sequence.
 """
 
 from __future__ import annotations
@@ -309,34 +310,32 @@ def heuristic_top_k(
     carry ``truncated=True``. ``exact_mode`` disables all pruning and
     enumerates exhaustively.
 
-    The search keeps ``costs``, from label-sequence text to h, and fetches
-    the candidate text's vector once, with its first request. An expansion
-    whose children are all costed makes no request. Otherwise its one
-    ``gateway.embed`` request also carries the uncosted children of the
-    ``LOOKAHEAD - 1`` least frontier prefixes that are shorter than
-    ``max_len`` and not yet fetched (``_lookahead``); those prefixes keep
-    their children, so when one is popped it pushes them and makes no
-    request. The largest request is thus 1 + ``LOOKAHEAD`` times the most
-    edges ``neighbors`` returns. An h does not depend on which request
-    fetched its vector, so pop order, truncation and every cost's bits are
-    those of one request per expansion (``ref_heuristic`` in
-    ``tests/oracles.py``).
+    The search keeps ``costs``, from label-sequence text to h. The start's
+    children, each one relation label, are costed against the gateway's
+    held label vectors (``embed_with_labels``), in one request with the
+    candidate text, which the cache keeps. A later expansion whose children
+    are all costed makes no request. Otherwise its one ``gateway.embed``
+    request also carries the uncosted children of the ``LOOKAHEAD - 1``
+    least frontier prefixes that are shorter than ``max_len`` and not yet
+    fetched (``_lookahead``); those prefixes keep their children, so when
+    one is popped it pushes them and makes no request. The largest request
+    is thus ``LOOKAHEAD`` times the most edges ``neighbors`` returns. An h
+    does not depend on which request fetched its vector, so pop order,
+    truncation and every cost's bits are those of one request per
+    expansion (``ref_heuristic`` in ``tests/oracles.py``).
 
-    Requests run inside ``gateway.transient()``: a text the cache holds is
-    served from it, and nothing fetched is stored, in memory or in the
-    cache file. So a search's costs outlive it only in its results, and a
-    rerun over a file cache requests its label sequences again.
+    Those later requests run inside ``gateway.transient()``: no label
+    sequence is looked up in the cache or stored in it. So a search's costs
+    outlive it only in its results, and a rerun over a file cache requests
+    its label sequences again.
 
     A window may fetch prefixes the search never expands. So when its
     request fails with a ``KarpaError``, the expansion re-issues its own
     children's request alone, and an error surfaces only where one request
     per expansion would raise it. A ``TransportError``, which ``embed`` has
-    retried already, is re-issued only when the cache holds every text of
-    that request (``gateway.holds``), so the re-issue calls no provider.
-    Since no search stores its texts, that needs a cache filled by another
-    caller, or loaded from a file an older version wrote.
-    After a window fails, each expansion requests its own children alone,
-    so a provider that stays down is not retried once per window.
+    retried already, surfaces at once. After a window fails, each expansion
+    requests its own children alone, so a provider that stays down is not
+    retried once per window.
     """
     max_len = cfg.resolve_max_len([candidate])
     cand_text = " ".join(candidate.relations)
@@ -348,12 +347,12 @@ def heuristic_top_k(
 
     def add_costs(texts: list[str]) -> None:
         nonlocal query
-        head = [cand_text] if query is None else []
-        with gateway.transient():
-            vectors = gateway.embed(head + texts)
-        if query is None:
-            query = vectors[0]
-        for text, sim in zip(texts, cosine_many(query, vectors[len(head) :])):
+        if query is None:  # the start's children: each text is one relation label
+            (query,), vectors = gateway.embed_with_labels([cand_text], texts)
+        else:
+            with gateway.transient():
+                vectors = gateway.embed(texts)
+        for text, sim in zip(texts, cosine_many(query, vectors)):
             costs[text] = 1.0 - sim
 
     def expand(prefix: _Prefix) -> None:
@@ -370,8 +369,7 @@ def heuristic_top_k(
             try:
                 add_costs(texts)
             except KarpaError as exc:
-                down = isinstance(exc, TransportError) and not gateway.holds(own)
-                if down or len(texts) == len(own):
+                if isinstance(exc, TransportError) or len(texts) == len(own):
                     raise
                 windows = False
                 add_costs(own)

@@ -28,7 +28,15 @@ from karpa.embeddings import (
     mock_embed,
     text_digest,
 )
-from karpa.errors import ContractError, DataError, DomainError, MissingFixtureError, ProviderError, TransportError
+from karpa.errors import (
+    ContractError,
+    DataError,
+    DomainError,
+    EmbeddingDimError,
+    MissingFixtureError,
+    ProviderError,
+    TransportError,
+)
 from karpa.transport import ATTEMPTS
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
@@ -414,30 +422,86 @@ def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):
 
 
 def test_transient_scope_holds_for_its_gateway_in_its_thread_only():
-    # Inside the scope this gateway, in this thread, keeps nothing it
-    # fetches: another thread, another gateway, and this one after a failed
-    # request has left the scope, keep their misses.
+    # Inside the scope this gateway, in this thread, skips the cache: it asks
+    # the provider for a text the cache holds, and keeps nothing it fetches.
+    # Another thread, another gateway, and this one after a failed request
+    # has left the scope, are served from the cache and keep their misses.
     cache = EmbeddingCache()
-    provider = FlakyEmbeddingProvider(MockEmbeddingProvider(64), failures=0)
+    spy = SpyEmbeddingProvider(MockEmbeddingProvider(64))
+    provider = FlakyEmbeddingProvider(spy, failures=0)
+    identity = bytes.fromhex(text_digest(provider.identity))
+
+    def cached(text):
+        return cache.get(identity, bytes.fromhex(text_digest(text)))
+
+    # Not the provider's vector for the text, so that the test sees whose bits are used.
+    stored = cache.put(identity, bytes.fromhex(text_digest("held")), mock_embed("something else", 64))
     gateway = EmbeddingGateway(provider, cache, sleep=lambda _: None)
-    other = EmbeddingGateway(MockEmbeddingProvider(64), EmbeddingCache())
+    other = EmbeddingGateway(provider, cache)
     with gateway.transient():
-        (dropped,) = gateway.embed(["dropped"])
-        worker = threading.Thread(target=gateway.embed, args=(["another thread's"],))
+        (fetched,) = gateway.embed(["held"])
+        gateway.embed(["dropped"])
+        worker = threading.Thread(target=gateway.embed, args=(["held", "another thread's"],))
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive()
-        other.embed(["another gateway's"])
-    assert dropped.values == mock_embed("dropped", 64).values
-    assert not gateway.holds(["dropped"])
-    assert gateway.holds(["another thread's"]) and other.holds(["another gateway's"])
-    assert cache.stats()["records"] == 1
+        other.embed(["held", "another gateway's"])
+    assert fetched.values == mock_embed("held", 64).values
+    assert spy.batches == [["held"], ["dropped"], ["another thread's"], ["another gateway's"]]
+    assert cached("held").values == stored.values and cached("dropped") is None
+    assert cached("another thread's") is not None and cached("another gateway's") is not None
+    assert cache.stats()["records"] == 3
     provider.remaining = ATTEMPTS
     with pytest.raises(TransportError), gateway.transient():
         gateway.embed(["failed"])
-    assert provider.attempts == ATTEMPTS + 2
-    gateway.embed(["failed"])
-    assert gateway.holds(["failed"]) and cache.stats()["records"] == 2
+    assert provider.attempts == ATTEMPTS + 4
+    assert gateway.embed(["failed", "held"])[1].values == stored.values
+    assert spy.batches[-1] == ["failed"]
+    assert cached("failed") is not None and cache.stats()["records"] == 4
+
+
+class _CountingCache(EmbeddingCache):
+    """An in-memory cache counting its ``get`` and ``put`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def get(self, identity_digest, digest):
+        self.calls += 1
+        return super().get(identity_digest, digest)
+
+    def put(self, identity_digest, digest, vector):
+        self.calls += 1
+        return super().put(identity_digest, digest, vector)
+
+
+def test_transient_requests_make_no_cache_call_and_keep_the_checks():
+    # A transient request sends its texts as given, repeats included, and
+    # holds the reply to the same count and dim checks as a miss.
+    cache = _CountingCache()
+    spy = SpyEmbeddingProvider(MockEmbeddingProvider(64))
+    gateway = EmbeddingGateway(spy, cache)
+    with gateway.transient():
+        vectors = gateway.embed(["a b", "c", "a b"])
+    assert spy.batches == [["a b", "c", "a b"]]
+    assert [v.values for v in vectors] == [mock_embed(t, 64).values for t in ("a b", "c", "a b")]
+
+    class Short(MockEmbeddingProvider):
+        def embed_batch(self, texts):
+            return super().embed_batch(texts)[1:]
+
+    short = EmbeddingGateway(Short(64), cache)
+    with pytest.raises(ProviderError, match="returned 1 vectors for 2 texts"), short.transient():
+        short.embed(["one", "two"])
+    drifting = EmbeddingGateway(_DriftingProvider(), cache)
+    with drifting.transient():
+        drifting.embed(["first"])
+        with pytest.raises(EmbeddingDimError, match="drifted from 8 to 9"):
+            drifting.embed(["second"])
+    assert cache.calls == 0 and cache.stats()["records"] == 0
+    gateway.embed(["a b"])  # outside the scope: one lookup, one store
+    assert cache.calls == 2
 
 
 def test_cache_roundtrip_equals_uncached():
@@ -476,14 +540,15 @@ def test_cache_keys_include_provider_identity(tmp_path):
 
 def test_cache_stats_and_clear(tmp_path):
     path = tmp_path / "cache.jsonl"
+    path.write_text(json.dumps(embeddings.CACHE_HEADER) + "\nnot a record\n", encoding="utf-8")
     cache = EmbeddingCache(path)
     gw = EmbeddingGateway(MockEmbeddingProvider(64), cache)
     gw.embed(["a", "b"])
     stats = cache.stats()
-    assert stats["records"] == 2
+    assert stats["records"] == 2 and stats["skipped"] == 1
     assert stats["bytes"] > 0
     cache.clear()
-    assert cache.stats()["records"] == 0
+    assert cache.stats() == {"records": 0, "skipped": 0, "path": str(path), "bytes": 0}
     assert not path.exists()
 
 

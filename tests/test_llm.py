@@ -359,10 +359,13 @@ _GOOD_EMBEDDING = {"data": [{"index": 0, "embedding": [1.0, 2.0]}]}
         {"choices": [{"message": {"content": "ok {x}"}}], "usage": {"prompt_tokens": "12"}},
         {"choices": [{"message": {"content": "ok {x}"}}], "usage": {"completion_tokens": True}},
         b'{"choices": [{"message": {"content": "ok {x}"}}], "usage": {"prompt_tokens": 1e400}}',
+        # Numbers that are no token count, which ``int`` would keep or cut.
+        {"choices": [{"message": {"content": "ok {x}"}}], "usage": {"prompt_tokens": -5}},
+        {"choices": [{"message": {"content": "ok {x}"}}], "usage": {"completion_tokens": 2.7}},
     ],
     ids=[
         "not-json", "no-choices", "empty-choices", "no-message", "null-content", "bad-usage", "list",
-        "usage-string", "usage-bool", "usage-infinite",
+        "usage-string", "usage-bool", "usage-infinite", "usage-negative", "usage-fraction",
     ],
 )
 def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
@@ -375,6 +378,16 @@ def test_http_chat_malformed_reply_is_provider_error(http_server, payload):
         gw.complete([user("hi")])
     assert not isinstance(exc.value, TransportError)
     assert len(http_server["requests"]) == 1 and naps == []
+
+
+def test_http_chat_usage_count_written_as_a_whole_float_reads_as_an_int(http_server):
+    from karpa.llm import HttpChatProvider
+
+    usage = {"prompt_tokens": 12.0, "completion_tokens": 0}
+    http_server["handler"] = lambda body: (200, {**_GOOD_CHAT, "usage": usage})
+    result = HttpChatProvider(http_server["url"]).complete([user("hi")], LlmParams())
+    assert (result.prompt_tokens, result.completion_tokens) == (12, 0)
+    assert type(result.prompt_tokens) is int and result.estimated is False
 
 
 def _rows(*indices):

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -652,57 +653,48 @@ def test_heuristic_makes_the_reference_attempts_when_transport_always_fails():
     assert failed_warm >= 5
 
 
-def test_heuristic_window_falls_back_to_its_cached_own_request_when_transport_fails():
-    # The cache holds every text the reference requests, and the provider is
-    # down. A window that also fetches a prefix the reference never expands
-    # fails; the popped prefix's own request is then served from the cache,
-    # and so is every later expansion's, which carries no window: a search
-    # waits out one failed request's retries at most.
-    rng = random.Random(2024)
-    windows_failed = 0
-    for _ in range(30):
-        g = random_graph(rng, n_entities=25, n_relations=10, max_out_degree=4)
-        candidate = RelationPath(
-            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 2)))
-        )
-        cfg = MatchConfig(top_k=8, max_len=3, frontier_cap=4)
-        cache = EmbeddingCache()
-        ref = ref_heuristic(g, 0, candidate, cfg, EmbeddingGateway(MockEmbeddingProvider(), cache))
-        provider = FlakyEmbeddingProvider(MockEmbeddingProvider(), failures=10**9)
-        ours = heuristic_top_k(g, 0, candidate, cfg, EmbeddingGateway(provider, cache, sleep=lambda _: None))
-        assert _ranked(ours) == _ranked(ref)
-        assert provider.attempts <= ATTEMPTS
-        windows_failed += provider.attempts > 0
-    assert windows_failed >= 10
-
-
-def test_heuristic_match_stores_no_vector_and_serves_the_cached_ones(tmp_path):
+def test_heuristic_match_stores_no_label_sequence_and_reads_none(tmp_path):
     # A heuristic search embeds thousands of label sequences a question and
-    # meets almost none again, so it stores none, in memory or in the file.
-    # One the cache holds is served from it, with the cache's bits.
+    # meets almost none again, so it neither stores nor looks one up: a
+    # sequence the cache holds is fetched from the provider. Only the first
+    # request, the candidate text and the start's one-label children, goes
+    # through the cache.
     g = graph_from(TWELVE_ENTITY_TRIPLES)
     hub = g.entity_id("hub")
     candidates = [RelationPath(("people.person.children", "people.person.spouse"))]
     cfg = MatchConfig(strategy="heuristic", top_k=64)
-    memory = EmbeddingCache()
-    fresh = match_candidates(g, hub, candidates, cfg, EmbeddingGateway(MockEmbeddingProvider(), memory))
-    assert memory.stats()["records"] == 0
+    fresh = match_candidates(g, hub, candidates, cfg, mock_gateway())
     path = tmp_path / "cache.jsonl"
     held = "people.person.children people.person.children"
-    # Not the provider's vector for the text, so that the test sees whose bits are used.
-    vector = mock_embed("people.person.spouse")
+    # Not the provider's vector for the text, so that a read of it would show.
     identity = bytes.fromhex(text_digest(MockEmbeddingProvider().identity))
-    EmbeddingCache(path).put(identity, bytes.fromhex(text_digest(held)), vector)
-    before = path.read_bytes()
+    EmbeddingCache(path).put(identity, bytes.fromhex(text_digest(held)), mock_embed("people.person.spouse"))
     provider = SpyEmbeddingProvider(MockEmbeddingProvider())
     served = match_candidates(g, hub, candidates, cfg, EmbeddingGateway(provider, EmbeddingCache(path)))
-    assert path.read_bytes() == before
-    assert provider.batches and not any(held in batch for batch in provider.batches)
-    (query,) = MockEmbeddingProvider().embed_batch([" ".join(candidates[0].relations)])
-    (sim,) = cosine_many(query, [vector])
-    costs = {" ".join(labels_of(p)): p.cost for p in served}
-    assert [p.cost for p in served if " ".join(labels_of(p)) == held] == [1.0 - sim] * 2
-    assert costs == {" ".join(labels_of(p)): p.cost for p in fresh} | {held: 1.0 - sim}
+    assert served == fresh and held in {" ".join(labels_of(p)) for p in served}
+    assert sum(batch.count(held) for batch in provider.batches) == 1
+    records = [json.loads(line)["text"] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    start_labels = {g.relation_label(rid) for rid, entity in g.neighbors(hub) if entity != hub}
+    first = {" ".join(candidates[0].relations), *start_labels}
+    assert sorted(records) == sorted(map(text_digest, {held, *first}))
+    assert set(provider.batches[0]) == first
+
+
+def test_a_second_heuristic_search_sends_only_its_candidate_text_first():
+    # The start's labels are held after the first search, so the second's
+    # first request is its candidate text alone; its later requests repeat
+    # the first search's, as the cache does not serve label sequences.
+    g = graph_from(TWELVE_ENTITY_TRIPLES)
+    hub = g.entity_id("hub")
+    candidate = RelationPath(("people.person.children", "people.person.spouse"))
+    cfg = MatchConfig(strategy="heuristic", top_k=64)
+    gateway = SpyGateway()
+    first = heuristic_top_k(g, hub, candidate, cfg, gateway)
+    requests = list(gateway.requests)
+    del gateway.requests[:]
+    assert heuristic_top_k(g, hub, candidate, cfg, gateway) == first
+    assert len(requests) > 1 and len(requests[0]) > 1
+    assert gateway.requests == [["people.person.children people.person.spouse"], *requests[1:]]
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])

@@ -1,8 +1,9 @@
 """A second pass over a primed embedding-cache file, through a fresh cache on
 the same path: every kept vector is read back from the file's records, so the
-second pass asks the provider only for what the cache never keeps, and its
-outputs are the first pass's."""
+second pass asks the provider only for what skips the cache, and its outputs
+are the first pass's."""
 
+import contextlib
 import importlib.util
 from pathlib import Path
 
@@ -25,9 +26,32 @@ make_fixtures = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_fixtures)
 
 
+class _TransientSpy(EmbeddingGateway):
+    """Records each request ``embed`` serves inside ``transient()``, in one thread."""
+
+    def __init__(self, provider, cache):
+        super().__init__(provider, cache)
+        self.transient_requests: list[list[str]] = []
+        self._inside = False
+
+    @contextlib.contextmanager
+    def transient(self):
+        with super().transient():
+            self._inside = True
+            try:
+                yield
+            finally:
+                self._inside = False
+
+    def embed(self, texts):
+        if self._inside:
+            self.transient_requests.append(list(texts))
+        return super().embed(texts)
+
+
 def _spied_gateway(cache_path):
     provider = SpyEmbeddingProvider(MockEmbeddingProvider())
-    return provider, EmbeddingGateway(provider, EmbeddingCache(cache_path))
+    return provider, _TransientSpy(provider, EmbeddingCache(cache_path))
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
@@ -74,13 +98,14 @@ def test_eval_over_a_primed_cache_file_writes_the_golden_report(tmp_path, monkey
         provider, gateway = _spied_gateway(cache_path)
         pipeline = Pipeline(cfg, g, gateway, build_chat_provider(cfg))
         report = evaluate(samples, make_sample_runner(pipeline), config_digest=config_digest(cfg))
-        passes.append((provider.batches, render_report(report)))
-    (first_requests, first_report), (second_requests, second_report) = passes
+        passes.append((provider.batches, gateway.transient_requests, render_report(report)))
+    (first_requests, first_sequences, first_report), (second_requests, second_sequences, second_report) = passes
     golden = (make_fixtures.GOLDEN_DIR / "eval_report.txt").read_text(encoding="utf-8")
     assert first_report == second_report == golden
-    # The heuristic's label sequences are never kept, so those of two or
-    # more labels are requested again; a one-label sequence is a relation
-    # label, which the cache keeps, as it does the LLM's query texts.
-    texts = [text for request in second_requests for text in request]
-    assert texts and all(" " in text for text in texts)
+    # The heuristic's label sequences skip the cache, so the second pass
+    # sends the provider exactly the sequences the first pass sent, and
+    # nothing else: relation labels, the LLM's query texts and candidate
+    # texts are read back from the file.
+    assert second_requests == second_sequences == first_sequences
+    assert first_sequences and all(" " in text for request in first_sequences for text in request)
     assert any(" " not in text for request in first_requests for text in request)
