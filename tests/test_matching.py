@@ -10,7 +10,6 @@ from karpa.embeddings import (
     EmbeddingGateway,
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
-    cosine_many,
     mock_embed,
     text_digest,
 )
