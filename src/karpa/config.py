@@ -11,7 +11,10 @@ Each section is a dataclass whose fields are its keys; ``matcher`` is
 
 The config digest identifies the *semantics* of a run; execution-only
 knobs (eval concurrency, checkpoint directory) are excluded so the same
-evaluation is byte-identical no matter how it was scheduled.
+evaluation is byte-identical no matter how it was scheduled. Where the
+embedding cache file lives does not change a run's outputs either, so
+``embedding.cache_path`` is hashed with an empty value: a run with a cache
+file has the digest of the same run without one.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .transport import read_utf8, require_file
 PROVIDER_KINDS = ("http", "scripted", "mock")
 
 _EXECUTION_ONLY_KEYS = {"eval.concurrency", "eval.checkpoint_dir"}
+_HASHED_EMPTY_KEYS = {"embedding.cache_path"}
 
 
 @dataclass
@@ -192,9 +196,11 @@ def load_config(path: str | Path | None = None, env: dict[str, str] | None = Non
 
 
 def config_digest(cfg: PipelineConfig) -> str:
-    """Digest of the run semantics; execution-only keys are excluded."""
+    """Digest of the run semantics; execution-only keys are excluded, and the
+    cache path is hashed empty."""
     lines = []
     for key in sorted(set(KNOWN_KEYS) - _EXECUTION_ONLY_KEYS):
         section, attr = key.split(".")
-        lines.append(f"{key}={getattr(getattr(cfg, section), attr)}")
+        value = "" if key in _HASHED_EMPTY_KEYS else getattr(getattr(cfg, section), attr)
+        lines.append(f"{key}={value}")
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()

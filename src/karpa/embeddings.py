@@ -44,8 +44,8 @@ that misses them: two workers rarely miss the same one at once.
 The cache keeps relation labels, the LLM's query texts and the matchers'
 candidate texts. The heuristic matcher's label sequences, thousands a
 question and almost none met again, skip it: the heuristic requests them
-inside ``EmbeddingGateway.transient``, where ``embed`` sends its texts to
-the provider with no hash, no lookup and no store.
+as ``Uncached`` lists, which ``embed`` sends to the provider with no hash,
+no lookup and no store.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import zlib
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Protocol
 
 from .errors import ContractError, DataError, DomainError, EmbeddingDimError, MissingFixtureError, ProviderError
 from .transport import check_endpoint, post_json, read_records, with_retries
@@ -453,20 +453,25 @@ class EmbeddingCache:
             self._lead = _HEADER_LINE
 
 
+class Uncached(list):
+    """A request of texts that ``EmbeddingGateway.embed`` neither looks up in
+    the cache nor stores: ``embed(Uncached(texts))``."""
+
+
 class EmbeddingGateway:
     """Cache-first embedding access with retries and top-K similarity retrieval.
 
     ``embed`` serves each text the cache holds from it and fetches the rest
-    from the provider in one request. By default it keeps what it fetches:
-    the cache stores each fetched vector, and appends it to its file, so a
-    later ``embed`` of the text, by any caller, gets the bits stored first.
+    from the provider in one request. It keeps what it fetches: the cache
+    stores each fetched vector, and appends it to its file, so a later
+    ``embed`` of the text, by any caller, gets the bits stored first.
 
-    Inside ``with gateway.transient():`` ``embed`` skips the cache: it sends
-    its texts to the provider as given, with a miss's retries and checks,
-    and keeps nothing, so it gets the provider's bits even for a text the
-    cache holds (with the mock, scripted or stub provider, the same bits).
-    The scope holds for this gateway in the thread that entered it: other
-    threads, and other gateways in the same thread, use the cache.
+    An ``Uncached`` request skips the cache: ``embed`` sends its texts to
+    the provider as given, with a miss's retries and checks, and keeps
+    nothing, so it gets the provider's bits even for a text the cache holds
+    (with the mock, scripted or stub provider, the same bits). The rule
+    travels with the request, so no other request, in any thread, is
+    affected.
     """
 
     def __init__(
@@ -488,7 +493,6 @@ class EmbeddingGateway:
         # held across a label fetch.
         self._labels: dict[str, EmbeddingVector] = {}
         self._label_lock = threading.Lock()
-        self._scope = threading.local()  # ``transient`` is True inside ``transient()``
 
     def _check_dim(self, vectors: list[EmbeddingVector]) -> None:
         """Hold a batch of vectors to the dim of the first vector this gateway saw."""
@@ -505,19 +509,6 @@ class EmbeddingGateway:
                     f"{self.provider.identity!r}; if its model changed, run `karpa cache clear`"
                 )
 
-    @contextlib.contextmanager
-    def transient(self) -> Iterator[None]:
-        """Within the block, ``embed`` in this thread skips the cache: it reads
-        and keeps nothing.
-
-        Scopes do not nest: leaving one, by an exception too, ends it.
-        """
-        self._scope.transient = True
-        try:
-            yield
-        finally:
-            self._scope.transient = False
-
     def _fetch(self, texts: list[str]) -> list[EmbeddingVector]:
         """The provider's vectors for ``texts``, retried and checked; nothing is stored."""
         vectors = with_retries(lambda: self.provider.embed_batch(texts), self._sleep)
@@ -531,14 +522,15 @@ class EmbeddingGateway:
 
         Each text is hashed once; its digest keys both the lookup and, on a
         miss, the store. Dims are checked once for the hits and once for the
-        provider's reply, before any vector is stored. Inside ``transient()``
-        the texts go to the provider as given, with no lookup and no store.
+        provider's reply, before any vector is stored. An ``Uncached``
+        request goes to the provider as given, with no hash, no lookup and no
+        store.
         """
         if not texts:
             raise ContractError("embed requires at least one text")
         if any(not t for t in texts):
             raise ContractError("embed texts must be non-empty")
-        if getattr(self._scope, "transient", False):
+        if isinstance(texts, Uncached):
             return self._fetch(texts)
         identity = self._identity_digest
         cache = self.cache

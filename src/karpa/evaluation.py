@@ -177,7 +177,7 @@ def load_dataset(path: str | Path, format: str = "simple") -> list[QASample]:
         records = payload.get("Questions") if isinstance(payload, dict) else payload
         parse = _sample_from_webqsp
     else:
-        records = payload.get("data", []) if isinstance(payload, dict) else payload
+        records = payload.get("data") if isinstance(payload, dict) else payload
         parse = _sample_from_cwq
     if not isinstance(records, list):
         raise DataError(f"{p}: no {format} question list")

@@ -22,15 +22,16 @@ the gateway holds: an expansion makes an embedding request only when it
 meets a label the gateway has not fetched, or is the first at its depth
 and needs the candidate's relation there. The heuristic scores whole label
 sequences, which the gateway does not hold and the embedding cache neither
-keeps nor reads; each search keeps its own table from label-sequence text
-to cost and fetches the candidate text once, with the start's one-label
-children. Each later expansion that meets an uncosted child makes one
-embedding request, which also carries the uncosted children of the next
-``LOOKAHEAD - 1`` expandable prefixes in pop order, so that when those are
-popped they make none. Every strategy extends a prefix only along edges to
-entities it has not visited, so returned paths are simple from the first
-hop on. Ordering is always deterministic: score descending, then
-relation-label sequence, then entity-id sequence.
+keeps nor reads: a search requests them as ``Uncached`` lists. Each search
+keeps its own table from label-sequence text to cost and fetches the
+candidate text once, with the start's one-label children. Each later
+expansion that meets an uncosted child makes one embedding request, which
+also carries the uncosted children of the next ``LOOKAHEAD - 1`` expandable
+prefixes in pop order, so that when those are popped they make none. Every
+strategy extends a prefix only along edges to entities it has not visited,
+so returned paths are simple from the first hop on. Ordering is always
+deterministic: score descending, then relation-label sequence, then
+entity-id sequence.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .embeddings import cosine_many
+from .embeddings import Uncached, cosine_many
 from .errors import ContractError, KarpaError, TransportError
 
 if TYPE_CHECKING:
@@ -324,10 +325,10 @@ def heuristic_top_k(
     truncation and every cost's bits are those of one request per
     expansion (``ref_heuristic`` in ``tests/oracles.py``).
 
-    Those later requests run inside ``gateway.transient()``: no label
-    sequence is looked up in the cache or stored in it. So a search's costs
-    outlive it only in its results, and a rerun over a file cache requests
-    its label sequences again.
+    Those later requests are ``Uncached``: no label sequence is looked up
+    in the cache or stored in it. So a search's costs outlive it only in its
+    results, and a rerun over a file cache requests its label sequences
+    again.
 
     A window may fetch prefixes the search never expands. So when its
     request fails with a ``KarpaError``, the expansion re-issues its own
@@ -350,8 +351,7 @@ def heuristic_top_k(
         if query is None:  # the start's children: each text is one relation label
             (query,), vectors = gateway.embed_with_labels([cand_text], texts)
         else:
-            with gateway.transient():
-                vectors = gateway.embed(texts)
+            vectors = gateway.embed(Uncached(texts))
         for text, sim in zip(texts, cosine_many(query, vectors)):
             costs[text] = 1.0 - sim
 

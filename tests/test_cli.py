@@ -744,15 +744,16 @@ def test_eval_dataset_that_is_not_json_is_data_error(tmp_path, kg_file, capsys, 
     assert err.startswith("data error: ") and f"{dataset}: not a JSON {format} dataset" in err
 
 
-def test_eval_webqsp_object_without_questions_is_data_error(tmp_path, kg_file, capsys):
+@pytest.mark.parametrize("format", ["webqsp", "cwq"])
+def test_eval_object_without_its_question_list_is_data_error(tmp_path, kg_file, capsys, format):
     dataset = tmp_path / "data.json"
     dataset.write_text(json.dumps({"Version": "1.0"}), encoding="utf-8")
     conf = tmp_path / "ev.conf"
     conf.write_text(f"kg.path = {kg_file}\nllm.kind = mock\n", encoding="utf-8")
-    code = main(["--config", str(conf), "eval", "--dataset", str(dataset), "--format", "webqsp"])
+    code = main(["--config", str(conf), "eval", "--dataset", str(dataset), "--format", format])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert err.startswith("data error: ") and f"{dataset}: no webqsp question list" in err
+    assert err.startswith("data error: ") and f"{dataset}: no {format} question list" in err
 
 
 _GOOD_SIMPLE = json.dumps({"id": "q", "question": "?", "topics": ["A"], "answers": [["B"]]})

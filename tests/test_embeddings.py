@@ -24,6 +24,7 @@ from karpa.embeddings import (
     EmbeddingVector,
     MockEmbeddingProvider,
     ScriptedEmbeddingProvider,
+    Uncached,
     cosine_many,
     mock_embed,
     text_digest,
@@ -37,7 +38,6 @@ from karpa.errors import (
     ProviderError,
     TransportError,
 )
-from karpa.transport import ATTEMPTS
 
 from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
 from oracles import ref_mock_embed_loop, ref_mock_embedding, ref_pair_cosine
@@ -421,14 +421,12 @@ def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == 2  # the header and one record
 
 
-def test_transient_scope_holds_for_its_gateway_in_its_thread_only():
-    # Inside the scope this gateway, in this thread, skips the cache: it asks
-    # the provider for a text the cache holds, and keeps nothing it fetches.
-    # Another thread, another gateway, and this one after a failed request
-    # has left the scope, are served from the cache and keep their misses.
+def test_an_uncached_request_in_flight_leaves_other_requests_on_the_cache():
+    # While one thread's Uncached request waits inside the provider, plain
+    # requests from another thread, to the same gateway and to a second one
+    # on the same cache, are served from the cache and keep their misses.
     cache = EmbeddingCache()
-    spy = SpyEmbeddingProvider(MockEmbeddingProvider(64))
-    provider = FlakyEmbeddingProvider(spy, failures=0)
+    provider = MockEmbeddingProvider(64)
     identity = bytes.fromhex(text_digest(provider.identity))
 
     def cached(text):
@@ -436,28 +434,44 @@ def test_transient_scope_holds_for_its_gateway_in_its_thread_only():
 
     # Not the provider's vector for the text, so that the test sees whose bits are used.
     stored = cache.put(identity, bytes.fromhex(text_digest("held")), mock_embed("something else", 64))
-    gateway = EmbeddingGateway(provider, cache, sleep=lambda _: None)
-    other = EmbeddingGateway(provider, cache)
-    with gateway.transient():
-        (fetched,) = gateway.embed(["held"])
-        gateway.embed(["dropped"])
-        worker = threading.Thread(target=gateway.embed, args=(["held", "another thread's"],))
-        worker.start()
+    entered, release = threading.Event(), threading.Event()
+
+    class Gated:
+        """Holds an ``Uncached`` request, which it is sent as given, until released."""
+
+        identity = provider.identity
+
+        def __init__(self):
+            self.batches = []
+
+        def embed_batch(self, texts):
+            self.batches.append(list(texts))
+            if isinstance(texts, Uncached):
+                entered.set()
+                release.wait(10)
+            return provider.embed_batch(texts)
+
+    gated = Gated()
+    gateway = EmbeddingGateway(gated, cache)
+    other = EmbeddingGateway(gated, cache)
+    uncached = []
+    worker = threading.Thread(target=lambda: uncached.extend(gateway.embed(Uncached(["held", "dropped"]))))
+    worker.start()
+    try:
+        assert entered.wait(10)
+        hit, fetched = gateway.embed(["held", "this gateway's"])
+        other_hit, other_fetched = other.embed(["held", "another gateway's"])
+    finally:
+        release.set()
         worker.join(timeout=10)
-        assert not worker.is_alive()
-        other.embed(["held", "another gateway's"])
-    assert fetched.values == mock_embed("held", 64).values
-    assert spy.batches == [["held"], ["dropped"], ["another thread's"], ["another gateway's"]]
+    assert not worker.is_alive()
+    assert hit.values == other_hit.values == stored.values
+    assert [v.values for v in uncached] == [mock_embed(t, 64).values for t in ("held", "dropped")]
+    assert gated.batches == [["held", "dropped"], ["this gateway's"], ["another gateway's"]]
     assert cached("held").values == stored.values and cached("dropped") is None
-    assert cached("another thread's") is not None and cached("another gateway's") is not None
+    assert cached("this gateway's").values == fetched.values
+    assert cached("another gateway's").values == other_fetched.values
     assert cache.stats()["records"] == 3
-    provider.remaining = ATTEMPTS
-    with pytest.raises(TransportError), gateway.transient():
-        gateway.embed(["failed"])
-    assert provider.attempts == ATTEMPTS + 4
-    assert gateway.embed(["failed", "held"])[1].values == stored.values
-    assert spy.batches[-1] == ["failed"]
-    assert cached("failed") is not None and cache.stats()["records"] == 4
 
 
 class _CountingCache(EmbeddingCache):
@@ -476,14 +490,13 @@ class _CountingCache(EmbeddingCache):
         return super().put(identity_digest, digest, vector)
 
 
-def test_transient_requests_make_no_cache_call_and_keep_the_checks():
-    # A transient request sends its texts as given, repeats included, and
+def test_uncached_requests_make_no_cache_call_and_keep_the_checks():
+    # An Uncached request sends its texts as given, repeats included, and
     # holds the reply to the same count and dim checks as a miss.
     cache = _CountingCache()
     spy = SpyEmbeddingProvider(MockEmbeddingProvider(64))
     gateway = EmbeddingGateway(spy, cache)
-    with gateway.transient():
-        vectors = gateway.embed(["a b", "c", "a b"])
+    vectors = gateway.embed(Uncached(["a b", "c", "a b"]))
     assert spy.batches == [["a b", "c", "a b"]]
     assert [v.values for v in vectors] == [mock_embed(t, 64).values for t in ("a b", "c", "a b")]
 
@@ -492,15 +505,14 @@ def test_transient_requests_make_no_cache_call_and_keep_the_checks():
             return super().embed_batch(texts)[1:]
 
     short = EmbeddingGateway(Short(64), cache)
-    with pytest.raises(ProviderError, match="returned 1 vectors for 2 texts"), short.transient():
-        short.embed(["one", "two"])
+    with pytest.raises(ProviderError, match="returned 1 vectors for 2 texts"):
+        short.embed(Uncached(["one", "two"]))
     drifting = EmbeddingGateway(_DriftingProvider(), cache)
-    with drifting.transient():
-        drifting.embed(["first"])
-        with pytest.raises(EmbeddingDimError, match="drifted from 8 to 9"):
-            drifting.embed(["second"])
+    drifting.embed(Uncached(["first"]))
+    with pytest.raises(EmbeddingDimError, match="drifted from 8 to 9"):
+        drifting.embed(Uncached(["second"]))
     assert cache.calls == 0 and cache.stats()["records"] == 0
-    gateway.embed(["a b"])  # outside the scope: one lookup, one store
+    gateway.embed(["a b"])  # a plain list: one lookup, one store
     assert cache.calls == 2
 
 

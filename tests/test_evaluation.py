@@ -119,6 +119,13 @@ def test_cwq_loader(tmp_path):
     assert sample.gold_answers == [["Paris", "City of Light"]]
 
 
+@pytest.mark.parametrize("format, key", [("webqsp", "Questions"), ("cwq", "data")])
+def test_an_object_with_an_empty_question_list_loads_no_sample(tmp_path, format, key):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({key: []}), encoding="utf-8")
+    assert load_dataset(path, format) == []
+
+
 _WEBQSP_NUMERIC = {
     "QuestionId": 1,
     "RawQuestion": "when?",

@@ -390,6 +390,7 @@ def test_config_digest_ignores_execution_knobs():
     b = make_config()
     b.eval.concurrency = 8
     b.eval.checkpoint_dir = "/elsewhere"
+    b.embedding.cache_path = "/elsewhere/cache.jsonl"
     assert config_digest(a) == config_digest(b)
     c = make_config()
     c.matcher.top_k = 4

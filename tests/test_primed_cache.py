@@ -3,14 +3,13 @@ the same path: every kept vector is read back from the file's records, so the
 second pass asks the provider only for what skips the cache, and its outputs
 are the first pass's."""
 
-import contextlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 from karpa.config import build_config, config_digest, resolve_values
-from karpa.embeddings import EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
+from karpa.embeddings import EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider, Uncached
 from karpa.evaluation import evaluate, load_dataset, render_report
 from karpa.kg import load_triples_path
 from karpa.matching import MatchConfig, RelationPath, match_candidates
@@ -26,32 +25,22 @@ make_fixtures = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_fixtures)
 
 
-class _TransientSpy(EmbeddingGateway):
-    """Records each request ``embed`` serves inside ``transient()``, in one thread."""
+class _UncachedSpy(EmbeddingGateway):
+    """Records each ``Uncached`` request ``embed`` serves."""
 
     def __init__(self, provider, cache):
         super().__init__(provider, cache)
-        self.transient_requests: list[list[str]] = []
-        self._inside = False
-
-    @contextlib.contextmanager
-    def transient(self):
-        with super().transient():
-            self._inside = True
-            try:
-                yield
-            finally:
-                self._inside = False
+        self.uncached_requests: list[list[str]] = []
 
     def embed(self, texts):
-        if self._inside:
-            self.transient_requests.append(list(texts))
+        if isinstance(texts, Uncached):
+            self.uncached_requests.append(list(texts))
         return super().embed(texts)
 
 
 def _spied_gateway(cache_path):
     provider = SpyEmbeddingProvider(MockEmbeddingProvider())
-    return provider, _TransientSpy(provider, EmbeddingCache(cache_path))
+    return provider, _UncachedSpy(provider, EmbeddingCache(cache_path))
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
@@ -98,7 +87,7 @@ def test_eval_over_a_primed_cache_file_writes_the_golden_report(tmp_path, monkey
         provider, gateway = _spied_gateway(cache_path)
         pipeline = Pipeline(cfg, g, gateway, build_chat_provider(cfg))
         report = evaluate(samples, make_sample_runner(pipeline), config_digest=config_digest(cfg))
-        passes.append((provider.batches, gateway.transient_requests, render_report(report)))
+        passes.append((provider.batches, gateway.uncached_requests, render_report(report)))
     (first_requests, first_sequences, first_report), (second_requests, second_sequences, second_report) = passes
     golden = (make_fixtures.GOLDEN_DIR / "eval_report.txt").read_text(encoding="utf-8")
     assert first_report == second_report == golden
