@@ -16,14 +16,14 @@ Each vector holds its values in one ``array('d')`` (8 bytes a component,
 where a tuple of floats holds a pointer to a boxed float per component) and
 stores its squared norm, taken once when it is made; ``cosine_many``
 multiplies through the query's nonzero components only. Both give the same
-bits as the plain pairwise loop. The cache keeps each vector in memory as one
-``bytes`` payload, its values' bytes, under the raw 32-byte SHA-256 digests
-of the provider identity and of the text. Bytes and dicts of bytes are not
-tracked by the cyclic garbage collector, so a full cache adds nothing to its
-collections. A lookup makes the vector anew with ``EmbeddingVector``, which
-adds up the same squares in the same order, so every hit has the stored
-bits. The hex forms of the digests appear only in cache-file records, whose
-format is unchanged, and in scripted-fixture lookups.
+bits as the plain pairwise loop. The cache hashes the provider identity and
+the text on each ``get`` and ``put``, and keeps each vector in memory as one
+``bytes`` payload, its values' bytes, under the two raw 32-byte SHA-256
+digests. Bytes and dicts of bytes are not tracked by the cyclic garbage
+collector, so a full cache adds nothing to its collections. A lookup makes
+the vector anew with ``EmbeddingVector``, which adds up the same squares in
+the same order, so every hit has the stored bits. Hex digests appear only
+in cache-file records and in scripted-fixture lookups.
 
 Each gateway holds the vector of every relation label it has fetched; a
 graph has at most twice as many labels as relations. Vocabulary retrieval,
@@ -44,8 +44,8 @@ that misses them: two workers rarely miss the same one at once.
 The cache keeps relation labels, the LLM's query texts and the matchers'
 candidate texts. The heuristic matcher's label sequences, thousands a
 question and almost none met again, skip it: the heuristic requests them
-as ``Uncached`` lists, which ``embed`` sends to the provider with no hash,
-no lookup and no store.
+as ``Uncached`` lists, which ``embed`` sends to the provider with no
+lookup and no store.
 """
 
 from __future__ import annotations
@@ -75,9 +75,14 @@ _HEADER_LINE = json.dumps(CACHE_HEADER, separators=(",", ":")) + "\n"
 _HEADER_BYTES = _HEADER_LINE.encode("utf-8")
 
 
+def _digest(text: str) -> bytes:
+    """Raw SHA-256 of ``text``: the embedding cache's key of an identity or a text."""
+    return hashlib.sha256(text.encode("utf-8")).digest()
+
+
 def text_digest(text: str) -> str:
     """Hex SHA-256 of ``text``: the key of cache-file records and scripted fixtures."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest(text).hex()
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,24 +343,23 @@ class HttpEmbeddingProvider:
 
 
 class EmbeddingCache:
-    """Append-only embedding cache keyed by (provider identity digest, text digest).
+    """Append-only embedding cache addressed by (provider identity, text).
 
-    Both keys are raw 32-byte SHA-256 digests: vectors are held per identity
-    in a dict keyed by the text's digest, each as one ``bytes`` payload (its
-    values' bytes), so that no held entry is an object the cyclic garbage
-    collector must walk. ``get`` makes a new vector from the held bytes each
-    time with ``EmbeddingVector``, so with the held bits, norm included;
-    ``put`` returns a vector equal bit for bit to the held one, not the held
-    object. When backed by a file, records are line-JSON after a version
-    header line and name both digests in hex; each ``put`` is one append of
-    one record, under a lock, flushed. A cache that loaded no whole header,
-    because it found no file, an empty one or a header cut short, appends
-    the header before its first record, so caches that open one new file
-    together each append a header: a load skips every header line after the
-    first, and counts none of them. A load also skips and counts lines that
-    are not whole records, such as one cut short by an interrupted write, and
-    the next append starts on a new line so that no later record is glued
-    onto the cut one.
+    ``get`` and ``put`` hash both strings: vectors are held per raw 32-byte
+    SHA-256 identity digest in a dict keyed by the text's, each as one
+    ``bytes`` payload (its values' bytes), so that no held entry is an object
+    the cyclic garbage collector must walk. ``get`` makes a new vector from
+    the held bytes each time, so with the held bits, norm included; ``put``
+    returns a vector equal bit for bit to the held one, not the held object.
+    A file holds line-JSON records naming both digests in hex after a version
+    header line; each ``put`` appends one record, under a lock, flushed. A
+    cache that loaded no whole header (no file, an empty one or a header cut
+    short) writes the header before its first record, as does any append to
+    an empty file, one removed under the cache included; a load skips every
+    header line after the first, uncounted. A load skips and counts lines
+    that are not whole records, such as one cut short by an interrupted
+    write, and the next append starts on a new line so that no later record
+    is glued onto the cut one.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -363,8 +367,7 @@ class EmbeddingCache:
         self._lock = threading.Lock()
         self._path = Path(path) if path is not None else None
         self.skipped = 0
-        # What the next append writes before its record: decided once here,
-        # so ``put`` adds no syscall.
+        # What the next append to a non-empty file writes before its record.
         self._lead = _HEADER_LINE
         if self._path is not None and self._path.exists():
             self._load()
@@ -402,19 +405,20 @@ class EmbeddingCache:
         if not last.endswith(b"\n"):
             self._lead = "\n" + self._lead
 
-    def get(self, identity_digest: bytes, digest: bytes) -> EmbeddingVector | None:
-        vectors = self._memory.get(identity_digest)
-        payload = vectors.get(digest) if vectors is not None else None
+    def get(self, identity: str, text: str) -> EmbeddingVector | None:
+        vectors = self._memory.get(_digest(identity))
+        payload = vectors.get(_digest(text)) if vectors is not None else None
         return EmbeddingVector(array("d", payload)) if payload is not None else None
 
-    def put(self, identity_digest: bytes, digest: bytes, vector: EmbeddingVector) -> EmbeddingVector:
-        """Store ``vector`` unless the key is held already; return a vector equal
-        bit for bit to the held one.
+    def put(self, identity: str, text: str, vector: EmbeddingVector) -> EmbeddingVector:
+        """Store ``vector`` for ``text`` under ``identity`` unless it is held
+        already; return a vector equal bit for bit to the held one.
 
         That is ``vector`` itself when this call stored it. Callers keep the
         returned vector, so two threads that embedded the same text keep the
         same bits between them: those of the first to store it.
         """
+        identity_digest, digest = _digest(identity), _digest(text)
         payload = vector.values.tobytes()
         with self._lock:
             vectors = self._memory.setdefault(identity_digest, {})
@@ -430,7 +434,8 @@ class EmbeddingCache:
                     "values": vector.values.tolist(),
                 }
                 with self._path.open("a", encoding="utf-8") as fp:
-                    fp.write(self._lead + json.dumps(record, separators=(",", ":")) + "\n")
+                    lead = _HEADER_LINE if fp.tell() == 0 else self._lead
+                    fp.write(lead + json.dumps(record, separators=(",", ":")) + "\n")
                     fp.flush()
                 self._lead = ""
         return vector
@@ -450,7 +455,6 @@ class EmbeddingCache:
             self.skipped = 0
             if self._path is not None and self._path.exists():
                 self._path.unlink()
-            self._lead = _HEADER_LINE
 
 
 class Uncached(list):
@@ -482,7 +486,6 @@ class EmbeddingGateway:
     ):
         self.provider = provider
         self.cache = cache if cache is not None else EmbeddingCache()
-        self._identity_digest = hashlib.sha256(provider.identity.encode("utf-8")).digest()
         self._sleep = sleep
         self._dim: int | None = None
         self._lock = threading.Lock()
@@ -520,11 +523,11 @@ class EmbeddingGateway:
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         """Embed each text, serving cache hits without touching the provider.
 
-        Each text is hashed once; its digest keys both the lookup and, on a
-        miss, the store. Dims are checked once for the hits and once for the
-        provider's reply, before any vector is stored. An ``Uncached``
-        request goes to the provider as given, with no hash, no lookup and no
-        store.
+        Each text is looked up, and each distinct miss fetched in one request
+        and stored, under the provider's identity; the cache hashes both. Dims
+        are checked once for the hits and once for the provider's reply,
+        before any vector is stored. An ``Uncached`` request goes to the
+        provider as given, with no lookup and no store.
         """
         if not texts:
             raise ContractError("embed requires at least one text")
@@ -532,29 +535,16 @@ class EmbeddingGateway:
             raise ContractError("embed texts must be non-empty")
         if isinstance(texts, Uncached):
             return self._fetch(texts)
-        identity = self._identity_digest
-        cache = self.cache
-        sha256 = hashlib.sha256
-        out: list[EmbeddingVector | None] = [None] * len(texts)
-        hits: list[EmbeddingVector] = []
-        # text -> (its digest, its positions in ``texts``)
-        missing: dict[str, tuple[bytes, list[int]]] = {}
-        for i, text in enumerate(texts):
-            digest = sha256(text.encode("utf-8")).digest()
-            hit = cache.get(identity, digest)
-            if hit is not None:
-                hits.append(hit)
-                out[i] = hit
-            else:
-                missing.setdefault(text, (digest, []))[1].append(i)
+        identity, cache = self.provider.identity, self.cache
+        out = [cache.get(identity, text) for text in texts]
+        hits = [vec for vec in out if vec is not None]
         if hits:
             self._check_dim(hits)
-        if missing:
-            for (digest, positions), vec in zip(missing.values(), self._fetch(list(missing))):
-                vec = cache.put(identity, digest, vec)
-                for i in positions:
-                    out[i] = vec
-        return out
+        if len(hits) == len(out):
+            return out
+        missing = list(dict.fromkeys(text for text, vec in zip(texts, out) if vec is None))
+        fetched = {text: cache.put(identity, text, vec) for text, vec in zip(missing, self._fetch(missing))}
+        return [vec if vec is not None else fetched[text] for text, vec in zip(texts, out)]
 
     def similarity(self, text_a: str, text_b: str) -> float:
         """Cosine similarity of two texts' vectors. No karpa code calls it: it

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from .errors import DataError, EmbeddingDimError, ParseError
-from .llm import UsageLedger
+from .llm import COUNTERS, UsageLedger
 from .reasoner import AnswerSet, normalize_answer
 from .transport import read_jsonl, read_utf8, require_file
 
@@ -296,7 +296,8 @@ def _read_checkpoint(directory: Path, sample_id: str, config_digest: str) -> dic
 def _is_checkpoint(payload) -> bool:
     """Whether ``payload`` has a checkpoint's keys and each value of the type ``evaluate`` reads:
     answers that ``AnswerSet.from_dict`` gives back unchanged, a ledger snapshot, a list of
-    str flags and a str or null error."""
+    str flags and a str or null error. Every count and batch index is an int not below zero:
+    ``True == 1`` and ``2.0 == 2``, so the comparisons alone would take them."""
     if not isinstance(payload, dict) or payload.keys() != _CHECKPOINT_KEYS:
         return False
     flags, error = payload["flags"], payload["error"]
@@ -309,10 +310,13 @@ def _is_checkpoint(payload) -> bool:
     try:
         answer_set = AnswerSet.from_dict(answers)
         ledger.merge_snapshot(usage)
+        counts = [counter[key] for counter in (usage, *usage["phases"].values()) for key in COUNTERS]
+        counts += [batch for batches in answers["provenance"].values() for batch in batches]
         return (
             answer_set.as_dict() == answers
             and all(isinstance(answer, str) for answer in answer_set.answers)
             and ledger.snapshot() == usage
+            and all(type(count) is int and count >= 0 for count in counts)
         )
     except (AttributeError, KeyError, TypeError):
         return False

@@ -331,12 +331,13 @@ def heuristic_top_k(
     again.
 
     A window may fetch prefixes the search never expands. So when its
-    request fails with a ``KarpaError``, the expansion re-issues its own
-    children's request alone, and an error surfaces only where one request
-    per expansion would raise it. A ``TransportError``, which ``embed`` has
-    retried already, surfaces at once. After a window fails, each expansion
-    requests its own children alone, so a provider that stays down is not
-    retried once per window.
+    request fails with a ``KarpaError`` other than a ``TransportError``
+    (retried by ``embed`` already, it surfaces at once), the expansion
+    re-issues its own children's request alone, and an error surfaces only
+    where one request per expansion would raise it. Such a refusal is of
+    the window's extra texts, a text under a prefix fetched ahead or a
+    request over a service's batch limit, which a later window would likely
+    meet again: so from then on each expansion requests its own children.
     """
     max_len = cfg.resolve_max_len([candidate])
     cand_text = " ".join(candidate.relations)

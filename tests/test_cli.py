@@ -11,7 +11,7 @@ import pytest
 
 from karpa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER, main
 from karpa.config import config_digest, env_name, load_config, parse_config_text, resolve_values, build_config
-from karpa.embeddings import EmbeddingCache, MockEmbeddingProvider, mock_embed, text_digest
+from karpa.embeddings import EmbeddingCache, MockEmbeddingProvider, mock_embed
 from karpa.errors import ConfigError
 from karpa.kg import load_triples_path
 from karpa.llm import digest_messages
@@ -280,12 +280,12 @@ def test_cached_vectors_of_another_dim_are_provider_error(tmp_path, capsys, comm
     # It fails every question, so eval ends with it, as ask does, at any
     # concurrency, and checkpoints no question it failed.
     label = load_triples_path(FIXTURE20 / "kg.tsv").relations[0]
-    identity = bytes.fromhex(text_digest(MockEmbeddingProvider(64).identity))
+    identity = MockEmbeddingProvider(64).identity
     for concurrency in (1, 2) if command == "eval" else (1,):
         run = tmp_path / f"c{concurrency}"
         run.mkdir()
         cache_path = run / "cache.jsonl"
-        EmbeddingCache(cache_path).put(identity, bytes.fromhex(text_digest(label)), mock_embed(label, 8))
+        EmbeddingCache(cache_path).put(identity, label, mock_embed(label, 8))
         config = run / "karpa.conf"
         config.write_text(
             f"kg.path = {FIXTURE20 / 'kg.tsv'}\n"

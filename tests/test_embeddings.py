@@ -398,8 +398,7 @@ def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = EmbeddingCache(path)
     provider = MockEmbeddingProvider(64)
-    identity = bytes.fromhex(text_digest(provider.identity))
-    digest = bytes.fromhex(text_digest("raced text"))
+    identity = provider.identity
     # Not the provider's vector for the text, so that the test sees whose bits are kept.
     held = mock_embed("another worker's text", 64)
 
@@ -409,12 +408,12 @@ def test_embed_keeps_the_vector_another_thread_cached_first(tmp_path):
         identity = provider.identity
 
         def embed_batch(self, texts):
-            cache.put(identity, digest, held)
+            cache.put(identity, "raced text", held)
             return provider.embed_batch(texts)
 
     (vec,) = EmbeddingGateway(Racing(), cache).embed(["raced text"])
-    again = cache.put(identity, digest, mock_embed("raced text", 64))
-    for kept in (vec, again, cache.get(identity, digest)):
+    again = cache.put(identity, "raced text", mock_embed("raced text", 64))
+    for kept in (vec, again, cache.get(identity, "raced text")):
         assert kept.values.tobytes() == held.values.tobytes()
         assert kept.norm_sq.hex() == held.norm_sq.hex()
     assert cache.stats()["records"] == 1
@@ -427,13 +426,13 @@ def test_an_uncached_request_in_flight_leaves_other_requests_on_the_cache():
     # on the same cache, are served from the cache and keep their misses.
     cache = EmbeddingCache()
     provider = MockEmbeddingProvider(64)
-    identity = bytes.fromhex(text_digest(provider.identity))
+    identity = provider.identity
 
     def cached(text):
-        return cache.get(identity, bytes.fromhex(text_digest(text)))
+        return cache.get(identity, text)
 
     # Not the provider's vector for the text, so that the test sees whose bits are used.
-    stored = cache.put(identity, bytes.fromhex(text_digest("held")), mock_embed("something else", 64))
+    stored = cache.put(identity, "held", mock_embed("something else", 64))
     entered, release = threading.Event(), threading.Event()
 
     class Gated:
@@ -481,13 +480,13 @@ class _CountingCache(EmbeddingCache):
         super().__init__()
         self.calls = 0
 
-    def get(self, identity_digest, digest):
+    def get(self, identity, text):
         self.calls += 1
-        return super().get(identity_digest, digest)
+        return super().get(identity, text)
 
-    def put(self, identity_digest, digest, vector):
+    def put(self, identity, text, vector):
         self.calls += 1
-        return super().put(identity_digest, digest, vector)
+        return super().put(identity, text, vector)
 
 
 def test_uncached_requests_make_no_cache_call_and_keep_the_checks():
@@ -578,11 +577,11 @@ def test_payload_round_trip_keeps_values_and_norm_bit_for_bit(tmp_path):
     cache = EmbeddingCache(path)
     vectors = [EmbeddingVector(values) for values in _EXTREME_VECTORS]
     for i, vector in enumerate(vectors):
-        cache.put(b"identity", bytes([i]), vector)
+        cache.put("identity", str(i), vector)
     reloaded = EmbeddingCache(path)
     assert reloaded.skipped == 0
     for i, vector in enumerate(vectors):
-        for held in (cache.get(b"identity", bytes([i])), reloaded.get(b"identity", bytes([i]))):
+        for held in (cache.get("identity", str(i)), reloaded.get("identity", str(i))):
             assert held.values.tobytes() == vector.values.tobytes()
             assert held.norm_sq.hex() == vector.norm_sq.hex()
     assert [v.norm_sq for v in vectors][1:] == [math.inf, 0.0]
@@ -590,44 +589,44 @@ def test_payload_round_trip_keeps_values_and_norm_bit_for_bit(tmp_path):
 
 def test_cache_load_skips_values_that_are_not_a_list(tmp_path):
     path = tmp_path / "cache.jsonl"
-    EmbeddingCache(path).put(b"identity", b"kept", mock_embed("kept", 8))
+    EmbeddingCache(path).put("identity", "kept", mock_embed("kept", 8))
     with path.open("a", encoding="utf-8") as fp:
-        for digest, values in ((b"string", "123"), (b"object", {"4": 1, "5": 2, "6": 3})):
-            record = {"identity": b"identity".hex(), "text": digest.hex(), "dim": 3, "values": values}
+        for text, values in (("string", "123"), ("object", {"4": 1, "5": 2, "6": 3})):
+            record = {"identity": text_digest("identity"), "text": text_digest(text), "dim": 3, "values": values}
             fp.write(json.dumps(record) + "\n")
     cache = EmbeddingCache(path)
     assert cache.skipped == 2 and cache.stats()["records"] == 1
-    assert cache.get(b"identity", b"string") is None and cache.get(b"identity", b"object") is None
+    assert cache.get("identity", "string") is None and cache.get("identity", "object") is None
 
 
 def test_cache_load_skips_values_that_are_not_json_numbers(tmp_path):
     path = tmp_path / "cache.jsonl"
-    EmbeddingCache(path).put(b"identity", b"kept", mock_embed("kept", 8))
+    EmbeddingCache(path).put("identity", "kept", mock_embed("kept", 8))
     with path.open("a", encoding="utf-8") as fp:
-        for digest, values in ((b"strings", ["1.5", "2"]), (b"booleans", [True, False]), (b"huge", [10**400, 1.0])):
-            record = {"identity": b"identity".hex(), "text": digest.hex(), "dim": 2, "values": values}
+        for text, values in (("strings", ["1.5", "2"]), ("booleans", [True, False]), ("huge", [10**400, 1.0])):
+            record = {"identity": text_digest("identity"), "text": text_digest(text), "dim": 2, "values": values}
             fp.write(json.dumps(record) + "\n")
     cache = EmbeddingCache(path)
     assert cache.skipped == 3 and cache.stats()["records"] == 1
-    assert cache.get(b"identity", b"kept") == mock_embed("kept", 8)
+    assert cache.get("identity", "kept") == mock_embed("kept", 8)
 
 
 def test_cache_load_skips_blank_lines_without_counting_them(tmp_path):
     path = tmp_path / "cache.jsonl"
-    EmbeddingCache(path).put(b"identity", b"first", mock_embed("first", 8))
+    EmbeddingCache(path).put("identity", "first", mock_embed("first", 8))
     with path.open("a", encoding="utf-8") as fp:
         fp.write("\n  \n")
-    EmbeddingCache(path).put(b"identity", b"second", mock_embed("second", 8))
+    EmbeddingCache(path).put("identity", "second", mock_embed("second", 8))
     cache = EmbeddingCache(path)
     assert cache.skipped == 0 and cache.stats()["records"] == 2
 
 
 def test_cache_load_skips_a_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "cache.jsonl"
-    EmbeddingCache(path).put(b"identity", b"first", mock_embed("first", 8))
+    EmbeddingCache(path).put("identity", "first", mock_embed("first", 8))
     with path.open("ab") as fp:
         fp.write(b'{"identity": "\xff"}\n')
-    EmbeddingCache(path).put(b"identity", b"second", mock_embed("second", 8))
+    EmbeddingCache(path).put("identity", "second", mock_embed("second", 8))
     cache = EmbeddingCache(path)
     assert cache.skipped == 1 and cache.stats()["records"] == 2
 
@@ -650,15 +649,15 @@ def test_file_that_does_not_start_with_a_cache_header_is_data_error(tmp_path, fi
 def _two_caches_put_one_record_each(path: Path) -> EmbeddingCache:
     """Open two caches on ``path``, then put one record through each; the file reloaded."""
     first, second = EmbeddingCache(path), EmbeddingCache(path)
-    first.put(b"identity", b"alpha", mock_embed("alpha"))
-    second.put(b"identity", b"beta", mock_embed("beta"))
+    first.put("identity", "alpha", mock_embed("alpha"))
+    second.put("identity", "beta", mock_embed("beta"))
     return EmbeddingCache(path)
 
 
 def _assert_both_records(reloaded: EmbeddingCache, why=None) -> None:
     assert reloaded.stats()["records"] == 2 and reloaded.skipped == 0, why
-    assert reloaded.get(b"identity", b"alpha") == mock_embed("alpha"), why
-    assert reloaded.get(b"identity", b"beta") == mock_embed("beta"), why
+    assert reloaded.get("identity", "alpha") == mock_embed("alpha"), why
+    assert reloaded.get("identity", "beta") == mock_embed("beta"), why
 
 
 def test_two_caches_on_one_new_file_keep_both_records(tmp_path):
@@ -682,6 +681,24 @@ def test_two_caches_on_a_header_cut_short_keep_both_records(tmp_path):
         _assert_both_records(_two_caches_put_one_record_each(path), n)
 
 
+@pytest.mark.parametrize("remove", ["clear", "unlink"])
+def test_a_cache_file_removed_under_a_cache_is_made_again_with_its_header(tmp_path, remove):
+    # As when `karpa cache clear` runs in another shell, or `rm` removes the
+    # file, while a run holds the cache: its next put makes a new file.
+    path = tmp_path / "cache.jsonl"
+    cache = EmbeddingCache(path)
+    cache.put("identity", "before", mock_embed("before"))
+    if remove == "clear":
+        EmbeddingCache(path).clear()
+    else:
+        os.unlink(path)
+    cache.put("identity", "after", mock_embed("after"))
+    assert path.read_text(encoding="utf-8").startswith(embeddings._HEADER_LINE)
+    reloaded = EmbeddingCache(path)
+    assert reloaded.stats()["records"] == 1 and reloaded.skipped == 0
+    assert reloaded.get("identity", "after") == mock_embed("after")
+
+
 def test_a_put_to_a_new_file_works_where_hard_links_fail(tmp_path, monkeypatch):
     # As on a filesystem without hard links.
     def no_link(src, dst, *args, **kwargs):
@@ -689,10 +706,10 @@ def test_a_put_to_a_new_file_works_where_hard_links_fail(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "link", no_link)
     path = tmp_path / "cache.jsonl"
-    EmbeddingCache(path).put(b"identity", b"alpha", mock_embed("alpha"))
+    EmbeddingCache(path).put("identity", "alpha", mock_embed("alpha"))
     reloaded = EmbeddingCache(path)
     assert reloaded.stats()["records"] == 1 and reloaded.skipped == 0
-    assert reloaded.get(b"identity", b"alpha") == mock_embed("alpha")
+    assert reloaded.get("identity", "alpha") == mock_embed("alpha")
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
@@ -706,7 +723,7 @@ def test_caches_on_one_new_file_in_many_threads_keep_every_record(tmp_path):
         start.wait(timeout=10)
         for i in range(10):
             text = f"w{worker} r{i}"
-            cache.put(b"identity", text.encode(), mock_embed(text))
+            cache.put("identity", text, mock_embed(text))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -733,7 +750,7 @@ print("open", flush=True)
 sys.stdin.read()  # start when the test closes stdin, once both caches are open
 for i in range(50):
     text = f"{sys.argv[2]} r{i}"
-    cache.put(b"identity", text.encode(), mock_embed(text))
+    cache.put("identity", text, mock_embed(text))
 """
 
 
@@ -775,7 +792,6 @@ def test_cache_survives_truncation_at_every_offset(texts, split):
     split = min(split, len(texts) - 1)
     before, after = texts[:split], texts[split:]
     provider = MockEmbeddingProvider(8)
-    identity = bytes.fromhex(text_digest(provider.identity))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
         EmbeddingGateway(provider, EmbeddingCache(path)).embed(before)
@@ -791,15 +807,21 @@ def test_cache_survives_truncation_at_every_offset(texts, split):
             expected = [t for t, (_, nl) in zip(before, records) if nl <= cut] + after
             assert reopened.stats()["records"] == len(expected), cut
             for text, vector in zip(expected, provider.embed_batch(expected)):
-                assert reopened.get(identity, bytes.fromhex(text_digest(text))) == vector, cut
+                assert reopened.get(provider.identity, text) == vector, cut
             cut_inside_record = any(first < cut < nl for first, nl in records)
             assert reopened.skipped == int(cut_inside_record), cut
 
 
 # A cache file written when vectors held tuples of floats (karpa 2c1c261): mock
-# vectors of ``_V1_TEXTS`` at dims 8 and 16, and one vector of extremes.
+# vectors of ``_V1_TEXTS`` at dim 8 and of the first at dim 16, and one vector
+# of extremes. ``_V1_KEYS`` holds each record's (identity, text), in file order.
 _V1_CACHE = Path(__file__).parent / "data" / "embedding_cache_v1.jsonl"
 _V1_TEXTS = ["people.person.children", "film.movie.director", "father mother child"]
+_V1_KEYS = [
+    *(("mock:dim=8", text) for text in _V1_TEXTS),
+    ("mock:dim=16", _V1_TEXTS[0]),
+    ("scripted-embed", "extremes"),
+]
 
 
 def test_cache_file_written_with_tuple_payloads_loads_and_rewrites_the_same_bytes(tmp_path):
@@ -816,11 +838,11 @@ def test_cache_file_written_with_tuple_payloads_loads_and_rewrites_the_same_byte
     assert spy.calls == 0
 
     rewritten = EmbeddingCache(tmp_path / "rewritten.jsonl")
-    for record in records:
-        identity, digest = bytes.fromhex(record["identity"]), bytes.fromhex(record["text"])
-        vector = cache.get(identity, digest)
+    for record, (identity, text) in zip(records, _V1_KEYS):
+        assert (record["identity"], record["text"]) == (text_digest(identity), text_digest(text))
+        vector = cache.get(identity, text)
         assert vector == EmbeddingVector(tuple(record["values"]))
-        assert rewritten.put(identity, digest, vector) is vector
+        assert rewritten.put(identity, text, vector) is vector
     assert (tmp_path / "rewritten.jsonl").read_bytes() == data
     assert path.read_bytes() == data
 
@@ -1026,7 +1048,7 @@ def test_threads_fetching_labels_together_serve_the_cache_bits():
     assert not any(thread.is_alive() for thread in threads)
     assert len(served) == 8 * 20 * 8
     for label, vector in served:
-        cached = gw.cache.get(gw._identity_digest, bytes.fromhex(text_digest(label)))
+        cached = gw.cache.get(gw.provider.identity, label)
         assert vector.values.tobytes() == cached.values.tobytes()
 
 
@@ -1035,7 +1057,7 @@ def test_held_labels_are_the_vectors_the_cache_serves():
     gw = EmbeddingGateway(MockEmbeddingProvider(64), cache)
     # Not the provider's vector for the label, so that the test sees whose bits are held.
     cached = mock_embed("another label", 64)
-    cache.put(gw._identity_digest, bytes.fromhex(text_digest("a.b.c")), cached)
+    cache.put(gw.provider.identity, "a.b.c", cached)
     _, (first, other) = gw.embed_with_labels([], ["a.b.c", "d.e.f"])
     _, (again,) = gw.embed_with_labels([], ["a.b.c"])
     assert first.values.tobytes() == cached.values.tobytes() and again is first
@@ -1126,7 +1148,7 @@ def _join(*threads):
 
 
 def _cached_bits(gateway, text):
-    return gateway.cache.get(gateway._identity_digest, bytes.fromhex(text_digest(text))).values.tobytes()
+    return gateway.cache.get(gateway.provider.identity, text).values.tobytes()
 
 
 def test_threads_with_overlapping_labels_send_each_label_once():

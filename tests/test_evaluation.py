@@ -18,7 +18,7 @@ from karpa.evaluation import (
     render_summary_tsv,
     score_sample,
 )
-from karpa.llm import UsageLedger
+from karpa.llm import COUNTERS, UsageLedger
 from karpa.reasoner import AnswerSet
 
 
@@ -375,6 +375,18 @@ def test_checkpoint_that_is_not_a_checkpoint_object_is_run_again(tmp_path, text)
     }
 
 
+def _usage(calls):
+    """A ledger snapshot whose only count is ``calls`` reasoning calls, in the totals too."""
+    zeros = dict.fromkeys(COUNTERS, 0)
+    reasoning = {**zeros, "calls": calls}
+    return {**reasoning, "phases": {"initial_planning": zeros, "replanning": zeros, "reasoning": reasoning}}
+
+
+def _answers(provenance):
+    """The answer ``a`` with batch indices ``provenance``."""
+    return {"answers": ["a"], "provenance": {"a": provenance}, "ungrounded": [], "no_answer_marker": False}
+
+
 @pytest.mark.parametrize(
     "key, value",
     [
@@ -389,6 +401,16 @@ def test_checkpoint_that_is_not_a_checkpoint_object_is_run_again(tmp_path, text)
         ("flags", "fallback_initial"),
         ("flags", [1]),
         ("error", 5),
+        # Totals equal the phase sums and provenance comes back unchanged, so
+        # only the type is wrong: ``True == 1`` and ``2 == 2.0``.
+        ("usage", _usage(calls=True)),
+        ("usage", _usage(calls=1.5)),
+        ("usage", _usage(calls=2.0)),
+        ("usage", _usage(calls=-3)),
+        ("usage", {**_usage(calls=3), "calls": 3.0}),
+        ("answers", _answers(provenance=[0.0])),
+        ("answers", _answers(provenance=[False])),
+        ("answers", _answers(provenance=[-1])),
     ],
 )
 def test_checkpoint_with_a_value_of_the_wrong_type_is_run_again(tmp_path, key, value):

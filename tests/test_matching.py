@@ -13,7 +13,7 @@ from karpa.embeddings import (
     mock_embed,
     text_digest,
 )
-from karpa.errors import ContractError, DomainError, NotFoundError, TransportError
+from karpa.errors import ContractError, DataError, DomainError, NotFoundError, TransportError
 from karpa.matching import (
     LOOKAHEAD,
     MATCHERS,
@@ -603,6 +603,49 @@ def test_heuristic_error_under_a_prefix_fetched_ahead_surfaces_only_when_expande
             search(g, a, candidate, exact, EmbeddingGateway(WordwiseEmbeddingProvider()))
 
 
+class BatchLimitedProvider(SpyEmbeddingProvider):
+    """The mock embedding, recording every batch and refusing one of more
+    than ``limit`` texts, as a service with a batch limit does."""
+
+    def __init__(self, limit):
+        super().__init__(MockEmbeddingProvider())
+        self.limit = limit
+
+    def embed_batch(self, texts):
+        if len(texts) > self.limit:
+            self.batches.append(list(texts))
+            raise DataError(f"{len(texts)} texts are over the batch limit of {self.limit}")
+        return super().embed_batch(texts)
+
+
+def test_heuristic_requests_own_children_alone_after_a_window_over_a_batch_limit():
+    # Each prefix has at most four children, so only a request with a window
+    # can pass five texts; the start's request, four labels and the
+    # candidate text, never does.
+    limit, max_out_degree = 5, 4
+    rng = random.Random(5150)
+    limited = 0
+    for _ in range(30):
+        g = random_graph(rng, n_entities=rng.randint(8, 30), n_relations=rng.randint(3, 12),
+                         max_out_degree=max_out_degree)
+        candidate = RelationPath(
+            tuple(rng.choice(g.relation_vocabulary()) for _ in range(rng.randint(1, 3)))
+        )
+        cfg = MatchConfig(strategy="heuristic", top_k=8, max_len=3, frontier_cap=rng.randint(2, 12))
+        provider = BatchLimitedProvider(limit)
+        ours = heuristic_top_k(g, 0, candidate, cfg, EmbeddingGateway(provider))
+        assert _ranked(ours) == _ranked(ref_heuristic(g, 0, candidate, cfg, mock_gateway()))
+        refused = [i for i, batch in enumerate(provider.batches) if len(batch) > limit]
+        if refused:
+            limited += 1
+            (first,) = refused
+            for batch in provider.batches[first + 1 :]:
+                # One prefix's children: one parent label sequence, one entity's edges at most.
+                assert len({text.rpartition(" ")[0] for text in batch}) == 1, batch
+                assert len(batch) <= max_out_degree, batch
+    assert limited >= 10
+
+
 def test_heuristic_replays_fixtures_recorded_from_the_reference():
     rng = random.Random(77)
     replayed_past_a_miss = 0
@@ -666,8 +709,7 @@ def test_heuristic_match_stores_no_label_sequence_and_reads_none(tmp_path):
     path = tmp_path / "cache.jsonl"
     held = "people.person.children people.person.children"
     # Not the provider's vector for the text, so that a read of it would show.
-    identity = bytes.fromhex(text_digest(MockEmbeddingProvider().identity))
-    EmbeddingCache(path).put(identity, bytes.fromhex(text_digest(held)), mock_embed("people.person.spouse"))
+    EmbeddingCache(path).put(MockEmbeddingProvider().identity, held, mock_embed("people.person.spouse"))
     provider = SpyEmbeddingProvider(MockEmbeddingProvider())
     served = match_candidates(g, hub, candidates, cfg, EmbeddingGateway(provider, EmbeddingCache(path)))
     assert served == fresh and held in {" ".join(labels_of(p)) for p in served}

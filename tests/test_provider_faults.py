@@ -2,9 +2,10 @@
 
 Faults that a retry clears must leave the golden report byte for byte, the
 usage counts and the cache file as a clean run leaves them. A fault that is
-not retried turns only the question that met it into an error record. Each
-fault is keyed by a prompt digest or an embedding text, never by a request's
-position, so the schedule does not depend on how eval workers interleave.
+not retried, in chat or in embedding, turns only the question that met it
+into an error record. Each fault is keyed by a prompt digest or an embedding
+text list, never by a request's position, so the schedule does not depend on
+how eval workers interleave.
 """
 
 import importlib.util
@@ -17,8 +18,8 @@ from pathlib import Path
 import pytest
 
 from karpa.config import build_config, config_digest, resolve_values
-from karpa.embeddings import EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider
-from karpa.errors import DataError, TransportError
+from karpa.embeddings import EmbeddingCache, EmbeddingGateway, MockEmbeddingProvider, Uncached
+from karpa.errors import DataError, ProviderError, TransportError
 from karpa.evaluation import evaluate, load_dataset, render_report
 from karpa.llm import ScriptedChatProvider, digest_messages
 from karpa.pipeline import Pipeline, load_graph, make_sample_runner
@@ -85,6 +86,37 @@ class _FaultyEmbedding(MockEmbeddingProvider):
         return super().embed_batch(texts)
 
 
+# The id of the question the current thread runs, set by ``_run``'s runner.
+_question = threading.local()
+
+
+class _FatalEmbedding(MockEmbeddingProvider):
+    """Records the ``Uncached`` text lists each question sends, and raises
+    ``ProviderError`` on every request of ``texts`` that ``victim`` sends.
+
+    An ``Uncached`` request is sent whatever the cache holds, so which
+    question sends which of them does not depend on how workers interleave.
+    """
+
+    def __init__(self, dim, victim=None, texts=()):
+        super().__init__(dim)
+        self._victim, self._texts = victim, list(texts)
+        self._lock = threading.Lock()
+        self.uncached: dict[str, list[list[str]]] = {}
+        self.faults = 0
+
+    def embed_batch(self, texts):
+        if isinstance(texts, Uncached):
+            question = _question.id
+            with self._lock:
+                self.uncached.setdefault(question, []).append(list(texts))
+                fail = question == self._victim and texts == self._texts
+                self.faults += fail
+            if fail:
+                raise ProviderError("malformed embedding reply (scheduled fatal fault)")
+        return super().embed_batch(texts)
+
+
 def _golden_config(tmp_path, concurrency):
     """The golden run's config, with a file cache, a checkpoint directory and
     ``concurrency`` workers, none of which enters the config digest."""
@@ -106,9 +138,15 @@ def _golden_config(tmp_path, concurrency):
 def _run(cfg, chat, embedding):
     samples = load_dataset(FIXTURE20 / "questions.jsonl")
     gateway = EmbeddingGateway(embedding, EmbeddingCache(cfg.embedding.cache_path), sleep=lambda _: None)
+    runner = make_sample_runner(Pipeline(cfg, load_graph(cfg), gateway, chat))
+
+    def run(sample):
+        _question.id = sample.id
+        return runner(sample)
+
     report = evaluate(
         samples,
-        make_sample_runner(Pipeline(cfg, load_graph(cfg), gateway, chat)),
+        run,
         mode=cfg.eval.mode,
         concurrency=cfg.eval.concurrency,
         checkpoint_dir=cfg.eval.checkpoint_dir,
@@ -147,21 +185,43 @@ def test_faults_a_retry_clears_leave_the_golden_report(tmp_path, golden_cwd, con
     assert EmbeddingCache(cfg.embedding.cache_path).skipped == 0
 
 
+@pytest.mark.parametrize("fault", ["chat", "embedding"])
 @pytest.mark.parametrize("concurrency", [1, 2])
-def test_a_fault_not_retried_turns_only_its_question_into_an_error(tmp_path, golden_cwd, concurrency):
-    cfg = _golden_config(tmp_path, concurrency)
+def test_a_fault_not_retried_turns_only_its_question_into_an_error(tmp_path, golden_cwd, concurrency, fault):
+    cfg = _golden_config(tmp_path / "faulty", concurrency)
     samples = load_dataset(FIXTURE20 / "questions.jsonl")
-    victim = random.Random(SEED).choice(samples)
-    query = Query(id=victim.id, question=victim.question, topic_entities=tuple(victim.topic_entities))
-    fatal = [digest_messages(build_initial_prompt(query))]
-    chat = _FaultyChat(ScriptedChatProvider.from_file(cfg.llm.fixtures), (), fatal)
-    report = _run(cfg, chat, _FaultyEmbedding(cfg.embedding.dim, SEED))
+    chat = ScriptedChatProvider.from_file(cfg.llm.fixtures)
+    if fault == "chat":
+        # A DataError on every attempt of one question's initial planning.
+        victim = random.Random(SEED).choice(samples)
+        query = Query(id=victim.id, question=victim.question, topic_entities=tuple(victim.topic_entities))
+        chat = _FaultyChat(chat, (), [digest_messages(build_initial_prompt(query))])
+        embedding = _FaultyEmbedding(cfg.embedding.dim, SEED)
+        error = "DataError: scheduled fatal fault"
+    else:
+        # A malformed reply to every attempt of one Uncached request of one
+        # question, chosen from what a clean run's questions send. In
+        # fixture20 each such text list is sent by six questions or more, so
+        # the fault is keyed by the question as well as by the list.
+        clean_cfg = _golden_config(tmp_path / "clean", concurrency)
+        clean = _FatalEmbedding(cfg.embedding.dim)
+        assert _run(clean_cfg, chat, clean) == golden_cwd
+        rng = random.Random(SEED)
+        victim = rng.choice([s for s in samples if s.id in clean.uncached])
+        embedding = _FatalEmbedding(cfg.embedding.dim, victim.id, rng.choice(clean.uncached[victim.id]))
+        error = "ProviderError: malformed embedding reply (scheduled fatal fault)"
+    report = _run(cfg, chat, embedding)
     assert "Traceback" not in report
     for line, golden in zip(_per_sample(report), _per_sample(golden_cwd), strict=True):
         record = json.loads(line)
         if record["id"] == victim.id:
-            assert record["error"] == "DataError: scheduled fatal fault"
+            assert record["error"] == error
             assert record["usage"]["calls"] == 0
         else:
             assert line == golden
-    assert EmbeddingCache(cfg.embedding.cache_path).skipped == 0
+    cache = EmbeddingCache(cfg.embedding.cache_path)
+    assert cache.skipped == 0
+    if fault == "embedding":
+        # An Uncached request stores nothing, so the failed one loses no record.
+        assert embedding.faults >= 1
+        assert cache.stats()["records"] == EmbeddingCache(clean_cfg.embedding.cache_path).stats()["records"]
