@@ -45,6 +45,8 @@ class QASample:
             raise TypeError(f"question must be a string, got {type(self.question).__name__}")
         if not self.gold_answers:
             raise DataError(f"sample {self.id}: gold answers must be non-empty")
+        if not all(any(map(normalize_answer, aliases)) for aliases in self.gold_answers):
+            raise DataError(f"sample {self.id}: each gold answer needs an alias that is not blank")
 
 
 @dataclass
@@ -356,7 +358,7 @@ def evaluate(
     def run_one(sample: QASample) -> dict:
         if directory is not None:
             cached = _read_checkpoint(directory, sample.id, config_digest)
-            if cached is not None:
+            if cached is not None and cached["error"] is None:  # an errored question runs again
                 return cached
         error = None
         try:

@@ -12,18 +12,19 @@ by the size of the relation table, labelled with the reserved marker
 ``~inv`` appended. Inverse ids and labels are built at load and never
 appear in the vocabulary.
 
-Each direction is stored in compressed sparse row form: two ``array('Q')``s,
+The edges are stored in compressed sparse row form: two ``array('Q')``s,
 ``offsets`` (one per entity, plus one) and ``keys``, each key one edge packed
 as ``relation_id << 32 | entity_id``; entity ``e``'s edges are the keys at
 positions ``offsets[e]`` to ``offsets[e + 1]``, sorted and distinct, so in
-``(relation_id, entity_id)`` order. Inverse ids sit in the keys like any
-other id. So an edge costs 8 bytes a direction, the cyclic garbage collector
-sees the same few objects whatever the graph's size, and ``neighbors``
-decodes its pairs per call. ``load_triples`` appends each line's key to its
-head's ``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id`` to
-its tail's too); the store then sorts and deduplicates one entity at a time
-into ``keys``, freeing each entity's array as it goes, so the load holds each
-direction's edges about once at any time.
+``(relation_id, entity_id)`` order. An inverse id sorts after every forward
+id, so an entity's run holds its forward edges, then its inverse ones. So an
+edge costs 8 bytes a direction, the cyclic garbage collector sees the same
+few objects whatever the graph's size, and ``neighbors`` decodes one slice
+per call. ``load_triples`` appends each line's key to its head's
+``array('Q')`` (with inverse edges, ``relation_id << 32 | head_id`` to its
+tail's incoming one); the store then sorts and deduplicates one entity at a
+time into ``keys``, freeing each entity's arrays as it goes, so the load
+holds each direction's edges about once at any time.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ INVERSE_MARKER = "~inv"
 # 32 bits, as no process holds 2**32 interned labels.
 _SHIFT = 32
 
-Edges = tuple[array, array]  # offsets, packed keys
-
 
 class _Ids(dict):
     """Label -> id; looking up a label not yet seen gives it the next id, so
@@ -55,41 +54,39 @@ class _Ids(dict):
         return next_id
 
 
-def _pack(keys: dict[int, array], count: int, rid_offset: int) -> Edges:
+def _pack(
+    adjacency: dict[int, array], incoming: dict[int, array] | None, count: int, rid_offset: int
+) -> tuple[array, array]:
     """Flatten ``{entity_id: array("Q", [relation_id << 32 | entity_id, ...])}``
-    into one direction's arrays, each entity's keys sorted and distinct,
-    relation ids plus ``rid_offset``. ``keys`` is emptied as it goes, so each
-    entity's keys are freed once appended."""
+    into ``(offsets, keys)``: each entity's run is its ``adjacency`` keys, then
+    its ``incoming`` keys with relation ids plus ``rid_offset``, each part sorted
+    and distinct. Both dicts are emptied as it goes, so each entity's keys are
+    freed once appended."""
     offsets, packed = array("Q", [0]), array("Q")
-    shift = rid_offset << _SHIFT
+    parts = ((adjacency, 0),) if incoming is None else ((adjacency, 0), (incoming, rid_offset << _SHIFT))
     for entity in range(count):
-        # Sorted in place and kept when distinct, as they mostly are: in
-        # input order, so keys read in sorted order sort in one pass.
-        row = keys.pop(entity).tolist() if entity in keys else []
-        row.sort()
-        distinct = set(row)
-        if len(distinct) != len(row):
-            row = sorted(distinct)
-        packed.fromlist([key + shift for key in row] if shift else row)
+        for keys, shift in parts:
+            # Sorted in place and kept when distinct, as they mostly are: in
+            # input order, so keys read in sorted order sort in one pass.
+            row = keys.pop(entity).tolist() if entity in keys else []
+            row.sort()
+            distinct = set(row)
+            if len(distinct) != len(row):
+                row = sorted(distinct)
+            packed.fromlist([key + shift for key in row] if shift else row)
         offsets.append(len(packed))
     return offsets, packed
-
-
-def _pairs(edges: Edges, entity_id: int) -> list[tuple[int, int]]:
-    offsets, keys = edges
-    return [divmod(key, 1 << _SHIFT) for key in keys[offsets[entity_id] : offsets[entity_id + 1]]]
 
 
 class KnowledgeGraph:
     """Entity/relation tables plus the triple set as flat adjacency arrays.
 
-    ``out_edges`` holds each triple under its head as the key
-    ``relation_id << 32 | tail_id``; ``in_edges`` is ``None`` unless the
-    graph was loaded with ``inverse_edges``, and then holds each triple
-    under its tail as ``inverse_id << 32 | head_id``. Both are :data:`Edges`
-    pairs of arrays, ``(offsets, keys)``. Instances are immutable after
-    construction and safe for concurrent reads. Build them through
-    :func:`load_triples` rather than directly.
+    ``edges`` is ``(offsets, keys)``: each entity's run holds each triple
+    under its head as the key ``relation_id << 32 | tail_id`` and, on a graph
+    loaded with ``inverse_edges``, each triple under its tail as
+    ``inverse_id << 32 | head_id``, after the forward keys. Instances are
+    immutable after construction and safe for concurrent reads. Build them
+    through :func:`load_triples` rather than directly.
     """
 
     def __init__(
@@ -109,14 +106,16 @@ class KnowledgeGraph:
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
         self._labels = self.relations + [label + INVERSE_MARKER for label in self.relations]
-        n = len(self.entities)
-        self.out_edges = _pack(adjacency, n, 0)
-        self.in_edges = None if incoming is None else _pack(incoming, n, len(self.relations))
+        self.edges = _pack(adjacency, incoming, len(self.entities), len(self.relations))
+        # With inverse edges each distinct triple is stored exactly once under
+        # each end, a self-loop too (its two keys differ in the relation id),
+        # so the triples are half the keys.
+        self._size = len(self.edges[1]) // (1 if incoming is None else 2)
 
     # -- lookups ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.out_edges[1])
+        return self._size
 
     @property
     def num_entities(self) -> int:
@@ -151,10 +150,8 @@ class KnowledgeGraph:
         """
         if not 0 <= entity_id < len(self.entities):
             raise NotFoundError(f"unknown entity id {entity_id}")
-        pairs = _pairs(self.out_edges, entity_id)
-        if self.in_edges is not None:
-            pairs += _pairs(self.in_edges, entity_id)
-        return pairs
+        offsets, keys = self.edges
+        return [divmod(key, 1 << _SHIFT) for key in keys[offsets[entity_id] : offsets[entity_id + 1]]]
 
     def relation_vocabulary(self) -> list[str]:
         """All distinct relation labels, sorted; inverse synthetics excluded."""
@@ -175,7 +172,8 @@ class KnowledgeGraph:
         rows = sorted(
             (entities[head], relations[rid], entities[tail])
             for head in range(len(entities))
-            for rid, tail in _pairs(self.out_edges, head)
+            for rid, tail in self.neighbors(head)
+            if rid < len(relations)
         )
         return "".join(f"{h}\t{r}\t{t}\n" for h, r, t in rows)
 

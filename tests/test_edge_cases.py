@@ -101,13 +101,20 @@ def test_cwq_record_without_topic_entity_rejected(tmp_path):
         load_dataset(path, "cwq")
 
 
-def test_sample_with_empty_gold_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "answers",
+    [[], [["x"], []], [[]], [["  "]]],
+    ids=["no-answer", "an-answer-without-aliases", "no-alias", "a-blank-alias"],
+)
+def test_sample_with_empty_gold_rejected(tmp_path, answers):
+    # A gold answer with no alias that normalises to a non-empty string can
+    # never be matched, so a perfect prediction would score recall below 1.
     path = tmp_path / "d.jsonl"
     path.write_text(
-        json.dumps({"id": "q", "question": "?", "topics": ["T"], "answers": []}) + "\n",
+        json.dumps({"id": "q", "question": "?", "topics": ["T"], "answers": answers}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="sample q"):
         load_dataset(path, "simple")
 
 

@@ -321,6 +321,23 @@ def test_checkpoint_resume_skips_runner(tmp_path):
     assert calls["n"] == 2
 
 
+def test_checkpoint_that_records_an_error_is_run_again(tmp_path):
+    samples = [sample(1, [["a"]]), sample(2, [["b"]]), sample(3, [["c"]])]
+    ran = []
+
+    def runner(s):
+        ran.append(s.id)
+        if s.id == "q2" and ran.count("q2") == 1:
+            raise RuntimeError("provider outage")
+        return outcome(answer_set(s.gold_answers[0][0]))
+
+    faulty = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    assert faulty.aggregates["errors"] == 1
+    resumed = evaluate(samples, runner, checkpoint_dir=tmp_path, config_digest="d")
+    assert ran == ["q1", "q2", "q3", "q2"]
+    assert render_report(resumed) == render_report(evaluate(samples, runner, config_digest="d"))
+
+
 def test_checkpoint_that_is_not_json_is_run_again(tmp_path):
     samples = [sample(1, [["a"]])]
     ran = []

@@ -156,39 +156,38 @@ def test_vocabulary_excludes_inverse_synthetics():
     assert g.relation_vocabulary() == ["r"]
 
 
-def _stored_pairs(edges, num_entities):
-    """Each entity's ``(relation_id, entity_id)`` pairs as one direction's
-    arrays store them, decoded straight from the packed keys."""
-    offsets, keys = edges
-    assert len(offsets) == num_entities + 1 and offsets[0] == 0
+def _stored_pairs(g):
+    """Each entity's ``(relation_id, entity_id)`` pairs as the graph's arrays
+    store them, decoded straight from the packed keys."""
+    offsets, keys = g.edges
+    assert len(offsets) == g.num_entities + 1 and offsets[0] == 0
     assert list(offsets) == sorted(offsets)
     assert offsets[-1] == len(keys)
-    return [[(key >> 32, key & 0xFFFFFFFF) for key in keys[offsets[e] : offsets[e + 1]]] for e in range(num_entities)]
+    return [[(key >> 32, key & 0xFFFFFFFF) for key in keys[offsets[e] : offsets[e + 1]]] for e in range(g.num_entities)]
 
 
 def test_index_contains_each_triple_exactly_once():
-    triples = [("a", "r", "b"), ("a", "s", "b"), ("b", "r", "a"), ("a", "r", "c"), ("a", "r", "b")]
+    triples = [("a", "r", "b"), ("a", "s", "b"), ("b", "r", "a"), ("a", "r", "c"), ("a", "r", "b"), ("c", "r", "c")]
     g = graph_from(triples, inverse_edges=True)
-    out = _stored_pairs(g.out_edges, g.num_entities)
-    inc = _stored_pairs(g.in_edges, g.num_entities)
+    stored = _stored_pairs(g)
     for h, r, t in triples:
         head, rid, tail = g.entity_id(h), g.relations.index(r), g.entity_id(t)
-        assert out[head].count((rid, tail)) == 1
-        assert inc[tail].count((rid + g.num_relations, head)) == 1
+        assert stored[head].count((rid, tail)) == 1
+        assert stored[tail].count((rid + g.num_relations, head)) == 1
     assert len(g) == len(set(triples))
-    assert sum(map(len, out)) == len(g)
-    assert sum(map(len, inc)) == len(g)
+    assert sum(rid < g.num_relations for adj in stored for rid, _ in adj) == len(g)
+    assert sum(map(len, stored)) == 2 * len(g)
 
 
 def test_indexes_sorted():
     triples = [("a", "z", "b"), ("a", "r", "c"), ("a", "r", "b"), ("c", "s", "a"), ("b", "r", "a")]
     g = graph_from(triples, inverse_edges=True)
-    for edges in (g.out_edges, g.in_edges):
-        stored = _stored_pairs(edges, g.num_entities)
-        assert all(adj == sorted(set(adj)) for adj in stored)
+    stored = _stored_pairs(g)
+    assert all(adj == sorted(set(adj)) for adj in stored)
     a, b, c = map(g.entity_id, "abc")
-    z, r = g.relations.index("z"), g.relations.index("r")
-    assert _stored_pairs(g.out_edges, g.num_entities)[a] == [(z, b), (r, b), (r, c)]
+    z, r, s = (g.relations.index(label) for label in "zrs")
+    n = g.num_relations
+    assert stored[a] == [(z, b), (r, b), (r, c), (r + n, b), (s + n, c)]
 
 
 def _tracked_objects_reachable(root) -> int:
@@ -205,7 +204,7 @@ def _tracked_objects_reachable(root) -> int:
 
 
 def test_adjacency_is_untracked_by_the_cyclic_collector():
-    # The adjacency is four flat arrays that refer to no object but their
+    # The adjacency is two flat arrays that refer to no object but their
     # type, so the collector sees the same few objects per graph whatever
     # its size, where one container per entity or per edge would grow with
     # it. Collect twice: a container of untracked items is untracked only
@@ -217,7 +216,7 @@ def test_adjacency_is_untracked_by_the_cyclic_collector():
             (f"e{rng.randrange(names)}", f"r{rng.randrange(12)}", f"e{rng.randrange(names)}") for _ in range(size)
         ]
         g = graph_from(triples, inverse_edges=True)
-        for stored in (*g.out_edges, *g.in_edges):
+        for stored in g.edges:
             assert type(stored) is array
             assert all(isinstance(ref, type) for ref in gc.get_referents(stored))
         gc.collect()
@@ -377,4 +376,4 @@ def test_load_triples_equals_reference_graph(label_triples):
         assert len(g) == ref["len"]
         assert g.dumps() == ref["dumps"]
         if not inverse_edges:
-            assert g.in_edges is None
+            assert all(key >> 32 < n for key in g.edges[1])

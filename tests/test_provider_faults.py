@@ -225,3 +225,9 @@ def test_a_fault_not_retried_turns_only_its_question_into_an_error(tmp_path, gol
         # An Uncached request stores nothing, so the failed one loses no record.
         assert embedding.faults >= 1
         assert cache.stats()["records"] == EmbeddingCache(clean_cfg.embedding.cache_path).stats()["records"]
+    # Resumed with faults off, on the same checkpoints and cache file, only the
+    # errored question runs again, and the report is the golden one.
+    resumed = _FaultyChat(ScriptedChatProvider.from_file(cfg.llm.fixtures), ())
+    assert _run(cfg, resumed, MockEmbeddingProvider(cfg.embedding.dim)) == golden_cwd
+    (golden,) = (json.loads(line) for line in _per_sample(golden_cwd) if json.loads(line)["id"] == victim.id)
+    assert resumed.completions == golden["usage"]["calls"]
