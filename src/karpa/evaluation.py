@@ -96,9 +96,13 @@ def _label(value, name: str) -> str:
 
 
 def _webqsp_name(obj: dict, key: str) -> str | None:
-    """``obj[key]`` through ``_label``; a null, missing or empty name is absent (``None``)."""
+    """``obj[key]`` through ``_label``; a null, missing or blank name, one that
+    ``normalize_answer`` leaves empty, is absent (``None``)."""
     value = obj.get(key)
-    return None if value is None or value == "" else _label(value, key)
+    if value is None:
+        return None
+    name = _label(value, key)
+    return name if normalize_answer(name) else None
 
 
 def _sample_from_simple(obj: dict) -> QASample:

@@ -26,12 +26,12 @@ keeps nor reads: a search requests them as ``Uncached`` lists. Each search
 keeps its own table from label-sequence text to cost and fetches the
 candidate text once, with the start's one-label children. Each later
 expansion that meets an uncosted child makes one embedding request, which
-also carries the uncosted children of the next ``LOOKAHEAD - 1`` expandable
-prefixes in pop order, so that when those are popped they make none. Every
-strategy extends a prefix only along edges to entities it has not visited,
-so returned paths are simple from the first hop on. Ordering is always
-deterministic: score descending, then relation-label sequence, then
-entity-id sequence.
+also carries the uncosted children of the next expandable prefixes in pop
+order while the request stays within ``WINDOW_TEXTS`` texts, so that when
+those are popped they make none. Every strategy extends a prefix only
+along edges to entities it has not visited, so returned paths are simple
+from the first hop on. Ordering is always deterministic: score descending,
+then relation-label sequence, then entity-id sequence.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .embeddings import Uncached, cosine_many
 from .errors import ContractError, KarpaError, TransportError
@@ -53,10 +53,11 @@ _Prefix = tuple[float, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], 
 # A heuristic prefix's child before it is costed: (text, labels, entity_ids, steps).
 _Child = tuple[str, tuple[str, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
-# Prefixes whose children one heuristic embedding request may carry: the
-# expanded prefix and the next LOOKAHEAD - 1 in pop order. Larger windows
-# save requests but fetch more children the search never expands.
-LOOKAHEAD = 4
+# Distinct texts one heuristic embedding request may carry: the expanded
+# prefix's uncosted children, always whole, then those of the next
+# expandable prefixes in pop order while they fit. Larger windows save
+# requests but fetch more children the search never expands.
+WINDOW_TEXTS = 160
 
 
 @dataclass(frozen=True)
@@ -273,23 +274,21 @@ def _children(g: "KnowledgeGraph", prefix: _Prefix) -> list[_Child]:
     return children
 
 
-def _lookahead(frontier: list[_Prefix], max_len: int, fetched: dict) -> list[_Prefix]:
-    """The ``LOOKAHEAD - 1`` least frontier prefixes shorter than ``max_len`` and not in ``fetched``.
+def _pop_order(frontier: list[_Prefix]) -> Iterator[_Prefix]:
+    """The frontier's prefixes in pop order, lazily.
 
-    A lazy walk of the heap from its root, in pop order: a heap node is
-    never less than its parent, so a node is looked at only once its parent
-    has been, and the walk stops at the last prefix it picks.
+    A walk of the heap from its root: a heap node is never less than its
+    parent, so a node is looked at only once its parent has been, and a
+    caller that stops early has looked at only the nodes it took and their
+    children.
     """
-    picked: list[_Prefix] = []
     todo = [(frontier[0], 0)] if frontier else []
-    while todo and len(picked) < LOOKAHEAD - 1:
+    while todo:
         prefix, i = heapq.heappop(todo)
-        if len(prefix[3]) < max_len and prefix[3] not in fetched:
-            picked.append(prefix)
+        yield prefix
         for j in (2 * i + 1, 2 * i + 2):
             if j < len(frontier):
                 heapq.heappush(todo, (frontier[j], j))
-    return picked
 
 
 def heuristic_top_k(
@@ -316,14 +315,18 @@ def heuristic_top_k(
     held label vectors (``embed_with_labels``), in one request with the
     candidate text, which the cache keeps. A later expansion whose children
     are all costed makes no request. Otherwise its one ``gateway.embed``
-    request also carries the uncosted children of the ``LOOKAHEAD - 1``
-    least frontier prefixes that are shorter than ``max_len`` and not yet
-    fetched (``_lookahead``); those prefixes keep their children, so when
-    one is popped it pushes them and makes no request. The largest request
-    is thus ``LOOKAHEAD`` times the most edges ``neighbors`` returns. An h
-    does not depend on which request fetched its vector, so pop order,
-    truncation and every cost's bits are those of one request per
-    expansion (``ref_heuristic`` in ``tests/oracles.py``).
+    request holds its own uncosted children, always all of them, and then
+    those of the frontier prefixes shorter than ``max_len`` and not yet
+    fetched, taken in pop order (``_pop_order``) while the request's
+    distinct texts stay within ``WINDOW_TEXTS``. A prefix taken spends at
+    least one text of that budget, and the walk stops at the first prefix
+    that would overflow it. The prefixes taken keep their children, so when
+    one is popped it pushes them and makes no request. So no request holds
+    more than ``WINDOW_TEXTS`` texts or the expanded prefix's own children,
+    however many edges a hub has. An h does not depend on which request
+    fetched its vector, so pop order, truncation and every cost's bits are
+    those of one request per expansion (``ref_heuristic`` in
+    ``tests/oracles.py``).
 
     Those later requests are ``Uncached``: no label sequence is looked up
     in the cache or stored in it. So a search's costs outlive it only in its
@@ -363,10 +366,23 @@ def heuristic_top_k(
             children = _children(g, prefix)
         own = [text for text in dict.fromkeys(child[0] for child in children) if text not in costs]
         if own:
-            window = _lookahead(frontier, max_len, fetched) if windows else []
-            ahead = [(p[3], _children(g, p)) for p in window]
-            extra = [kid[0] for _, kids in ahead for kid in kids if kid[0] not in costs]
-            texts = list(dict.fromkeys(own + extra))
+            texts = dict.fromkeys(own)
+            ahead = []  # (steps, children) of each prefix fetched ahead
+            room = WINDOW_TEXTS - len(texts) if windows else 0
+            for ahead_prefix in _pop_order(frontier):
+                if room <= 0:
+                    break
+                steps = ahead_prefix[3]
+                if len(steps) >= max_len or steps in fetched:
+                    continue
+                kids = _children(g, ahead_prefix)
+                new = dict.fromkeys(kid[0] for kid in kids if kid[0] not in costs and kid[0] not in texts)
+                room -= max(1, len(new))
+                if room < 0:
+                    break
+                texts.update(new)
+                ahead.append((steps, kids))
+            texts = list(texts)
             try:
                 add_costs(texts)
             except KarpaError as exc:

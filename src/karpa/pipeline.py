@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import logging
 import os
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .config import PipelineConfig
 from .embeddings import (
@@ -103,17 +105,26 @@ def load_graph(cfg: PipelineConfig) -> KnowledgeGraph:
 
 
 class Pipeline:
-    """Reusable pipeline over one graph and one pair of providers."""
+    """Reusable pipeline over one graph and one pair of providers. Each run's
+    ``LlmGateway`` waits out chat retry backoffs with ``sleep``."""
 
-    def __init__(self, cfg: PipelineConfig, g: KnowledgeGraph, embedder: EmbeddingGateway, chat_provider):
+    def __init__(
+        self,
+        cfg: PipelineConfig,
+        g: KnowledgeGraph,
+        embedder: EmbeddingGateway,
+        chat_provider,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
         self.cfg = cfg
         self.g = g
         self.embedder = embedder
         self.chat_provider = chat_provider
+        self.sleep = sleep
         self.vocab = g.relation_vocabulary()
 
     def run(self, query: Query) -> PipelineResult:
-        llm = LlmGateway(self.chat_provider, params=self.cfg.llm)
+        llm = LlmGateway(self.chat_provider, self.sleep, params=self.cfg.llm)
         trace: list[dict] = []
         flags: list[str] = []
         selected = self._select(query, llm, trace, flags)

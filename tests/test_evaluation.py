@@ -103,6 +103,22 @@ def test_webqsp_loader(tmp_path):
     assert sample.gold_answers == [["Y"], ["1984"]]
 
 
+def test_webqsp_blank_entity_name_falls_back_to_the_answer_argument(tmp_path):
+    payload = {
+        "Questions": [
+            {
+                "QuestionId": "w1",
+                "RawQuestion": "what?",
+                "Parses": [{"TopicEntityName": "X", "Answers": [{"EntityName": " ", "AnswerArgument": "m.0x"}]}],
+            }
+        ]
+    }
+    path = tmp_path / "webqsp.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    (sample,) = load_dataset(path, "webqsp")
+    assert sample.gold_answers == [["m.0x"]]
+
+
 def test_cwq_loader(tmp_path):
     payload = [
         {

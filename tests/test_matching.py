@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from karpa import matching
 from karpa.embeddings import (
     EmbeddingCache,
     EmbeddingGateway,
@@ -15,8 +16,8 @@ from karpa.embeddings import (
 )
 from karpa.errors import ContractError, DataError, DomainError, NotFoundError, TransportError
 from karpa.matching import (
-    LOOKAHEAD,
     MATCHERS,
+    WINDOW_TEXTS,
     _rank_key,
     _sort_key,
     MatchConfig,
@@ -539,12 +540,58 @@ def test_heuristic_requests_each_text_once_in_lookahead_windows():
         expanded += prefixes
     # Distinct parent label sequences undercount the prefixes a request
     # carries children of, never overcount them.
-    assert max(len(parents) for parents in carried) == LOOKAHEAD
+    assert max(len(parents) for parents in carried) > 1
     assert len(carried) < expanded
 
 
+def _parents(texts):
+    """The label sequences whose children ``texts`` are: each text less its last label."""
+    return {text.rpartition(" ")[0] for text in texts}
+
+
+@pytest.mark.parametrize("window_texts", [5, 12, WINDOW_TEXTS])
+def test_heuristic_requests_stay_within_the_window_budget_at_the_provider(monkeypatch, window_texts):
+    monkeypatch.setattr(matching, "WINDOW_TEXTS", window_texts)
+    shared = 0
+    for g, candidate, max_len in _random_match_cases():
+        provider = SpyEmbeddingProvider(MockEmbeddingProvider())
+        heuristic_top_k(g, 0, candidate, _wide_config("heuristic", max_len), EmbeddingGateway(provider))
+        cand_text = " ".join(candidate.relations)
+        for batch in provider.batches:
+            # A request over the budget holds one prefix's children alone,
+            # with the candidate text in the start's request.
+            parents = _parents(text for text in batch if text != cand_text)
+            assert len(batch) <= window_texts or len(parents) == 1, batch
+            shared += len(parents) > 1
+    assert shared >= 5
+
+
+def test_heuristic_hub_over_the_window_budget_sends_its_children_in_one_request():
+    hub_labels = [f"hub.edge.r{i}" for i in range(WINDOW_TEXTS + 20)]
+    g = graph_from(
+        [("A", "people.person.children", "Hub"), ("A", "film.movie.director", "B"), ("B", "film.movie.genre", "C")]
+        + [("Hub", label, f"T{i}") for i, label in enumerate(hub_labels)]
+    )
+    a = g.entity_id("A")
+    candidate = RelationPath(("people.person.children", "hub.edge.r7"))
+    cfg = MatchConfig(top_k=16, max_len=2, exact_mode=True)
+    provider = SpyEmbeddingProvider(MockEmbeddingProvider())
+    ours = heuristic_top_k(g, a, candidate, cfg, EmbeddingGateway(provider))
+    assert _ranked(ours) == _ranked(ref_heuristic(g, a, candidate, cfg, mock_gateway()))
+    # The hub's own children exceed the budget, so they go whole, with no window.
+    hub_texts = [f"people.person.children {label}" for label in hub_labels]
+    assert hub_texts in provider.batches
+    assert all(len(batch) <= WINDOW_TEXTS for batch in provider.batches if batch != hub_texts)
+
+
 @pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])
-def test_heuristic_equals_one_request_per_expansion_reference(inverse_edges):
+def test_heuristic_equals_one_request_per_expansion_reference(monkeypatch, inverse_edges):
+    for window_texts in (1, 5, WINDOW_TEXTS):
+        monkeypatch.setattr(matching, "WINDOW_TEXTS", window_texts)
+        _check_heuristic_against_the_reference(inverse_edges)
+
+
+def _check_heuristic_against_the_reference(inverse_edges):
     rng = random.Random(4242)
     truncated = 0
     for _ in range(40):

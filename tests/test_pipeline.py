@@ -5,7 +5,7 @@ import pytest
 from karpa.config import PipelineConfig, config_digest
 from karpa.embeddings import EmbeddingGateway, MockEmbeddingProvider
 from karpa.evaluation import QASample, evaluate
-from karpa.errors import MissingFixtureError
+from karpa.errors import MissingFixtureError, TransportError
 from karpa.llm import ChatMessage, CompletionResult, ScriptedChatProvider, digest_messages
 from karpa.matching import MatchConfig, match_candidates
 from karpa.pipeline import Pipeline, make_sample_runner
@@ -104,6 +104,31 @@ def test_brahui_pipeline_answers_president_in_three_calls():
     assert phases["replanning"]["calls"] == 1
     assert phases["reasoning"]["calls"] == 1
     assert result.answers.ungrounded == set()
+
+
+class _FirstAttemptFails:
+    """Raises ``TransportError`` on the first request of each prompt, then answers as ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.identity = inner.identity
+        self._seen = set()
+
+    def complete(self, messages, params):
+        digest = digest_messages(messages)
+        if digest not in self._seen:
+            self._seen.add(digest)
+            raise TransportError("first attempt fails")
+        return self.inner.complete(messages, params)
+
+
+def test_pipeline_waits_out_chat_retries_with_the_sleep_it_is_given():
+    pipeline, _ = build_brahui_world()
+    waits = []
+    flaky = _FirstAttemptFails(pipeline.chat_provider)
+    result = Pipeline(pipeline.cfg, pipeline.g, pipeline.embedder, flaky, sleep=waits.append).run(BRAHUI_QUESTION)
+    assert "Muhammad Zia-ul-Haq" in result.answers.answers
+    assert waits == [0.25] * result.usage_snapshot["calls"] == [0.25] * 3
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])

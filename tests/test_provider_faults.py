@@ -32,7 +32,7 @@ _spec.loader.exec_module(make_fixtures)
 
 FIXTURE20 = make_fixtures.OUT_DIR
 SEED = 7
-CHAT_FAULTS = 2  # ``Pipeline.run`` retries chat with ``time.sleep``: 0.25 s a fault
+CHAT_FAULTS = 16  # a quarter of the golden run's 64 prompts; retries wait on a no-op sleep
 
 
 class _FaultyChat:
@@ -138,7 +138,7 @@ def _golden_config(tmp_path, concurrency):
 def _run(cfg, chat, embedding):
     samples = load_dataset(FIXTURE20 / "questions.jsonl")
     gateway = EmbeddingGateway(embedding, EmbeddingCache(cfg.embedding.cache_path), sleep=lambda _: None)
-    runner = make_sample_runner(Pipeline(cfg, load_graph(cfg), gateway, chat))
+    runner = make_sample_runner(Pipeline(cfg, load_graph(cfg), gateway, chat, sleep=lambda _: None))
 
     def run(sample):
         _question.id = sample.id
