@@ -116,15 +116,6 @@ class EmbeddingVector:
             raise ContractError("embedding values must be finite")
         object.__setattr__(self, "norm_sq", nv)
 
-    @classmethod
-    def _with_norm(cls, values: array, norm_sq: float) -> "EmbeddingVector":
-        """A vector of finite ``values``, an ``array('d')``, whose ``norm_sq``
-        the maker has added up as ``__post_init__`` would: no check, no sum."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "values", values)
-        object.__setattr__(vec, "norm_sq", norm_sq)
-        return vec
-
     def __repr__(self) -> str:
         return f"EmbeddingVector(values={tuple(self.values)!r})"
 
@@ -231,10 +222,7 @@ def _mock_vectors(texts: list[str], dim: int) -> list[EmbeddingVector]:
     adds its last word's and sums the squares of its counts; a one-word
     text has no head to count or copy. Every count and every squared count
     is a small integer, exact in any order of addition, so the vector
-    equals the one from hashing each feature afresh bit for bit. The
-    vector's ``norm_sq`` adds the squares of its nonzero values in index
-    order, which has the bits of ``EmbeddingVector``'s sum over every
-    component: a zero's square adds +0.0.
+    equals the one from hashing each feature afresh bit for bit.
     """
     if dim < MOCK_MIN_DIM:
         raise ContractError(f"mock embedding dim must be >= {MOCK_MIN_DIM}, got {dim}")
@@ -259,11 +247,9 @@ def _mock_vectors(texts: list[str], dim: int) -> list[EmbeddingVector]:
             raise DomainError(f"text has no tokens to embed: {text!r}")
         norm = math.sqrt(sum(map(operator.mul, counts.values(), counts.values())))
         values = zeros[:]
-        norm_sq = 0.0
-        for bucket in sorted(counts):
-            value = values[bucket] = counts[bucket] / norm
-            norm_sq += value * value
-        out.append(EmbeddingVector._with_norm(values, norm_sq))
+        for bucket, count in counts.items():
+            values[bucket] = count / norm
+        out.append(EmbeddingVector(values))
     return out
 
 

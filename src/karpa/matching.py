@@ -320,10 +320,11 @@ def heuristic_top_k(
     fetched, taken in pop order (``_pop_order``) while the request's
     distinct texts stay within ``WINDOW_TEXTS``. A prefix taken spends at
     least one text of that budget, and the walk stops at the first prefix
-    that would overflow it. The prefixes taken keep their children, so when
-    one is popped it pushes them and makes no request. So no request holds
-    more than ``WINDOW_TEXTS`` texts or the expanded prefix's own children,
-    however many edges a hub has. An h does not depend on which request
+    that would overflow it, keeping that prefix's children, still uncosted,
+    for when it is popped or walked again. The prefixes taken keep their
+    children, so when one is popped it pushes them and makes no request. So
+    no request holds more than ``WINDOW_TEXTS`` texts or the expanded
+    prefix's own children, however many edges a hub has. An h does not depend on which request
     fetched its vector, so pop order, truncation and every cost's bits are
     those of one request per expansion (``ref_heuristic`` in
     ``tests/oracles.py``).
@@ -347,6 +348,7 @@ def heuristic_top_k(
     frontier: list[_Prefix] = []
     costs: dict[str, float] = {}
     fetched: dict[tuple[tuple[int, int], ...], list[_Child]] = {}  # prefix steps -> children
+    probed: dict[tuple[tuple[int, int], ...], list[_Child]] = {}  # built by a window, not fetched
     query: EmbeddingVector | None = None  # the candidate text's vector, once fetched
     windows = True  # whether requests carry a lookahead window; False once one fails
 
@@ -363,6 +365,8 @@ def heuristic_top_k(
         nonlocal windows
         children = fetched.pop(prefix[3], None)
         if children is None:
+            children = probed.pop(prefix[3], None)
+        if children is None:
             children = _children(g, prefix)
         own = [text for text in dict.fromkeys(child[0] for child in children) if text not in costs]
         if own:
@@ -375,10 +379,13 @@ def heuristic_top_k(
                 steps = ahead_prefix[3]
                 if len(steps) >= max_len or steps in fetched:
                     continue
-                kids = _children(g, ahead_prefix)
+                kids = probed.pop(steps, None)
+                if kids is None:
+                    kids = _children(g, ahead_prefix)
                 new = dict.fromkeys(kid[0] for kid in kids if kid[0] not in costs and kid[0] not in texts)
                 room -= max(1, len(new))
                 if room < 0:
+                    probed[steps] = kids
                     break
                 texts.update(new)
                 ahead.append((steps, kids))

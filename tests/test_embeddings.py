@@ -296,23 +296,6 @@ def test_mock_batch_equals_the_per_text_loop(batch):
         assert [array("d", ref_mock_embedding(text, dim)).tobytes() for text in batch] == [v for v, _ in expected]
 
 
-# Label sequences as the heuristic embeds them: relation labels joined by spaces.
-_label_texts = st.lists(
-    st.sampled_from(relation_label_pool(random.Random(11), 40)), min_size=1, max_size=4
-).map(" ".join)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_label_texts, min_size=1, max_size=12), st.sampled_from([8, 64, 768]))
-def test_mock_vectors_carry_the_norm_the_constructor_adds(texts, dim):
-    # The mock adds the squares of its nonzero values only; a zero square
-    # adds +0.0, so the norm has the bits of the sum over every component.
-    for vector in MockEmbeddingProvider(dim).embed_batch(texts):
-        made = EmbeddingVector(array("d", vector.values))
-        assert made.values.tobytes() == vector.values.tobytes()
-        assert made.norm_sq.hex() == vector.norm_sq.hex()
-
-
 def test_mock_embed_shared_tokens_raise_similarity():
     ff = mock_embed("father father", 64)
     father, spouse = cosine_many(ff, [mock_embed("father", 64), mock_embed("spouse", 64)])
