@@ -322,12 +322,12 @@ def heuristic_top_k(
     least one text of that budget, and the walk stops at the first prefix
     that would overflow it, keeping that prefix's children, still uncosted,
     for when it is popped or walked again. The prefixes taken keep their
-    children, so when one is popped it pushes them and makes no request. So
-    no request holds more than ``WINDOW_TEXTS`` texts or the expanded
-    prefix's own children, however many edges a hub has. An h does not depend on which request
-    fetched its vector, so pop order, truncation and every cost's bits are
-    those of one request per expansion (``ref_heuristic`` in
-    ``tests/oracles.py``).
+    children, so when one is popped it pushes them and makes no request.
+    So no request holds more than ``WINDOW_TEXTS`` texts or the expanded
+    prefix's own children, however many edges a hub has. An h does not
+    depend on which request fetched its vector, so pop order, truncation
+    and every cost's bits are those of one request per expansion
+    (``ref_heuristic`` in ``tests/oracles.py``).
 
     Those later requests are ``Uncached``: no label sequence is looked up
     in the cache or stored in it. So a search's costs outlive it only in its

@@ -566,6 +566,24 @@ def test_heuristic_requests_stay_within_the_window_budget_at_the_provider(monkey
     assert shared >= 5
 
 
+@pytest.mark.parametrize("window_texts", [5, 12, WINDOW_TEXTS])
+def test_heuristic_builds_each_prefix_children_once(monkeypatch, window_texts):
+    # A window that stops at a prefix keeps the children it built for it.
+    monkeypatch.setattr(matching, "WINDOW_TEXTS", window_texts)
+    built = []
+    children = matching._children
+
+    def spy(g, prefix):
+        built.append(prefix[3])
+        return children(g, prefix)
+
+    monkeypatch.setattr(matching, "_children", spy)
+    for g, candidate, max_len in _random_match_cases():
+        built.clear()
+        heuristic_top_k(g, 0, candidate, _wide_config("heuristic", max_len), mock_gateway())
+        assert len(built) == len(set(built))
+
+
 def test_heuristic_hub_over_the_window_budget_sends_its_children_in_one_request():
     hub_labels = [f"hub.edge.r{i}" for i in range(WINDOW_TEXTS + 20)]
     g = graph_from(
