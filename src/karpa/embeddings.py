@@ -29,7 +29,10 @@ Each gateway holds the vector of every relation label it has fetched; a
 graph has at most twice as many labels as relations. Vocabulary retrieval,
 the fixed-length matchers' step costs and the heuristic's one-hop paths
 score against those vectors, so each label is requested once per gateway
-and is not rebuilt from the cache's bytes at every use. Vocabulary
+and is not rebuilt from the cache's bytes at every use. A query text or a
+candidate relation that is a held label is served from its held vector
+too, and so costs no request: the fixed-length matchers' depth queries
+are labels once re-planning has snapped them to the vocabulary. Vocabulary
 retrieval is an exhaustive cosine scan; vocabulary sizes here do not
 warrant an ANN index.
 
@@ -53,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import heapq
 import json
 import math
 import operator
@@ -417,6 +421,13 @@ class EmbeddingCache:
         That is ``vector`` itself when this call stored it. Callers keep the
         returned vector, so two threads that embedded the same text keep the
         same bits between them: those of the first to store it.
+
+        With a file, the record is appended before the vector is held, so a
+        failed append (a full disk, say) raises and holds nothing: memory
+        never has a vector the file lacks, and the next ``put`` of the text
+        appends it again. A failed append may leave part of its line in the
+        file, so the next append starts on a new line, and writes the header
+        again if the failed one was to write it.
         """
         identity_digest, digest = _digest(identity), _digest(text)
         payload = vector.values.tobytes()
@@ -425,7 +436,6 @@ class EmbeddingCache:
             stored = vectors.get(digest)
             if stored is not None:
                 return EmbeddingVector(array("d", stored))
-            vectors[digest] = payload
             if self._path is not None:
                 record = {
                     "identity": identity_digest.hex(),
@@ -433,11 +443,18 @@ class EmbeddingCache:
                     "dim": vector.dim,
                     "values": vector.values.tolist(),
                 }
-                with self._path.open("a", encoding="utf-8") as fp:
-                    lead = _HEADER_LINE if fp.tell() == 0 else self._lead
-                    fp.write(lead + json.dumps(record, separators=(",", ":")) + "\n")
-                    fp.flush()
+                lead = self._lead
+                try:
+                    with self._path.open("a", encoding="utf-8") as fp:
+                        if fp.tell() == 0:
+                            lead = _HEADER_LINE
+                        fp.write(lead + json.dumps(record, separators=(",", ":")) + "\n")
+                        fp.flush()
+                except OSError:
+                    self._lead = "\n" + lead
+                    raise
                 self._lead = ""
+            vectors[digest] = payload
         return vector
 
     def stats(self) -> dict:
@@ -562,22 +579,31 @@ class EmbeddingGateway:
         whose labels are all held takes no lock, so it never waits for
         another call's fetch. Any other call takes the gateway's label lock,
         looks again for the labels it does not hold, and sends them to
-        ``embed`` in one request with ``texts``, so they pass through the
+        ``embed`` in one request with the texts, so they pass through the
         cache and keep its bits, and are held from then on. So each label is
         passed to ``embed`` once per gateway, and a call that misses a label
         waits while another call fetches. A failed request holds nothing:
-        the next caller sends the labels itself. No request is made when
-        ``texts`` is empty and every label is held. Texts such as an LLM's
-        relations are never held: there is no bound on them.
+        the next caller sends the labels itself.
+
+        A text that is a held label gets the held vector, which has the bits
+        ``cache.get`` of the text rebuilds, and is not sent: a query text or
+        a candidate relation that is a held label costs no request. Only the
+        other texts go to ``embed``, with the missing labels. No request is
+        made, and no lock taken, when every text and every label is held.
+        Texts are never held, even a text that is a label: there is no bound
+        on an LLM's relations.
         """
         held = self._labels
         fetch = any(label not in held for label in labels)
         with self._label_lock if fetch else contextlib.nullcontext():
+            out = [held.get(text) for text in texts]
+            asked = [text for text, vec in zip(texts, out) if vec is None]
             missing = [label for label in dict.fromkeys(labels) if label not in held]
-            vectors = self.embed([*texts, *missing]) if texts or missing else []
-            for label, vec in zip(missing, vectors[len(texts) :]):
+            vectors = self.embed([*asked, *missing]) if asked or missing else []
+            for label, vec in zip(missing, vectors[len(asked) :]):
                 held[label] = vec
-        return vectors[: len(texts)], [held[label] for label in labels]
+        fetched = iter(vectors)
+        return [vec if vec is not None else next(fetched) for vec in out], [held[label] for label in labels]
 
     def top_k_similar_relations(
         self, query_texts: list[str] | str, vocab: list[str], k: int
@@ -602,7 +628,9 @@ class EmbeddingGateway:
         query_vecs, vocab_vecs = self.embed_with_labels(list(query_texts), vocab)
         rankings = []
         for query_vec in query_vecs:
-            scored = list(zip(vocab, cosine_many(query_vec, vocab_vecs)))
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            rankings.append(scored[:k])
+            # Tuples compare without a key function; negation is exact, so
+            # ``-neg`` has the score's bits. ``nsmallest`` sorts outright
+            # when ``k`` covers the vocabulary.
+            keyed = list(zip(map(operator.neg, cosine_many(query_vec, vocab_vecs)), vocab))
+            rankings.append([(label, -neg) for neg, label in heapq.nsmallest(k, keyed)])
         return rankings

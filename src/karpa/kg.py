@@ -2,15 +2,19 @@
 
 Triples are read from UTF-8 TSV (``head<TAB>relation<TAB>tail``, ``#``
 comments allowed, but not ``#`` lines that hold three non-empty fields) and
-deduplicated. Entity and relation labels are plain
-strings in lists indexed by id; ids are dense integers assigned in
-first-appearance order (head, relation, tail within a line) so that
-fixtures load reproducibly. Whether searches also walk edges backwards is
-fixed at load: only a graph loaded with ``inverse_edges`` stores each triple
-a second time, under its tail, with the relation's inverse id: its id offset
-by the size of the relation table, labelled with the reserved marker
-``~inv`` appended. Inverse ids and labels are built at load and never
-appear in the vocabulary.
+deduplicated. Entity and relation labels are plain strings in lists indexed
+by id; ids are dense integers assigned in first-appearance order (head,
+relation, tail within a line) so that fixtures load reproducibly. The
+matchers break ties between equal scores on entity ids
+(``matching._rank_key`` and the search heaps' keys), so the order of tied
+paths follows the file's line order, and where ``top_k`` cuts inside a tie,
+so does which of them are kept: the same triples in another order can give
+other results. Whether searches also walk edges backwards is fixed at load:
+only a graph loaded with ``inverse_edges`` stores each triple a second
+time, under its tail, with the relation's inverse id: its id offset by the
+size of the relation table, labelled with the reserved marker ``~inv``
+appended. Inverse ids and labels are built at load and never appear in the
+vocabulary.
 
 The edges are stored in compressed sparse row form: two ``array('Q')``s,
 ``offsets`` (one per entity, plus one) and ``keys``, each key one edge packed

@@ -20,18 +20,21 @@ step's cost depends only on the depth and the edge's relation, so each
 search costs a (depth, relation) pair once, against relation-label vectors
 the gateway holds: an expansion makes an embedding request only when it
 meets a label the gateway has not fetched, or is the first at its depth
-and needs the candidate's relation there. The heuristic scores whole label
-sequences, which the gateway does not hold and the embedding cache neither
-keeps nor reads: a search requests them as ``Uncached`` lists. Each search
-keeps its own table from label-sequence text to cost and fetches the
-candidate text once, with the start's one-label children. Each later
-expansion that meets an uncosted child makes one embedding request, which
-also carries the uncosted children of the next expandable prefixes in pop
-order while the request stays within ``WINDOW_TEXTS`` texts, so that when
-those are popped they make none. Every strategy extends a prefix only
-along edges to entities it has not visited, so returned paths are simple
-from the first hop on. Ordering is always deterministic: score descending,
-then relation-label sequence, then entity-id sequence.
+and needs the candidate's relation there, which costs no request when the
+gateway holds it as a label. Re-planning snaps candidates to the
+vocabulary, so once their labels are held a search makes no request. The
+heuristic scores whole label sequences, which the gateway does not hold
+and the embedding cache neither keeps nor reads: a search requests them as
+``Uncached`` lists. Each search keeps its own table from label-sequence
+text to cost and fetches the candidate text once, with the start's
+one-label children. Each later expansion that meets an uncosted child
+makes one embedding request, which also carries the uncosted children of
+the next expandable prefixes in pop order while the request stays within
+``WINDOW_TEXTS`` texts, so that when those are popped they make none.
+Every strategy extends a prefix only along edges to entities it has not
+visited, so returned paths are simple from the first hop on. Ordering is
+always deterministic: score descending, then relation-label sequence, then
+entity-id sequence.
 """
 
 from __future__ import annotations
@@ -182,8 +185,9 @@ def _fixed_length_match(
     relations it meets that its depth has not costed, in one ``cosine_many``
     call over the gateway's label vectors (``embed_with_labels``), which
     embeds, in one request, the labels the gateway does not hold and, at
-    the depth's first costing, the candidate's relation there. A depth at
-    which no expansion has children embeds nothing. The cosine is symmetric
+    the depth's first costing, the candidate's relation there unless the
+    gateway holds it as a label. A depth at which no expansion has children
+    embeds nothing. The cosine is symmetric
     bit for bit, so each cost equals the reference ``step_cost`` in
     ``tests/oracles.py`` exactly.
     """

@@ -713,6 +713,67 @@ def test_a_put_to_a_new_file_works_where_hard_links_fail(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
+def _fail_next_append(monkeypatch, written):
+    """Make the next append to a file write the first ``written`` characters
+    of its text, or half of them for ``"half"``, then raise ``ENOSPC``, as a
+    full disk does."""
+    real_open = Path.open
+    armed = [True]
+
+    class FullDisk:
+        def __init__(self, fp):
+            self._fp = fp
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._fp.close()
+
+        def tell(self):
+            return self._fp.tell()
+
+        def write(self, text):
+            self._fp.write(text[: len(text) // 2 if written == "half" else written])
+            self._fp.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_(path, mode="r", *args, **kwargs):
+        fp = real_open(path, mode, *args, **kwargs)
+        if mode != "a" or not armed:
+            return fp
+        armed.clear()
+        return FullDisk(fp)
+
+    monkeypatch.setattr(Path, "open", open_)
+
+
+@pytest.mark.parametrize("written", [0, 10, "half"], ids=["nothing-written", "ten-chars", "half-written"])
+@pytest.mark.parametrize("before", [False, True], ids=["new-file", "after-a-record"])
+def test_a_failed_append_holds_nothing_and_the_next_append_starts_a_new_line(tmp_path, monkeypatch, written, before):
+    path = tmp_path / "cache.jsonl"
+    cache = EmbeddingCache(path)
+    if before:
+        cache.put("identity", "before", mock_embed("before"))
+    _fail_next_append(monkeypatch, written)
+    with pytest.raises(OSError, match="No space left"):
+        cache.put("identity", "alpha", mock_embed("alpha"))
+    # Memory holds what the file holds: no vector for the text.
+    assert cache.get("identity", "alpha") is None and cache.stats()["records"] == int(before)
+    # The retried put appends the text, and a later put follows it.
+    assert cache.put("identity", "alpha", mock_embed("alpha")) == mock_embed("alpha")
+    cache.put("identity", "beta", mock_embed("beta"))
+    assert cache.get("identity", "alpha") == mock_embed("alpha")
+    reloaded = EmbeddingCache(path)
+    texts = ["before", "alpha", "beta"] if before else ["alpha", "beta"]
+    assert reloaded.stats()["records"] == len(texts)
+    for text in texts:
+        assert reloaded.get("identity", text) == mock_embed(text)
+    # The cut line is skipped and counted, unless it was empty or a header
+    # cut short; a new file's first ten characters are its header's.
+    assert reloaded.skipped == int(written != 0 and (before or written == "half"))
+
+
 def test_caches_on_one_new_file_in_many_threads_keep_every_record(tmp_path):
     path = tmp_path / "cache.jsonl"
     caches = [EmbeddingCache(path) for _ in range(4)]
@@ -927,6 +988,25 @@ def test_top_k_is_prefix_of_full_ranking(gateway):
         assert gateway.top_k_similar_relations(["music.artist.albums"], vocab, k) == [full[:k]]
 
 
+def test_top_k_with_many_tied_scores_equals_the_reference_sort():
+    # The mock embeds a label's dotted tokens as a bag, so each ordering of
+    # the same three tokens has the same vector, and each score is tied
+    # with several others.
+    tokens = ["people", "film", "music", "person", "album"]
+    vocab = [".".join(order) for order in itertools.permutations(tokens, 3)]
+    random.Random(31).shuffle(vocab)
+    gw = EmbeddingGateway(MockEmbeddingProvider(64))
+    for query in ("people film", "music.album.person", "album"):
+        qv = gw.embed([query])[0]
+        reference = sorted(zip(vocab, cosine_many(qv, gw.embed(vocab))), key=lambda pair: (-pair[1], pair[0]))
+        assert len({score for _, score in reference}) < len(vocab) // 4
+        for k in (1, 7, len(vocab), len(vocab) + 5):
+            [ranked] = gw.top_k_similar_relations([query], vocab, k)
+            assert [(label, score.hex()) for label, score in ranked] == [
+                (label, score.hex()) for label, score in reference[:k]
+            ]
+
+
 def test_top_k_rejects_empty_vocab(gateway):
     with pytest.raises(ContractError):
         gateway.top_k_similar_relations(["x"], [], 3)
@@ -1062,6 +1142,32 @@ def test_held_labels_are_the_vectors_the_cache_serves():
     _, (again,) = gw.embed_with_labels([], ["a.b.c"])
     assert first.values.tobytes() == cached.values.tobytes() and again is first
     assert other == mock_embed("d.e.f", 64)
+
+
+def test_a_held_label_passed_as_a_text_makes_no_request():
+    provider = SpyEmbeddingProvider(MockEmbeddingProvider(64))
+    gw = EmbeddingGateway(provider)
+    # Not the provider's vector for the label, so that the test sees whose bits are served.
+    gw.cache.put(provider.identity, "a.b.c", mock_embed("another label", 64))
+    gw.embed_with_labels([], ["a.b.c", "d.e.f"])
+    gw._label_lock = lock = _WatchedLock()
+    requests = _record_requests(gw)
+    (text_vec,), (label_vec,) = gw.embed_with_labels(["a.b.c"], ["d.e.f"])
+    assert requests == [] and provider.batches == [["d.e.f"]] and lock.asks == 0
+    cached = gw.cache.get(provider.identity, "a.b.c")
+    assert text_vec.values.tobytes() == cached.values.tobytes()
+    assert text_vec.norm_sq.hex() == cached.norm_sq.hex()
+    assert label_vec is gw.embed_with_labels([], ["d.e.f"])[1][0]
+    # A text that is not held goes to ``embed``, is fetched once through the
+    # cache, and is not held: a second call finds it in the cache.
+    held = dict(gw._labels)
+    for _ in range(2):
+        vecs, _ = gw.embed_with_labels(["query text", "a.b.c", "query text"], ["a.b.c"])
+        assert vecs == [mock_embed("query text", 64), cached, mock_embed("query text", 64)]
+    assert requests == [["query text", "query text"]] * 2
+    assert provider.batches == [["d.e.f"], ["query text"]] and lock.asks == 0
+    assert gw.cache.get(provider.identity, "query text") == mock_embed("query text", 64)
+    assert gw._labels == held and all(gw._labels[label] is vec for label, vec in held.items())
 
 
 # -- label fetches under the gateway's label lock -----------------------------

@@ -803,25 +803,40 @@ def test_a_second_heuristic_search_sends_only_its_candidate_text_first():
     assert gateway.requests == [["people.person.children people.person.spouse"], *requests[1:]]
 
 
+class _HeldSpyGateway(SpyGateway):
+    """A ``SpyGateway`` that also records the labels it held at each request."""
+
+    def __init__(self):
+        super().__init__()
+        self.held: list[set[str]] = []
+
+    def embed(self, texts):
+        self.held.append(set(self._labels))
+        return super().embed(texts)
+
+
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
 def test_fixed_length_matchers_request_each_label_once_per_gateway(strategy):
     for g, candidate, max_len in _random_match_cases():
-        gateway = SpyGateway()
+        gateway = _HeldSpyGateway()
         cfg = _wide_config(strategy, max_len)
         first = MATCHERS[strategy](g, 0, candidate, cfg, gateway)
         paths = enumerate_all_paths(g, 0, len(candidate))
         # Only prefixes with a child that revisits no entity cost a step.
         depths = sorted({len(steps) - 1 for _, _, steps in paths})
         labels = {g.relation_label(steps[-1][0]) for _, _, steps in paths}
-        # Every text requested, counted: each depth's candidate relation once,
-        # and each label met once, however many edges carry it.
+        # Every text requested, counted: each label met once, however many
+        # edges carry it, and each depth's candidate relation at most once.
         requested = Counter(text for request in gateway.requests for text in request)
-        assert requested == Counter(candidate.relations[d] for d in depths) + Counter(labels)
+        assert Counter(labels) <= requested <= Counter(labels) + Counter(candidate.relations[d] for d in depths)
+        # No request carries a label, or a candidate relation, already held.
+        assert all(held.isdisjoint(request) for held, request in zip(gateway.held, gateway.requests))
         assert len(gateway.requests) <= len({steps[:-1] for _, _, steps in paths})
-        # A second search holds every label: it requests only its depth queries.
+        # A second search holds every label it meets, and so every candidate
+        # relation that is one of them: it requests only the other ones.
         del gateway.requests[:]
         assert MATCHERS[strategy](g, 0, candidate, cfg, gateway) == first
-        assert gateway.requests == [[candidate.relations[d]] for d in depths]
+        assert gateway.requests == [[candidate.relations[d]] for d in depths if candidate.relations[d] not in labels]
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
