@@ -614,8 +614,9 @@ class EmbeddingGateway:
         lexicographically by label. Asking for more than the vocabulary
         holds returns the whole ranking. A single string is one query.
 
-        The queries and the vocabulary labels the gateway does not hold go
-        to ``embed`` in one request (``embed_with_labels``).
+        The queries that are not held labels and the vocabulary labels the
+        gateway does not hold go to ``embed`` in one request
+        (``embed_with_labels``).
         """
         if isinstance(query_texts, str):
             query_texts = [query_texts]
