@@ -1,10 +1,12 @@
 """Command-line surface: ingest, ask, eval, match, cache.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 provider
-error. Text outside an operation's domain, such as a graph label with no
-letter or digit to embed, is a data error. An output path that names a
-directory or lies in a missing one, or a checkpoint directory that is a
-file or lies under one, is a configuration error, raised before any work.
+error, 5 storage error: a failed write to the embedding cache file, an eval
+checkpoint or an output file, which ends an eval run. Text outside an
+operation's domain, such as a graph label with no letter or digit to
+embed, is a data error. An output path that names a directory or lies in
+a missing one, or a checkpoint directory that is a file or lies under one,
+is a configuration error, raised before any work.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from .config import config_digest, load_config
-from .errors import ConfigError, DataError, DomainError, ProviderError
+from .errors import ConfigError, DataError, DomainError, ProviderError, StorageError
 from .evaluation import FORMATS, evaluate, load_dataset, render_report, render_summary_tsv, render_trace
 from .kg import load_triples_path
 from .matching import STRATEGIES, RelationPath, match_candidates, render_match_report
@@ -33,6 +36,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_PROVIDER = 4
+EXIT_STORAGE = 5
 
 logger = logging.getLogger(__name__)
 
@@ -71,11 +75,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path: Path, text: str) -> None:
+    """Write one of a command's output files; a failed write is a ``StorageError`` naming it."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_ingest(args) -> int:
     dump = require_output(args.dump, "--dump")
     g = load_triples_path(args.tsv)
     if dump:
-        g.dump(dump)
+        _write_output(dump, g.dumps())
     print(
         json.dumps(
             {
@@ -95,7 +107,7 @@ def _cmd_ask(args, cfg) -> int:
     query = Query(id=args.id, question=args.question, topic_entities=tuple(args.topic))
     result = pipeline.run(query)
     if trace:
-        trace.write_text(render_trace(result.trace), encoding="utf-8")
+        _write_output(trace, render_trace(result.trace))
     print(
         json.dumps(
             {
@@ -127,11 +139,11 @@ def _cmd_eval(args, cfg) -> int:
     )
     text = render_report(report)
     if report_path:
-        report_path.write_text(text, encoding="utf-8")
+        _write_output(report_path, text)
     else:
         print(text, end="")
     if tsv_path:
-        tsv_path.write_text(render_summary_tsv(report), encoding="utf-8")
+        _write_output(tsv_path, render_summary_tsv(report))
     return EXIT_OK
 
 
@@ -190,6 +202,9 @@ def main(argv: list[str] | None = None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
+    except StorageError as exc:
+        print(f"storage error: {exc}", file=sys.stderr)
+        return EXIT_STORAGE
 
 
 def entrypoint() -> None:

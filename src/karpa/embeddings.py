@@ -29,12 +29,17 @@ Each gateway holds the vector of every relation label it has fetched; a
 graph has at most twice as many labels as relations. Vocabulary retrieval,
 the fixed-length matchers' step costs and the heuristic's one-hop paths
 score against those vectors, so each label is requested once per gateway
-and is not rebuilt from the cache's bytes at every use. A query text or a
-candidate relation that is a held label is served from its held vector
-too, and so costs no request: the fixed-length matchers' depth queries
-are labels once re-planning has snapped them to the vocabulary. Vocabulary
-retrieval is an exhaustive cosine scan; vocabulary sizes here do not
-warrant an ANN index.
+and is not rebuilt from the cache's bytes at every use. Vocabulary
+retrieval asks for the whole vocabulary, and a fixed-length search for the
+graph's whole label table, inverse labels included, at its first
+expansion; the heuristic asks for its start's labels. So a cold gateway
+fetches labels that no search may meet, at most one table, and a provider
+that cannot embed one of them fails every such call, not only those that
+meet it. A query text or a candidate relation that is a held label is
+served from its held vector too, and so costs no request: the fixed-length
+matchers' depth queries are labels once re-planning has snapped them to
+the vocabulary. Vocabulary retrieval is an exhaustive cosine scan;
+vocabulary sizes here do not warrant an ANN index.
 
 Relation labels are fetched one call at a time per gateway, under one lock:
 under ``eval.concurrency > 1`` a worker that misses a label waits for the
@@ -69,7 +74,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Protocol
 
-from .errors import ContractError, DataError, DomainError, EmbeddingDimError, MissingFixtureError, ProviderError
+from .errors import (
+    ContractError,
+    DataError,
+    DomainError,
+    EmbeddingDimError,
+    MissingFixtureError,
+    ProviderError,
+    StorageError,
+)
 from .transport import check_endpoint, post_json, read_records, with_retries
 
 _TOKEN_SPLIT = re.compile(r"[^0-9a-z]+")
@@ -423,11 +436,11 @@ class EmbeddingCache:
         same bits between them: those of the first to store it.
 
         With a file, the record is appended before the vector is held, so a
-        failed append (a full disk, say) raises and holds nothing: memory
-        never has a vector the file lacks, and the next ``put`` of the text
-        appends it again. A failed append may leave part of its line in the
-        file, so the next append starts on a new line, and writes the header
-        again if the failed one was to write it.
+        failed append (a full disk, say) raises a ``StorageError`` naming the
+        file and holds nothing: memory never has a vector the file lacks, and
+        the next ``put`` of the text appends it again. A failed append may
+        leave part of its line in the file, so the next append starts on a new
+        line, and writes the header again if the failed one was to write it.
         """
         identity_digest, digest = _digest(identity), _digest(text)
         payload = vector.values.tobytes()
@@ -450,9 +463,9 @@ class EmbeddingCache:
                             lead = _HEADER_LINE
                         fp.write(lead + json.dumps(record, separators=(",", ":")) + "\n")
                         fp.flush()
-                except OSError:
+                except OSError as exc:
                     self._lead = "\n" + lead
-                    raise
+                    raise StorageError(f"cannot append to embedding cache {self._path}: {exc}") from exc
                 self._lead = ""
             vectors[digest] = payload
         return vector

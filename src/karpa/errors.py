@@ -59,6 +59,15 @@ class EmbeddingDimError(ProviderError):
     """
 
 
+class StorageError(KarpaError):
+    """A local write failed: to the embedding cache file, an eval checkpoint
+    or an output file. The message names the path.
+
+    A fault of the whole run, not of one question: later writes to the same
+    disk would likely fail too, so ``evaluate`` lets it end the run.
+    """
+
+
 class EmptyCompletionError(ProviderError):
     """Provider returned no usable completion text."""
 

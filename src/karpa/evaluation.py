@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from .errors import DataError, EmbeddingDimError, ParseError
+from .errors import DataError, EmbeddingDimError, ParseError, StorageError
 from .llm import COUNTERS, UsageLedger
 from .reasoner import AnswerSet, normalize_answer
 from .transport import read_jsonl, read_utf8, require_file
@@ -255,20 +255,24 @@ def _replace_file(path: Path, write: Callable[[TextIO], None]) -> None:
     """Write ``path`` through ``write`` into a temp file beside it, then rename it over ``path``.
 
     A reader sees the old file or the whole new one, never a part; a write
-    that fails removes the temp file and leaves ``path`` as it was.
+    that fails removes the temp file, leaves ``path`` as it was and raises a
+    ``StorageError`` naming ``path``.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fp:
-            write(fp)
-            # On disk before the rename, so a power loss leaves the old file
-            # or the whole new one, not an empty one under the new name.
-            fp.flush()
-            os.fsync(fp.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fp:
+                write(fp)
+                # On disk before the rename, so a power loss leaves the old file
+                # or the whole new one, not an empty one under the new name.
+                fp.flush()
+                os.fsync(fp.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
 def render_trace(trace: list[dict]) -> str:
@@ -345,9 +349,11 @@ def evaluate(
     error annotation; the run continues. An ``EmbeddingDimError`` is not a
     per-sample failure: it fails every sample that meets the drifted
     vector, so it ends the run, writes no checkpoint for its sample and
-    cancels the samples not yet started. With a checkpoint directory the
-    run is resumable: samples whose checkpoint matches the config digest
-    are not re-run. Sample ids name checkpoints, so a repeated id is a
+    cancels the samples not yet started. A ``StorageError``, a failed write
+    to the embedding cache file or a checkpoint, ends the run the same way,
+    since later writes to that disk would likely fail too. With a
+    checkpoint directory the run is resumable: samples whose checkpoint
+    matches the config digest are not re-run. Sample ids name checkpoints, so a repeated id is a
     ``DataError``, raised before any sample runs.
     """
     seen: set[str] = set()
@@ -357,7 +363,10 @@ def evaluate(
         seen.add(sample.id)
     directory = Path(checkpoint_dir) if checkpoint_dir else None
     if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StorageError(f"cannot make checkpoint directory {directory}: {exc}") from exc
 
     def run_one(sample: QASample) -> dict:
         if directory is not None:
@@ -370,7 +379,7 @@ def evaluate(
             answers, usage, flags, trace = (
                 outcome.answers, outcome.usage_snapshot, list(outcome.flags), outcome.trace
             )
-        except EmbeddingDimError:
+        except (EmbeddingDimError, StorageError):
             raise
         except Exception as exc:  # per-sample isolation is the contract here
             error = f"{type(exc).__name__}: {exc}"

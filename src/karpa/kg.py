@@ -88,9 +88,12 @@ class KnowledgeGraph:
     ``edges`` is ``(offsets, keys)``: each entity's run holds each triple
     under its head as the key ``relation_id << 32 | tail_id`` and, on a graph
     loaded with ``inverse_edges``, each triple under its tail as
-    ``inverse_id << 32 | head_id``, after the forward keys. Instances are
-    immutable after construction and safe for concurrent reads. Build them
-    through :func:`load_triples` rather than directly.
+    ``inverse_id << 32 | head_id``, after the forward keys. ``edge_labels``
+    is the label of every relation id an edge can carry, indexed by id:
+    ``relations`` on a forward-only graph, and then the inverse labels too
+    on one loaded with ``inverse_edges``. Instances are immutable after
+    construction and safe for concurrent reads. Build them through
+    :func:`load_triples` rather than directly.
     """
 
     def __init__(
@@ -110,6 +113,7 @@ class KnowledgeGraph:
         self.relations = list(relation_ids)
         self._entity_ids = entity_ids
         self._labels = self.relations + [label + INVERSE_MARKER for label in self.relations]
+        self.edge_labels = self.relations if incoming is None else self._labels
         self.edges = _pack(adjacency, incoming, len(self.entities), len(self.relations))
         # With inverse edges each distinct triple is stored exactly once under
         # each end, a self-loop too (its two keys differ in the relation id),

@@ -18,12 +18,16 @@ Beam and pathfind are one best-first loop over summed step costs
 (``_fixed_length_match``); they differ only in what its pop cap counts. A
 step's cost depends only on the depth and the edge's relation, so each
 search costs a (depth, relation) pair once, against relation-label vectors
-the gateway holds: an expansion makes an embedding request only when it
-meets a label the gateway has not fetched, or is the first at its depth
-and needs the candidate's relation there, which costs no request when the
-gateway holds it as a label. Re-planning snaps candidates to the
-vocabulary, so once their labels are held a search makes no request. The
-heuristic scores whole label sequences, which the gateway does not hold
+the gateway holds. A search's first expansion takes the vector of every
+label the graph's edges can carry (``KnowledgeGraph.edge_labels``), and the
+gateway requests those it does not hold, once per gateway: with the
+vocabulary held, the inverse labels. A later expansion makes a request only
+when it is the first at its depth and the candidate's relation there is not
+a held label. Re-planning snaps candidates to the vocabulary, so on a warm
+gateway a search makes no request. The price: a cold gateway fetches labels
+that no search may meet, at most one table, and a provider that cannot
+embed one of them fails every fixed-length search, not only those that
+would meet it. The heuristic scores whole label sequences, which the gateway does not hold
 and the embedding cache neither keeps nor reads: a search requests them as
 ``Uncached`` lists. Each search keeps its own table from label-sequence
 text to cost and fetches the candidate text once, with the start's
@@ -181,22 +185,26 @@ def _fixed_length_match(
     scored by 1 - mean step cost. An empty list means no path of the
     candidate's length was reachable; that is not an error.
 
-    Step costs are kept per depth by relation id. An expansion costs the
-    relations it meets that its depth has not costed, in one ``cosine_many``
-    call over the gateway's label vectors (``embed_with_labels``), which
-    embeds, in one request, the labels the gateway does not hold and, at
-    the depth's first costing, the candidate's relation there unless the
-    gateway holds it as a label. A depth at which no expansion has children
-    embeds nothing. The cosine is symmetric
+    Step costs are kept per depth by relation id. The start's expansion, the
+    first to cost, takes from ``embed_with_labels`` the vector of every label
+    in ``g.edge_labels``, indexed by relation id, with the candidate's first
+    relation: at most one request, holding the labels the gateway does not
+    hold. The search keeps that table, and each expansion costs the relations
+    it meets that its depth has not costed in one ``cosine_many`` call over
+    the table's vectors. The first expansion at a later depth also embeds
+    the candidate's relation there, which makes no request when the gateway
+    holds it as a label. A depth at which no expansion has children embeds
+    nothing. The cosine is symmetric
     bit for bit, so each cost equals the reference ``step_cost`` in
     ``tests/oracles.py`` exactly.
     """
-    relation_label = g.relation_label
+    edge_labels = g.edge_labels
     frontier: list[_Prefix] = [(0.0, (), (start,), ())]
     pops: dict[object, int] = {}
     results: list[ScoredPath] = []
     step_costs: list[dict[int, float]] = [{} for _ in candidate.relations]
     queries: list[EmbeddingVector | None] = [None] * len(candidate)
+    table: list[EmbeddingVector] = []  # each edge label's vector, by relation id
     while frontier and len(results) < cap:
         prefix = heapq.heappop(frontier)
         total, labels, entities, steps = prefix
@@ -214,17 +222,19 @@ def _fixed_length_match(
         new = [rid for rid in dict.fromkeys(rid for rid, _ in edges) if rid not in costs]
         if new:
             query = queries[depth]
-            texts = [candidate.relations[depth]] if query is None else []
-            fetched, label_vecs = gateway.embed_with_labels(texts, [relation_label(rid) for rid in new])
             if query is None:
-                query = queries[depth] = fetched[0]
-            for rid, sim in zip(new, cosine_many(query, label_vecs)):
+                # The start, at depth 0, is costed first and once: it fetches the table.
+                (query,), vectors = gateway.embed_with_labels([candidate.relations[depth]], [] if depth else edge_labels)
+                queries[depth] = query
+                if depth == 0:
+                    table = vectors
+            for rid, sim in zip(new, cosine_many(query, [table[rid] for rid in new])):
                 costs[rid] = 1.0 - sim
         for edge in edges:
             rid = edge[0]
             heapq.heappush(
                 frontier,
-                (total + costs[rid], labels + (relation_label(rid),), entities + (edge[1],), steps + (edge,)),
+                (total + costs[rid], labels + (edge_labels[rid],), entities + (edge[1],), steps + (edge,)),
             )
     results.sort(key=_sort_key)
     return results[: cfg.top_k]

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from karpa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER, main
+from karpa.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PROVIDER, EXIT_STORAGE, main
 from karpa.config import config_digest, env_name, load_config, parse_config_text, resolve_values, build_config
 from karpa.embeddings import EmbeddingCache, MockEmbeddingProvider, mock_embed
 from karpa.errors import ConfigError
@@ -978,3 +979,84 @@ def test_eval_killed_at_seeded_points_resumes_to_the_uninterrupted_report(tmp_pa
     assert landed >= 1
     assert finish(work) == reference
     assert EmbeddingCache(work / "cache.jsonl").skipped <= 1
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+@pytest.mark.parametrize("target", ["cache", "checkpoint"])
+def test_a_failed_local_write_ends_eval_with_the_storage_exit_code(tmp_path, monkeypatch, capsys, target, concurrency):
+    # From the sixth append to the embedding cache file, or the seventh
+    # checkpoint file, every write raises ENOSPC, as a full disk does, before
+    # it writes a byte. The eval ends at the first with exit 5, one line on
+    # stderr naming the file and no traceback, and writes no report. Run
+    # again with writes that succeed, it resumes to the golden report.
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)  # the golden config's paths are relative
+    for name in [name for name in os.environ if name.startswith("KARPA_")]:
+        monkeypatch.delenv(name)
+    cache_path, checkpoints = tmp_path / "cache.jsonl", tmp_path / "ckpt"
+    config = tmp_path / "karpa.conf"
+    config.write_text(
+        "kg.path = tests/data/fixture20/kg.tsv\n"
+        "llm.kind = scripted\n"
+        "llm.fixtures = tests/data/fixture20/llm_fixtures.jsonl\n"
+        f"embedding.cache_path = {cache_path}\n"
+        f"eval.checkpoint_dir = {checkpoints}\n"
+        f"eval.concurrency = {concurrency}\n",
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.txt"
+    argv = ["--config", str(config), "eval", "--dataset", str(FIXTURE20 / "questions.jsonl"), "--report", str(report)]
+    writes, armed = [], [True]
+
+    def fail_from(first, real, is_write):
+        def call(*args, **kwargs):
+            if armed and is_write(args):
+                writes.append(args[0])
+                if len(writes) >= first:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return real(*args, **kwargs)
+
+        return call
+
+    if target == "cache":
+        monkeypatch.setattr(Path, "open", fail_from(6, Path.open, lambda args: args[1:2] == ("a",)))
+    else:  # each checkpoint file is synced once, before its rename
+        monkeypatch.setattr(os, "fsync", fail_from(7, os.fsync, lambda args: True))
+    assert main(argv) == EXIT_STORAGE
+    out, err = capsys.readouterr()
+    where = f"append to embedding cache {cache_path}" if target == "cache" else f"write {checkpoints}{os.sep}"
+    assert out == "" and err.startswith(f"storage error: cannot {where}")
+    assert err.endswith("No space left on device\n") and err.count("\n") == 1 and "Traceback" not in err
+    assert not report.exists()
+    # The samples not yet started were cancelled: only those done before the
+    # failure, or, with two workers, beside it, have a checkpoint. The first
+    # question makes every cache append, and the seventh checkpoint file is
+    # the fourth question's first.
+    done = len(list(checkpoints.glob("*.json")))
+    assert done < 20 and (concurrency > 1 or done == {"cache": 0, "checkpoint": 3}[target])
+    armed.clear()
+    assert main(argv) == EXIT_OK
+    assert report.read_bytes() == (FIXTURE20 / "golden" / "eval_report.txt").read_bytes()
+    assert EmbeddingCache(cache_path).skipped == 0
+
+
+@pytest.mark.parametrize("command", ["ingest", "eval"])
+def test_a_failed_output_write_is_a_storage_error_naming_the_file(tmp_path, monkeypatch, capsys, command):
+    out = tmp_path / "out.txt"
+    if command == "ingest":
+        argv = ["ingest", str(FIXTURE20 / "kg.tsv"), "--dump", str(out)]
+    else:
+        config = tmp_path / "karpa.conf"
+        config.write_text(
+            f"kg.path = {FIXTURE20 / 'kg.tsv'}\nllm.kind = scripted\n"
+            f"llm.fixtures = {FIXTURE20 / 'llm_fixtures.jsonl'}\n",
+            encoding="utf-8",
+        )
+        argv = ["--config", str(config), "eval", "--dataset", str(FIXTURE20 / "questions5.jsonl"), "--report", str(out)]
+
+    def full_disk(path, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert main(argv) == EXIT_STORAGE
+    assert capsys.readouterr().err == f"storage error: cannot write {out}: [Errno 28] No space left on device\n"
+

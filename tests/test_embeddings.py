@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -36,10 +37,18 @@ from karpa.errors import (
     EmbeddingDimError,
     MissingFixtureError,
     ProviderError,
+    StorageError,
     TransportError,
 )
+from karpa.matching import MatchConfig, RelationPath, beam_match, dijkstra_avg_match
 
-from helpers import FlakyEmbeddingProvider, SpyEmbeddingProvider, relation_label_pool
+from helpers import (
+    TWELVE_ENTITY_TRIPLES,
+    FlakyEmbeddingProvider,
+    SpyEmbeddingProvider,
+    graph_from,
+    relation_label_pool,
+)
 from oracles import ref_mock_embed_loop, ref_mock_embedding, ref_pair_cosine
 
 
@@ -756,7 +765,7 @@ def test_a_failed_append_holds_nothing_and_the_next_append_starts_a_new_line(tmp
     if before:
         cache.put("identity", "before", mock_embed("before"))
     _fail_next_append(monkeypatch, written)
-    with pytest.raises(OSError, match="No space left"):
+    with pytest.raises(StorageError, match=f"cannot append to embedding cache {re.escape(str(path))}: .*No space left"):
         cache.put("identity", "alpha", mock_embed("alpha"))
     # Memory holds what the file holds: no vector for the text.
     assert cache.get("identity", "alpha") is None and cache.stats()["records"] == int(before)
@@ -1348,6 +1357,37 @@ def test_many_threads_pass_each_label_to_embed_once():
     passed_labels = [text for request in requests for text in request if text in labels]
     assert len(passed_labels) == len(set(passed_labels))
     assert not gw._label_lock.locked()
+
+
+def test_two_cold_fixed_length_searches_pass_each_edge_label_to_embed_once():
+    # The first search's first expansion fetches the graph's label table
+    # under the label lock. The second's waits for it, then finds every
+    # label held and sends only its depth query, which is no label.
+    g = graph_from(TWELVE_ENTITY_TRIPLES, inverse_edges=True)
+    hub = g.entity_id("hub")
+    searches = [
+        (dijkstra_avg_match, RelationPath(("first.query.children", "first.query.spouse")), "pathfind"),
+        (beam_match, RelationPath(("second.query.children",)), "beam"),
+    ]
+    provider = _GatedProvider(hold={"first.query.children"})
+    gw = EmbeddingGateway(provider)
+    gw._label_lock = lock = _WatchedLock()
+    (lead, lead_path, lead_strategy), (follow, follow_path, follow_strategy) = searches
+    leader, led = _in_thread(lead, g, hub, lead_path, MatchConfig(lead_strategy), gw)
+    try:
+        provider.wait_for_requests(1)
+        follower, followed = _in_thread(follow, g, hub, follow_path, MatchConfig(follow_strategy), gw)
+        lock.wait_for_asks(2)
+        assert provider.batches == [["first.query.children", *g.edge_labels]]
+    finally:
+        provider.release.set()
+    _join(leader, follower)
+    passed = sorted(text for batch in provider.batches for text in batch)
+    assert passed == sorted([*g.edge_labels, *lead_path.relations, *follow_path.relations])
+    assert ["second.query.children"] in provider.batches
+    for (match, path, strategy), outcome in zip(searches, (led, followed)):
+        alone = match(g, hub, path, MatchConfig(strategy), EmbeddingGateway(_GatedProvider(hold=())))
+        assert outcome["result"] == alone and alone
 
 
 # -- scripted provider --------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import signal
 import threading
 import time
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from karpa.errors import DataError
+from karpa.errors import DataError, StorageError
 from karpa.evaluation import (
     EvalReport,
     QASample,
@@ -484,7 +485,7 @@ def test_checkpoint_write_that_fails_midway_keeps_the_previous_one(tmp_path, mon
         raise OSError("disk full")
 
     monkeypatch.setattr(json, "dump", dump_then_fail)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(StorageError, match=f"cannot write {re.escape(str(tmp_path))}.*: disk full"):
         evaluate(samples, lambda s: outcome(answer_set("z")), checkpoint_dir=tmp_path, config_digest="d2")
     monkeypatch.undo()
     assert sorted(p.name for p in tmp_path.iterdir()) == names

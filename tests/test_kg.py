@@ -126,6 +126,18 @@ def test_neighbors_inverse_uses_marker():
     assert g.relation_label(rid) == "r" + INVERSE_MARKER
 
 
+@pytest.mark.parametrize("inverse_edges", [False, True], ids=["forward", "both"])
+def test_edge_labels_name_exactly_the_relation_ids_edges_carry(inverse_edges):
+    rng = random.Random(11)
+    labels = ["r", "s", "t.u", "v w"]
+    triples = [(f"e{rng.randrange(12)}", rng.choice(labels), f"e{rng.randrange(12)}") for _ in range(40)]
+    g = graph_from(triples, inverse_edges)
+    carried = {rid for eid in range(g.num_entities) for rid, _ in g.neighbors(eid)}
+    assert carried == set(range(len(g.edge_labels)))
+    assert g.edge_labels == [g.relation_label(rid) for rid in sorted(carried)]
+    assert g.edge_labels[: g.num_relations] == g.relations
+
+
 def test_neighbors_both_concatenates():
     triples = [("A", "r", "B"), ("C", "s", "A")]
     g = graph_from(triples, inverse_edges=True)

@@ -817,26 +817,34 @@ class _HeldSpyGateway(SpyGateway):
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
 def test_fixed_length_matchers_request_each_label_once_per_gateway(strategy):
-    for g, candidate, max_len in _random_match_cases():
+    for i, (g, candidate, max_len) in enumerate(_random_match_cases()):
+        if i % 3 == 0:  # a candidate relation that is no label: it is requested at its depth
+            candidate = RelationPath((*candidate.relations[:-1], "query.only.relative"))
         gateway = _HeldSpyGateway()
+        if i % 2:  # the vocabulary held, as pool extraction leaves it
+            gateway.embed_with_labels([], g.relation_vocabulary())
+            del gateway.requests[:], gateway.held[:]
+        held = set(gateway._labels)
         cfg = _wide_config(strategy, max_len)
         first = MATCHERS[strategy](g, 0, candidate, cfg, gateway)
         paths = enumerate_all_paths(g, 0, len(candidate))
         # Only prefixes with a child that revisits no entity cost a step.
         depths = sorted({len(steps) - 1 for _, _, steps in paths})
-        labels = {g.relation_label(steps[-1][0]) for _, _, steps in paths}
-        # Every text requested, counted: each label met once, however many
-        # edges carry it, and each depth's candidate relation at most once.
-        requested = Counter(text for request in gateway.requests for text in request)
-        assert Counter(labels) <= requested <= Counter(labels) + Counter(candidate.relations[d] for d in depths)
-        # No request carries a label, or a candidate relation, already held.
+        queries = [candidate.relations[d] for d in depths]
+        # The first expansion sends its depth's candidate relation, unless
+        # held, with every label of the table not yet held, each once, and
+        # no later request carries a label: a later depth sends its
+        # candidate relation only when that is no label.
+        table = [queries[0]] * (queries[0] not in held) + [label for label in g.edge_labels if label not in held]
+        later = [[query] for query in queries[1:] if query not in g.edge_labels]
+        assert gateway.requests == [table] * bool(table) + later
         assert all(held.isdisjoint(request) for held, request in zip(gateway.held, gateway.requests))
-        assert len(gateway.requests) <= len({steps[:-1] for _, _, steps in paths})
-        # A second search holds every label it meets, and so every candidate
-        # relation that is one of them: it requests only the other ones.
+        assert set(gateway._labels) == held | set(g.edge_labels)
+        # A second search holds every label: it requests only the candidate
+        # relations that are not labels.
         del gateway.requests[:]
         assert MATCHERS[strategy](g, 0, candidate, cfg, gateway) == first
-        assert gateway.requests == [[candidate.relations[d]] for d in depths if candidate.relations[d] not in labels]
+        assert gateway.requests == [[query] for query in queries if query not in g.edge_labels]
 
 
 @pytest.mark.parametrize("strategy", ["beam", "pathfind"])
