@@ -40,7 +40,7 @@ from karpa.errors import (
     StorageError,
     TransportError,
 )
-from karpa.matching import MatchConfig, RelationPath, beam_match, dijkstra_avg_match
+from karpa.matching import MATCHERS, MatchConfig, RelationPath
 
 from helpers import (
     TWELVE_ENTITY_TRIPLES,
@@ -1365,28 +1365,29 @@ def test_two_cold_fixed_length_searches_pass_each_edge_label_to_embed_once():
     # label held and sends only its depth query, which is no label.
     g = graph_from(TWELVE_ENTITY_TRIPLES, inverse_edges=True)
     hub = g.entity_id("hub")
-    searches = [
-        (dijkstra_avg_match, RelationPath(("first.query.children", "first.query.spouse")), "pathfind"),
-        (beam_match, RelationPath(("second.query.children",)), "beam"),
-    ]
+    first = ("pathfind", RelationPath(("first.query.children", "first.query.spouse")))
+    second = ("beam", RelationPath(("second.query.children",)))
+
+    def search(strategy, candidate, gateway):
+        return MATCHERS[strategy](g, hub, candidate, MatchConfig(strategy), gateway)
+
     provider = _GatedProvider(hold={"first.query.children"})
     gw = EmbeddingGateway(provider)
     gw._label_lock = lock = _WatchedLock()
-    (lead, lead_path, lead_strategy), (follow, follow_path, follow_strategy) = searches
-    leader, led = _in_thread(lead, g, hub, lead_path, MatchConfig(lead_strategy), gw)
+    leader, led = _in_thread(search, *first, gw)
     try:
         provider.wait_for_requests(1)
-        follower, followed = _in_thread(follow, g, hub, follow_path, MatchConfig(follow_strategy), gw)
+        follower, followed = _in_thread(search, *second, gw)
         lock.wait_for_asks(2)
         assert provider.batches == [["first.query.children", *g.edge_labels]]
     finally:
         provider.release.set()
     _join(leader, follower)
     passed = sorted(text for batch in provider.batches for text in batch)
-    assert passed == sorted([*g.edge_labels, *lead_path.relations, *follow_path.relations])
+    assert passed == sorted([*g.edge_labels, *first[1].relations, *second[1].relations])
     assert ["second.query.children"] in provider.batches
-    for (match, path, strategy), outcome in zip(searches, (led, followed)):
-        alone = match(g, hub, path, MatchConfig(strategy), EmbeddingGateway(_GatedProvider(hold=())))
+    for (strategy, candidate), outcome in ((first, led), (second, followed)):
+        alone = search(strategy, candidate, EmbeddingGateway(_GatedProvider(hold=())))
         assert outcome["result"] == alone and alone
 
 
