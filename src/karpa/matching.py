@@ -194,7 +194,9 @@ def _fixed_length_match(
     the table's vectors. The first expansion at a later depth also embeds
     the candidate's relation there, which makes no request when the gateway
     holds it as a label. A depth at which no expansion has children embeds
-    nothing. The cosine is symmetric
+    nothing. So a cold gateway fetches labels the search may never meet, and
+    a label the provider cannot embed fails the search even if no edge it
+    walks carries it. The cosine is symmetric
     bit for bit, so each cost equals the reference ``step_cost`` in
     ``tests/oracles.py`` exactly.
     """
